@@ -12,7 +12,8 @@ Reports are deterministic for a fixed seed (timing is only included with
 from __future__ import annotations
 
 import argparse
-import cmath
+import csv
+import io
 import json
 import math
 import os
@@ -20,7 +21,15 @@ import sys
 
 from .arch import ArchParams, Place, mu_arch, mu_arch_derivative
 from .errors import ParityError, RangeError
-from .padic import AddChar, FiniteParams, MultChar, mu_finite, mu_finite_derivative
+from .padic import (
+    AddChar,
+    FiniteParams,
+    MultChar,
+    g_normalized,
+    mu_finite,
+    mu_finite_derivative,
+    root_of_unity_sum,
+)
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
@@ -139,52 +148,39 @@ def _mu_rows_finite(args):
 
 
 def cmd_mu(args) -> int:
-    try:
-        if args.place == "complex":
-            rows = _mu_rows_arch(args, Place.COMPLEX)
-        elif args.place == "real":
-            rows = _mu_rows_arch(args, Place.REAL)
-        else:
-            rows = _mu_rows_finite(args)
-    except (ParityError, RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.place == "complex":
+        rows = _mu_rows_arch(args, Place.COMPLEX)
+    elif args.place == "real":
+        rows = _mu_rows_arch(args, Place.REAL)
+    else:
+        rows = _mu_rows_finite(args)
     _emit_table(rows, args.format, args.out)
     return 0
 
 
-def _primitive_characters_p2(m: int):
-    """Primitive characters of the 2-adic unit group mod 2^m.
+def _gauss_rows_p2(m_max: int) -> list[dict]:
+    """Normalized Gauss sums of the primitive characters mod 2^m, 2 <= m <= m_max.
 
-    The unit group is generated by -1 and 5 for m >= 3 (single nontrivial
-    character at m = 2, none at m = 1); primitivity at m >= 3 is an odd
-    exponent on the cyclic part.
+    The units mod 2^m are +-5^k with 5 of order 2^(m-2).  A character sends
+    -1 to (-1)^eps and 5 to e(a / 2^(m-2)); it is primitive for odd a at
+    m >= 3, and m = 2 has the single character chi4 (eps = 1, a = 0).  Its
+    angles and those of psi(-u) = e(-u / 2^m) are integers over 2^m.
     """
-    if m <= 1:
-        return []
-    mod = 2**m
-    if m == 2:
-        return [("chi4", lambda u: 1.0 + 0j if u % 4 == 1 else -1.0 + 0j)]
-    order5 = 2 ** (m - 2)
-    decomp: dict[int, tuple[int, int]] = {}
-    x = 1
-    for k in range(order5):
-        decomp[x % mod] = (0, k)
-        decomp[(-x) % mod] = (1, k)
-        x = (x * 5) % mod
-
-    def build(eps: int, a: int):
-        def chi(u: int) -> complex:
-            sign, k = decomp[u % mod]
-            return cmath.exp(2j * math.pi * (eps * sign / 2 + a * k / order5))
-
-        return chi
-
-    chars = []
-    for eps in (0, 1):
-        for a in range(1, order5, 2):
-            chars.append((f"eps={eps},a={a}", build(eps, a)))
-    return chars
+    rows = []
+    for m in range(2, m_max + 1):
+        mod = 2**m
+        powers = [pow(5, k, mod) for k in range(2 ** (m - 2))]
+        if m == 2:
+            chars = [("chi4", 1, 0)]
+        else:
+            chars = [(f"eps={eps},a={a}", eps, a) for eps in (0, 1) for a in range(1, 2 ** (m - 2), 2)]
+        for label, eps, a in chars:
+            # u = 5^k contributes e((4 a k - u) / 2^m), u = -5^k adds eps/2 and flips the sign of u
+            nums = [4 * a * k - x for k, x in enumerate(powers)]
+            nums += [mod // 2 * eps + 4 * a * k + x for k, x in enumerate(powers)]
+            g = root_of_unity_sum(nums, mod) / math.sqrt(mod)
+            rows.append({"p": 2, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
+    return rows
 
 
 def cmd_gauss(args) -> int:
@@ -192,18 +188,11 @@ def cmd_gauss(args) -> int:
     if p == 2 and not args.allow_p2:
         print("error: p = 2 needs --allow-p2 (two-generator unit structure)", file=sys.stderr)
         return 2
-    rows = []
     if p == 2:
-        for m in range(2, args.m_max + 1):
-            mod = 2**m
-            for label, chi in _primitive_characters_p2(m):
-                total = sum(chi(y) * cmath.exp(-2j * math.pi * y / mod) for y in range(1, mod, 2))
-                g = total / math.sqrt(mod)
-                rows.append({"p": p, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
+        rows = _gauss_rows_p2(args.m_max)
     else:
-        from .padic import AddChar, MultChar, g_normalized
-
         psi = AddChar(p, args.psi_c)
+        rows = []
         for m in range(1, args.m_max + 1):
             for chi in MultChar.all_primitive(p, m):
                 g = g_normalized(chi, psi)
@@ -227,19 +216,20 @@ def _emit_table(rows, fmt: str, out_path: str | None):
         print("(no rows)")
         return
     if fmt == "json":
-        text = json.dumps(rows, indent=1, sort_keys=True, default=float)
+        text = json.dumps(rows, indent=1, sort_keys=True, default=float) + "\n"
     else:
         cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols))
-        text = "\n".join(lines)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows)
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         print(f"table written to {out_path}")
     else:
-        print(text)
+        print(text, end="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +281,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.func(args)
-    except (ParityError, RangeError) as exc:
+    except (ParityError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

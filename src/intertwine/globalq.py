@@ -28,7 +28,7 @@ import numpy as np
 from .arch import ArchParams, Place, mu_arch
 from .errors import PoleError, RangeError
 from .numerics import GammaKind, gamma_factor
-from .padic import mu_finite, unramified_params
+from .padic import mu_finite, unramified_params, val_p
 
 # Bernoulli numbers B_2 .. B_30 for the Euler-Maclaurin tail
 _BERNOULLI = (
@@ -304,20 +304,8 @@ def height_wn(place: Place | int, x) -> float:
     elif place is Place.COMPLEX:
         a = abs(complex(x)) ** 2
     elif isinstance(place, int):
-        p = place
-        xf = Fraction(x)
-        if xf == 0:
-            a = 0.0
-        else:
-            v = 0
-            num, den = xf.numerator, xf.denominator
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
-            a = float(p) ** (-v)
+        v = val_p(Fraction(x), place)
+        a = 0.0 if v is None else float(place) ** (-v)
     else:
         raise ValueError(f"unsupported place {place!r}")
     if a <= 1.0:

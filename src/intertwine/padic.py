@@ -4,8 +4,12 @@ classical vectors, and the finite-place intertwining eigenvalues.
 Everything here is a finite exact computation.  Unit-group characters are
 stored primitively (the recorded exponent lives at the conductor modulus) on
 a single generator that works at every level; values are roots of unity
-evaluated from exact rational angles, so sums are exact up to a rounding
-floor near 1e-15.  Functions on the multiplicative group are finite linear
+evaluated from exact rational angles.  Every Gauss-type sum (the Gauss sum,
+the unit integral behind its support window, the shells of the brute-force
+transform) is one unit integral that walks the units as powers of that
+generator and hands integer angle numerators over a common denominator to a
+single kernel, root_of_unity_sum, so sums are exact up to a rounding floor
+near 1e-15.  Functions on the multiplicative group are finite linear
 combinations of two kinds of atoms,
 
     [chi, n]   supported on p^n * units, value chi(unit part),
@@ -103,6 +107,21 @@ def e_of(t: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(t))
 
 
+def root_of_unity_sum(numerators, den: int) -> complex:
+    """Sum of e(k / den) over the integers k, each component exactly rounded.
+
+    Every angle is the float of the reduced fraction (k mod den) / den, the
+    same value e_of takes from the exact rational, and math.fsum makes the
+    total independent of the order of the terms.
+    """
+    res, ims = [], []
+    for k in numerators:
+        term = cmath.exp(2j * math.pi * ((k % den) / den))
+        res.append(term.real)
+        ims.append(term.imag)
+    return complex(math.fsum(res), math.fsum(ims))
+
+
 def val_p(x: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational (None for zero)."""
     if x == 0:
@@ -121,17 +140,10 @@ def val_p(x: Fraction, p: int) -> int | None:
 
 def unit_residue(x: Fraction, p: int, m: int) -> int:
     """Residue mod p^m of the unit part of x = p^v * u."""
-    v = val_p(x, p)
-    if v is None:
+    if x == 0:
         raise ValueError("zero has no unit part")
     num = x.numerator
     den = x.denominator
-    for _ in range(abs(v)):
-        if v > 0 and num % p == 0:
-            num //= p
-        elif v < 0 and den % p == 0:
-            den //= p
-    # after stripping, both num and den are prime to p
     while num % p == 0:
         num //= p
     while den % p == 0:
@@ -328,6 +340,13 @@ def _canon_atom(atom: Atom) -> list[tuple[float, Atom]]:
     return [(1.0, atom)]
 
 
+def _atom_value(atom: Atom, x: Fraction, v: int | None) -> complex:
+    """Value of an atom at x, where v = val_p(x) (None for x = 0)."""
+    if isinstance(atom, TailAtom):
+        return 1.0 if v is None or v >= atom.n else 0.0
+    return atom.chi.value(x) if v == atom.n else 0.0
+
+
 class SimpleFunction:
     """Finite complex combination of atoms on the multiplicative group."""
 
@@ -357,15 +376,11 @@ class SimpleFunction:
         )
 
     def evaluate(self, x: Fraction) -> complex:
-        v = val_p(Fraction(x), self.p)
+        x = Fraction(x)
+        v = val_p(x, self.p)
         total = 0j
         for atom, coeff in self.terms.items():
-            if isinstance(atom, TailAtom):
-                if v is None or v >= atom.n:
-                    total += coeff
-            else:
-                if v is not None and v == atom.n:
-                    total += coeff * atom.chi.value(Fraction(x) / self.p**v)
+            total += coeff * _atom_value(atom, x, v)
         return total
 
     def negate_argument(self) -> "SimpleFunction":
@@ -382,6 +397,37 @@ class SimpleFunction:
         return f"SimpleFunction(p={self.p}, {self.terms!r})"
 
 
+def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
+    """int over units of chi(y) psi(-t y) dy (additive measure), exact.
+
+    With p^c(psi) t = A / p^b reduced, the integrand is constant on residues
+    mod p^depth, depth = max(c(chi), b, 1).  The units there are walked as
+    powers y = g^j of the fixed generator, so chi(y) = e(a j / phi(p^c(chi)))
+    needs no discrete log, and psi(-t y) = e(-A y / p^b); both angles are
+    integers over the common denominator (p - 1) p^max(c(chi) - 1, b).
+    """
+    p = chi.p
+    shift = t * p**psi.c
+    v = val_p(shift, p)
+    b = -v if v is not None and v < 0 else 0
+    if shift.denominator != p**b:
+        raise ValueError(f"{t} is not a p-adic rational at p = {p}")
+    depth = max(chi.cond, b, 1)
+    top = max(chi.cond - 1, b)
+    chi_step = chi.a * p ** (top - chi.cond + 1)
+    psi_step = shift.numerator * (p - 1) * p ** (top - b)
+    g, mod = unit_generator(p), p**depth
+
+    def numerators():
+        y = 1
+        for j in range((p - 1) * p ** (depth - 1)):
+            yield chi_step * j - psi_step * y
+            y = y * g % mod
+
+    total = root_of_unity_sum(numerators(), (p - 1) * p**top)
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * total
+
+
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     """G(chi, psi): unit-group integral of chi against the shifted additive
     character, supported at shift -c(psi) - c(chi); exact finite sum.
@@ -391,17 +437,7 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     """
     if chi.cond == 0:
         raise ConductorError("Gauss sum needs a ramified character")
-    p, m = chi.p, chi.cond
-    mod = p**m
-    vol = p ** (-m) * psi.conductor_value ** (-0.5)
-    res, ims = [], []
-    for y in range(1, mod):
-        if y % p == 0:
-            continue
-        term = e_of(chi.angle(y) - Fraction(y, mod))
-        res.append(term.real)
-        ims.append(term.imag)
-    return vol * complex(math.fsum(res), math.fsum(ims))
+    return _unit_integral(chi, psi, Fraction(1, chi.p ** (psi.c + chi.cond)))
 
 
 def g_normalized(chi: MultChar, psi: AddChar) -> complex:
@@ -414,20 +450,7 @@ def unit_additive_integral(chi: MultChar, psi: AddChar, n: int) -> complex:
 
     Vanishes unless n = -c(psi) - c(chi); the value there is the Gauss sum.
     """
-    p = chi.p
-    depth = max(chi.cond, -(n + psi.c), 1)
-    mod = p**depth
-    vol = p ** (-depth) * psi.conductor_value ** (-0.5)
-    shift = Fraction(p) ** n
-    res, ims = [], []
-    for y in range(1, mod):
-        if y % p == 0:
-            continue
-        ang = chi.angle(y) if chi.cond else Fraction(0)
-        term = e_of(ang - psi.angle(shift * y))
-        res.append(term.real)
-        ims.append(term.imag)
-    return vol * complex(math.fsum(res), math.fsum(ims))
+    return _unit_integral(chi, psi, Fraction(chi.p) ** n)
 
 
 def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
@@ -472,39 +495,9 @@ def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
     x = Fraction(x)
     vx = val_p(x, p)
 
-    def shell_integral(atom: Atom, k: int) -> complex:
-        # integral over p^k units of f-atom(u) psi(-u x) du; exactly rounded
-        # summation keeps cancelling sums at the per-term rounding floor,
-        # and the angles are pure modular arithmetic (no per-term rationals)
-        if isinstance(atom, CharAtom) and atom.n != k:
-            return 0j
-        if isinstance(atom, TailAtom) and k < atom.n:
-            return 0j
-        chi = atom.chi if isinstance(atom, CharAtom) else None
-        depth = max(1, chi.cond if chi else 1, -(k + vx + psi.c))
-        mod = p**depth
-        vol = p ** (-k) * p ** (-depth) * psi.conductor_value ** (-0.5)
-        # psi(-p^k u x) = e(-(A u mod B) / B) with A/B = p^(c + k) x reduced
-        shift = Fraction(p) ** (k + psi.c) * x
-        a_num, b_den = shift.numerator, shift.denominator
-        use_chi = chi is not None and chi.cond > 0
-        if use_chi:
-            dlog = _dlog_table(p, chi.cond)
-            chi_mod = p**chi.cond
-            phi = (p - 1) * p ** (chi.cond - 1)
-            chi_a = chi.a
-        res, ims = [], []
-        two_pi = 2.0 * math.pi
-        for u in range(1, mod):
-            if u % p == 0:
-                continue
-            ang = -((a_num * u) % b_den) / b_den
-            if use_chi:
-                ang += (chi_a * dlog[u % chi_mod]) / phi
-            term = cmath.exp(1j * (two_pi * ang))
-            res.append(term.real)
-            ims.append(term.imag)
-        return vol * complex(math.fsum(res), math.fsum(ims))
+    def shell_integral(chi: MultChar, k: int) -> complex:
+        # integral over p^k units of chi(unit part) psi(-u x) du
+        return p ** (-k) * _unit_integral(chi, psi, Fraction(p) ** k * x)
 
     if x == 0:
         # plain integral of f
@@ -519,12 +512,12 @@ def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
     total = 0j
     for atom, coeff in f.terms.items():
         if isinstance(atom, CharAtom):
-            total += coeff * shell_integral(atom, atom.n)
+            total += coeff * shell_integral(atom.chi, atom.n)
         else:
             # active shells: psi nontrivial on the shell only while k < kstar
             kstar = -vx - psi.c
             for k in range(atom.n, max(atom.n, kstar)):
-                total += coeff * shell_integral(atom, k)
+                total += coeff * shell_integral(MultChar.trivial(p), k)
             tail_start = max(atom.n, kstar)
             total += coeff * p ** (-tail_start) * psi.conductor_value ** (-0.5)
     return total
@@ -564,13 +557,14 @@ class TensorSimpleFunction:
         return TensorSimpleFunction(self.p, items)
 
     def evaluate(self, x: Fraction, y: Fraction) -> complex:
+        x, y = Fraction(x), Fraction(y)
+        vx, vy = val_p(x, self.p), val_p(y, self.p)
         total = 0j
         for (a, b), coeff in self.terms.items():
-            fa = SimpleFunction(self.p, [(1.0, a)]).evaluate(x)
+            fa = _atom_value(a, x, vx)
             if fa == 0:
                 continue
-            fb = SimpleFunction(self.p, [(1.0, b)]).evaluate(y)
-            total += coeff * fa * fb
+            total += coeff * fa * _atom_value(b, y, vy)
         return total
 
     def fourier_hat(self, psi: AddChar) -> "TensorSimpleFunction":
@@ -973,10 +967,10 @@ def tate_integral_padic(
         phase = 1.0 + 0j
         if isinstance(a, CharAtom) and a.chi.cond:
             prod = prod * a.chi
-            phase *= a.chi.value(x0 / p ** val_p(x0, p))
+            phase *= a.chi.value(x0)
         if isinstance(b, CharAtom) and b.chi.cond:
             prod = prod * b.chi
-            phase *= b.chi.value(y0 / p ** val_p(y0, p))
+            phase *= b.chi.value(y0)
         if not prod.is_trivial():
             continue
         if pinned is not None:

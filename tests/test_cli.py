@@ -1,4 +1,8 @@
+import cmath
+import csv
+import io
 import json
+import math
 import os
 
 import pytest
@@ -95,3 +99,87 @@ def test_gauss_p2_gate(capsys):
     data = [line for line in lines if line[0].isdigit()]
     for line in data:
         assert abs(float(line.split(",")[-1]) - 1.0) < 1e-9
+
+
+def _gauss_p2_product_formula(m: int) -> dict[str, complex]:
+    """Normalized Gauss sums mod 2^m as sums of chi(y) e(-y / 2^m) over odd y,
+    with chi(+-5^k) = e(eps [sign] / 2 + a k / 2^(m-2)) built from a table."""
+    mod, order5 = 2**m, 2 ** (m - 2)
+    if m == 2:
+        chars = {"chi4": lambda u: 1.0 if u % 4 == 1 else -1.0}
+    else:
+        decomp = {}
+        for k in range(order5):
+            decomp[pow(5, k, mod)] = (0, k)
+            decomp[-pow(5, k, mod) % mod] = (1, k)
+
+        def build(eps, a):
+            return lambda u: cmath.exp(2j * math.pi * (eps * decomp[u][0] / 2 + a * decomp[u][1] / order5))
+
+        chars = {f"eps={eps},a={a}": build(eps, a) for eps in (0, 1) for a in range(1, order5, 2)}
+    return {
+        label: sum(chi(y) * cmath.exp(-2j * math.pi * y / mod) for y in range(1, mod, 2)) / math.sqrt(mod)
+        for label, chi in chars.items()
+    }
+
+
+def _gauss_p2_rows(capsys, m_max: int) -> list[dict]:
+    assert main(["gauss", "--p", "2", "--allow-p2", "--m-max", str(m_max), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_gauss_p2_matches_product_formula(capsys):
+    rows = _gauss_p2_rows(capsys, 6)
+    for m in range(2, 7):
+        expected = _gauss_p2_product_formula(m)
+        got = {r["char"]: complex(r["g_re"], r["g_im"]) for r in rows if r["m"] == m}
+        assert list(got) == list(expected)
+        for label, g in got.items():
+            assert abs(g - expected[label]) < 1e-13
+
+
+def test_gauss_p2_modulus_and_conjugation(capsys):
+    rows = _gauss_p2_rows(capsys, 10)
+    assert len(rows) == 1 + sum(2 ** (m - 2) for m in range(3, 11))
+    table = {(r["m"], r["char"]): complex(r["g_re"], r["g_im"]) for r in rows}
+    for (m, label), g in table.items():
+        assert abs(abs(g) - 1.0) < 1e-12
+        if label == "chi4":
+            inverse, sign = label, -1.0
+        else:
+            eps, a = (int(part.split("=")[1]) for part in label.split(","))
+            inverse, sign = f"eps={eps},a={2 ** (m - 2) - a}", (-1.0 if eps else 1.0)
+        assert abs(table[(m, inverse)] - sign * g.conjugate()) < 1e-12
+
+
+def test_gauss_bad_prime_exit_two(capsys):
+    for p in ("4", "9"):
+        assert main(["gauss", "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gauss_p2_csv_quotes_labels(capsys):
+    assert main(["gauss", "--p", "2", "--allow-p2", "--m-max", "4"]) == 0
+    text = capsys.readouterr().out
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    assert reader.fieldnames == ["p", "m", "char", "g_re", "g_im", "g_abs"]
+    assert len(rows) == 1 + 2 + 4
+    assert all(None not in row and len(row) == 6 for row in rows)
+    assert rows[1]["char"] == "eps=0,a=1"
+
+
+def test_mu_csv_is_plain_comma_join(capsys):
+    # no mu field needs quoting, so the CSV is the plain comma join of the
+    # JSON rows with floats at 17 significant digits
+    argv = ["mu", "--place", "finite", "--p", "5", "--cond-xi", "1", "--n", "1:3", "--y", "0:1:0.5"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    cols = ["place", "n", "y", "mu_re", "mu_im", "mu_abs", "mu_prime_re", "mu_prime_im", "mu_prime_abs"]
+    lines = [",".join(cols)]
+    for r in rows:
+        lines.append(",".join(format(r[c], ".17g") if isinstance(r[c], float) else str(r[c]) for c in cols))
+    assert text == "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
+import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -155,6 +157,48 @@ def test_gauss_support_window():
             assert abs(val) < 1e-14
 
 
+@lru_cache(maxsize=None)
+def _chi_values(chi: MultChar, depth: int) -> list[complex]:
+    """chi(y) for the units y mod p^depth, through the discrete-log table."""
+    return [chi.value(y) for y in range(1, chi.p**depth) if y % chi.p]
+
+
+@lru_cache(maxsize=None)
+def _psi_values(psi: AddChar, n: int, depth: int) -> list[complex]:
+    """psi(-p^n y) for the units y mod p^depth, from exact rational angles."""
+    p = psi.p
+    return [psi.value(-Fraction(p) ** n * y) for y in range(1, p**depth) if y % p]
+
+
+def _unit_integral_reference(chi: MultChar, psi: AddChar, n: int, depth: int) -> complex:
+    """int over units of chi(y) psi(-p^n y) dy, term by term from the
+    character values rather than from one angle per term."""
+    terms = [a * b for a, b in zip(_chi_values(chi, depth), _psi_values(psi, n, depth))]
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return chi.p ** (-depth) * psi.conductor_value ** (-0.5) * total
+
+
+def test_gauss_sum_matches_termwise_reference():
+    for p in (3, 5, 7):
+        for psi_c in (0, 1, 2):
+            psi = AddChar(p, psi_c)
+            for m in (1, 2, 3):
+                for chi in MultChar.all_primitive(p, m):
+                    ref = _unit_integral_reference(chi, psi, -psi_c - m, m)
+                    assert abs(gauss_sum(chi, psi) - ref) < 1e-15
+
+
+def test_unit_integral_window_matches_termwise_reference():
+    for p in (3, 5, 7):
+        for psi_c in (0, 1, 2):
+            psi = AddChar(p, psi_c)
+            for chi in (MultChar.trivial(p), MultChar(p, 1, 1), MultChar(p, 2, p + 1)):
+                for n in range(-6, 1):
+                    depth = max(chi.cond, -(n + psi_c), 1)
+                    ref = _unit_integral_reference(chi, psi, n, depth)
+                    assert abs(unit_additive_integral(chi, psi, n) - ref) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # atoms and transforms
 
@@ -192,6 +236,49 @@ def test_fourier_pointwise_all_primes():
                     x = Fraction(u) * Fraction(p) ** v
                     assert abs(fourier_bruteforce(f, psi, x) - fa.evaluate(x)) < 1e-14
             assert abs(fourier_bruteforce(f, psi, Fraction(0)) - fa.evaluate(Fraction(0))) < 1e-13
+
+
+def test_atom_values_at_negative_valuation():
+    # x = u / p^k carries its unit part u: the atom [chi, -k] takes chi(u)
+    # there, computed from the integer u without any p-stripping
+    atom = CharAtom(MultChar(5, 1, 1), -1)
+    assert abs(SimpleFunction(5, [(1, atom)]).evaluate(Fraction(3, 5)) + 1j) < 1e-15
+    for chi, k in ((MultChar(5, 1, 1), 1), (MultChar(7, 2, 5), 3), (MultChar(3, 3, 4), 2)):
+        p = chi.p
+        line = SimpleFunction(p, [(1.0, CharAtom(chi, -k))])
+        plane = TensorSimpleFunction(
+            p, [(1.0, CharAtom(chi, -k), TailAtom(0)), (1.0, TailAtom(-k), CharAtom(chi, -k))]
+        )
+        for u in range(1, 2000):
+            if u % p == 0:
+                continue
+            x = Fraction(u, p**k)
+            assert abs(line.evaluate(x) - chi.value(u)) < 1e-15
+            assert abs(plane.evaluate(x, 1) - chi.value(u)) < 1e-15
+            assert abs(plane.evaluate(0, x) - chi.value(u)) < 1e-15
+
+
+def test_tate_integral_row_at_negative_valuation():
+    # substituting t -> p^k t moves the row (u / p^k, 1) to (u, p^k) and
+    # multiplies by q^(-k (z + i mu)), so both rows must agree
+    chi = MultChar(7, 2, 5)
+    psi = AddChar(7, 1)
+    phi = TensorSimpleFunction(7, [(1.0, CharAtom(chi, 0), TailAtom(0))])
+    z, mu, k = 0.3 + 0.2j, 0.4, 3
+    factor = cmath.exp(-k * (z + 1j * mu) * math.log(7))
+    for u in range(1, 200):
+        if u % 7 == 0:
+            continue
+        lhs = tate_integral_padic(phi, chi.inverse(), mu, z, (Fraction(u, 7**k), Fraction(1)), psi)
+        rhs = factor * tate_integral_padic(phi, chi.inverse(), mu, z, (Fraction(u), Fraction(7**k)), psi)
+        assert abs(lhs - rhs) < 1e-15
+        assert abs(lhs - factor * chi.value(u) * psi.conductor_value ** (-0.5)) < 1e-15
+
+
+def test_bruteforce_rejects_non_p_adic_point():
+    f = SimpleFunction(5, [(1.0, CharAtom(MultChar(5, 1, 1), 0))])
+    with pytest.raises(ValueError):
+        fourier_bruteforce(f, AddChar(5, 0), Fraction(1, 3))
 
 
 def test_double_transform_is_reflection():
