@@ -118,26 +118,31 @@ def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> ArchEigenval
     _check_type_index(params, n)
     a = 1 + 2 * params.s + 1j * params.mu
     b = 1 - 2 * params.s - 1j * params.mu
-    if params.place is Place.COMPLEX:
-        h = abs(params.n0) / 2
-        val = (
-            gamma_factor(GammaKind.COMPLEX, a + h)
-            / gamma_factor(GammaKind.COMPLEX, b + h)
-            * _i_pow(params.n0)
-            * gamma_factor(GammaKind.COMPLEX, b + n / 2)
-            / gamma_factor(GammaKind.COMPLEX, a + n / 2)
-        )
-    else:
-        sign = (-1.0) ** ((abs(n) - n) // 2)
-        val = (
-            gamma_factor(GammaKind.REAL, a + params.n0)
-            / gamma_factor(GammaKind.REAL, b + params.n0)
-            * sign
-            * gamma_factor(GammaKind.REAL, b + abs(n))
-            / gamma_factor(GammaKind.REAL, a + abs(n))
-        )
-    if not normalized:
-        val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
+    try:
+        if params.place is Place.COMPLEX:
+            h = abs(params.n0) / 2
+            val = (
+                gamma_factor(GammaKind.COMPLEX, a + h)
+                / gamma_factor(GammaKind.COMPLEX, b + h)
+                * _i_pow(params.n0)
+                * gamma_factor(GammaKind.COMPLEX, b + n / 2)
+                / gamma_factor(GammaKind.COMPLEX, a + n / 2)
+            )
+        else:
+            sign = (-1.0) ** ((abs(n) - n) // 2)
+            val = (
+                gamma_factor(GammaKind.REAL, a + params.n0)
+                / gamma_factor(GammaKind.REAL, b + params.n0)
+                * sign
+                * gamma_factor(GammaKind.REAL, b + abs(n))
+                / gamma_factor(GammaKind.REAL, a + abs(n))
+            )
+        if not normalized:
+            val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise RangeError(
+            f"mu_arch: gamma ratio leaves float range at y = {params.s.imag:g}, n = {n}"
+        ) from exc
     return ArchEigenvalue(val, n, params, normalized)
 
 

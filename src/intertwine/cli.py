@@ -26,6 +26,7 @@ from .padic import (
     FiniteParams,
     MultChar,
     g_normalized,
+    is_odd_prime,
     mu_finite,
     mu_finite_derivative,
     root_of_unity_sum,
@@ -188,6 +189,8 @@ def cmd_gauss(args) -> int:
     if p == 2 and not args.allow_p2:
         print("error: p = 2 needs --allow-p2 (two-generator unit structure)", file=sys.stderr)
         return 2
+    if p != 2 and not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     if p == 2:
         rows = _gauss_rows_p2(args.m_max)
     else:

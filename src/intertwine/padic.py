@@ -8,9 +8,13 @@ evaluated from exact rational angles.  Every Gauss-type sum (the Gauss sum,
 the unit integral behind its support window, the shells of the brute-force
 transform) is one unit integral that walks the units as powers of that
 generator and hands integer angle numerators over a common denominator to a
-single kernel, root_of_unity_sum, so sums are exact up to a rounding floor
-near 1e-15.  Functions on the multiplicative group are finite linear
-combinations of two kinds of atoms,
+single kernel, root_of_unity_sum.  The numerators are built as int64 arrays
+and the kernel takes cos and sin of every angle in one numpy pass, summing
+each component exactly rounded with math.fsum, so sums are exact up to a
+rounding floor near 1e-15.  The int64 products bound the domain: a unit
+integral whose denominator times p^depth reaches 2^63 raises RangeError.
+Gauss sums are cached on (chi, psi).  Functions on the multiplicative group
+are finite linear combinations of two kinds of atoms,
 
     [chi, n]   supported on p^n * units, value chi(unit part),
     [1, >= n]  the indicator of p^n * integers,
@@ -30,6 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConductorError, InconsistentRatio, PoleError, RangeError
 
@@ -110,16 +117,53 @@ def e_of(t: Fraction) -> complex:
 def root_of_unity_sum(numerators, den: int) -> complex:
     """Sum of e(k / den) over the integers k, each component exactly rounded.
 
-    Every angle is the float of the reduced fraction (k mod den) / den, the
-    same value e_of takes from the exact rational, and math.fsum makes the
+    numerators is any int array-like whose values fit in int64, and
+    0 < den < 2^53, so that (k mod den) / den is the float of the reduced
+    fraction, the same value e_of takes from the exact rational.  The angles
+    go through numpy cos and sin in one array pass, and math.fsum makes the
     total independent of the order of the terms.
     """
-    res, ims = [], []
-    for k in numerators:
-        term = cmath.exp(2j * math.pi * ((k % den) / den))
-        res.append(term.real)
-        ims.append(term.imag)
-    return complex(math.fsum(res), math.fsum(ims))
+    if not 0 < den < 2**53:
+        raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
+    try:
+        k = np.asarray(numerators, dtype=np.int64)
+    except OverflowError:
+        raise RangeError("root-of-unity numerators must fit in int64") from None
+    theta = np.remainder(k, den) / den
+    theta *= 2 * math.pi
+    return complex(_fsum(np.cos(theta)), _fsum(np.sin(theta, out=theta)))
+
+
+_FSUM_CHUNK = 4096
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a float array, fed in chunks so that no list of all of
+    its values is built."""
+    chunks = (values[i : i + _FSUM_CHUNK].tolist() for i in range(0, len(values), _FSUM_CHUNK))
+    return math.fsum(chain.from_iterable(chunks))
+
+
+@lru_cache(maxsize=None)
+def _unit_powers(p: int, depth: int) -> np.ndarray:
+    """The units mod p^depth as g^j mod p^depth, j = 0 .. phi(p^depth) - 1.
+
+    Filled by doubling, out[n:2n] = out[:n] g^n mod p^depth, in uint64: the
+    products stay below p^(2 depth), which is < 2^64 on the domain of
+    _unit_integral.  Read-only, since every caller shares it.
+    """
+    g, mod = unit_generator(p), p**depth
+    phi = (p - 1) * p ** (depth - 1)
+    out = np.empty(phi, dtype=np.uint64)
+    out[0] = 1
+    n = 1
+    while n < phi:
+        step = min(n, phi - n)
+        out[n : n + step] = out[:step] * np.uint64(pow(g, n, mod)) % np.uint64(mod)
+        n += step
+    out = out.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def val_p(x: Fraction, p: int) -> int | None:
@@ -414,20 +458,22 @@ def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
         raise ValueError(f"{t} is not a p-adic rational at p = {p}")
     depth = max(chi.cond, b, 1)
     top = max(chi.cond - 1, b)
-    chi_step = chi.a * p ** (top - chi.cond + 1)
-    psi_step = shift.numerator * (p - 1) * p ** (top - b)
-    g, mod = unit_generator(p), p**depth
+    den, mod = (p - 1) * p**top, p**depth
+    if den * mod >= 2**63:
+        raise RangeError(
+            f"unit integral at p = {p}, depth {depth} is beyond the int64 kernel "
+            "(angle denominator times p^depth >= 2^63)"
+        )
+    chi_step = chi.a * p ** (top - chi.cond + 1) % den
+    psi_step = shift.numerator * (p - 1) * p ** (top - b) % den
+    # both terms lie in [0, den * mod), so k never leaves int64
+    k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
+    k *= chi_step
+    k -= psi_step * _unit_powers(p, depth)
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * root_of_unity_sum(k, den)
 
-    def numerators():
-        y = 1
-        for j in range((p - 1) * p ** (depth - 1)):
-            yield chi_step * j - psi_step * y
-            y = y * g % mod
 
-    total = root_of_unity_sum(numerators(), (p - 1) * p**top)
-    return p ** (-depth) * psi.conductor_value ** (-0.5) * total
-
-
+@lru_cache(maxsize=None)
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     """G(chi, psi): unit-group integral of chi against the shifted additive
     character, supported at shift -c(psi) - c(chi); exact finite sum.

@@ -159,6 +159,21 @@ def test_gauss_bad_prime_exit_two(capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_gauss_bad_prime_empty_range_exit_two(capsys):
+    # the prime is checked before any row is built
+    assert main(["gauss", "--p", "4", "--m-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_mu_gamma_overflow_exit_two(capsys):
+    for argv in (["--n", "10", "--y", "400"], ["--n", "400", "--y", "1"]):
+        assert main(["mu", "--place", "complex"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"y = {argv[3]}" in err and f"n = {argv[1]}" in err
+
+
 def test_gauss_p2_csv_quotes_labels(capsys):
     assert main(["gauss", "--p", "2", "--allow-p2", "--m-max", "4"]) == 0
     text = capsys.readouterr().out

@@ -3,10 +3,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from intertwine.errors import ConductorError, RangeError
 from intertwine.padic import (
+    _unit_powers,
     AddChar,
     CharAtom,
     FiniteParams,
@@ -28,6 +30,7 @@ from intertwine.padic import (
     mu_finite_derivative_bound,
     mu_finite_oracle,
     orbit_measures,
+    root_of_unity_sum,
     tate_integral_padic,
     unit_additive_integral,
     unit_generator,
@@ -197,6 +200,59 @@ def test_unit_integral_window_matches_termwise_reference():
                     depth = max(chi.cond, -(n + psi_c), 1)
                     ref = _unit_integral_reference(chi, psi, n, depth)
                     assert abs(unit_additive_integral(chi, psi, n) - ref) < 1e-15
+
+
+def _root_of_unity_sum_reference(numerators, den: int) -> complex:
+    """One cmath.exp per term, both parts summed by math.fsum."""
+    terms = [cmath.exp(2j * math.pi * ((k % den) / den)) for k in numerators]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def test_root_of_unity_sum_matches_termwise_reference():
+    rng = np.random.default_rng(3)
+    cases = [
+        ([-7, -1, 0, 3, 12, 25, -30], 12),  # negative numerators and numerators >= den
+        ([4 * k - pow(5, k, 64) for k in range(16)], 64),  # a plain list, as the p = 2 table passes
+        (rng.integers(-(10**12), 10**12, size=20000), 2 * 3**10),  # longer than one fsum chunk
+        (np.arange(-5000, 5000), 10**6 + 3),
+    ]
+    for nums, den in cases:
+        ref = _root_of_unity_sum_reference([int(k) for k in nums], den)
+        assert abs(root_of_unity_sum(nums, den) - ref) < 1e-15
+
+
+def test_root_of_unity_sum_empty_and_domain():
+    assert root_of_unity_sum([], 7) == 0j
+    assert root_of_unity_sum(np.array([], dtype=np.int64), 7) == 0j
+    assert abs(root_of_unity_sum(range(9), 9)) < 1e-15
+    with pytest.raises(RangeError):
+        root_of_unity_sum([1], 2**53)
+    with pytest.raises(RangeError):
+        root_of_unity_sum([2**63], 5)
+
+
+def test_unit_powers_walk_every_unit():
+    for p in (3, 5, 7, 11):
+        g = unit_generator(p)
+        for d in range(1, 5):
+            mod = p**d
+            phi = (p - 1) * p ** (d - 1)
+            powers = _unit_powers(p, d)
+            assert powers.tolist() == [pow(g, j, mod) for j in range(phi)]
+            assert sorted(powers.tolist()) == [u for u in range(1, mod) if u % p]
+
+
+def test_unit_integral_beyond_int64_raises_at_once():
+    with pytest.raises(RangeError):
+        unit_additive_integral(MultChar(5, 2, 3), AddChar(5, 1), -40)
+
+
+def test_gauss_sum_is_cached():
+    chi, psi = MultChar(7, 2, 5), AddChar(7, 1)
+    first = gauss_sum(chi, psi)
+    hits = gauss_sum.cache_info().hits
+    assert gauss_sum(MultChar(7, 2, 5), AddChar(7, 1)) == first
+    assert gauss_sum.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------
