@@ -41,7 +41,7 @@ from .harmonics import (
     hopf_point,
     lie_act_su2,
 )
-from .numerics import DEFAULT_QUAD, GammaKind, QuadratureSpec, gamma_factor, quad_halfline
+from .numerics import DEFAULT_QUAD, GammaKind, QuadratureSpec, gamma_factor, radial_gaussian_moment
 from .schwartz import (
     PolyGaussian2,
     PolyGaussian4,
@@ -231,28 +231,6 @@ def _bottom_row(kappa: SU2Point) -> tuple[complex, complex]:
     return (-kappa.z2.conjugate(), kappa.z1.conjugate())
 
 
-def _radial_complex(z: complex, spec: QuadratureSpec) -> complex:
-    """int_0^inf exp(-2 pi r^2) r^z dr/r by double-exponential quadrature."""
-
-    def f(r: float) -> complex:
-        expo = -2.0 * math.pi * r * r
-        if expo < -700.0:
-            return 0.0j
-        return cmath.exp(expo + (z - 1.0) * math.log(r))
-
-    return quad_halfline(f, spec)
-
-
-def _radial_real(z: complex, spec: QuadratureSpec) -> complex:
-    def f(r: float) -> complex:
-        expo = -math.pi * r * r
-        if expo < -700.0:
-            return 0.0j
-        return cmath.exp(expo + (z - 1.0) * math.log(r))
-
-    return quad_halfline(f, spec)
-
-
 def tate_section_complex(
     phi: PolyGaussian4,
     params: ArchParams,
@@ -289,7 +267,6 @@ def tate_section_complex(
 
     max_osc = phi.poly.max_degree() + abs(n0) + 2
     n_alpha = 4 * max_osc + 8
-    radial_cache: dict[int, complex] = {}
     total = 0j
     for (a, b, c, d), coeff in phi.poly.terms.items():
         delta = a + b - c - d
@@ -302,10 +279,8 @@ def tate_section_complex(
         if abs(angular) < 1e-15:
             continue
         deg = a + b + c + d
-        rad = radial_cache.get(deg)
-        if rad is None:
-            rad = _radial_complex(2 + 4 * s + 2j * mu + deg, spec)
-            radial_cache[deg] = rad
+        # int_0^inf exp(-2 pi r^2) r^z dr/r
+        rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg, spec) / 4
         total += (
             scalar_to_complex(coeff)
             * v1**a * v2**b * v1c**c * v2c**d
@@ -339,27 +314,20 @@ def tate_section_real(
         if method == "closed":
             rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b)
         elif method == "quadrature":
-            rad = _radial_real(1 + 2 * s + 1j * mu + a + b, spec)
+            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b, spec) / 2
         else:
             raise ValueError(f"unknown method {method!r}")
         total += scalar_to_complex(coeff) * v**a * vc**b * parity * rad
     return total
 
 
-_DEFAULT_KAPPAS = None
-
-
-def _default_kappas() -> list[SU2Point]:
-    global _DEFAULT_KAPPAS
-    if _DEFAULT_KAPPAS is None:
-        _DEFAULT_KAPPAS = [
-            hopf_point(0.6, 0.4, 1.2),
-            hopf_point(0.8, 2.1, 0.3),
-            hopf_point(1.0, 5.0, 2.6),
-            hopf_point(0.7, 3.4, 4.1),
-            hopf_point(0.9, 1.7, 5.5),
-        ]
-    return _DEFAULT_KAPPAS
+_DEFAULT_KAPPAS = (
+    hopf_point(0.6, 0.4, 1.2),
+    hopf_point(0.8, 2.1, 0.3),
+    hopf_point(1.0, 5.0, 2.6),
+    hopf_point(0.7, 3.4, 4.1),
+    hopf_point(0.9, 1.7, 5.5),
+)
 
 
 def _swapped(params: ArchParams) -> ArchParams:
@@ -395,7 +363,7 @@ def mu_arch_oracle(
         phi_hat = fourier_hat_h(phi)
         h_src = harmonic_su2(params.n0, n, k)
         h_dst = harmonic_su2(-params.n0, n, k)
-        pts = list(kappas) if kappas is not None else _default_kappas()
+        pts = kappas if kappas is not None else _DEFAULT_KAPPAS
         for kp in pts:
             denom_h = h_src(kp)
             num_h = h_dst(kp)

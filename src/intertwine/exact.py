@@ -22,12 +22,6 @@ _FR0 = Fraction(0)
 _FR1 = Fraction(1)
 
 
-def _as_pair(value) -> tuple[Fraction, Fraction]:
-    if isinstance(value, tuple):
-        return (Fraction(value[0]), Fraction(value[1]))
-    return (Fraction(value), _FR0)
-
-
 class PiLaurent:
     """Element of Q(i)[pi, 1/pi], stored as {power of pi: (re, im)}."""
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -140,30 +141,28 @@ def residue_constant() -> float:
     return -res0 / (2 * completed_zeta(2.0).real)
 
 
-def residue_at_one(eps: float = 1e-2, levels: int = 4) -> float:
-    """lim (z - 1) Lambda(z) by Richardson extrapolation from the right."""
+def _richardson(f: Callable[[float], float], eps: float, levels: int) -> float:
+    """lim_{h -> 0+} f(h) from f(eps / 2^i), i < levels, by a Neville table
+    in h (first-order sequence)."""
     vals = []
     h = eps
     for _ in range(levels):
-        vals.append(((1 + h) - 1) * completed_zeta(1 + h).real)
+        vals.append(f(h))
         h /= 2
-    # Neville table in h (first-order sequence)
     for j in range(1, levels):
         for i in range(levels - 1, j - 1, -1):
             vals[i] = (2**j * vals[i] - vals[i - 1]) / (2**j - 1)
     return vals[-1]
 
 
+def residue_at_one(eps: float = 1e-2, levels: int = 4) -> float:
+    """lim (z - 1) Lambda(z) by Richardson extrapolation from the right."""
+    return _richardson(lambda h: ((1 + h) - 1) * completed_zeta(1 + h).real, eps, levels)
+
+
 def residue_at_zero(eps: float = 1e-2, levels: int = 4) -> float:
-    vals = []
-    h = eps
-    for _ in range(levels):
-        vals.append(h * completed_zeta(0 + h).real)
-        h /= 2
-    for j in range(1, levels):
-        for i in range(levels - 1, j - 1, -1):
-            vals[i] = (2**j * vals[i] - vals[i - 1]) / (2**j - 1)
-    return -vals[-1]  # lim (z - 0) Lambda(z) with z -> 0^+ from h = z
+    # lim (z - 0) Lambda(z) with z -> 0^+ from h = z
+    return -_richardson(lambda h: h * completed_zeta(0 + h).real, eps, levels)
 
 
 def mu_global_factor(y: float) -> complex:
@@ -338,8 +337,7 @@ def sobolev_weight_sum(
         y_steps = max(200, int(8 * y_max))  # fixed spacing across cutoffs
     ys = np.linspace(0.0, y_max, y_steps + 1)
     total = 0.0
-    ns = range(0, n_max + 1, 2) if place is Place.REAL else range(0, n_max + 1, 2)
-    for n in ns:
+    for n in range(0, n_max + 1, 2):
         lam = (1 + (2 * ys + mu) ** 2) / 4
         lam = lam + (n * n / 2 if place is Place.REAL else (2 * n * (n + 2)) / 4)
         vals = (1.0 + lam) ** (2 - 2 * a_power)

@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 from .errors import PoleError, ToleranceNotMet
@@ -239,6 +240,7 @@ def kernel_ka_quad(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec =
     return front * quad_halfline(f, spec)
 
 
+@lru_cache(maxsize=4096)
 def radial_gaussian_moment(kind: GammaKind, z: complex, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
     """Quadrature of the Tate radial integral whose closed form is gamma_factor.
 
@@ -246,7 +248,8 @@ def radial_gaussian_moment(kind: GammaKind, z: complex, spec: QuadratureSpec = D
     REAL:    2 int_0^inf exp(-pi r^2)   r^z dr/r  =  Gamma_R(z)
 
     Converges for Re z > 0.  These identities pin the gamma-factor
-    normalizations; the tests assert them rather than assume them.
+    normalizations; the tests assert them rather than assume them.  Cached:
+    the archimedean oracle needs the same moments at every sample point.
     """
     z = complex(z)
     if z.real <= 0:

@@ -13,8 +13,9 @@ and the kernel takes cos and sin of every angle in one numpy pass, summing
 each component exactly rounded with math.fsum, so sums are exact up to a
 rounding floor near 1e-15.  The int64 products bound the domain: a unit
 integral whose denominator times p^depth reaches 2^63 raises RangeError.
-Gauss sums are cached on (chi, psi).  Functions on the multiplicative group
-are finite linear combinations of two kinds of atoms,
+Gauss sums are cached on (chi, psi), and unit integrals on (chi, psi, t),
+since neighbouring brute-force points share shells.  Functions on the
+multiplicative group are finite linear combinations of two kinds of atoms,
 
     [chi, n]   supported on p^n * units, value chi(unit part),
     [1, >= n]  the indicator of p^n * integers,
@@ -441,6 +442,7 @@ class SimpleFunction:
         return f"SimpleFunction(p={self.p}, {self.terms!r})"
 
 
+@lru_cache(maxsize=4096)
 def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     """int over units of chi(y) psi(-t y) dy (additive measure), exact.
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .exact import ONE, PiLaurent, VarPoly
 from .harmonics import SU2Point
 
-_E2PI = None  # cached float of exp(-2 pi)
+_E2PI = math.exp(-2.0 * math.pi)
 
 # scalars used by the interchange rules
 _I_OVER_2PI = PiLaurent.pi_power(-1, 0, Fraction(1, 2))      # i / (2 pi)
@@ -213,9 +213,6 @@ Z1_KEY, Z2_KEY, Z1C_KEY, Z2C_KEY = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0,
 
 def restrict_sphere(phi: PolyGaussian4, kappa: SU2Point) -> complex:
     """Value of phi at a point of the unit sphere; the Gaussian is exp(-2 pi)."""
-    global _E2PI
-    if _E2PI is None:
-        _E2PI = math.exp(-2.0 * math.pi)
     return _E2PI * phi.poly.evaluate(kappa.values())
 
 

@@ -2,8 +2,11 @@
 
 Each suite returns a Report whose cases pair a closed-form value with an
 independently computed one (quadrature, exact finite sum, finite difference,
-or a structural identity).  The acceptance tests and the command line both
-run these; sample counts default to the acceptance sizes.
+or a structural identity).  This module is the one place that says what is
+checked, at what size and to what tolerance.  The command line runs the
+suites at DEFAULT_SIZES; the acceptance tests run them at ACCEPTANCE_SIZES,
+which draw more samples over wider ranges, and read the verdict of each
+acceptance criterion off the cases that CRITERIA assigns to it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +54,16 @@ from .numerics import (
 )
 from .padic import (
     AddChar,
+    CharAtom,
     FiniteParams,
     MultChar,
+    SimpleFunction,
+    TailAtom,
     classical_vector,
     fourier_atom,
     fourier_bruteforce,
     g_normalized,
+    iota_normalization,
     level_membership,
     mu_finite,
     mu_finite_derivative,
@@ -77,7 +86,90 @@ SUITE_TOLERANCES = {
 SUITE_NAMES = ("classical", "harmonics", "arch", "padic", "global")
 
 
-def run_suite(name: str, seed: int = 0, tol: float | None = None) -> Report:
+@dataclass(frozen=True)
+class Sizes:
+    """The sample counts, ranges and tolerances in which the default run and
+    the acceptance run differ; everything else is fixed in the suites."""
+
+    unitary_samples: int = 60  # arch axis points per place
+    unitary_y: float = 4.0  # |y| bound of the axis points, arch and padic
+    padic_n_span: int = 3  # levels c .. c + span - 1 in the padic unitarity and derivative checks
+    padic_deriv_draws: int = 1  # random padic derivative points per (p, shape)
+    deriv_samples: int = 30  # arch derivative points per place
+    deriv_ranges: tuple[float, int, int] = (2.0, 2, 3)  # |y|, |n0| and ladder steps of those points
+    oracle_real_s: int = 3  # s values of the real-place oracle check
+    # padic oracle points (s, mu, psi_c); a psi_c of None is drawn from the suite's rng
+    oracle_points: tuple[tuple[complex, float, int | None], ...] = ((0.25 + 0.1j, 0.3, None),)
+    dualrep_samples: int = 8  # Bessel points also checked against the dual representation
+    kernel_pairs: tuple[tuple[float, complex], ...] = ((1.0, 1.0 + 0j), (1.5, 1.0 + 2.0j), (1.25, 1.0 - 1.0j))
+    nonvanish_kinds: tuple[GammaKind, ...] = (GammaKind.COMPLEX,)
+    norm_triples: tuple[tuple[int, int, int], ...] = ((0, 2, 1), (2, 2, 0), (1, 3, 2), (-2, 4, 1), (0, 4, 4))
+    support_n_max: int = -1  # last n of the unit-integral support window
+    fourier_psi_cs: tuple[int, ...] = ()  # additive conductors of the transform checks; empty: one draw per prime
+    fourier_pointwise_tol: float = 1e-13
+    fourier_negval_double: bool = False  # double transform of a second function with an atom at valuation -2
+    level_offsets: tuple[int, ...] = (1,)  # classical vectors c + k whose level boundary is checked
+    ms_points: tuple[tuple[float, float], ...] = ((0.7, 2.0), (1.5, 3.0))  # truncated-norm (y, c)
+    height_ranges: tuple[float, int] = (8.0, 200)  # |x| at the real place, |numerator| at p = 5
+
+
+DEFAULT_SIZES = Sizes()
+ACCEPTANCE_SIZES = Sizes(
+    unitary_samples=200,
+    unitary_y=5.0,
+    padic_n_span=4,
+    padic_deriv_draws=2,
+    deriv_samples=100,
+    deriv_ranges=(3.0, 3, 4),
+    oracle_real_s=5,
+    oracle_points=((0.25 + 0.1j, 0.3, 0), (0.2, -0.4, 1)),
+    dualrep_samples=20,
+    kernel_pairs=DEFAULT_SIZES.kernel_pairs + ((1.75, 1.0 + 0.4j),),
+    nonvanish_kinds=(GammaKind.COMPLEX, GammaKind.REAL),
+    norm_triples=DEFAULT_SIZES.norm_triples + ((1, 3, 1), (-2, 4, 2), (0, 4, 0)),
+    support_n_max=0,
+    fourier_psi_cs=(0, 1),
+    fourier_pointwise_tol=1e-14,
+    fourier_negval_double=True,
+    level_offsets=(0, 1),
+    ms_points=DEFAULT_SIZES.ms_points + ((0.4, 1.5),),
+    height_ranges=(9.0, 300),
+)
+
+
+class Criterion(NamedTuple):
+    """An acceptance criterion: the cases whose key starts with one of
+    `prefixes` must all pass, and where `gate_s` is set, the suites holding
+    them must finish within that many seconds in total."""
+
+    title: str
+    prefixes: tuple[str, ...]
+    gate_s: float | None = None
+
+    @property
+    def suites(self) -> tuple[str, ...]:
+        return tuple(name for name in SUITE_NAMES if any(p.startswith(name + "/") for p in self.prefixes))
+
+
+CRITERIA = {
+    1: Criterion("axis unitarity", ("arch/unitary-", "padic/unitary/"), gate_s=10.0),
+    2: Criterion("closed forms against oracles", ("arch/gamma", "arch/product-form/", "arch/oracle-", "padic/oracle/"),
+                 gate_s=120.0),
+    3: Criterion("harmonic orthonormality", ("harmonics/",)),
+    4: Criterion("Gauss sums", ("padic/gauss-",)),
+    5: Criterion("p-adic Fourier transform", ("padic/fourier-",)),
+    6: Criterion("classical vectors", ("padic/vector-", "padic/orbit-additivity/", "padic/iota-measure/")),
+    7: Criterion("derivative bounds", ("arch/deriv-", "padic/deriv-bound/")),
+    8: Criterion("Bessel functions and kernels", ("arch/bessel-", "arch/kernel-")),
+    9: Criterion("Maass-Selberg limit", ("global/ms-",)),
+    10: Criterion("global layer", ("global/lambda-2", "global/functional-equation", "global/schwarz-reflection",
+                                   "global/mu-", "global/residue-", "global/laplace-", "global/height-",
+                                   "global/sobolev-")),
+    11: Criterion("classical line", ("classical/",)),
+}
+
+
+def run_suite(name: str, seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     runners = {
         "classical": suite_classical,
         "harmonics": suite_harmonics,
@@ -88,9 +180,14 @@ def run_suite(name: str, seed: int = 0, tol: float | None = None) -> Report:
     if name not in runners:
         raise ValueError(f"unknown suite {name!r}")
     start = time.perf_counter()
-    report = runners[name](seed=seed, tol=tol)
+    report = runners[name](seed=seed, tol=tol, sizes=sizes)
     report.wall_time_s = time.perf_counter() - start
     return report
+
+
+def _nth(key: str, j: int) -> str:
+    """Key of the j-th variant of a case; the first keeps the plain key."""
+    return f"{key}/{j}" if j else key
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +201,7 @@ def _random_poly_gaussian(rng: random.Random) -> cl.PolyGaussian1D:
     return cl.PolyGaussian1D(coeffs, q)
 
 
-def suite_classical(seed: int = 0, tol: float | None = None) -> Report:
+def suite_classical(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = tol if tol is not None else SUITE_TOLERANCES["classical"]
     rng = random.Random(seed)
     cases: list[Case] = []
@@ -150,7 +247,7 @@ def suite_classical(seed: int = 0, tol: float | None = None) -> Report:
     return Report("classical", seed, cases)
 
 
-def suite_harmonics(seed: int = 0, tol: float | None = None) -> Report:
+def suite_harmonics(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = tol if tol is not None else SUITE_TOLERANCES["harmonics"]
     cases: list[Case] = []
 
@@ -165,7 +262,7 @@ def suite_harmonics(seed: int = 0, tol: float | None = None) -> Report:
     cases.append(scalar_case("harmonics/gram-identity", {"count": len(harms)}, dev, 0.0, tol))
 
     # closed norms against quadrature
-    for (n0, n, k) in ((0, 2, 1), (2, 2, 0), (1, 3, 2), (-2, 4, 1), (0, 4, 4)):
+    for (n0, n, k) in sizes.norm_triples:
         h = harmonic_su2(n0, n, k)
         conj_poly = VarPoly(4, {(c, d, a, b): coeff.conjugate() for (a, b, c, d), coeff in h.poly.terms.items()})
         quad = haar_integrate_su2(h.poly * conj_poly).real
@@ -207,7 +304,7 @@ def suite_harmonics(seed: int = 0, tol: float | None = None) -> Report:
     return Report("harmonics", seed, cases)
 
 
-def suite_arch(seed: int = 0, tol: float | None = None) -> Report:
+def suite_arch(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = tol if tol is not None else SUITE_TOLERANCES["arch"]
     rng = random.Random(seed)
     cases: list[Case] = []
@@ -239,12 +336,12 @@ def suite_arch(seed: int = 0, tol: float | None = None) -> Report:
         nu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         yv = rng.uniform(0.3, 4.0)
         cases.append(scalar_case(f"arch/bessel-sym/{i}", {"nu": nu, "y": yv}, bessel_k(nu, yv), bessel_k(-nu, yv), 1e-12))
-        if i < 8:
+        if i < sizes.dualrep_samples:
             cases.append(scalar_case(f"arch/bessel-dualrep/{i}", {"nu": nu, "y": yv}, bessel_k(nu, yv), bessel_k_alt(nu, yv), 1e-10))
 
     # kernel identities and the nonvanishing scan
     for kind in (GammaKind.COMPLEX, GammaKind.REAL):
-        for (a, w) in ((1.0, 1.0 + 0j), (1.5, 1.0 + 2.0j), (1.25, 1.0 - 1.0j)):
+        for (a, w) in sizes.kernel_pairs:
             cases.append(
                 scalar_case(
                     f"arch/kernel-quad/{kind.value}/{a}/{w}", {"a": a, "w": w},
@@ -253,22 +350,20 @@ def suite_arch(seed: int = 0, tol: float | None = None) -> Report:
             )
     # existence scan on moderate axis points; the kernel decays like
     # exp(-pi |y|) in the order, so large y needs rescaled thresholds
-    for yv in (0.0, 0.5, 2.0, 3.5):
-        best = max(abs(kernel_ka(GammaKind.COMPLEX, a, 1 + 2j * yv)) for a in (1.0, 1.25, 1.5, 1.75))
-        cases.append(flag_case(f"arch/kernel-nonvanish/y={yv}", {"best": f"{best:.3e}"}, best > 1e-8))
+    for kind in sizes.nonvanish_kinds:
+        for yv in (0.0, 0.5, 2.0, 3.5):
+            best = max(abs(kernel_ka(kind, a, 1 + 2j * yv)) for a in (1.0, 1.25, 1.5, 1.75))
+            place = "" if kind is GammaKind.COMPLEX else f"{kind.value}/"
+            cases.append(flag_case(f"arch/kernel-nonvanish/{place}y={yv}", {"best": f"{best:.3e}"}, best > 1e-8))
 
     # unitarity on the axis
-    for i in range(60):
-        y = rng.uniform(-4, 4)
+    for i in range(sizes.unitary_samples):
+        y = rng.uniform(-sizes.unitary_y, sizes.unitary_y)
         mu = rng.uniform(-2, 2)
-        n0 = rng.randint(-3, 3)
-        n = abs(n0) + 2 * rng.randint(0, 4)
+        n0, n = _complex_weight(rng, 3, 4)
         pc = ArchParams(Place.COMPLEX, 1j * y, mu, n0)
         cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mu_arch(pc, n).value), 1.0, 1e-12))
-        n0r = rng.randint(0, 1)
-        nr = (n0r + 2 * rng.randint(0, 4)) * rng.choice((1, -1))
-        if abs(nr) < n0r:
-            nr = n0r
+        n0r, nr = _real_weight(rng, 4)
         pr = ArchParams(Place.REAL, 1j * y, mu, n0r)
         cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mu_arch(pr, nr).value), 1.0, 1e-12))
         cases.append(
@@ -291,7 +386,7 @@ def suite_arch(seed: int = 0, tol: float | None = None) -> Report:
                 )
     for n0 in (0, 1):
         for n in (n0, n0 + 2, -(n0 + 2), n0 + 4):
-            for j, s in enumerate(s_values[:3]):
+            for j, s in enumerate(s_values[:sizes.oracle_real_s]):
                 pr = ArchParams(Place.REAL, s, -0.2, n0)
                 cases.append(
                     scalar_case(
@@ -301,26 +396,29 @@ def suite_arch(seed: int = 0, tol: float | None = None) -> Report:
                 )
 
     # derivative: exact sum against finite differences, and the bounds
-    for i in range(30):
-        y = rng.uniform(-2, 2)
-        n0 = rng.randint(-2, 2)
-        n = abs(n0) + 2 * rng.randint(0, 3)
-        pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, n0)
-        exact, fd = mu_arch_derivative(pa, n)
-        cases.append(scalar_case(f"arch/deriv-fd-complex/{i}", {"y": y, "n0": n0, "n": n}, exact, fd, 1e-5))
-        cases.append(flag_case(f"arch/deriv-bound-complex/{i}", {"y": y, "n0": n0, "n": n},
-                               abs(exact) <= mu_arch_derivative_bound(pa, n) + 1e-9))
-        n0r = rng.randint(0, 1)
-        nr = (n0r + 2 * rng.randint(0, 3)) * rng.choice((1, -1))
-        if abs(nr) < n0r:
-            nr = n0r
-        prr = ArchParams(Place.REAL, 1j * y, 0.0, n0r)
-        exact_r, fd_r = mu_arch_derivative(prr, nr)
-        cases.append(scalar_case(f"arch/deriv-fd-real/{i}", {"y": y, "n0": n0r, "n": nr}, exact_r, fd_r, 1e-5))
-        cases.append(flag_case(f"arch/deriv-bound-real/{i}", {"y": y, "n0": n0r, "n": nr},
-                               abs(exact_r) <= mu_arch_derivative_bound(prr, nr) + 1e-9))
+    y_max, n0_max, steps = sizes.deriv_ranges
+    for i in range(sizes.deriv_samples):
+        y = rng.uniform(-y_max, y_max)
+        weights = {Place.COMPLEX: _complex_weight(rng, n0_max, steps), Place.REAL: _real_weight(rng, steps)}
+        for place, (n0, n) in weights.items():
+            pa = ArchParams(place, 1j * y, 0.0, n0)
+            exact, fd = mu_arch_derivative(pa, n)
+            inputs = {"y": y, "n0": n0, "n": n}
+            cases.append(scalar_case(f"arch/deriv-fd-{place.value}/{i}", inputs, exact, fd, 1e-5))
+            cases.append(flag_case(f"arch/deriv-bound-{place.value}/{i}", inputs,
+                                   abs(exact) <= mu_arch_derivative_bound(pa, n) + 1e-9))
 
     return Report("arch", seed, cases)
+
+
+def _complex_weight(rng: random.Random, n0_max: int, steps: int) -> tuple[int, int]:
+    n0 = rng.randint(-n0_max, n0_max)
+    return n0, abs(n0) + 2 * rng.randint(0, steps)
+
+
+def _real_weight(rng: random.Random, steps: int) -> tuple[int, int]:
+    n0 = rng.randint(0, 1)
+    return n0, (n0 + 2 * rng.randint(0, steps)) * rng.choice((1, -1))
 
 
 def _case_params(p: int, tag: str, s: complex, mu: float, psi_c: int) -> FiniteParams:
@@ -343,7 +441,7 @@ def _case_params(p: int, tag: str, s: complex, mu: float, psi_c: int) -> FiniteP
 _PADIC_TAGS = ("both-ramified", "both-ramified-trivial-twist", "first-ramified", "second-ramified", "unramified")
 
 
-def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
+def suite_padic(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = tol if tol is not None else SUITE_TOLERANCES["padic"]
     rng = random.Random(seed)
     cases: list[Case] = []
@@ -366,7 +464,7 @@ def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
     # support window of the unit integral
     chi = MultChar(5, 2, 3)
     psi = AddChar(5, 1)
-    for n in range(-6, 0):
+    for n in range(-6, sizes.support_n_max + 1):
         val = abs(unit_additive_integral(chi, psi, n))
         expected = 0.0 if n != -3 else abs(unit_additive_integral(chi, psi, -3))
         cases.append(scalar_case(f"padic/gauss-support/n={n}", {"n": n}, val, expected, 1e-13))
@@ -374,31 +472,21 @@ def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
 
     # atom transform against the brute-force sum, plus the double transform
     for p in (3, 5, 7):
-        psi = AddChar(p, rng.choice((0, 1)))
-        chi = MultChar(p, 1, 1)
-        from .padic import CharAtom, SimpleFunction, TailAtom
-
-        f = SimpleFunction(
-            p,
-            [
-                (1.5 - 0.5j, CharAtom(chi, 1)),
-                (2.0, TailAtom(-1)),
-                (1j, CharAtom(MultChar.trivial(p), 0)),
-            ],
-        )
-        fa = fourier_atom(f, psi)
-        worst = 0.0
-        for v in range(-6, 7):
-            for u in (1, 2, p + 2):
-                x = Fraction(u) * Fraction(p) ** v
-                worst = max(worst, abs(fourier_bruteforce(f, psi, x) - fa.evaluate(x)))
-        worst = max(worst, abs(fourier_bruteforce(f, psi, Fraction(0)) - fa.evaluate(Fraction(0))))
-        cases.append(scalar_case(f"padic/fourier-pointwise/p={p}", {"psi_c": psi.c}, worst, 0.0, 1e-13))
-        ff = fourier_atom(fa, psi)
-        neg = f.negate_argument()
-        keys = set(ff.terms) | set(neg.terms)
-        dev = max(abs(ff.terms.get(k, 0) - neg.terms.get(k, 0)) for k in keys)
-        cases.append(scalar_case(f"padic/fourier-double/p={p}", {"psi_c": psi.c}, dev, 0.0, 1e-13))
+        chi, one = MultChar(p, 1, 1), MultChar.trivial(p)
+        f = SimpleFunction(p, [(1.5 - 0.5j, CharAtom(chi, 1)), (2.0, TailAtom(-1)), (1j, CharAtom(one, 0))])
+        g = SimpleFunction(p, [(2.0 - 1j, CharAtom(chi, -2)), (0.5, TailAtom(1)), (1.0, CharAtom(one, 0))])
+        points = [Fraction(u) * Fraction(p) ** v for v in range(-6, 7) for u in (1, 2, p + 2)] + [Fraction(0)]
+        for j, psi_c in enumerate(sizes.fourier_psi_cs or (rng.choice((0, 1)),)):
+            psi = AddChar(p, psi_c)
+            fa = fourier_atom(f, psi)
+            worst = max(abs(fourier_bruteforce(f, psi, x) - fa.evaluate(x)) for x in points)
+            cases.append(scalar_case(_nth(f"padic/fourier-pointwise/p={p}", j), {"psi_c": psi_c}, worst, 0.0,
+                                     sizes.fourier_pointwise_tol))
+            cases.append(scalar_case(_nth(f"padic/fourier-double/p={p}", j), {"psi_c": psi_c},
+                                     _double_transform_dev(f, psi), 0.0, 1e-13))
+            if sizes.fourier_negval_double:
+                cases.append(scalar_case(_nth(f"padic/fourier-double-negval/p={p}", j), {"psi_c": psi_c},
+                                         _double_transform_dev(g, psi), 0.0, 1e-13))
 
     # classical vectors: norms, cross-level Gram, membership, orbit additivity
     for p in (3, 5):
@@ -412,12 +500,12 @@ def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
                     target = 1.0 if i == j else 0.0
                     gram_dev = max(gram_dev, abs(vi.inner(vj, prm.psi) - target))
             cases.append(scalar_case(f"padic/vector-gram/p={p}/{tag}", {"c": c}, gram_dev, 0.0, 1e-12))
-            cases.append(
-                flag_case(
-                    f"padic/vector-level/p={p}/{tag}", {"c": c},
-                    level_membership(vecs[1], prm, c + 1) and not level_membership(vecs[1], prm, c),
-                )
+            # vecs[k] lies at level c + k and, above level 0, not one below
+            boundary = all(
+                level_membership(vecs[k], prm, c + k) and not (c + k >= 1 and level_membership(vecs[k], prm, c + k - 1))
+                for k in sizes.level_offsets
             )
+            cases.append(flag_case(f"padic/vector-level/p={p}/{tag}", {"c": c}, boundary))
         oms = orbit_measures(unramified_params(p, 0.2, psi_c=1), 5)
         total = sum(oms)
         expected = (1 - Fraction(1, p * p)) / Fraction(p)
@@ -428,33 +516,34 @@ def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
         for tag in _PADIC_TAGS:
             worst_u = 0.0
             for _ in range(14):
-                prm = _case_params(p, tag, 1j * rng.uniform(-4, 4), rng.uniform(-2, 2), rng.choice((0, 1)))
-                for n in range(prm.conductor, prm.conductor + 3):
+                y = rng.uniform(-sizes.unitary_y, sizes.unitary_y)
+                prm = _case_params(p, tag, 1j * y, rng.uniform(-2, 2), rng.choice((0, 1)))
+                for n in range(prm.conductor, prm.conductor + sizes.padic_n_span):
                     worst_u = max(worst_u, abs(abs(mu_finite(prm, n)) - 1.0))
             cases.append(scalar_case(f"padic/unitary/p={p}/{tag}", {}, worst_u, 0.0, 1e-12))
 
-            prm = _case_params(p, tag, 0.25 + 0.1j, 0.3, rng.choice((0, 1)))
-            for n in range(prm.conductor, prm.conductor + 4):
-                cases.append(
-                    scalar_case(
-                        f"padic/oracle/p={p}/{tag}/n={n}", {"psi_c": prm.psi.c},
-                        mu_finite(prm, n), mu_finite_oracle(prm, n), tol,
+            for j, (s, mu, psi_c) in enumerate(sizes.oracle_points):
+                prm = _case_params(p, tag, s, mu, rng.choice((0, 1)) if psi_c is None else psi_c)
+                for n in range(prm.conductor, prm.conductor + 4):
+                    cases.append(
+                        scalar_case(
+                            _nth(f"padic/oracle/p={p}/{tag}/n={n}", j), {"psi_c": prm.psi.c},
+                            mu_finite(prm, n), mu_finite_oracle(prm, n), tol,
+                        )
                     )
-                )
 
-            prm = _case_params(p, tag, 1j * rng.uniform(-3, 3), rng.uniform(-1, 1), rng.choice((0, 1)))
-            for n in range(prm.conductor, prm.conductor + 3):
-                d = mu_finite_derivative(prm, n)
-                cases.append(
-                    flag_case(
-                        f"padic/deriv-bound/p={p}/{tag}/n={n}", {"d": f"{abs(d):.3f}"},
-                        abs(d) <= mu_finite_derivative_bound(prm, n) + 1e-9,
+            for j in range(sizes.padic_deriv_draws):
+                prm = _case_params(p, tag, 1j * rng.uniform(-3, 3), rng.uniform(-1, 1), rng.choice((0, 1)))
+                for n in range(prm.conductor, prm.conductor + sizes.padic_n_span):
+                    d = mu_finite_derivative(prm, n)
+                    cases.append(
+                        flag_case(
+                            _nth(f"padic/deriv-bound/p={p}/{tag}/n={n}", j), {"d": f"{abs(d):.3f}"},
+                            abs(d) <= mu_finite_derivative_bound(prm, n) + 1e-9,
+                        )
                     )
-                )
 
     # identification normalization: vol(units) = C(psi)^(-1/2)
-    from .padic import iota_normalization
-
     for psi_c in (0, 1, 2):
         prm = unramified_params(5, 0.2, psi_c=psi_c)
         v0 = classical_vector(prm, 0)
@@ -465,7 +554,14 @@ def suite_padic(seed: int = 0, tol: float | None = None) -> Report:
     return Report("padic", seed, cases)
 
 
-def suite_global(seed: int = 0, tol: float | None = None) -> Report:
+def _double_transform_dev(f: SimpleFunction, psi: AddChar) -> float:
+    """Atom-level distance between the double transform of f and f(-x)."""
+    ff = fourier_atom(fourier_atom(f, psi), psi)
+    neg = f.negate_argument()
+    return max(abs(ff.terms.get(k, 0) - neg.terms.get(k, 0)) for k in set(ff.terms) | set(neg.terms))
+
+
+def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = tol if tol is not None else SUITE_TOLERANCES["global"]
     rng = random.Random(seed)
     cases: list[Case] = []
@@ -514,7 +610,7 @@ def suite_global(seed: int = 0, tol: float | None = None) -> Report:
     cases.append(flag_case("global/laplace-monotone", {}, mono))
 
     # truncated-norm identity: off-axis extrapolation against the axis form
-    for (y, c) in ((0.7, 2.0), (1.5, 3.0)):
+    for (y, c) in sizes.ms_points:
         pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, 0)
         m_iy = mu_arch(pa, 4).value
         m_prime = m_iy * mu_arch_logderiv(pa, 4)
@@ -546,10 +642,11 @@ def suite_global(seed: int = 0, tol: float | None = None) -> Report:
 
     # heights at every place type
     ok = True
+    x_max, num_max = sizes.height_ranges
     for _ in range(100):
-        ok = ok and gl.height_wn(Place.REAL, rng.uniform(-8, 8)) <= 1.0
+        ok = ok and gl.height_wn(Place.REAL, rng.uniform(-x_max, x_max)) <= 1.0
         ok = ok and gl.height_wn(Place.COMPLEX, complex(rng.uniform(-4, 4), rng.uniform(-4, 4))) <= 1.0
-        ok = ok and gl.height_wn(5, Fraction(rng.randint(-200, 200), rng.choice((1, 5, 25)))) <= 1.0
+        ok = ok and gl.height_wn(5, Fraction(rng.randint(-num_max, num_max), rng.choice((1, 5, 25)))) <= 1.0
     cases.append(flag_case("global/height-bound", {"samples": 300}, ok))
     cases.append(scalar_case("global/height-real-2", {}, gl.height_wn(Place.REAL, 2.0), 0.25, 1e-12))
     cases.append(scalar_case("global/height-w", {}, gl.height_wn(Place.REAL, 0.0), 1.0, 1e-15))

@@ -146,6 +146,19 @@ def test_real_section_closed_equals_quadrature():
             assert abs(closed - quad) < 1e-9 * max(1.0, abs(closed))
 
 
+def test_quadrature_sections_raise_where_the_radial_moment_diverges():
+    # the degree-0 radial moment converges only for Re s > -1/2
+    kp = hopf_point(0.7, 0.9, 1.3)
+    for s in (-0.5, -0.6 + 0.2j):
+        with pytest.raises(ValueError, match="radial moment"):
+            tate_section_complex(section_su2(0, 0), ArchParams(Place.COMPLEX, s, 0.0, 0), kp, "quadrature")
+        with pytest.raises(ValueError, match="radial moment"):
+            tate_section_real(section_so2(0), ArchParams(Place.REAL, s, 0.0, 0), cmath.exp(0.4j), "quadrature")
+    for place in (Place.COMPLEX, Place.REAL):
+        with pytest.raises(ValueError, match="radial moment"):
+            mu_arch_oracle(ArchParams(place, -0.6, 0.0, 0), 0)
+
+
 def test_oracle_matches_closed_form_complex():
     for n0 in range(-2, 3):
         for n in range(abs(n0), 7):
