@@ -240,7 +240,7 @@ def kernel_ka_quad(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec =
     return front * quad_halfline(f, spec)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def radial_gaussian_moment(kind: GammaKind, z: complex, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
     """Quadrature of the Tate radial integral whose closed form is gamma_factor.
 

@@ -442,7 +442,7 @@ class SimpleFunction:
         return f"SimpleFunction(p={self.p}, {self.terms!r})"
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     """int over units of chi(y) psi(-t y) dy (additive measure), exact.
 

@@ -105,7 +105,7 @@ class Sizes:
     nonvanish_kinds: tuple[GammaKind, ...] = (GammaKind.COMPLEX,)
     norm_triples: tuple[tuple[int, int, int], ...] = ((0, 2, 1), (2, 2, 0), (1, 3, 2), (-2, 4, 1), (0, 4, 4))
     support_n_max: int = -1  # last n of the unit-integral support window
-    fourier_psi_cs: tuple[int, ...] = ()  # additive conductors of the transform checks; empty: one draw per prime
+    fourier_psi_cs: tuple[int | None, ...] = (None,)  # additive conductors of the transform checks; None is drawn
     fourier_pointwise_tol: float = 1e-13
     fourier_negval_double: bool = False  # double transform of a second function with an atom at valuation -2
     level_offsets: tuple[int, ...] = (1,)  # classical vectors c + k whose level boundary is checked
@@ -476,7 +476,8 @@ def suite_padic(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_
         f = SimpleFunction(p, [(1.5 - 0.5j, CharAtom(chi, 1)), (2.0, TailAtom(-1)), (1j, CharAtom(one, 0))])
         g = SimpleFunction(p, [(2.0 - 1j, CharAtom(chi, -2)), (0.5, TailAtom(1)), (1.0, CharAtom(one, 0))])
         points = [Fraction(u) * Fraction(p) ** v for v in range(-6, 7) for u in (1, 2, p + 2)] + [Fraction(0)]
-        for j, psi_c in enumerate(sizes.fourier_psi_cs or (rng.choice((0, 1)),)):
+        for j, psi_c in enumerate(sizes.fourier_psi_cs):
+            psi_c = rng.choice((0, 1)) if psi_c is None else psi_c
             psi = AddChar(p, psi_c)
             fa = fourier_atom(f, psi)
             worst = max(abs(fourier_bruteforce(f, psi, x) - fa.evaluate(x)) for x in points)

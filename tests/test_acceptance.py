@@ -7,6 +7,9 @@ passes, within the criterion's time gate where it has one.  Run with -s (or
 read the captured output) to see the per-criterion lines.
 """
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from intertwine.verify import ACCEPTANCE_SIZES, CRITERIA, SUITE_NAMES, run_suite
@@ -92,15 +95,20 @@ def test_criterion_11_classical_line(acceptance_run):
     _check(11, acceptance_run)
 
 
-def test_every_criterion_prefix_matches_a_case(acceptance_run):
+def test_every_case_has_exactly_one_criterion(acceptance_run):
+    # no criterion can pass vacuously, and no case runs unchecked or is claimed twice
+    keys = [c.key for r in _reports(acceptance_run, SUITE_NAMES) for c in r.cases]
     for number, crit in CRITERIA.items():
-        keys = [c.key for r in _reports(acceptance_run, crit.suites) for c in r.cases]
         for prefix in crit.prefixes:
             assert any(k.startswith(prefix) for k in keys), f"criterion {number}: no case under {prefix!r}"
+    for key in keys:
+        owners = [number for number, crit in CRITERIA.items() if key.startswith(crit.prefixes)]
+        assert len(owners) == 1, f"{key} is under criteria {owners}"
 
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_default_case_counts(seed):
-    # the benchmark pins these counts; every suite draws a fixed number of cases
+    # the benchmark's workloads pin these counts; read them from there
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"))
     counts = {name: len(run_suite(name, seed=seed).cases) for name in SUITE_NAMES}
-    assert counts == {"classical": 22, "harmonics": 12, "arch": 449, "padic": 164, "global": 22}
+    assert counts == workloads["SUITE_CASES"]
