@@ -193,7 +193,10 @@ def mu_arch_derivative(params: ArchParams, n: int, h: float = 1e-5) -> tuple[com
     """(exact, finite difference) values of d mu / ds at s = iy.
 
     The exact value is mu * logderiv; the finite difference recomputes the
-    gamma-ratio form at s = iy +- h and is the independent check.
+    gamma-ratio form at s = iy +- h and is the independent check.  Only the
+    cross-checks want that half (verify's arch/deriv-fd cases and the tests);
+    a caller that needs just the derivative computes mu * logderiv itself
+    and evaluates the gamma ratios once instead of three times.
     """
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("finite-difference step outside the supported window")
@@ -218,7 +221,7 @@ def mu_arch_derivative_bound(params: ArchParams, n: int) -> float:
 
 
 def mu_arch_bound_check(params: ArchParams, n: int) -> bool:
-    exact, _ = mu_arch_derivative(params, n)
+    exact = mu_arch(params, n).value * mu_arch_logderiv(params, n)
     return abs(exact) <= mu_arch_derivative_bound(params, n) + 1e-9
 
 

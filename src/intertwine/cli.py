@@ -19,7 +19,9 @@ import math
 import os
 import sys
 
-from .arch import ArchParams, Place, mu_arch, mu_arch_derivative
+import numpy as np
+
+from .arch import ArchParams, Place, mu_arch, mu_arch_logderiv
 from .errors import ParityError, RangeError
 from .padic import (
     AddChar,
@@ -28,7 +30,7 @@ from .padic import (
     g_normalized,
     is_odd_prime,
     mu_finite,
-    mu_finite_derivative,
+    mu_finite_logderiv,
     root_of_unity_sum,
 )
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
@@ -101,7 +103,7 @@ def _mu_rows_arch(args, place: Place):
         for y in _parse_range(args.y):
             params = ArchParams(place, 1j * y, args.mu, args.n0)
             val = mu_arch(params, n).value
-            dval, _ = mu_arch_derivative(params, n)
+            dval = val * mu_arch_logderiv(params, n)
             rows.append(
                 {
                     "place": place.value,
@@ -131,7 +133,7 @@ def _mu_rows_finite(args):
         for y in _parse_range(args.y):
             params = FiniteParams(p, 1j * y, args.mu, xi, oxi, psi)
             val = mu_finite(params, n)
-            dval = mu_finite_derivative(params, n)
+            dval = val * mu_finite_logderiv(params, n)
             rows.append(
                 {
                     "place": f"p={p}",
@@ -170,15 +172,16 @@ def _gauss_rows_p2(m_max: int) -> list[dict]:
     rows = []
     for m in range(2, m_max + 1):
         mod = 2**m
-        powers = [pow(5, k, mod) for k in range(2 ** (m - 2))]
+        ks = np.arange(2 ** (m - 2), dtype=np.int64)
+        powers = np.array([pow(5, k, mod) for k in range(2 ** (m - 2))], dtype=np.int64)
         if m == 2:
             chars = [("chi4", 1, 0)]
         else:
             chars = [(f"eps={eps},a={a}", eps, a) for eps in (0, 1) for a in range(1, 2 ** (m - 2), 2)]
         for label, eps, a in chars:
             # u = 5^k contributes e((4 a k - u) / 2^m), u = -5^k adds eps/2 and flips the sign of u
-            nums = [4 * a * k - x for k, x in enumerate(powers)]
-            nums += [mod // 2 * eps + 4 * a * k + x for k, x in enumerate(powers)]
+            steps = 4 * a * ks
+            nums = np.concatenate((steps - powers, mod // 2 * eps + steps + powers))
             g = root_of_unity_sum(nums, mod) / math.sqrt(mod)
             rows.append({"p": 2, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
     return rows

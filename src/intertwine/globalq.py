@@ -28,7 +28,7 @@ import numpy as np
 
 from .arch import ArchParams, Place, mu_arch
 from .errors import PoleError, RangeError
-from .numerics import GammaKind, gamma_factor
+from .numerics import GammaKind, gamma_factor, trapezoid
 from .padic import mu_finite, unramified_params, val_p
 
 # Bernoulli numbers B_2 .. B_30 for the Euler-Maclaurin tail
@@ -341,7 +341,7 @@ def sobolev_weight_sum(
         lam = (1 + (2 * ys + mu) ** 2) / 4
         lam = lam + (n * n / 2 if place is Place.REAL else (2 * n * (n + 2)) / 4)
         vals = (1.0 + lam) ** (2 - 2 * a_power)
-        total += float(np.trapezoid(vals, ys))
+        total += float(trapezoid(vals, ys))
     return total
 
 

@@ -20,7 +20,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .errors import PoleError, ToleranceNotMet
+
+# np.trapezoid from numpy 2.0 on; np.trapz, its old name, before (and gone in 2.4)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 class GammaKind(Enum):

@@ -913,11 +913,13 @@ def mu_finite(params: FiniteParams, n: int) -> complex:
     return _series_ratio(p, e) * _power(p**n * cpsi, e)
 
 
-def mu_finite_derivative(params: FiniteParams, n: int) -> complex:
-    """Exact d mu / ds from termwise differentiation of the closed form."""
+def mu_finite_logderiv(params: FiniteParams, n: int) -> complex:
+    """Exact (d/ds) log mu from termwise differentiation of the closed form."""
     p = params.p
     e = 2 * params.s + 1j * params.mu
     c = params.conductor
+    if n < c:
+        raise RangeError(f"level {n} below conductor {c}")
     m = n - c
     cpsi = params.psi.conductor_value
     r1, r2 = params.xi.cond > 0, params.omega_xi_inv.cond > 0
@@ -935,7 +937,12 @@ def mu_finite_derivative(params: FiniteParams, n: int) -> complex:
         logderiv = -2 * math.log(cpsi) if cpsi != 1 else 0.0
     else:
         logderiv = -2 * math.log(p**n * cpsi) + _series_logderiv(p, e)
-    return mu_finite(params, n) * logderiv
+    return logderiv
+
+
+def mu_finite_derivative(params: FiniteParams, n: int) -> complex:
+    """Exact d mu / ds = mu * (log mu)'."""
+    return mu_finite(params, n) * mu_finite_logderiv(params, n)
 
 
 def _series_logderiv(q: int, e: complex) -> complex:

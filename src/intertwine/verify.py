@@ -51,6 +51,7 @@ from .numerics import (
     kernel_ka_quad,
     quad_halfline,
     radial_gaussian_moment,
+    trapezoid,
 )
 from .padic import (
     AddChar,
@@ -240,7 +241,7 @@ def suite_classical(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFA
 
     # decay of the discrete transform
     h0 = cl.decay_check(bump, 0)
-    l1 = float(np.trapezoid(bump(np.linspace(-6, 6, 4097)), np.linspace(-6, 6, 4097)))
+    l1 = float(trapezoid(bump(np.linspace(-6, 6, 4097)), np.linspace(-6, 6, 4097)))
     cases.append(flag_case("classical/decay-l1", {"sup": f"{h0:.4f}", "l1": f"{l1:.4f}"}, h0 <= l1 + 1e-6))
     cases.append(flag_case("classical/decay-zero", {}, cl.decay_check(lambda xs: 0.0 * np.asarray(xs), 2) == 0.0))
 

@@ -19,6 +19,7 @@ from intertwine.classical import (
 )
 from intertwine.errors import GridTooCoarse
 from intertwine.exact import PiLaurent
+from intertwine.numerics import trapezoid
 
 
 def indicator(xs):
@@ -83,7 +84,7 @@ def test_mollify_deficit_decreasing_for_indicator():
 
 def test_mollify_smooth_bump_small():
     val = mollify_deficit(bump, 0.1, 1.0)
-    l1 = float(np.trapezoid(bump(np.linspace(-4, 4, 8193)), np.linspace(-4, 4, 8193)))
+    l1 = float(trapezoid(bump(np.linspace(-4, 4, 8193)), np.linspace(-4, 4, 8193)))
     assert val < 0.05 * l1
 
 
@@ -104,7 +105,7 @@ def test_pointwise_inversion_probe():
 def test_decay_check_l1_bound():
     sup0 = decay_check(bump, 0)
     xs = np.linspace(-6, 6, 4097)
-    l1 = float(np.trapezoid(bump(xs), xs))
+    l1 = float(trapezoid(bump(xs), xs))
     assert sup0 <= l1 + 1e-6
 
 
@@ -115,7 +116,7 @@ def test_decay_check_smoothness_gain():
     h = xs[1] - xs[0]
     vals = bump(xs)
     second = np.gradient(np.gradient(vals, h), h)
-    l1_second = float(np.trapezoid(np.abs(second), xs))
+    l1_second = float(trapezoid(np.abs(second), xs))
     assert sup2 <= l1_second / (2 * math.pi) ** 2 + 1e-3
 
 
@@ -131,7 +132,7 @@ def test_evaluation_matches_symbolic():
     xs = np.linspace(-9, 9, 36001)
     fx = f.eval_array(xs)
     for xi in (0.0, 0.35, -1.2):
-        direct = np.trapezoid(fx * np.exp(-2j * math.pi * xs * xi), xs)
+        direct = trapezoid(fx * np.exp(-2j * math.pi * xs * xi), xs)
         assert abs(direct - g(xi)) < 1e-8
 
 

@@ -7,7 +7,12 @@ import os
 
 import pytest
 
+import intertwine.arch
+import intertwine.cli
+import intertwine.padic
+from intertwine.arch import ArchParams, Place, mu_arch_derivative
 from intertwine.cli import main
+from intertwine.padic import AddChar, FiniteParams, MultChar, mu_finite_derivative
 
 
 def test_verify_suite_exit_zero(tmp_path, capsys):
@@ -65,6 +70,66 @@ def test_mu_table_finite(capsys):
     assert len(rows) == 3
     for row in rows:
         assert abs(row["mu_abs"] - 1.0) < 1e-9
+
+
+ARCH_TABLES = (
+    ("complex", ["--n0", "1", "--n", "1:9:2"]),
+    ("real", ["--n0", "1", "--n=-9:9:2"]),
+)
+
+
+def _mu_rows(capsys, place: str, extra: list[str]) -> list[dict]:
+    assert main(["mu", "--place", place, *extra, "--mu", "0.3", "--y=-1:1:0.5", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("place,extra", ARCH_TABLES)
+def test_mu_table_arch_derivative_is_exact_half(capsys, place, extra):
+    # the derivative column is mu * (log mu)', bit for bit the exact half of mu_arch_derivative
+    rows = _mu_rows(capsys, place, extra)
+    assert len(rows) == (5 if place == "complex" else 10) * 5
+    for r in rows:
+        exact, _ = mu_arch_derivative(ArchParams(Place(place), 1j * r["y"], 0.3, r["n0"]), r["n"])
+        assert complex(r["mu_prime_re"], r["mu_prime_im"]) == exact
+
+
+def test_mu_table_finite_derivative_is_exact(capsys):
+    for cond_xi, cond_oxi, levels in ((0, 0, "0:3"), (1, 0, "1:3"), (1, 2, "3:5")):
+        extra = ["--p", "7", "--cond-xi", str(cond_xi), "--cond-oxi", str(cond_oxi), "--psi-c", "1", "--n", levels]
+        rows = _mu_rows(capsys, "finite", extra)
+        xi = MultChar(7, cond_xi, 1) if cond_xi else MultChar.trivial(7)
+        oxi = MultChar(7, cond_oxi, 1) if cond_oxi else MultChar.trivial(7)
+        for r in rows:
+            prm = FiniteParams(7, 1j * r["y"], 0.3, xi, oxi, AddChar(7, 1))
+            assert complex(r["mu_prime_re"], r["mu_prime_im"]) == mu_finite_derivative(prm, r["n"])
+
+
+def _count_calls(monkeypatch, fn_name: str, modules) -> list:
+    # one counter behind the name in every module that calls it, so that a
+    # derivative helper re-evaluating the closed form is counted too
+    calls = []
+    real = getattr(modules[0], fn_name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn_name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("place,extra", ARCH_TABLES)
+def test_mu_table_evaluates_each_arch_row_once(capsys, monkeypatch, place, extra):
+    calls = _count_calls(monkeypatch, "mu_arch", [intertwine.arch, intertwine.cli])
+    rows = _mu_rows(capsys, place, extra)
+    assert len(calls) == len(rows)
+
+
+def test_mu_table_evaluates_each_finite_row_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "mu_finite", [intertwine.padic, intertwine.cli])
+    rows = _mu_rows(capsys, "finite", ["--p", "5", "--cond-xi", "1", "--n", "1:4"])
+    assert len(calls) == len(rows) == 4 * 5
 
 
 def test_mu_parity_violation_exit_two(capsys):
@@ -136,6 +201,20 @@ def test_gauss_p2_matches_product_formula(capsys):
         assert list(got) == list(expected)
         for label, g in got.items():
             assert abs(g - expected[label]) < 1e-13
+
+
+def test_gauss_p2_numerators_match_loop(capsys):
+    # the numpy numerators are the integers the per-term loop builds, so every row is bit-identical
+    rows = _gauss_p2_rows(capsys, 8)
+    for r in rows:
+        m = r["m"]
+        mod = 2**m
+        eps, a = (1, 0) if r["char"] == "chi4" else (int(part.split("=")[1]) for part in r["char"].split(","))
+        powers = [pow(5, k, mod) for k in range(2 ** (m - 2))]
+        nums = [4 * a * k - x for k, x in enumerate(powers)]
+        nums += [mod // 2 * eps + 4 * a * k + x for k, x in enumerate(powers)]
+        g = intertwine.padic.root_of_unity_sum(nums, mod) / math.sqrt(mod)
+        assert complex(r["g_re"], r["g_im"]) == g
 
 
 def test_gauss_p2_modulus_and_conjugation(capsys):

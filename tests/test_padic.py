@@ -28,6 +28,7 @@ from intertwine.padic import (
     mu_finite_bound_check,
     mu_finite_derivative,
     mu_finite_derivative_bound,
+    mu_finite_logderiv,
     mu_finite_oracle,
     orbit_measures,
     root_of_unity_sum,
@@ -508,6 +509,22 @@ def test_derivative_and_bounds():
                 minus = FiniteParams(p, prm.s - h, prm.mu, prm.xi, prm.omega_xi_inv, prm.psi)
                 num = (mu_finite(plus, n) - mu_finite(minus, n)) / (2 * h)
                 assert abs(num - mu_finite_derivative(prm, n)) < 1e-5
+
+
+def test_logderiv_times_mu_is_the_derivative():
+    # the cases of test_mu_oracle_all_shapes and test_derivative_and_bounds
+    import random
+
+    rng = random.Random(2)
+    for p in (3, 5, 7):
+        for shape in ALL_SHAPES:
+            cases = [params_for(p, shape, s=0.25 + 0.1j, mu=0.3, psi_c=psi_c) for psi_c in (0, 1)]
+            cases.append(params_for(p, shape, s=1j * rng.uniform(-3, 3), mu=rng.uniform(-1, 1), psi_c=rng.choice((0, 1))))
+            for prm in cases:
+                for n in range(prm.conductor, prm.conductor + 4):
+                    assert mu_finite(prm, n) * mu_finite_logderiv(prm, n) == mu_finite_derivative(prm, n)
+            with pytest.raises(RangeError):
+                mu_finite_logderiv(prm, prm.conductor - 1)
 
 
 def test_derivative_zero_case():
