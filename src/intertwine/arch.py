@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import InconsistentRatio, ParityError, RangeError
-from .exact import scalar_to_complex
 from .harmonics import (
     LieGen,
     SU2Point,
@@ -258,12 +257,12 @@ def tate_section_complex(
 
     if method == "closed":
         total = 0j
-        for (a, b, c, d), coeff in phi.poly.terms.items():
+        for (a, b, c, d), coeff in phi.poly.complex_terms():
             if a + b - c - d != -n0:
                 continue
             deg = a + b + c + d
             g = gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2)
-            total += scalar_to_complex(coeff) * v1**a * v2**b * v1c**c * v2c**d * g
+            total += coeff * v1**a * v2**b * v1c**c * v2c**d * g
         return total
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
@@ -271,7 +270,7 @@ def tate_section_complex(
     max_osc = phi.poly.max_degree() + abs(n0) + 2
     n_alpha = 4 * max_osc + 8
     total = 0j
-    for (a, b, c, d), coeff in phi.poly.terms.items():
+    for (a, b, c, d), coeff in phi.poly.complex_terms():
         delta = a + b - c - d
         # angular trapezoid; exact for pure phases once n_alpha > |n0 + delta|
         acc = 0j
@@ -285,7 +284,7 @@ def tate_section_complex(
         # int_0^inf exp(-2 pi r^2) r^z dr/r
         rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg, spec) / 4
         total += (
-            scalar_to_complex(coeff)
+            coeff
             * v1**a * v2**b * v1c**c * v2c**d
             * (2.0 / math.pi) * angular * rad
         )
@@ -310,7 +309,7 @@ def tate_section_real(
     vc = v.conjugate()
     s, mu, n0 = params.s, params.mu, params.n0
     total = 0j
-    for (a, b), coeff in phi.poly.terms.items():
+    for (a, b), coeff in phi.poly.complex_terms():
         parity = 1.0 + (-1.0) ** (n0 + a + b)
         if parity == 0.0:
             continue
@@ -320,7 +319,7 @@ def tate_section_real(
             rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b, spec) / 2
         else:
             raise ValueError(f"unknown method {method!r}")
-        total += scalar_to_complex(coeff) * v**a * vc**b * parity * rad
+        total += coeff * v**a * vc**b * parity * rad
     return total
 
 

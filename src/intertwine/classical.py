@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridTooCoarse
-from .exact import ONE, PiLaurent, fraction_sqrt, scalar_to_complex
+from .exact import ONE, PiLaurent, fraction_sqrt
 from .numerics import DEFAULT_QUAD, QuadratureSpec, quad_realline
 
 
@@ -33,10 +33,11 @@ class PolyGaussian1D:
     has been mixed in.  scale_sq records the square of a positive prefactor
     accumulated by transforms; it folds into the coefficients whenever it is
     a perfect rational square, which restores exact equality after a
-    round trip.
+    round trip.  All of these are set only by the constructor, which also
+    keeps their float views for evaluation.
     """
 
-    __slots__ = ("coeffs", "q", "scale_sq")
+    __slots__ = ("coeffs", "q", "scale_sq", "_complex_coeffs", "_q_float", "_scale")
 
     def __init__(self, coeffs: dict, q, scale_sq=1):
         q = Fraction(q)
@@ -55,6 +56,9 @@ class PolyGaussian1D:
                 clean[int(n)] = c
         self.coeffs = clean
         self._fold()
+        self._complex_coeffs = tuple((n, complex(c)) for n, c in self.coeffs.items())
+        self._q_float = float(self.q)
+        self._scale = math.sqrt(float(self.scale_sq))
 
     def _fold(self):
         root = fraction_sqrt(self.scale_sq)
@@ -79,20 +83,18 @@ class PolyGaussian1D:
         return True
 
     def __call__(self, x: float) -> complex:
-        scale = math.sqrt(float(self.scale_sq))
-        gauss = math.exp(-float(self.q) * math.pi * x * x)
+        gauss = math.exp(-self._q_float * math.pi * x * x)
         total = 0j
-        for n, c in self.coeffs.items():
-            total += scalar_to_complex(c) * x**n
-        return scale * gauss * total
+        for n, c in self._complex_coeffs:
+            total += c * x**n
+        return self._scale * gauss * total
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        scale = math.sqrt(float(self.scale_sq))
-        gauss = np.exp(-float(self.q) * math.pi * xs * xs)
+        gauss = np.exp(-self._q_float * math.pi * xs * xs)
         total = np.zeros_like(xs, dtype=complex)
-        for n, c in self.coeffs.items():
-            total += scalar_to_complex(c) * xs**n
-        return scale * gauss * total
+        for n, c in self._complex_coeffs:
+            total += c * xs**n
+        return self._scale * gauss * total
 
     def reflected(self) -> "PolyGaussian1D":
         """The function x -> f(-x)."""

@@ -106,9 +106,11 @@ class PiLaurent:
         return hash(frozenset(self.terms.items()))
 
     def __complex__(self) -> complex:
+        # complex(float(re), float(im)) has the bits of complex(re + im * 1j)
+        # without the Fraction arithmetic
         total = 0j
         for k, (re, im) in self.terms.items():
-            total += complex(re + im * 1j) * math.pi**k
+            total += complex(float(re), float(im)) * math.pi**k
         return total
 
     def __repr__(self):
@@ -132,21 +134,17 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
-def scalar_to_complex(x) -> complex:
-    if isinstance(x, PiLaurent):
-        return complex(x)
-    return complex(x)
-
-
 class VarPoly:
     """Polynomial in a fixed tuple of formal variables.
 
     Keys are exponent tuples, values are PiLaurent or complex scalars.  The
     conjugate variables of the Schwartz classes are separate formal slots;
     evaluation expects the caller to pass conjugate values where appropriate.
+    A polynomial is never changed after construction, so complex_terms()
+    converts the coefficients once, on first use.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_complex_terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
@@ -156,6 +154,13 @@ class VarPoly:
                 if not scalar_is_zero(c):
                     clean[key] = c
         self.terms = clean
+        self._complex_terms = None
+
+    def complex_terms(self) -> tuple:
+        """The (exponents, complex coefficient) pairs, built once."""
+        if self._complex_terms is None:
+            self._complex_terms = tuple((key, complex(c)) for key, c in self.terms.items())
+        return self._complex_terms
 
     @classmethod
     def monomial(cls, nvars: int, expts: tuple, coeff=ONE) -> "VarPoly":
@@ -248,8 +253,8 @@ class VarPoly:
 
     def evaluate(self, values) -> complex:
         total = 0j
-        for key, c in self.terms.items():
-            prod = scalar_to_complex(c)
+        for key, c in self.complex_terms():
+            prod = c
             for v, e in zip(values, key):
                 if e:
                     prod *= v**e

@@ -17,6 +17,13 @@ Conventions fixed here and asserted by tests:
   * SO(2) is identified with the unit circle, with the degree-n character
     z^n for n >= 0 and conj(z)^(-n) for n < 0, each of unit norm for the
     probability measure on the circle.
+
+The Haar quadrature grid (hopf_grid) is cached per size and compact: z1 has
+shape (n_theta, n_phi, 1), z2 (n_theta, 1, n_phi) and the weights
+(n_theta, 1, 1), which broadcast to the full tensor-product grid.
+eval_poly_grid takes each power on the compact array and copies it out to a
+contiguous full-shape array before multiplying, so its values keep the bits
+of an evaluation on full meshgrids.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParityError, RangeError, ToleranceNotMet
-from .exact import ONE, PiLaurent, VarPoly, scalar_to_complex
+from .exact import ONE, PiLaurent, VarPoly
 from .numerics import DEFAULT_QUAD, QuadratureSpec
 
 # variable order for 4-variable polynomials: z1, z2, conj z1, conj z2
@@ -219,40 +227,53 @@ def harmonic_so2(n: int) -> HarmonicSO2:
 
 
 def eval_poly_grid(poly: VarPoly, values) -> np.ndarray:
-    """Evaluate a 4-variable polynomial on numpy grids (Z1, Z2, conj Z1, conj Z2)."""
-    v1, v2, v3, v4 = values
-    total = np.zeros(np.broadcast(v1, v2).shape, dtype=complex)
-    for (a, b, c, d), coeff in poly.terms.items():
+    """Evaluate a 4-variable polynomial on numpy grids (Z1, Z2, conj Z1, conj Z2).
+
+    The grids may be compact arrays that broadcast against each other, as
+    hopf_grid returns them.  Each power is taken on the compact array and
+    then copied out to a contiguous full-shape array before it multiplies
+    into the term: numpy's complex multiply can round the last bit
+    differently when one operand is a stride-0 broadcast, and the copy keeps
+    every value equal to an evaluation on full meshgrids.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    total = np.zeros(shape, dtype=complex)
+    for key, coeff in poly.complex_terms():
         term = np.ones_like(total)
-        if a:
-            term = term * v1**a
-        if b:
-            term = term * v2**b
-        if c:
-            term = term * v3**c
-        if d:
-            term = term * v4**d
-        total += scalar_to_complex(coeff) * term
+        for v, e in zip(values, key):
+            if e:
+                term = term * np.ascontiguousarray(np.broadcast_to(v**e, shape))
+        total += coeff * term
     return total
 
 
+@lru_cache(maxsize=None)
 def hopf_grid(n_theta: int, n_phi: int):
     """Gauss-Legendre nodes in theta tensored with periodic trapezoid in phi.
 
-    Returns (values, weights): values is the 4-tuple of coordinate grids and
-    weights sums to 1, the probability Haar measure.
+    Returns (values, weights): values is the 4-tuple of coordinate grids
+    (z1, z2, conj z1, conj z2) and weights sums to 1, the probability Haar
+    measure.  z1 depends on (theta, phi1) and z2 on (theta, phi2) only, so
+    the arrays are compact and broadcast against each other to the full
+    (n_theta, n_phi, n_phi) grid: z1 and conj z1 have shape
+    (n_theta, n_phi, 1), z2 and conj z2 (n_theta, 1, n_phi), and weights
+    (n_theta, 1, 1).  Every entry has the bits of the full meshgrid
+    construction.  Grids are cached per size and read-only; at n = 48 one
+    grid holds about 148 KB, where full meshgrids would take about 8 MB.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.25 * math.pi * (nodes + 1.0)
     wtheta = 0.25 * math.pi * wts * np.sin(theta) * np.cos(theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * math.pi / n_phi
-    T, P1, P2 = np.meshgrid(theta, phi, phi, indexing="ij")
-    WT = np.meshgrid(wtheta, phi, phi, indexing="ij")[0]
-    Zr1 = np.cos(T) * np.exp(1j * P1)
-    Zr2 = np.sin(T) * np.exp(1j * P2)
-    weights = WT * wphi * wphi / (2.0 * math.pi**2)
-    return (Zr1, Zr2, np.conj(Zr1), np.conj(Zr2)), weights
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    z1 = (np.cos(T) * np.exp(1j * P))[:, :, None]
+    z2 = (np.sin(T) * np.exp(1j * P))[:, None, :]
+    weights = (wtheta * wphi * wphi / (2.0 * math.pi**2))[:, None, None]
+    values = (z1, z2, np.conj(z1), np.conj(z2))
+    for arr in values + (weights,):
+        arr.flags.writeable = False
+    return values, weights
 
 
 def haar_integrate_su2(
@@ -277,7 +298,7 @@ def haar_integrate_su2(
         if poly is not None:
             vals = eval_poly_grid(poly, values)
         else:
-            v1, v2 = values[0], values[1]
+            v1, v2 = np.broadcast_arrays(values[0], values[1])
             vals = np.empty(v1.shape, dtype=complex)
             it = np.nditer(v1, flags=["multi_index"])
             for _ in it:
@@ -302,7 +323,7 @@ def haar_integrate_su2(
 def gram_matrix(harms: list[HarmonicSU2], n_theta: int = 24, n_phi: int = 24) -> np.ndarray:
     """Quadrature Gram matrix <h_i, h_j> for a list of harmonics."""
     values, weights = hopf_grid(n_theta, n_phi)
-    flat_w = weights.ravel()
+    flat_w = np.broadcast_to(weights, (n_theta, n_phi, n_phi)).ravel()
     rows = np.empty((len(harms), flat_w.size), dtype=complex)
     for i, h in enumerate(harms):
         rows[i] = eval_poly_grid(h.poly, values).ravel()

@@ -142,3 +142,43 @@ def test_decay_check_accepts_symbolic_input():
     val3 = decay_check(f, 3)
     assert 0 < val0 < 10
     assert val3 < 10  # rapidly decreasing transform keeps every weighted sup finite
+
+
+def _coefficient_complex(c) -> complex:
+    """A coefficient converted through Fraction arithmetic, on every call."""
+    if not isinstance(c, PiLaurent):
+        return complex(c)
+    total = 0j
+    for k, (re, im) in c.terms.items():
+        total += complex(re + im * 1j) * math.pi**k
+    return total
+
+
+pi_coeff = st.builds(
+    PiLaurent,
+    st.dictionaries(st.integers(min_value=-2, max_value=2), st.tuples(rational, rational), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=5), pi_coeff, min_size=1, max_size=4),
+    width,
+    st.sampled_from([1, 2, Fraction(3, 5), Fraction(9, 4)]),
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+)
+def test_evaluation_matches_conversion_per_call(coeffs, q, scale_sq, xs):
+    f = PolyGaussian1D(coeffs, q, scale_sq)
+    scale = math.sqrt(float(f.scale_sq))
+    for x in xs:
+        total = 0j
+        for n, c in f.coeffs.items():
+            total += _coefficient_complex(c) * x**n
+        ref = scale * math.exp(-float(f.q) * math.pi * x * x) * total
+        assert repr(f(x)) == repr(ref)  # repr tells -0.0 from 0.0
+    arr = np.array(xs)
+    total = np.zeros_like(arr, dtype=complex)
+    for n, c in f.coeffs.items():
+        total += _coefficient_complex(c) * arr**n
+    ref = scale * np.exp(-float(f.q) * math.pi * arr * arr) * total
+    assert f.eval_array(arr).tobytes() == ref.tobytes()

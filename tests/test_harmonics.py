@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwine.errors import ParityError, RangeError
 from intertwine.exact import PiLaurent, VarPoly
@@ -10,17 +12,20 @@ from intertwine.harmonics import (
     LieGen,
     SU2Point,
     W_INV_POINT,
+    eval_poly_grid,
     gram_matrix,
     haar_integrate_su2,
     harmonic_so2,
     harmonic_su2,
+    hopf_grid,
     lie_act_su2,
     norm_su2_closed,
     norm_su2_closed_exact,
     normalized_harmonic_su2,
     su2_from_integers,
 )
-from intertwine.numerics import quad_halfline
+from intertwine.numerics import DEFAULT_QUAD, quad_halfline
+from intertwine.verify import ACCEPTANCE_SIZES
 
 
 def conj_poly(poly: VarPoly) -> VarPoly:
@@ -144,3 +149,170 @@ def test_haar_moment_via_polar_identity():
     product = (2 * math.pi) * (2 * math.pi)  # moment factor times plain Gaussian mass
     assert abs(polar - product) < 1e-8 * product
     assert abs(haar_val - 0.5) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the compact Hopf grid against the full meshgrid construction, bit for bit
+
+
+def _meshgrid_hopf(n_theta: int, n_phi: int):
+    """The Hopf grid as full (n_theta, n_phi, n_phi) meshgrids."""
+    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    wtheta = 0.25 * math.pi * wts * np.sin(theta) * np.cos(theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * math.pi / n_phi
+    T, P1, P2 = np.meshgrid(theta, phi, phi, indexing="ij")
+    WT = np.meshgrid(wtheta, phi, phi, indexing="ij")[0]
+    Zr1 = np.cos(T) * np.exp(1j * P1)
+    Zr2 = np.sin(T) * np.exp(1j * P2)
+    weights = WT * wphi * wphi / (2.0 * math.pi**2)
+    return (Zr1, Zr2, np.conj(Zr1), np.conj(Zr2)), weights
+
+
+def _eval_full(poly: VarPoly, values) -> np.ndarray:
+    """Term-by-term evaluation on full-shape grids."""
+    v1, v2, v3, v4 = values
+    total = np.zeros(v1.shape, dtype=complex)
+    for (a, b, c, d), coeff in poly.terms.items():
+        term = np.ones_like(total)
+        for v, e in ((v1, a), (v2, b), (v3, c), (v4, d)):
+            if e:
+                term = term * v**e
+        total += complex(coeff) * term
+    return total
+
+
+def _haar_full(level) -> complex:
+    """haar_integrate_su2's doubling loop over full-grid level values."""
+    spec = DEFAULT_QUAD
+    n = 12
+    prev = level(n)
+    for _ in range(spec.max_subdivisions):
+        n *= 2
+        cur = level(n)
+        if abs(cur - prev) <= max(spec.abs_tol * 10, spec.rel_tol * 10 * abs(cur)):
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not stabilize")
+
+
+def _norm_integrand(n0: int, n: int, k: int) -> VarPoly:
+    h = harmonic_su2(n0, n, k)
+    return h.poly * conj_poly(h.poly)
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(12, 12), (24, 24), (48, 48), (16, 20)])
+def test_hopf_grid_equals_full_meshgrid(n_theta, n_phi):
+    values, weights = hopf_grid(n_theta, n_phi)
+    ref_values, ref_weights = _meshgrid_hopf(n_theta, n_phi)
+    shape = (n_theta, n_phi, n_phi)
+    assert [v.shape for v in values] == [(n_theta, n_phi, 1), (n_theta, 1, n_phi)] * 2
+    assert weights.shape == (n_theta, 1, 1)
+    for got, ref in zip(values + (weights,), ref_values + (ref_weights,)):
+        assert np.array_equal(np.broadcast_to(got, shape), ref)
+
+
+def test_hopf_grid_cached_and_read_only():
+    values, weights = hopf_grid(12, 12)
+    again = hopf_grid(12, 12)
+    assert again[0] is values and again[1] is weights
+    for arr in values + (weights,):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("n_theta", [12, 24, 48])
+def test_eval_poly_grid_equals_full_grid(n_theta):
+    values = hopf_grid(n_theta, n_theta)[0]
+    ref_values = _meshgrid_hopf(n_theta, n_theta)[0]
+    for triple in ACCEPTANCE_SIZES.norm_triples:
+        poly = _norm_integrand(*triple)
+        assert np.array_equal(eval_poly_grid(poly, values), _eval_full(poly, ref_values))
+
+
+def test_gram_matrix_equals_full_grid():
+    harms = [normalized_harmonic_su2(*triple) for triple in ACCEPTANCE_SIZES.norm_triples]
+    ref_values, ref_weights = _meshgrid_hopf(24, 24)
+    rows = np.array([_eval_full(h.poly, ref_values).ravel() for h in harms])
+    ref = (rows * ref_weights.ravel()) @ np.conj(rows.T)
+    assert np.array_equal(gram_matrix(harms, n_theta=24, n_phi=24), ref)
+
+
+def test_haar_polynomial_path_equals_full_grid():
+    for triple in ACCEPTANCE_SIZES.norm_triples:
+        poly = _norm_integrand(*triple)
+
+        def level(n):
+            values, weights = _meshgrid_hopf(n, n)
+            return complex(np.sum(_eval_full(poly, values) * weights))
+
+        assert haar_integrate_su2(poly) == _haar_full(level)
+
+
+def test_haar_callable_path_equals_full_grid():
+    for triple in ACCEPTANCE_SIZES.norm_triples[:3]:
+        h = harmonic_su2(*triple)
+
+        def f(pt):
+            return abs(h(pt)) ** 2
+
+        def level(n):
+            (z1, z2, _, _), weights = _meshgrid_hopf(n, n)
+            pts = zip(z1.ravel(), z2.ravel())
+            vals = np.array([f(SU2Point(complex(a), complex(b))) for a, b in pts], dtype=complex)
+            return complex(np.sum(vals.reshape(z1.shape) * weights))
+
+        assert haar_integrate_su2(f) == _haar_full(level)
+
+
+# ---------------------------------------------------------------------------
+# float coefficient views against a conversion on every call
+
+
+exact_rational = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+pi_laurent = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), st.tuples(exact_rational, exact_rational), max_size=4
+).map(PiLaurent)
+
+
+def _complex_by_fractions(x: PiLaurent) -> complex:
+    """Each coefficient converted through Fraction arithmetic."""
+    total = 0j
+    for k, (re, im) in x.terms.items():
+        total += complex(re + im * 1j) * math.pi**k
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi_laurent)
+def test_pi_laurent_complex_matches_fraction_conversion(x):
+    assert repr(complex(x)) == repr(_complex_by_fractions(x))  # repr tells -0.0 from 0.0
+
+
+def test_pi_laurent_complex_edge_terms():
+    for x in (
+        PiLaurent.rational(0, Fraction(-3, 7)),  # zero real part, negative imaginary part
+        PiLaurent.pi_power(-2, Fraction(5, 3), Fraction(-1, 9)),  # negative power of pi
+        PiLaurent({-1: (Fraction(-1, 3), Fraction(0)), 2: (Fraction(0), Fraction(-2))}),
+        PiLaurent(),
+    ):
+        assert repr(complex(x)) == repr(_complex_by_fractions(x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 4), pi_laurent, min_size=1, max_size=5),
+    st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+)
+def test_varpoly_evaluate_matches_conversion_per_call(terms, values):
+    poly = VarPoly(4, terms)
+    ref = 0j
+    for key, c in poly.terms.items():
+        prod = _complex_by_fractions(c)
+        for v, e in zip(values, key):
+            if e:
+                prod *= v**e
+        ref += prod
+    assert repr(poly.evaluate(values)) == repr(ref)
+    assert repr(poly.evaluate(values)) == repr(ref)  # a second call reads the cached view

@@ -162,24 +162,36 @@ def test_gauss_support_window():
 
 
 @lru_cache(maxsize=None)
-def _chi_values(chi: MultChar, depth: int) -> list[complex]:
-    """chi(y) for the units y mod p^depth, through the discrete-log table."""
-    return [chi.value(y) for y in range(1, chi.p**depth) if y % chi.p]
+def _chi_classes(chi: MultChar) -> np.ndarray:
+    """chi(y) at index y mod p^c(chi), through the discrete-log table once
+    per unit class; non-units hold 0."""
+    mod = chi.p**chi.cond
+    out = np.zeros(mod, dtype=complex)
+    for y in range(1, mod) if chi.cond else (1,):
+        if y % chi.p:
+            out[y % mod] = chi.value(y)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _psi_values(psi: AddChar, n: int, depth: int) -> list[complex]:
-    """psi(-p^n y) for the units y mod p^depth, from exact rational angles."""
+def _psi_classes(psi: AddChar, n: int) -> np.ndarray:
+    """psi(-p^n y) from exact rational angles at index y mod p^max(0, -(n + c(psi))),
+    the modulus on which it depends."""
     p = psi.p
-    return [psi.value(-Fraction(p) ** n * y) for y in range(1, p**depth) if y % p]
+    shift = -Fraction(p) ** n
+    return np.array([psi.value(shift * y) for y in range(p ** max(0, -(n + psi.c)))])
 
 
 def _unit_integral_reference(chi: MultChar, psi: AddChar, n: int, depth: int) -> complex:
-    """int over units of chi(y) psi(-p^n y) dy, term by term from the
-    character values rather than from one angle per term."""
-    terms = [a * b for a, b in zip(_chi_values(chi, depth), _psi_values(psi, n, depth))]
-    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return chi.p ** (-depth) * psi.conductor_value ** (-0.5) * total
+    """int over units of chi(y) psi(-p^n y) dy, term by term over every unit
+    mod p^depth from the character values rather than from one angle per term."""
+    p = chi.p
+    y = np.arange(1, p**depth)
+    y = y[y % p != 0]
+    chi_vals, psi_vals = _chi_classes(chi), _psi_classes(psi, n)
+    terms = chi_vals[y % chi_vals.size] * psi_vals[y % psi_vals.size]
+    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * total
 
 
 def test_gauss_sum_matches_termwise_reference():
