@@ -37,7 +37,11 @@ from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
 def _parse_range(text: str, integer: bool = False):
-    """start:stop[:step] (inclusive stop) or a comma list."""
+    """start:stop[:step] (inclusive stop) or a comma list.
+
+    Point k of a range is start + k * step, so no rounding accumulates along
+    the grid; a last point within rounding of stop is stop itself.
+    """
     if "," in text:
         vals = [float(v) for v in text.split(",")]
     else:
@@ -49,11 +53,10 @@ def _parse_range(text: str, integer: bool = False):
             step = float(bits[2]) if len(bits) > 2 else 1.0
             if step <= 0:
                 raise ValueError("step must be positive")
-            vals = []
-            v = start
-            while v <= stop + 1e-12:
-                vals.append(v)
-                v += step
+            count = math.floor((stop - start) / step + 1e-9) + 1
+            vals = [start + k * step for k in range(count)]
+            if vals and abs(vals[-1] - stop) <= 1e-9 * step:
+                vals[-1] = stop
     if integer:
         out = []
         for v in vals:

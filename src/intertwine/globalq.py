@@ -10,9 +10,11 @@ eigenvalues of isotypic vectors, the local height of a Weyl translate, the
 residue constant of the intertwiner at the edge point, and the weighted
 spectral sums whose convergence backs the dominated-convergence step.
 
-zeta is evaluated by the accelerated alternating series (Chebyshev weighted)
-with an Euler-Maclaurin fallback near the spurious zero lines of the
-alternating-series denominator 1 - 2^(1-z), where that route loses digits.
+zeta has one route, Euler-Maclaurin summation (H. M. Edwards, Riemann's Zeta
+Function, ch. 6), on Re z >= -3, |Im z| <= 1000.  The completed zeta holds
+on |Re z| <= 200, |Im z| <= 450 and the global factor on |y| <= 200.  Each
+docstring gives the accuracy measured there against mpmath at 30 digits;
+outside its domain an evaluator raises RangeError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,97 +32,78 @@ from .errors import PoleError, RangeError
 from .numerics import GammaKind, gamma_factor, trapezoid
 from .padic import mu_finite, unramified_params, val_p
 
-# Bernoulli numbers B_2 .. B_30 for the Euler-Maclaurin tail
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-    Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
+# Euler-Maclaurin tail coefficients B_2k / (2k)! for k = 1 .. 15 (B_2 .. B_30)
+_BERNOULLI = tuple(
+    float(Fraction(num, den) / math.factorial(2 * k))
+    for k, (num, den) in enumerate(
+        (
+            (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+            (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+            (-23749461029, 870), (8615841276005, 14322),
+        ),
+        start=1,
+    )
 )
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_weights(n: int) -> tuple[float, ...]:
-    """Partial-sum weights (d_n - d_k)/d_n of the accelerated alternating
-    series, d_k = n * sum_{i <= k} (n+i-1)! 4^i / ((n-i)! (2i)!), exact
-    integer arithmetic before the final division."""
-    increments = [
-        Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
-        for i in range(n + 1)
-    ]
-    partial = Fraction(0)
-    ds = []
-    for i in range(n + 1):
-        partial += increments[i]
-        ds.append(n * partial)
-    dn = ds[-1]
-    return tuple(float((dn - dk) / dn) for dk in ds[:-1])
-
-
-def _eta_accelerated(z: complex, n: int = 48) -> complex:
-    """Alternating zeta by Chebyshev-weighted partial sums; entire in z."""
-    weights = _chebyshev_weights(n)
-    total = 0j
-    sign = 1.0
-    for k, w in enumerate(weights):
-        total += sign * w * cmath.exp(-z * math.log(k + 1))
-        sign = -sign
-    return total
-
-
-def _zeta_euler_maclaurin(z: complex, big_n: int | None = None) -> complex:
-    """Euler-Maclaurin evaluation, reliable on the strip |Im z| <= 60."""
-    if big_n is None:
-        big_n = max(30, int(1.6 * abs(z.imag)) + 10)
+def _zeta_euler_maclaurin(z: complex) -> complex:
+    """sum_{k<N} k^-z + N^(1-z)/(z-1) + N^-z/2 + sum_j B_2j/(2j)! z(z+1)...(z+2j-2) N^(1-z-2j)
+    with N = max(30, 1.6 |Im z| + 10), so the tail shrinks at every height."""
+    big_n = max(30, int(1.6 * abs(z.imag)) + 10)
     total = 0j
     for k in range(1, big_n):
         total += cmath.exp(-z * math.log(k))
     ln = math.log(big_n)
     total += cmath.exp((1 - z) * ln) / (z - 1)
     total += 0.5 * cmath.exp(-z * ln)
-    # correction terms with the rising product z (z+1) ... (z + 2k - 2)
-    rising = z
-    power = cmath.exp(-(z + 1) * ln)
-    for idx, b in enumerate(_BERNOULLI):
-        k = idx + 1
-        total += float(b) / math.factorial(2 * k) * rising * power
-        rising *= (z + 2 * k - 1) * (z + 2 * k)
-        power /= big_n * big_n
+    term = z * cmath.exp(-(z + 1) * ln)
+    for k, coeff in enumerate(_BERNOULLI, start=1):
+        if not term:
+            break  # every later tail term is a multiple of this one
+        total += coeff * term
+        term *= (z + 2 * k - 1) * (z + 2 * k) / (big_n * big_n)
     return total
 
 
 def riemann_zeta(z: complex) -> complex:
-    """zeta(z) on Re z in [-3, 4], |Im z| <= 60, to roughly 1e-12.
+    """zeta(z) on Re z >= -3, |Im z| <= 1000, by Euler-Maclaurin summation.
 
-    Default route: accelerated alternating series divided by 1 - 2^(1-z).
-    Near the zeros of that denominator (z = 1 + 2 pi i k / log 2, k != 0)
-    the division is ill conditioned, so the Euler-Maclaurin form takes over.
+    Worst relative error against mpmath at 30 digits, over 400 random points
+    and a grid per strip of Re z, |Im z| <= 1000:
+
+        [-3, -1)    7.4e-9   (at Re z = -3, where the partial sum cancels)
+        [-1, -1/4)  1.5e-11
+        [-1/4, 1)   9.4e-12  (off the zeros; at 51 zeros up to height 1000
+                              the absolute value is below 1.2e-12)
+        [1, 4)      1.3e-13
+        [4, 40]     4.4e-15
+
+    There is no reflection branch: completed_zeta reflects Re z < -1/4
+    itself.  Raises RangeError outside the domain, PoleError at z = 1.
     """
     z = complex(z)
+    if not (-3.0 <= z.real < math.inf and abs(z.imag) <= 1000.0):
+        raise RangeError(f"riemann_zeta needs Re z >= -3 and |Im z| <= 1000, got {z}")
     if abs(z - 1) < 1e-12:
         raise PoleError("zeta pole at z = 1")
-    den = 1 - cmath.exp((1 - z) * math.log(2))
-    if abs(den) < 0.1:
-        return _zeta_euler_maclaurin(z)
-    n = 48 if abs(z.imag) < 25 else 80
-    return _eta_accelerated(z, n) / den
+    return _zeta_euler_maclaurin(z)
 
 
 def completed_zeta(z: complex) -> complex:
-    """Lambda(z) = Gamma_R(z) zeta(z); poles at 0 and 1; reflection for the
-    left half-plane keeps the trivial-zero cancellation away from 0 * inf."""
+    """Lambda(z) = Gamma_R(z) zeta(z) on |Re z| <= 200, |Im z| <= 450.
+
+    Poles at 0 and 1.  Re z < -1/4 goes through Lambda(z) = Lambda(1 - z),
+    which keeps the trivial-zero cancellation away from 0 * inf.  The bounds
+    are where Gamma_R leaves float range: on Re z < 1 the reflection inside
+    complex_gamma overflows from |Im z| = 452.5 (on Re z >= 1 the value
+    underflows from |Im z| of about 900), and Gamma_R overflows from Re z of
+    about 250.  Worst relative error against mpmath at 30 digits, 150 random
+    points per strip: 1.9e-12 on Re z in [-1/4, 5/4], 3.7e-13 elsewhere.
+    Raises RangeError outside the domain.
+    """
     z = complex(z)
+    if not (abs(z.real) <= 200.0 and abs(z.imag) <= 450.0):
+        raise RangeError(f"completed_zeta needs |Re z| <= 200 and |Im z| <= 450, got {z}")
     if abs(z) < 1e-10 or abs(z - 1) < 1e-10:
         raise PoleError(f"completed zeta pole at z = {z}")
     if z.real < -0.25:
@@ -166,14 +148,23 @@ def residue_at_zero(eps: float = 1e-2, levels: int = 4) -> float:
 
 
 def mu_global_factor(y: float) -> complex:
-    """Lambda(1 - 2iy) / Lambda(1 + 2iy), the global eigenvalue factor.
+    """Lambda(1 - 2iy) / Lambda(1 + 2iy), the global eigenvalue factor, on |y| <= 200.
 
-    The simple poles at the center cancel in the ratio, which tends to -1;
-    below the pole guard the limit value is returned directly.
+    For real y, Lambda(1 - 2iy) = conj Lambda(1 + 2iy), so the factor is
+    conj(w) / w with w = Lambda(1 + 2iy): one evaluation, unit modulus by
+    construction, all of the error in the phase.  Worst absolute error
+    against mpmath at 30 digits, 300 random y <= 200: 5.2e-13.  The bound
+    keeps the phase oracle Lambda(2iy) / Lambda(1 + 2iy) in range, whose
+    gamma reflection overflows from y = 226.  The simple poles at the center
+    cancel in the ratio, which tends to -1; below the pole guard the limit
+    value is returned directly.  Raises RangeError for |y| > 200.
     """
+    if not abs(y) <= 200.0:
+        raise RangeError(f"mu_global_factor needs |y| <= 200, got {y}")
     if abs(y) < 1e-9:
         return -1.0 + 0j
-    return completed_zeta(1 - 2j * y) / completed_zeta(1 + 2j * y)
+    w = completed_zeta(1 + 2j * y)
+    return w.conjugate() / w
 
 
 @dataclass(frozen=True)

@@ -870,6 +870,30 @@ def _series_ratio(q: int, e: complex) -> complex:
     return num / den
 
 
+def _ramification_shape(params: FiniteParams, n: int) -> tuple[int, bool, bool, bool]:
+    """(base, r1, r2, series) of the closed form at level n >= c.
+
+    r1 and r2 say whether xi and omega xi^-1 are ramified; base is the
+    conductor power p^m C(psi) C(xi)^[r1] C(omega xi^-1)^[r2], m = n - c;
+    series says whether the unramified L-factor ratio applies: both ramified
+    with an unramified twist, or neither ramified at level n > 0.
+    """
+    c = params.conductor
+    if n < c:
+        raise RangeError(f"level {n} below conductor {c}")
+    r1, r2 = params.xi.cond > 0, params.omega_xi_inv.cond > 0
+    base = params.p ** (n - c) * params.psi.conductor_value
+    if r1:
+        base *= params.xi.conductor_value
+    if r2:
+        base *= params.omega_xi_inv.conductor_value
+    if r1 and r2:
+        series = params.twist_char.is_trivial()
+    else:
+        series = not (r1 or r2) and n > 0
+    return base, r1, r2, series
+
+
 def mu_finite(params: FiniteParams, n: int) -> complex:
     """Closed-form eigenvalue of the normalized intertwiner at level n >= c.
 
@@ -881,62 +905,26 @@ def mu_finite(params: FiniteParams, n: int) -> complex:
     pin them, and the one-sided shape scales by the conductor of whichever
     character is ramified.
     """
-    c = params.conductor
-    if n < c:
-        raise RangeError(f"level {n} below conductor {c}")
-    p = params.p
-    m = n - c
+    base, r1, r2, series = _ramification_shape(params, n)
     e = 2 * params.s + 1j * params.mu
-    cpsi = params.psi.conductor_value
-    r1, r2 = params.xi.cond > 0, params.omega_xi_inv.cond > 0
-    tau = params.twist_char
-
+    val = _power(base, e)
     if r1 and r2:
-        val = (
-            g_normalized(params.xi, params.psi).conjugate()
-            * g_normalized(params.omega_xi_inv, params.psi)
-            * _power(p**m * cpsi * params.xi.conductor_value * params.omega_xi_inv.conductor_value, e)
-        )
-        if tau.is_trivial():
-            val *= _series_ratio(p, e)
-        return val
-    if r1 and not r2:
-        return g_normalized(params.xi, params.psi).conjugate() * _power(
-            p**m * cpsi * params.xi.conductor_value, e
-        )
-    if r2 and not r1:
-        return g_normalized(params.omega_xi_inv, params.psi) * _power(
-            p**m * cpsi * params.omega_xi_inv.conductor_value, e
-        )
-    if n == 0:
-        return _power(cpsi, e)
-    return _series_ratio(p, e) * _power(p**n * cpsi, e)
+        val = g_normalized(params.xi, params.psi).conjugate() * g_normalized(params.omega_xi_inv, params.psi) * val
+    elif r1:
+        val = g_normalized(params.xi, params.psi).conjugate() * val
+    elif r2:
+        val = g_normalized(params.omega_xi_inv, params.psi) * val
+    if series:
+        val *= _series_ratio(params.p, e)
+    return val
 
 
 def mu_finite_logderiv(params: FiniteParams, n: int) -> complex:
     """Exact (d/ds) log mu from termwise differentiation of the closed form."""
-    p = params.p
-    e = 2 * params.s + 1j * params.mu
-    c = params.conductor
-    if n < c:
-        raise RangeError(f"level {n} below conductor {c}")
-    m = n - c
-    cpsi = params.psi.conductor_value
-    r1, r2 = params.xi.cond > 0, params.omega_xi_inv.cond > 0
-    tau = params.twist_char
-    if r1 and r2:
-        base = p**m * cpsi * params.xi.conductor_value * params.omega_xi_inv.conductor_value
-        logderiv = -2 * math.log(base)
-        if tau.is_trivial():
-            logderiv += _series_logderiv(p, e)
-    elif r1 and not r2:
-        logderiv = -2 * math.log(p**m * cpsi * params.xi.conductor_value)
-    elif r2 and not r1:
-        logderiv = -2 * math.log(p**m * cpsi * params.omega_xi_inv.conductor_value)
-    elif n == 0:
-        logderiv = -2 * math.log(cpsi) if cpsi != 1 else 0.0
-    else:
-        logderiv = -2 * math.log(p**n * cpsi) + _series_logderiv(p, e)
+    base, _, _, series = _ramification_shape(params, n)
+    logderiv = -2 * math.log(base) if base != 1 else 0.0
+    if series:
+        logderiv += _series_logderiv(params.p, 2 * params.s + 1j * params.mu)
     return logderiv
 
 

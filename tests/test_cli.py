@@ -277,3 +277,20 @@ def test_mu_csv_is_plain_comma_join(capsys):
     for r in rows:
         lines.append(",".join(format(r[c], ".17g") if isinstance(r[c], float) else str(r[c]) for c in cols))
     assert text == "\n".join(lines) + "\n"
+
+
+def test_range_points_are_exact_multiples_of_the_step():
+    ys = intertwine.cli._parse_range("-5:5:0.1")
+    assert len(ys) == 101
+    assert ys[50] == 0.0
+    assert ys[-1] == 5.0
+    assert intertwine.cli._parse_range("0:0.3:0.1")[-1] == 0.3
+    assert intertwine.cli._parse_range("0:1:0.3") == [0.0, 0.3, 0.6, 0.3 * 3]
+    assert intertwine.cli._parse_range("0:40:2", integer=True) == list(range(0, 41, 2))
+    assert intertwine.cli._parse_range("5:4") == []
+
+
+def test_mu_table_grid_hits_its_labels(capsys):
+    assert main(["mu", "--place", "complex", "--n0", "0", "--n", "0", "--y=-5:5:0.1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["y"] for r in rows][50::50] == [0.0, 5.0]

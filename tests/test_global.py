@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intertwine.arch import ArchParams, Place, mu_arch, mu_arch_logderiv
 from intertwine.errors import PoleError, RangeError
@@ -53,12 +55,91 @@ def test_functional_equation_grid():
 
 
 def test_functional_equation_near_denominator_zeros():
-    # the alternating-series denominator vanishes on these lines; the
-    # fallback route must keep full accuracy there
+    # 1 - 2^(1-z) vanishes on these lines, so a zeta that divides an
+    # alternating series by it loses every digit there; keep them covered
     for k in (1, 2, 3):
         z = complex(1.0, 2 * math.pi * k / math.log(2))
         assert abs(completed_zeta(z) - completed_zeta(1 - z)) < 1e-9
         assert abs(completed_zeta(z + 0.01) - completed_zeta(1 - z - 0.01)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 40.0), st.floats(-1000.0, 1000.0))
+def test_zeta_schwarz_reflection_on_the_strip(sigma, t):
+    z = complex(sigma, t)
+    assume(abs(z - 1) > 1e-3)
+    lhs, rhs = riemann_zeta(z.conjugate()), riemann_zeta(z).conjugate()
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-0.25, 0.45), st.floats(-450.0, 450.0))
+def test_functional_equation_on_the_strip(sigma, t):
+    # both sides evaluated directly: Re z and Re(1 - z) stay in [-1/4, 5/4],
+    # where completed_zeta does not reflect
+    z = complex(sigma, t)
+    assume(abs(z) > 1e-3)
+    a, b = completed_zeta(z), completed_zeta(1 - z)
+    assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(1e-6, 200.0))
+def test_global_factor_phase_oracle(y):
+    # Lambda(1 - 2iy) = Lambda(2iy): the same ratio at another abscissa,
+    # which sees the phase that the modulus check cannot
+    oracle = completed_zeta(2j * y) / completed_zeta(1 + 2j * y)
+    assert abs(mu_global_factor(y) - oracle) <= 1e-11
+
+
+def test_domain_bounds():
+    assert math.isfinite(abs(riemann_zeta(complex(-3.0, 1000.0))))
+    assert riemann_zeta(1e200) == 1  # the tail stops once its terms underflow
+    for z in (complex(0.5, 450.0), complex(200.0, -450.0), complex(-200.0, 450.0)):
+        assert math.isfinite(abs(completed_zeta(z)))
+    assert abs(abs(mu_global_factor(200.0)) - 1) < 1e-15
+    for z in (complex(-3.001, 0.0), complex(0.5, 1000.01), complex(0.5, -1000.01), complex(math.inf, 0.0), complex(math.nan, 0.0)):
+        with pytest.raises(RangeError):
+            riemann_zeta(z)
+    for z in (complex(0.5, 450.01), complex(0.5, -450.01), complex(200.01, 0.0), complex(-200.01, 0.0)):
+        with pytest.raises(RangeError):
+            completed_zeta(z)
+    for y in (200.01, -200.01, math.nan):
+        with pytest.raises(RangeError):
+            mu_global_factor(y)
+
+
+def test_zeta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def rel_err(z):
+        ref = complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
+        return abs(riemann_zeta(z) - ref) / abs(ref)
+
+    rng = random.Random(4)
+    sample = [complex(rng.uniform(-1.0, 4.0), rng.uniform(-1000.0, 1000.0)) for _ in range(40)]
+    with mpmath.workdps(30):
+        for t in (150.0, 400.0, 1000.0):
+            for sigma in (-1.0, -0.25, 0.5, 1.0, 2.0, 4.0):
+                assert rel_err(complex(sigma, t)) <= 2e-11
+        assert max(rel_err(z) for z in sample) <= 2e-11
+        assert rel_err(complex(-3.0, 1000.0)) <= 1e-8
+
+
+def test_global_factor_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def lam(z):
+        z = mpmath.mpc(z.real, z.imag)
+        return mpmath.pi ** (-z / 2) * mpmath.gamma(z / 2) * mpmath.zeta(z)
+
+    with mpmath.workdps(30):
+        for t in (150.0, 400.0):
+            z = complex(0.3, t)
+            assert abs(completed_zeta(z) - complex(lam(z))) <= 1e-11 * abs(complex(lam(z)))
+        for y in (60.0, 75.0, 120.0, 200.0):
+            ref = complex(lam(complex(1, -2 * y)) / lam(complex(1, 2 * y)))
+            assert abs(mu_global_factor(y) - ref) <= 2e-12
 
 
 def test_schwarz_reflection():
