@@ -107,6 +107,51 @@ def arch_l_factor(params: ArchParams, z: complex) -> complex:
     return gamma_factor(GammaKind.REAL, z + 1j * params.mu + params.n0)
 
 
+def _out_of_range(params: ArchParams, n: int) -> RangeError:
+    return RangeError(f"mu_arch: gamma ratio leaves float range at y = {params.s.imag:g}, n = {n}")
+
+
+def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
+    """Normalized eigenvalues at one spectral point for every weight in ns.
+
+    The head ratio at the base weight does not depend on n, so it is
+    evaluated once; each weight then costs two gamma factors.  Each value is
+    head * G(b+.) / G(a+.), the left-to-right order of the four-gamma
+    formula in the module docstring, so a value does not depend on which
+    other weights share its column.  mu_arch is the one-weight column.
+    """
+    for n in ns:
+        _check_type_index(params, n)
+    if not ns:
+        return []
+    a = 1 + 2 * params.s + 1j * params.mu
+    b = 1 - 2 * params.s - 1j * params.mu
+    n = ns[0]  # a head overflow is shared by every weight; name the first
+    vals = []
+    try:
+        if params.place is Place.COMPLEX:
+            h = abs(params.n0) / 2
+            head = (
+                gamma_factor(GammaKind.COMPLEX, a + h)
+                / gamma_factor(GammaKind.COMPLEX, b + h)
+                * _i_pow(params.n0)
+            )
+            for n in ns:
+                vals.append(
+                    head * gamma_factor(GammaKind.COMPLEX, b + n / 2) / gamma_factor(GammaKind.COMPLEX, a + n / 2)
+                )
+        else:
+            head = gamma_factor(GammaKind.REAL, a + params.n0) / gamma_factor(GammaKind.REAL, b + params.n0)
+            for n in ns:
+                sign = (-1.0) ** ((abs(n) - n) // 2)
+                vals.append(
+                    head * sign * gamma_factor(GammaKind.REAL, b + abs(n)) / gamma_factor(GammaKind.REAL, a + abs(n))
+                )
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise _out_of_range(params, n) from exc
+    return vals
+
+
 def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> ArchEigenvalue:
     """Closed-form eigenvalue on weight-n flat sections.
 
@@ -114,34 +159,12 @@ def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> ArchEigenval
     the axis); normalized=False removes that normalization, multiplying by
     the inverse ratio of the local L-factors.
     """
-    _check_type_index(params, n)
-    a = 1 + 2 * params.s + 1j * params.mu
-    b = 1 - 2 * params.s - 1j * params.mu
-    try:
-        if params.place is Place.COMPLEX:
-            h = abs(params.n0) / 2
-            val = (
-                gamma_factor(GammaKind.COMPLEX, a + h)
-                / gamma_factor(GammaKind.COMPLEX, b + h)
-                * _i_pow(params.n0)
-                * gamma_factor(GammaKind.COMPLEX, b + n / 2)
-                / gamma_factor(GammaKind.COMPLEX, a + n / 2)
-            )
-        else:
-            sign = (-1.0) ** ((abs(n) - n) // 2)
-            val = (
-                gamma_factor(GammaKind.REAL, a + params.n0)
-                / gamma_factor(GammaKind.REAL, b + params.n0)
-                * sign
-                * gamma_factor(GammaKind.REAL, b + abs(n))
-                / gamma_factor(GammaKind.REAL, a + abs(n))
-            )
-        if not normalized:
+    val = mu_arch_column(params, [n])[0]
+    if not normalized:
+        try:
             val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise RangeError(
-            f"mu_arch: gamma ratio leaves float range at y = {params.s.imag:g}, n = {n}"
-        ) from exc
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _out_of_range(params, n) from exc
     return ArchEigenvalue(val, n, params, normalized)
 
 
@@ -170,22 +193,35 @@ def mu_arch_product(params: ArchParams, n: int) -> complex:
     return val
 
 
-def mu_arch_logderiv(params: ArchParams, n: int) -> float:
-    """Exact logarithmic derivative (d/ds) log mu at s = iy; real and <= 0."""
-    _check_type_index(params, n)
+def mu_arch_logderiv_column(params: ArchParams, ns: Sequence[int]) -> list[float]:
+    """Exact logarithmic derivatives (d/ds) log mu at s = iy for every weight in ns.
+
+    Weight n sums K(n) terms of one sequence, so the running sum is formed
+    once up to the largest K and each weight reads its own prefix; the terms
+    are added in the same order as for a single weight.
+    """
+    for n in ns:
+        _check_type_index(params, n)
     y = params.s.imag
     t = 2 * y + params.mu
-    total = 0.0
     if params.place is Place.COMPLEX:
-        h = abs(params.n0) / 2
-        for k in range((n - abs(params.n0)) // 2):
-            c = 1 + h + k
-            total -= 4 * c / (t * t + c * c)
+        counts = [(n - abs(params.n0)) // 2 for n in ns]
+        c0, dc = 1 + abs(params.n0) / 2, 1
     else:
-        for k in range((abs(n) - params.n0) // 2):
-            c = 1 + params.n0 + 2 * k
-            total -= 4 * c / (t * t + c * c)
-    return total
+        counts = [(abs(n) - params.n0) // 2 for n in ns]
+        c0, dc = 1 + params.n0, 2
+    total = 0.0
+    prefix = [total]
+    for k in range(max(counts, default=0)):
+        c = c0 + dc * k
+        total -= 4 * c / (t * t + c * c)
+        prefix.append(total)
+    return [prefix[k] for k in counts]
+
+
+def mu_arch_logderiv(params: ArchParams, n: int) -> float:
+    """Exact logarithmic derivative (d/ds) log mu at s = iy; real and <= 0."""
+    return mu_arch_logderiv_column(params, [n])[0]
 
 
 def mu_arch_derivative(params: ArchParams, n: int, h: float = 1e-5) -> tuple[complex, complex]:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .arch import ArchParams, Place, mu_arch, mu_arch_logderiv
+from .arch import ArchParams, Place, mu_arch_column, mu_arch_logderiv_column
 from .errors import ParityError, RangeError
 from .padic import (
     AddChar,
@@ -101,12 +101,18 @@ def cmd_verify(args) -> int:
 
 
 def _mu_rows_arch(args, place: Place):
+    # one column over the weights per y point; rows stay in n-major order
+    ns = _parse_range(args.n, integer=True)
+    ys = _parse_range(args.y)
+    columns = []
+    for y in ys:
+        params = ArchParams(place, 1j * y, args.mu, args.n0)
+        columns.append((mu_arch_column(params, ns), mu_arch_logderiv_column(params, ns)))
     rows = []
-    for n in _parse_range(args.n, integer=True):
-        for y in _parse_range(args.y):
-            params = ArchParams(place, 1j * y, args.mu, args.n0)
-            val = mu_arch(params, n).value
-            dval = val * mu_arch_logderiv(params, n)
+    for i, n in enumerate(ns):
+        for y, (vals, logderivs) in zip(ys, columns):
+            val = vals[i]
+            dval = val * logderivs[i]
             rows.append(
                 {
                     "place": place.value,
@@ -225,7 +231,9 @@ def _emit_table(rows, fmt: str, out_path: str | None):
         print("(no rows)")
         return
     if fmt == "json":
-        text = json.dumps(rows, indent=1, sort_keys=True, default=float) + "\n"
+        # one row per line; any indent would send json to its pure-Python encoder
+        encode = json.JSONEncoder(sort_keys=True).encode
+        text = "[\n" + ",\n".join(map(encode, rows)) + "\n]\n"
     else:
         cols = list(rows[0].keys())
         buf = io.StringIO()

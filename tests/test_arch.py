@@ -11,9 +11,11 @@ from intertwine.arch import (
     Place,
     mu_arch,
     mu_arch_bound_check,
+    mu_arch_column,
     mu_arch_derivative,
     mu_arch_derivative_bound,
     mu_arch_logderiv,
+    mu_arch_logderiv_column,
     mu_arch_oracle,
     mu_arch_product,
     tate_section_complex,
@@ -256,3 +258,92 @@ def test_unnormalized_variant():
         GammaKind.COMPLEX, 1 + 2 * pa.s + 1j * pa.mu
     )
     assert abs(m.value - r.value * ratio) < 1e-13
+
+
+def _frozen_mu(params, n, normalized=True):
+    # the four-gamma expression evaluated left to right, as a single weight
+    # always was; any change in operation order shows as a bit difference
+    s, mu, n0 = params.s, params.mu, params.n0
+    a = 1 + 2 * s + 1j * mu
+    b = 1 - 2 * s - 1j * mu
+    if params.place is Place.COMPLEX:
+        h = abs(n0) / 2
+        c = GammaKind.COMPLEX
+        val = (
+            gamma_factor(c, a + h) / gamma_factor(c, b + h) * (1 + 0j, 1j, -1 + 0j, -1j)[n0 % 4]
+            * gamma_factor(c, b + n / 2) / gamma_factor(c, a + n / 2)
+        )
+        if not normalized:
+            val *= gamma_factor(c, 1 - 2 * s + 1j * -mu + abs(-n0) / 2) / gamma_factor(c, 1 + 2 * s + 1j * mu + h)
+        return val
+    r = GammaKind.REAL
+    val = (
+        gamma_factor(r, a + n0) / gamma_factor(r, b + n0) * (-1.0) ** ((abs(n) - n) // 2)
+        * gamma_factor(r, b + abs(n)) / gamma_factor(r, a + abs(n))
+    )
+    if not normalized:
+        val *= gamma_factor(r, 1 - 2 * s + 1j * -mu + n0) / gamma_factor(r, 1 + 2 * s + 1j * mu + n0)
+    return val
+
+
+def _frozen_logderiv(params, n):
+    t = 2 * params.s.imag + params.mu
+    total = 0.0
+    if params.place is Place.COMPLEX:
+        h = abs(params.n0) / 2
+        for k in range((n - abs(params.n0)) // 2):
+            c = 1 + h + k
+            total -= 4 * c / (t * t + c * c)
+    else:
+        for k in range((abs(n) - params.n0) // 2):
+            c = 1 + params.n0 + 2 * k
+            total -= 4 * c / (t * t + c * c)
+    return total
+
+
+def _column_cases():
+    # every complex n0 in -4..4 and both real parities; weights unsorted,
+    # negative ones at the real place; on and off the axis, mu = 0 and not
+    for s in (0.0j, 1.7j, -0.45j, 0.13 + 0.4j, 0.2):
+        for mu in (0.0, 0.7, -1.3):
+            for n0 in range(-4, 5):
+                m = abs(n0)
+                yield ArchParams(Place.COMPLEX, s, mu, n0), [m + 6, m, m + 2, m + 30, m + 4, m]
+            yield ArchParams(Place.REAL, s, mu, 0), [4, -6, 0, 2, -2, 40, -40]
+            yield ArchParams(Place.REAL, s, mu, 1), [5, -1, 1, -7, 3, 39, -41]
+
+
+def test_column_is_bit_identical_to_single_weights():
+    cases = 0
+    for params, ns in _column_cases():
+        col = mu_arch_column(params, ns)
+        ld = mu_arch_logderiv_column(params, ns)
+        for i, n in enumerate(ns):
+            assert col[i] == mu_arch(params, n).value == _frozen_mu(params, n), (params, n)
+            assert ld[i] == mu_arch_logderiv(params, n) == _frozen_logderiv(params, n), (params, n)
+            assert mu_arch(params, n, normalized=False).value == _frozen_mu(params, n, normalized=False)
+            cases += 1
+    assert cases == 5 * 3 * (9 * 6 + 2 * 7)
+    assert mu_arch_column(ArchParams(Place.REAL, 0.5j), []) == []
+    assert mu_arch_logderiv_column(ArchParams(Place.REAL, 0.5j), []) == []
+
+
+def test_column_checks_every_weight():
+    for column in (mu_arch_column, mu_arch_logderiv_column):
+        with pytest.raises(ParityError):
+            column(ArchParams(Place.COMPLEX, 0.5j, 0.0, 0), [0, 2, 3])
+        with pytest.raises(RangeError):
+            column(ArchParams(Place.COMPLEX, 0.5j, 0.0, 4), [4, 6, 2])
+        with pytest.raises(RangeError):
+            column(ArchParams(Place.REAL, 0.5j, 0.0, 1), [1, -1, 0])
+
+
+def test_column_range_error_names_an_overflowing_weight():
+    # the shared head underflows at y = 400: the first weight is named
+    with pytest.raises(RangeError, match=r"y = 400, n = 10$"):
+        mu_arch_column(ArchParams(Place.COMPLEX, 400j), [10, 2])
+    # only the weight-400 ratio overflows at y = 1
+    with pytest.raises(RangeError, match=r"y = 1, n = 400$"):
+        mu_arch_column(ArchParams(Place.COMPLEX, 1j), [2, 400, 4])
+    with pytest.raises(RangeError, match=r"n = -400$"):
+        mu_arch_column(ArchParams(Place.REAL, 1j), [2, -400])

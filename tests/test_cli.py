@@ -9,6 +9,7 @@ import pytest
 
 import intertwine.arch
 import intertwine.cli
+import intertwine.numerics
 import intertwine.padic
 from intertwine.arch import ArchParams, Place, mu_arch_derivative
 from intertwine.cli import main
@@ -106,7 +107,8 @@ def test_mu_table_finite_derivative_is_exact(capsys):
 
 def _count_calls(monkeypatch, fn_name: str, modules) -> list:
     # one counter behind the name in every module that calls it, so that a
-    # derivative helper re-evaluating the closed form is counted too
+    # derivative helper re-evaluating the closed form is counted too; a
+    # module that does not hold the name today gets the counter all the same
     calls = []
     real = getattr(modules[0], fn_name)
 
@@ -115,15 +117,18 @@ def _count_calls(monkeypatch, fn_name: str, modules) -> list:
         return real(*args, **kwargs)
 
     for mod in modules:
-        monkeypatch.setattr(mod, fn_name, counted)
+        monkeypatch.setattr(mod, fn_name, counted, raising=False)
     return calls
 
 
 @pytest.mark.parametrize("place,extra", ARCH_TABLES)
-def test_mu_table_evaluates_each_arch_row_once(capsys, monkeypatch, place, extra):
-    calls = _count_calls(monkeypatch, "mu_arch", [intertwine.arch, intertwine.cli])
+def test_mu_table_shares_the_head_ratio_per_y_point(capsys, monkeypatch, place, extra):
+    # two gamma factors per row plus the weight-independent pair per y point
+    calls = _count_calls(monkeypatch, "gamma_factor", [intertwine.numerics, intertwine.arch, intertwine.cli])
     rows = _mu_rows(capsys, place, extra)
-    assert len(calls) == len(rows)
+    ys = {r["y"] for r in rows}
+    assert len(ys) == 5
+    assert len(calls) == 2 * len(rows) + 2 * len(ys)
 
 
 def test_mu_table_evaluates_each_finite_row_once(capsys, monkeypatch):
@@ -294,3 +299,51 @@ def test_mu_table_grid_hits_its_labels(capsys):
     assert main(["mu", "--place", "complex", "--n0", "0", "--n", "0", "--y=-5:5:0.1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["y"] for r in rows][50::50] == [0.0, 5.0]
+
+
+JSON_TABLES = (
+    ["mu", "--place", "complex", "--n0", "1", "--n", "1:7:2", "--mu", "0.3", "--y=-1:1:0.5"],
+    ["mu", "--place", "real", "--n0", "0", "--n=-6:6:2", "--mu", "-0.8", "--y=0:1:0.25"],
+    ["mu", "--place", "finite", "--p", "7", "--cond-xi", "1", "--psi-c", "1", "--n", "1:3", "--y=0:1:0.5"],
+    ["gauss", "--p", "5", "--m-max", "2", "--psi-c", "1"],
+    ["gauss", "--p", "2", "--allow-p2", "--m-max", "5"],
+)
+
+
+def _floats(rows):
+    return [(i, k, v) for i, r in enumerate(rows) for k, v in r.items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("argv", JSON_TABLES, ids=lambda a: "-".join(a[:3]))
+def test_json_table_layout(capsys, monkeypatch, tmp_path, argv):
+    # capture the rows handed to the emitter, to compare with the old indented dump
+    emitted = []
+    real_emit = intertwine.cli._emit_table
+
+    def capture(rows, fmt, out_path):
+        emitted.append(rows)
+        return real_emit(rows, fmt, out_path)
+
+    monkeypatch.setattr(intertwine.cli, "_emit_table", capture)
+    assert main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "table.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"table written to {out}\n"
+    assert out.read_text() == text
+
+    rows = emitted[0]
+    lines = text.split("\n")
+    assert lines[0] == "[" and lines[-2:] == ["]", ""]
+    body = lines[1:-2]
+    assert len(body) == len(rows) > 1
+    assert all(line.endswith(",") for line in body[:-1]) and not body[-1].endswith(",")
+    for line, row in zip(body, rows):
+        assert line.rstrip(",") == json.dumps(row, sort_keys=True)
+    assert json.loads(text) == json.loads(json.dumps(rows, indent=1, sort_keys=True))
+    # every float is written as its repr, so it reads back bit for bit
+    parsed = json.loads(text)
+    assert _floats(rows)
+    for i, k, v in _floats(rows):
+        assert f'"{k}": {v!r}' in body[i]
+        assert parsed[i][k] == v and math.copysign(1.0, parsed[i][k]) == math.copysign(1.0, v)
