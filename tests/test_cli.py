@@ -310,10 +310,6 @@ JSON_TABLES = (
 )
 
 
-def _floats(rows):
-    return [(i, k, v) for i, r in enumerate(rows) for k, v in r.items() if isinstance(v, float)]
-
-
 @pytest.mark.parametrize("argv", JSON_TABLES, ids=lambda a: "-".join(a[:3]))
 def test_json_table_layout(capsys, monkeypatch, tmp_path, argv):
     # capture the rows handed to the emitter, to compare with the old indented dump
@@ -340,10 +336,11 @@ def test_json_table_layout(capsys, monkeypatch, tmp_path, argv):
     assert all(line.endswith(",") for line in body[:-1]) and not body[-1].endswith(",")
     for line, row in zip(body, rows):
         assert line.rstrip(",") == json.dumps(row, sort_keys=True)
-    assert json.loads(text) == json.loads(json.dumps(rows, indent=1, sort_keys=True))
-    # every float is written as its repr, so it reads back bit for bit
     parsed = json.loads(text)
-    assert _floats(rows)
-    for i, k, v in _floats(rows):
+    assert parsed == json.loads(json.dumps(rows, indent=1, sort_keys=True))
+    # every float is written as its repr, so it reads back bit for bit
+    floats = [(i, k, v) for i, r in enumerate(rows) for k, v in r.items() if isinstance(v, float)]
+    assert floats
+    for i, k, v in floats:
         assert f'"{k}": {v!r}' in body[i]
         assert parsed[i][k] == v and math.copysign(1.0, parsed[i][k]) == math.copysign(1.0, v)
