@@ -115,10 +115,12 @@ def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
     """Normalized eigenvalues at one spectral point for every weight in ns.
 
     The head ratio at the base weight does not depend on n, so it is
-    evaluated once; each weight then costs two gamma factors.  Each value is
-    head * G(b+.) / G(a+.), the left-to-right order of the four-gamma
-    formula in the module docstring, so a value does not depend on which
-    other weights share its column.  mu_arch is the one-weight column.
+    evaluated once; each weight then costs two gamma factors, except that at
+    the real place n and -n share theirs.  Each value is head * G(b+.) /
+    G(a+.) (real place head * sign * G(b+|n|) / G(a+|n|)), the left-to-right
+    order of the four-gamma formula in the module docstring, so a value does
+    not depend on which other weights share its column.  mu_arch is the
+    one-weight column.
     """
     for n in ns:
         _check_type_index(params, n)
@@ -142,11 +144,13 @@ def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
                 )
         else:
             head = gamma_factor(GammaKind.REAL, a + params.n0) / gamma_factor(GammaKind.REAL, b + params.n0)
+            pairs = {}  # n and -n share one gamma pair
             for n in ns:
+                if abs(n) not in pairs:
+                    pairs[abs(n)] = (gamma_factor(GammaKind.REAL, b + abs(n)), gamma_factor(GammaKind.REAL, a + abs(n)))
+                gb, ga = pairs[abs(n)]
                 sign = (-1.0) ** ((abs(n) - n) // 2)
-                vals.append(
-                    head * sign * gamma_factor(GammaKind.REAL, b + abs(n)) / gamma_factor(GammaKind.REAL, a + abs(n))
-                )
+                vals.append(head * sign * gb / ga)
     except (ZeroDivisionError, OverflowError) as exc:
         raise _out_of_range(params, n) from exc
     return vals

@@ -9,10 +9,11 @@ the unit integral behind its support window, the shells of the brute-force
 transform) is one unit integral that walks the units as powers of that
 generator and hands integer angle numerators over a common denominator to a
 single kernel, root_of_unity_sum.  The numerators are built as int64 arrays
-and the kernel takes cos and sin of every angle in one numpy pass, summing
-each component exactly rounded with math.fsum, so sums are exact up to a
-rounding floor near 1e-15.  The int64 products bound the domain: a unit
-integral whose denominator times p^depth reaches 2^63 raises RangeError.
+and the kernel takes cos and sin in numpy blocks, sums each component
+exactly in integer limbs and rounds it once (the value math.fsum gives), so
+sums are exact up to a rounding floor near 1e-15.  The int64 products bound
+the domain: a unit integral whose denominator times p^depth reaches 2^63
+raises RangeError.
 Gauss sums are cached on (chi, psi), and unit integrals on (chi, psi, t),
 since neighbouring brute-force points share shells.  Functions on the
 multiplicative group are finite linear combinations of two kinds of atoms,
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -121,8 +121,9 @@ def root_of_unity_sum(numerators, den: int) -> complex:
     numerators is any int array-like whose values fit in int64, and
     0 < den < 2^53, so that (k mod den) / den is the float of the reduced
     fraction, the same value e_of takes from the exact rational.  The angles
-    go through numpy cos and sin in one array pass, and math.fsum makes the
-    total independent of the order of the terms.
+    go through numpy cos and sin one block at a time, and each component is
+    summed exactly and rounded once (_ExactSum), so the total is the one
+    math.fsum gives and does not depend on the order of the terms.
     """
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
@@ -130,19 +131,67 @@ def root_of_unity_sum(numerators, den: int) -> complex:
         k = np.asarray(numerators, dtype=np.int64)
     except OverflowError:
         raise RangeError("root-of-unity numerators must fit in int64") from None
-    theta = np.remainder(k, den) / den
-    theta *= 2 * math.pi
-    return complex(_fsum(np.cos(theta)), _fsum(np.sin(theta, out=theta)))
+    sums = _ExactSum(2)
+    for start in range(0, k.size, _SUM_BLOCK):
+        theta = np.remainder(k[start : start + _SUM_BLOCK], den) / den
+        theta *= 2 * math.pi
+        terms = np.empty((2, theta.size))
+        np.cos(theta, out=terms[0])
+        np.sin(theta, out=terms[1])
+        sums.add(terms)
+    return complex(*sums.values())
 
 
-_FSUM_CHUNK = 4096
+# A float x with |x| <= 1 is a fixed-point number whose last bit is at most
+# 2^-1074.  _ExactSum cuts it into integer limbs of _LIMB_BITS bits, so that
+# a block of _SUM_BLOCK limbs, each of modulus at most 2^40, sums exactly in
+# int64 (to at most 2^15 * 2^40 = 2^55).
+_SUM_BLOCK = 1 << 15
+_LIMB_BITS = 40
+_LIMB_SCALE = float(1 << _LIMB_BITS)
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a float array, fed in chunks so that no list of all of
-    its values is built."""
-    chunks = (values[i : i + _FSUM_CHUNK].tolist() for i in range(0, len(values), _FSUM_CHUNK))
-    return math.fsum(chain.from_iterable(chunks))
+class _ExactSum:
+    """Exact running sums of rows of finite floats with |x| <= 1, each kept
+    as the integer total / 2^(_LIMB_BITS * limbs).  values() rounds each
+    once with int true division, which is correctly rounded and half-even,
+    so a row's value is the one math.fsum returns for the same floats (+0.0
+    for a zero total)."""
+
+    __slots__ = ("totals", "limbs")
+
+    def __init__(self, rows: int):
+        self.totals = [0] * rows
+        self.limbs = 0
+
+    def add(self, x: np.ndarray) -> None:
+        """Add row i of the float array x, shape (rows, n), to total i;
+        overwrites x.  All rows of a block go through each numpy call
+        together, which keeps the cost of a short sum down."""
+        for start in range(0, x.shape[1], _SUM_BLOCK):
+            block = x[:, start : start + _SUM_BLOCK]
+            limb = np.empty_like(block)
+            limb_int = np.empty(block.shape, dtype=np.int64)
+            sums, limbs = [0] * len(self.totals), 0
+            # scaling by 2^40 and splitting off the nearest integer are both
+            # exact, so the residual stays at modulus <= 1/2 and reaches zero
+            # after at most 27 limbs
+            while np.count_nonzero(block):
+                block *= _LIMB_SCALE
+                np.rint(block, out=limb)
+                block -= limb
+                np.copyto(limb_int, limb, casting="unsafe")
+                row_sums = np.add.reduce(limb_int, axis=1).tolist()
+                sums = [(total << _LIMB_BITS) + row for total, row in zip(sums, row_sums)]
+                limbs += 1
+            if limbs > self.limbs:
+                self.totals = [total << _LIMB_BITS * (limbs - self.limbs) for total in self.totals]
+                self.limbs = limbs
+            shift = _LIMB_BITS * (self.limbs - limbs)
+            self.totals = [total + (row << shift) for total, row in zip(self.totals, sums)]
+
+    def values(self) -> list[float]:
+        return [total / (1 << _LIMB_BITS * self.limbs) for total in self.totals]
 
 
 @lru_cache(maxsize=None)

@@ -123,12 +123,14 @@ def _count_calls(monkeypatch, fn_name: str, modules) -> list:
 
 @pytest.mark.parametrize("place,extra", ARCH_TABLES)
 def test_mu_table_shares_the_head_ratio_per_y_point(capsys, monkeypatch, place, extra):
-    # two gamma factors per row plus the weight-independent pair per y point
+    # the weight-independent pair once per y point, plus two gamma factors per
+    # row at the complex place and per distinct |n| at the real place
     calls = _count_calls(monkeypatch, "gamma_factor", [intertwine.numerics, intertwine.arch, intertwine.cli])
     rows = _mu_rows(capsys, place, extra)
     ys = {r["y"] for r in rows}
     assert len(ys) == 5
-    assert len(calls) == 2 * len(rows) + 2 * len(ys)
+    per_y = len(rows) // len(ys) if place == "complex" else len({abs(r["n"]) for r in rows})
+    assert len(calls) == 2 * per_y * len(ys) + 2 * len(ys)
 
 
 def test_mu_table_evaluates_each_finite_row_once(capsys, monkeypatch):

@@ -5,9 +5,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertwine.errors import ConductorError, RangeError
 from intertwine.padic import (
+    _SUM_BLOCK,
+    _ExactSum,
     _unit_powers,
     AddChar,
     CharAtom,
@@ -221,17 +225,85 @@ def _root_of_unity_sum_reference(numerators, den: int) -> complex:
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
+ROOT_SUM_CASES = [
+    ([-7, -1, 0, 3, 12, 25, -30], 12),  # negative numerators and numerators >= den
+    ([4 * k - pow(5, k, 64) for k in range(16)], 64),  # a plain list, as the p = 2 table passes
+    (np.random.default_rng(3).integers(-(10**12), 10**12, size=20000), 2 * 3**10),
+    (np.arange(-5000, 5000), 10**6 + 3),
+]
+
+
 def test_root_of_unity_sum_matches_termwise_reference():
-    rng = np.random.default_rng(3)
-    cases = [
-        ([-7, -1, 0, 3, 12, 25, -30], 12),  # negative numerators and numerators >= den
-        ([4 * k - pow(5, k, 64) for k in range(16)], 64),  # a plain list, as the p = 2 table passes
-        (rng.integers(-(10**12), 10**12, size=20000), 2 * 3**10),  # longer than one fsum chunk
-        (np.arange(-5000, 5000), 10**6 + 3),
-    ]
-    for nums, den in cases:
+    for nums, den in ROOT_SUM_CASES:
         ref = _root_of_unity_sum_reference([int(k) for k in nums], den)
         assert abs(root_of_unity_sum(nums, den) - ref) < 1e-15
+
+
+def test_root_of_unity_sum_is_fsum_of_numpy_terms():
+    cases = ROOT_SUM_CASES + [
+        # longer than one block, at the p = 7 deep-shell denominator
+        (np.random.default_rng(5).integers(-(10**12), 10**12, size=_SUM_BLOCK + 1), 4941258),
+        # 4 | den: cos(pi/2) = 6.1e-17 takes three limbs
+        (np.arange(3 * _SUM_BLOCK), 4 * 7**5),
+    ]
+    for nums, den in cases:
+        theta = np.remainder(np.asarray(nums, dtype=np.int64), den) / den * (2 * math.pi)
+        ref = complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
+        assert root_of_unity_sum(nums, den) == ref
+
+
+def _exact_sum(values) -> float:
+    sums = _ExactSum(1)
+    sums.add(np.array([values], dtype=np.float64))
+    return sums.values()[0]
+
+
+# finite floats of modulus <= 1, subnormals and both zeros included
+UNIT_FLOATS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(UNIT_FLOATS, max_size=40), st.lists(UNIT_FLOATS, max_size=5))
+def test_exact_sum_is_fsum_bit_for_bit(xs, rest):
+    # xs and its negation cancel exactly, leaving rest
+    for values in (xs, xs + [-x for x in reversed(xs)] + rest):
+        assert _exact_sum(values).hex() == math.fsum(values).hex()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.0],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [1.0, -1.0],
+        [-1.0, 1.0, -0.0],
+        [1.0, 2**-53],  # a half-ulp tie rounds to even
+        [1.0, 2**-53, 2**-80],  # just above the tie
+        [1.0, -(2**-54), -(2**-80)],  # just below the tie under 1.0
+        [math.cos(math.pi / 2), 1.0, -1.0],  # three limbs
+        [5e-324],
+        [5e-324, -5e-324, 5e-324],
+        [2.2250738585072014e-308, -1.5e-323, 1e-320],  # subnormal total
+        [0.5, 2**-1074, -0.5],
+        [2**-1022, 2**-1074],
+    ],
+)
+def test_exact_sum_edge_cases(values):
+    assert _exact_sum(values).hex() == math.fsum(values).hex()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(UNIT_FLOATS, min_size=1, max_size=7),
+    st.sampled_from([0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK]),
+)
+def test_exact_sum_across_blocks(pattern, n):
+    tiled = np.resize(np.array(pattern), n)
+    for values in (tiled, tiled * np.linspace(-1, 1, n)):
+        assert _exact_sum(values).hex() == math.fsum(values.tolist()).hex()
 
 
 def test_root_of_unity_sum_empty_and_domain():
