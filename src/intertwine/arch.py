@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InconsistentRatio, ParityError, RangeError
@@ -273,6 +274,20 @@ def _bottom_row(kappa: SU2Point) -> tuple[complex, complex]:
     return (-kappa.z2.conjugate(), kappa.z1.conjugate())
 
 
+@lru_cache(maxsize=None)
+def _angular_trapezoid(m: int, n_alpha: int) -> complex:
+    """n_alpha-point trapezoid sum of int_0^(2 pi) exp(i m alpha) dalpha.
+
+    2 pi when n_alpha divides m and zero to rounding otherwise, so it is the
+    exact integral once n_alpha > |m|.
+    """
+    acc = 0j
+    for j in range(n_alpha):
+        alpha = 2.0 * math.pi * j / n_alpha
+        acc += cmath.exp(1j * m * alpha)
+    return acc * (2.0 * math.pi / n_alpha)
+
+
 def tate_section_complex(
     phi: PolyGaussian4,
     params: ArchParams,
@@ -311,13 +326,7 @@ def tate_section_complex(
     n_alpha = 4 * max_osc + 8
     total = 0j
     for (a, b, c, d), coeff in phi.poly.complex_terms():
-        delta = a + b - c - d
-        # angular trapezoid; exact for pure phases once n_alpha > |n0 + delta|
-        acc = 0j
-        for j in range(n_alpha):
-            alpha = 2.0 * math.pi * j / n_alpha
-            acc += cmath.exp(1j * (n0 + delta) * alpha)
-        angular = acc * (2.0 * math.pi / n_alpha)
+        angular = _angular_trapezoid(n0 + a + b - c - d, n_alpha)
         if abs(angular) < 1e-15:
             continue
         deg = a + b + c + d

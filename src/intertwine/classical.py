@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, RangeError
 from .exact import ONE, PiLaurent, fraction_sqrt
 from .numerics import DEFAULT_QUAD, QuadratureSpec, quad_realline
 
@@ -211,14 +211,55 @@ def decay_check(
 
     Finite for any bounded integrable sample; for smooth h the value reflects
     the integration-by-parts decay rate of the transform.
+
+    The Riemann sum h^(xi_j) = dx sum_k h(x_k) exp(-2 pi i xi_j x_k) runs over
+    `grid` points x_k = x_0 + k dx of [-x_halfwidth, x_halfwidth) and 257
+    points xi_j = xi_0 + j dxi of [-xi_max, xi_max].  With c = dxi dx and
+    jk = (j^2 + k^2 - (j - k)^2) / 2 it is, up to a phase that depends on j
+    alone, the convolution dx sum_k a_k b_(j-k) with
+    a_k = h(x_k) exp(-2 pi i (xi_0 x_k + c k^2 / 2)) and b_m = exp(i pi c m^2)
+    (Bluestein's chirp-z transform), taken by FFT.  c m^2 is reduced mod 2
+    before it is multiplied by pi.
+
+    Accuracy: for 2 <= grid <= 4096, 0.5 <= x_halfwidth <= 12 and
+    0.5 <= xi_max <= 16, and h a Gaussian times a polynomial of degree <= 6
+    or a complex Gaussian modulated at a frequency inside [-xi_max, xi_max],
+    each |h^(xi_j)| is within 5e-13 * max_j |h^(xi_j)| + 1e-300 of the dense
+    sum (the floor is for samples that are all subnormal).  A zero sample
+    gives exactly 0.0.
+    grid < 2, x_halfwidth <= 0 or xi_max <= 0 raises RangeError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if grid < 2 or not x_halfwidth > 0 or not xi_max > 0:
+        raise RangeError(
+            f"decay_check needs grid >= 2, x_halfwidth > 0 and xi_max > 0, "
+            f"got grid={grid}, x_halfwidth={x_halfwidth}, xi_max={xi_max}"
+        )
     fn = h.eval_array if isinstance(h, PolyGaussian1D) else h
-    xs = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False)
+    xs, x_step = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False, retstep=True)
     dx = xs[1] - xs[0]
     hx = np.asarray(fn(xs), dtype=complex)
-    xis = np.linspace(-xi_max, xi_max, 257)
-    phases = np.exp(-2j * math.pi * np.outer(xis, xs))
-    hat = phases @ hx * dx
-    return float(np.max(np.abs(xis) ** n * np.abs(hat)))
+    xis, xi_step = np.linspace(-xi_max, xi_max, 257, retstep=True)
+    # c from the steps linspace places the points with (xs[1] - xs[0] can be
+    # off by an ulp of x_0, which k^2 would magnify); c = c_hi + c_lo with
+    # c_hi on 26 bits (Veltkamp's split), so c_hi q is exact for integers
+    # q < 2^27 and only the small c_lo q is rounded before the mod 2
+    c = xi_step * x_step
+    t = c * 134217729.0
+    c_hi = t - (t - c)
+    c_lo = c - c_hi
+
+    def chirp(q: np.ndarray) -> np.ndarray:
+        q = q.astype(float)
+        return np.exp(1j * math.pi * np.fmod(np.fmod(c_hi * q, 2.0) + c_lo * q, 2.0))
+
+    k = np.arange(grid)
+    m = np.arange(1 - grid, xis.size)
+    a = hx * np.exp(-2j * math.pi * xis[0] * xs) * np.conj(chirp(k * k))
+    # b_m at index m mod size: no wrap-around once size >= grid + 257 - 1
+    size = 1 << (grid + xis.size - 2).bit_length()
+    b = np.zeros(size, dtype=complex)
+    b[m % size] = chirp(m * m)
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b))[: xis.size]
+    return float(np.max(np.abs(xis) ** n * (dx * np.abs(conv))))

@@ -327,4 +327,8 @@ def gram_matrix(harms: list[HarmonicSU2], n_theta: int = 24, n_phi: int = 24) ->
     rows = np.empty((len(harms), flat_w.size), dtype=complex)
     for i, h in enumerate(harms):
         rows[i] = eval_poly_grid(h.poly, values).ravel()
-    return (rows * flat_w) @ np.conj(rows.T)
+    # conjugate in place: weighted @ conj(rows).T is the same F-ordered
+    # operand as conj(rows.T), without a third array of the grid's size
+    weighted = rows * flat_w
+    np.conj(rows, out=rows)
+    return weighted @ rows.T

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertwine.arch import (
+    _angular_trapezoid,
     ArchParams,
     Place,
     mu_arch,
@@ -115,6 +116,21 @@ def test_tate_section_closed_equals_quadrature():
                 closed = tate_section_complex(phi, pa, kp, "closed")
                 quad = tate_section_complex(phi, pa, kp, "quadrature")
                 assert abs(closed - quad) < 1e-8 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("n_alpha", [16, 24, 32, 40, 48])
+def test_angular_trapezoid(n_alpha):
+    # n_alpha = 4 * (degree + |n0| + 2) + 8 takes these values in the oracle's sections
+    for m in range(-40, 41):
+        acc = 0j
+        for j in range(n_alpha):
+            alpha = 2.0 * math.pi * j / n_alpha
+            acc += cmath.exp(1j * m * alpha)
+        val = _angular_trapezoid(m, n_alpha)
+        assert val == acc * (2.0 * math.pi / n_alpha)
+        # aliased to 2 pi when n_alpha divides m; m * alpha is rounded at up to 80 pi
+        exact = 2.0 * math.pi if m % n_alpha == 0 else 0.0
+        assert abs(val - exact) < 1e-13
 
 
 def test_tate_section_gamma_value():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertwine.classical import (
@@ -17,7 +17,7 @@ from intertwine.classical import (
     mollify_deficit,
     point_mollification,
 )
-from intertwine.errors import GridTooCoarse
+from intertwine.errors import GridTooCoarse, RangeError
 from intertwine.exact import PiLaurent
 from intertwine.numerics import trapezoid
 
@@ -122,6 +122,57 @@ def test_decay_check_smoothness_gain():
 
 def test_decay_check_zero():
     assert decay_check(lambda xs: 0.0 * np.asarray(xs), 2) == 0.0
+
+
+def _dense_transform(h, x_halfwidth, xi_max, grid):
+    """The xi grid and the Riemann sum as one dense phase-matrix product."""
+    fn = h.eval_array if isinstance(h, PolyGaussian1D) else h
+    xs = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False)
+    hx = np.asarray(fn(xs), dtype=complex)
+    xis = np.linspace(-xi_max, xi_max, 257)
+    return xis, np.exp(-2j * math.pi * np.outer(xis, xs)) @ hx * (xs[1] - xs[0])
+
+
+def _modulated_gaussian(z, freq, q):
+    return lambda xs: z * np.exp(2j * math.pi * freq * xs - math.pi * q * xs**2)
+
+
+@st.composite
+def decay_inputs(draw):
+    x_halfwidth = draw(st.floats(min_value=0.5, max_value=12.0))
+    xi_max = draw(st.floats(min_value=0.5, max_value=16.0))
+    if draw(st.booleans()):
+        coeffs = draw(st.dictionaries(st.integers(min_value=0, max_value=6), rational, min_size=1, max_size=4))
+        h = PolyGaussian1D({k: PiLaurent.rational(v) for k, v in coeffs.items()}, draw(width))
+    else:
+        z = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        h = _modulated_gaussian(z, draw(st.floats(-xi_max, xi_max)), draw(st.floats(0.05, 20.0)))
+    return h, x_halfwidth, xi_max, draw(st.integers(min_value=2, max_value=4096))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decay_inputs(), st.integers(min_value=0, max_value=6))
+# c m^2 rounded before its reduction mod 2 gives 1.7e-12 here
+@example((_modulated_gaussian(-0.4427774385842329j, 11.275259877532497, 12.961494520257952),
+          11.275259877532497, 12.961494520257952, 3), 3)
+def test_decay_check_matches_dense_transform(inputs, n):
+    h, x_halfwidth, xi_max, grid = inputs
+    xis, hat = _dense_transform(h, x_halfwidth, xi_max, grid)
+    want = float(np.max(np.abs(xis) ** n * np.abs(hat)))
+    got = decay_check(h, n, x_halfwidth=x_halfwidth, xi_max=xi_max, grid=grid)
+    # each |h^(xi_j)| within 5e-13 max|h^| + 1e-300 (the docstring's accuracy
+    # domain); the absolute floor covers samples that are all subnormal
+    assert abs(got - want) <= xi_max**n * (5e-13 * float(np.max(np.abs(hat))) + 1e-300)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"grid": 1}, {"grid": 0}, {"grid": -3}, {"x_halfwidth": 0.0}, {"x_halfwidth": -1.0},
+     {"xi_max": 0.0}, {"xi_max": -2.0}, {"xi_max": float("nan")}],
+)
+def test_decay_check_rejects_degenerate_grids(kwargs):
+    with pytest.raises(RangeError):
+        decay_check(bump, 1, **kwargs)
 
 
 def test_evaluation_matches_symbolic():

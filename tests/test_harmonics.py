@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,12 +232,37 @@ def test_eval_poly_grid_equals_full_grid(n_theta):
         assert np.array_equal(eval_poly_grid(poly, values), _eval_full(poly, ref_values))
 
 
+def _harmonics_through_four():
+    """The 55 normalized harmonics with n <= 4 of the harmonics suite's Gram check."""
+    return [
+        normalized_harmonic_su2(n0, n, k)
+        for n in range(5)
+        for n0 in range(-n, n + 1, 2)
+        for k in range(n + 1)
+    ]
+
+
 def test_gram_matrix_equals_full_grid():
-    harms = [normalized_harmonic_su2(*triple) for triple in ACCEPTANCE_SIZES.norm_triples]
+    harms = _harmonics_through_four()
+    assert len(harms) == 55
     ref_values, ref_weights = _meshgrid_hopf(24, 24)
     rows = np.array([_eval_full(h.poly, ref_values).ravel() for h in harms])
     ref = (rows * ref_weights.ravel()) @ np.conj(rows.T)
     assert np.array_equal(gram_matrix(harms, n_theta=24, n_phi=24), ref)
+
+
+def test_gram_matrix_peak_memory():
+    harms = _harmonics_through_four()
+    gram_matrix(harms, n_theta=24, n_phi=24)  # fill the grid and coefficient caches
+    rows_nbytes = len(harms) * 24**3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        gram_matrix(harms, n_theta=24, n_phi=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sampled rows and their weighted copy; no third grid-sized array
+    assert peak < 2.2 * rows_nbytes
 
 
 def test_haar_polynomial_path_equals_full_grid():
