@@ -12,14 +12,13 @@ reports); and the command line (cli).
 from .arch import ArchEigenvalue, ArchParams, Place, mu_arch, mu_arch_oracle
 from .errors import (
     ConductorError,
-    GridTooCoarse,
     InconsistentRatio,
     ParityError,
     PoleError,
     RangeError,
     ToleranceNotMet,
 )
-from .numerics import GammaKind, QuadratureSpec, bessel_k, gamma_factor, kernel_ka, quad_halfline
+from .numerics import GammaKind, bessel_k, gamma_factor, kernel_ka, quad_halfline
 from .padic import AddChar, FiniteParams, MultChar, gauss_sum, g_normalized, mu_finite, mu_finite_oracle
 from .verify import run_suite
 
@@ -30,7 +29,6 @@ __all__ = [
     "mu_arch",
     "mu_arch_oracle",
     "GammaKind",
-    "QuadratureSpec",
     "bessel_k",
     "gamma_factor",
     "kernel_ka",
@@ -44,7 +42,6 @@ __all__ = [
     "mu_finite_oracle",
     "run_suite",
     "ConductorError",
-    "GridTooCoarse",
     "InconsistentRatio",
     "ParityError",
     "PoleError",

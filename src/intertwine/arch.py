@@ -41,7 +41,7 @@ from .harmonics import (
     hopf_point,
     lie_act_su2,
 )
-from .numerics import DEFAULT_QUAD, GammaKind, QuadratureSpec, gamma_factor, radial_gaussian_moment
+from .numerics import GammaKind, gamma_factor, radial_gaussian_moment
 from .schwartz import (
     PolyGaussian2,
     PolyGaussian4,
@@ -229,17 +229,16 @@ def mu_arch_logderiv(params: ArchParams, n: int) -> float:
     return mu_arch_logderiv_column(params, [n])[0]
 
 
-def mu_arch_derivative(params: ArchParams, n: int, h: float = 1e-5) -> tuple[complex, complex]:
+def mu_arch_derivative(params: ArchParams, n: int) -> tuple[complex, complex]:
     """(exact, finite difference) values of d mu / ds at s = iy.
 
-    The exact value is mu * logderiv; the finite difference recomputes the
-    gamma-ratio form at s = iy +- h and is the independent check.  Only the
+    The exact value is mu * logderiv; the central difference recomputes the
+    gamma-ratio form at s = iy +- 1e-5 and is the independent check.  Only the
     cross-checks want that half (verify's arch/deriv-fd cases and the tests);
     a caller that needs just the derivative computes mu * logderiv itself
     and evaluates the gamma ratios once instead of three times.
     """
-    if not 1e-6 <= h <= 1e-4:
-        raise ValueError("finite-difference step outside the supported window")
+    h = 1e-5
     exact = mu_arch(params, n).value * mu_arch_logderiv(params, n)
     plus = mu_arch(replace(params, s=params.s + h), n).value
     minus = mu_arch(replace(params, s=params.s - h), n).value
@@ -293,7 +292,6 @@ def tate_section_complex(
     params: ArchParams,
     kappa: SU2Point,
     method: str = "closed",
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> complex:
     """Section value f_Phi(s; kappa) at the complex place.
 
@@ -327,11 +325,14 @@ def tate_section_complex(
     total = 0j
     for (a, b, c, d), coeff in phi.poly.complex_terms():
         angular = _angular_trapezoid(n0 + a + b - c - d, n_alpha)
-        if abs(angular) < 1e-15:
+        # the sum is 2 pi or rounding noise (at most 4e-14 for |m| <= 40 and
+        # n_alpha <= 59), so any threshold between the two skips exactly the
+        # monomials whose weight does not match n0, as the closed form does
+        if abs(angular) < 1e-9:
             continue
         deg = a + b + c + d
         # int_0^inf exp(-2 pi r^2) r^z dr/r
-        rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg, spec) / 4
+        rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg) / 4
         total += (
             coeff
             * v1**a * v2**b * v1c**c * v2c**d
@@ -345,7 +346,6 @@ def tate_section_real(
     params: ArchParams,
     kappa: complex,
     method: str = "closed",
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> complex:
     """Section value at the real place; kappa is a unit complex number.
 
@@ -365,20 +365,22 @@ def tate_section_real(
         if method == "closed":
             rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b)
         elif method == "quadrature":
-            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b, spec) / 2
+            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b) / 2
         else:
             raise ValueError(f"unknown method {method!r}")
         total += coeff * v**a * vc**b * parity * rad
     return total
 
 
-_DEFAULT_KAPPAS = (
+# sample points of mu_arch_oracle at the complex and at the real place
+_KAPPAS = (
     hopf_point(0.6, 0.4, 1.2),
     hopf_point(0.8, 2.1, 0.3),
     hopf_point(1.0, 5.0, 2.6),
     hopf_point(0.7, 3.4, 4.1),
     hopf_point(0.9, 1.7, 5.5),
 )
+_REAL_KAPPAS = tuple(cmath.exp(1j * t) for t in (0.3, 1.1, 2.5, 4.0))
 
 
 def _swapped(params: ArchParams) -> ArchParams:
@@ -389,10 +391,8 @@ def _swapped(params: ArchParams) -> ArchParams:
 def mu_arch_oracle(
     params: ArchParams,
     n: int,
-    kappas: Sequence | None = None,
     k: int = 0,
     tol: float = 1e-8,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> complex:
     """Eigenvalue recovered from the transform pipeline, independent of mu_arch.
 
@@ -414,24 +414,22 @@ def mu_arch_oracle(
         phi_hat = fourier_hat_h(phi)
         h_src = harmonic_su2(params.n0, n, k)
         h_dst = harmonic_su2(-params.n0, n, k)
-        pts = kappas if kappas is not None else _DEFAULT_KAPPAS
-        for kp in pts:
+        for kp in _KAPPAS:
             denom_h = h_src(kp)
             num_h = h_dst(kp)
             if abs(denom_h) < 1e-6 or abs(num_h) < 1e-6:
                 continue
-            d_val = tate_section_complex(phi, params, kp, "quadrature", spec)
-            n_val = tate_section_complex(phi_hat, sw, kp, "quadrature", spec)
+            d_val = tate_section_complex(phi, params, kp, "quadrature")
+            n_val = tate_section_complex(phi_hat, sw, kp, "quadrature")
             ratios.append(l_ratio * (n_val / num_h) / (d_val / denom_h))
     else:
         if k != 0:
             raise ValueError("raised sections only exist at the complex place")
         phi = section_so2(n)
         phi_hat = fourier_hat_c(phi)
-        pts = list(kappas) if kappas is not None else [cmath.exp(1j * t) for t in (0.3, 1.1, 2.5, 4.0)]
-        for kp in pts:
-            d_val = tate_section_real(phi, params, kp, "quadrature", spec)
-            n_val = tate_section_real(phi_hat, sw, kp, "quadrature", spec)
+        for kp in _REAL_KAPPAS:
+            d_val = tate_section_real(phi, params, kp, "quadrature")
+            n_val = tate_section_real(phi_hat, sw, kp, "quadrature")
             ratios.append(l_ratio * n_val / d_val)
 
     if len(ratios) < 2:

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooCoarse, RangeError
+from .errors import RangeError
 from .exact import ONE, PiLaurent, fraction_sqrt
-from .numerics import DEFAULT_QUAD, QuadratureSpec, quad_realline
+from .numerics import quad_realline
 
 
 class PolyGaussian1D:
@@ -153,34 +153,25 @@ def dirac_family(eps) -> PolyGaussian1D:
     return PolyGaussian1D({0: PiLaurent.rational(1 / eps)}, 1 / eps**2)
 
 
-def integrate(f: PolyGaussian1D, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    return quad_realline(lambda x: f(x), spec)
+def integrate(f: PolyGaussian1D) -> complex:
+    return quad_realline(lambda x: f(x))
 
 
-def l2_norm_sq(f: PolyGaussian1D, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    return quad_realline(lambda x: abs(f(x)) ** 2, spec).real
+def l2_norm_sq(f: PolyGaussian1D) -> float:
+    return quad_realline(lambda x: abs(f(x)) ** 2).real
 
 
-def mollify_deficit(
-    f: Callable[[np.ndarray], np.ndarray],
-    eps: float,
-    p: float,
-    halfwidth: float = 4.0,
-    spacing: float | None = None,
-) -> float:
-    """Discretized || f * v_eps - f ||_p on a uniform grid of [-halfwidth, halfwidth].
+def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float) -> float:
+    """Discretized || f * v_eps - f ||_p on a uniform grid of [-4, 4] with spacing eps/8.
 
     f must be bounded with support inside the grid window.  The convolution
-    kernel is the dirac_family Gaussian sampled on the same grid; spacing
-    defaults to eps/8 and must not exceed eps/4.
+    kernel is the dirac_family Gaussian sampled on the same grid.
     """
     eps = float(eps)
     if p < 1:
         raise ValueError("p must be >= 1")
-    h = float(spacing) if spacing is not None else eps / 8.0
-    if h > eps / 4.0 + 1e-15:
-        raise GridTooCoarse(f"grid spacing {h} exceeds eps/4 = {eps / 4}")
-    xs = np.arange(-halfwidth, halfwidth + 0.5 * h, h)
+    h = eps / 8.0
+    xs = np.arange(-4.0, 4.0 + 0.5 * h, h)
     fx = np.asarray(f(xs), dtype=float)
     # kernel radius: Gaussian tail below 1e-16 of its peak
     radius = int(math.ceil(4.0 * eps / h))
@@ -191,10 +182,11 @@ def mollify_deficit(
     return float((h * np.sum(np.abs(conv - fx) ** p)) ** (1.0 / p))
 
 
-def point_mollification(f: Callable[[np.ndarray], np.ndarray], y: float, eps: float, halfwidth: float = 6.0) -> complex:
-    """Grid value of int f(y + x) conj(v_eps(x)) dx, the pointwise inversion probe."""
+def point_mollification(f: Callable[[np.ndarray], np.ndarray], y: float, eps: float) -> complex:
+    """Grid value of int f(y + x) conj(v_eps(x)) dx over [-6, 6] with spacing
+    eps/16, the pointwise inversion probe."""
     h = eps / 16.0
-    xs = np.arange(-halfwidth, halfwidth + 0.5 * h, h)
+    xs = np.arange(-6.0, 6.0 + 0.5 * h, h)
     kernel = (1.0 / eps) * np.exp(-math.pi * xs**2 / eps**2)
     vals = np.asarray(f(y + xs), dtype=complex)
     return complex(h * np.sum(vals * kernel))
@@ -238,7 +230,6 @@ def decay_check(
         )
     fn = h.eval_array if isinstance(h, PolyGaussian1D) else h
     xs, x_step = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False, retstep=True)
-    dx = xs[1] - xs[0]
     hx = np.asarray(fn(xs), dtype=complex)
     xis, xi_step = np.linspace(-xi_max, xi_max, 257, retstep=True)
     # c from the steps linspace places the points with (xs[1] - xs[0] can be
@@ -262,4 +253,4 @@ def decay_check(
     b = np.zeros(size, dtype=complex)
     b[m % size] = chirp(m * m)
     conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b))[: xis.size]
-    return float(np.max(np.abs(xis) ** n * (dx * np.abs(conv))))
+    return float(np.max(np.abs(xis) ** n * (x_step * np.abs(conv))))

@@ -9,10 +9,6 @@ class ToleranceNotMet(RuntimeError):
     """Adaptive quadrature exhausted its refinement budget before converging."""
 
 
-class GridTooCoarse(ValueError):
-    """Discretization grid too coarse for the requested mollifier width."""
-
-
 class ParityError(ValueError):
     """Weight indices violate the parity constraint of the isotypic family."""
 

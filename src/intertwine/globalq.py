@@ -123,11 +123,12 @@ def residue_constant() -> float:
     return -res0 / (2 * completed_zeta(2.0).real)
 
 
-def _richardson(f: Callable[[float], float], eps: float, levels: int) -> float:
-    """lim_{h -> 0+} f(h) from f(eps / 2^i), i < levels, by a Neville table
+def _richardson(f: Callable[[float], float]) -> float:
+    """lim_{h -> 0+} f(h) from f(10^-2 / 2^i), i < 4, by a Neville table
     in h (first-order sequence)."""
+    levels = 4
     vals = []
-    h = eps
+    h = 1e-2
     for _ in range(levels):
         vals.append(f(h))
         h /= 2
@@ -137,14 +138,14 @@ def _richardson(f: Callable[[float], float], eps: float, levels: int) -> float:
     return vals[-1]
 
 
-def residue_at_one(eps: float = 1e-2, levels: int = 4) -> float:
+def residue_at_one() -> float:
     """lim (z - 1) Lambda(z) by Richardson extrapolation from the right."""
-    return _richardson(lambda h: ((1 + h) - 1) * completed_zeta(1 + h).real, eps, levels)
+    return _richardson(lambda h: ((1 + h) - 1) * completed_zeta(1 + h).real)
 
 
-def residue_at_zero(eps: float = 1e-2, levels: int = 4) -> float:
+def residue_at_zero() -> float:
     # lim (z - 0) Lambda(z) with z -> 0^+ from h = z
-    return -_richardson(lambda h: h * completed_zeta(0 + h).real, eps, levels)
+    return -_richardson(lambda h: h * completed_zeta(0 + h).real)
 
 
 def mu_global_factor(y: float) -> complex:
@@ -231,13 +232,12 @@ def maass_selberg(
     normf: float,
     normMf: float,
     pairing: complex,
-    mu_char: float = 0.0,
     is_selfdual: bool = False,
 ) -> float:
-    """Truncated-norm identity off the axis (Re s != 0).
+    """Truncated-norm identity off the axis (Re s != 0), untwisted.
 
     (2 Re s)^(-1) (|f|^2 c^(2 Re s) - |Mf|^2 c^(-2 Re s))
-      + [selfdual] 2 Im(pairing * c^(i (2 Im s + mu))) / (2 Im s + mu)
+      + [selfdual] 2 Im(pairing * c^(2 i Im s)) / (2 Im s)
     """
     sigma, tau = s.real, s.imag
     if sigma == 0:
@@ -246,7 +246,7 @@ def maass_selberg(
         raise ValueError("truncation height must exceed 1")
     val = (normf**2 * c ** (2 * sigma) - normMf**2 * c ** (-2 * sigma)) / (2 * sigma)
     if is_selfdual:
-        freq = 2 * tau + mu_char
+        freq = 2 * tau
         if freq == 0:
             raise ZeroDivisionError("self-dual term at zero frequency: use the limit form")
         val += 2 * (pairing * cmath.exp(1j * freq * math.log(c))).imag / freq
@@ -259,12 +259,11 @@ def maass_selberg_onaxis(
     mu_value: complex,
     mu_prime: complex,
     is_selfdual: bool = False,
-    y_limit_floor: float = 1e-8,
 ) -> float:
     """On-axis limit of the truncated-norm identity in the scalar model.
 
     2 log c - Re(mu'/mu) plus, in the self-dual case, Im(c^(2iy) conj(mu))/y
-    with the finite y -> 0 limit -2 log c - Re(mu') used below the floor
+    with the finite y -> 0 limit -2 log c - Re(mu') used for |y| < 1e-8
     (the model then has mu(0) = -1, so the singular parts cancel).
     """
     if c <= 1:
@@ -273,7 +272,7 @@ def maass_selberg_onaxis(
         raise ValueError("scalar model requires |mu| = 1 on the axis")
     val = 2 * math.log(c) - (mu_prime / mu_value).real
     if is_selfdual:
-        if abs(y) < y_limit_floor:
+        if abs(y) < 1e-8:
             val += -2 * math.log(c) - mu_prime.real
         else:
             val += (cmath.exp(2j * y * math.log(c)) * mu_value.conjugate()).imag / y
@@ -307,39 +306,30 @@ def height_bound_check(place: Place | int, xs) -> bool:
     return all(height_wn(place, x) <= 1.0 + 1e-15 for x in xs)
 
 
-def sobolev_weight_sum(
-    a_power: int,
-    y_max: float,
-    n_max: int,
-    place: Place = Place.REAL,
-    mu: float = 0.0,
-    y_steps: int | None = None,
-) -> float:
-    """Partial value of the spectral weight sum
+def sobolev_weight_sum(a_power: int, y_max: float, n_max: int) -> float:
+    """Partial value of the untwisted real-place spectral weight sum
 
-        sum over admissible n of int_0^{y_max} (1 + lambda(iy; n))^(2 - 2 a) dy,
+        sum over even 0 <= n <= n_max of int_0^{y_max} (1 + lambda(iy; n))^(2 - 2 a) dy,
 
     a convergence diagnostic: doubling the cutoffs must change the value by a
-    vanishing amount once a_power >= 3.
+    vanishing amount once a_power >= 3.  The trapezoid rule takes
+    max(200, 8 y_max) steps, a fixed spacing across cutoffs.
     """
     if a_power < 2:
         raise RangeError("weight exponent must be >= 2")
-    if y_steps is None:
-        y_steps = max(200, int(8 * y_max))  # fixed spacing across cutoffs
-    ys = np.linspace(0.0, y_max, y_steps + 1)
+    ys = np.linspace(0.0, y_max, max(200, int(8 * y_max)) + 1)
     total = 0.0
     for n in range(0, n_max + 1, 2):
-        lam = (1 + (2 * ys + mu) ** 2) / 4
-        lam = lam + (n * n / 2 if place is Place.REAL else (2 * n * (n + 2)) / 4)
-        vals = (1.0 + lam) ** (2 - 2 * a_power)
+        vals = (1.0 + laplace_eigenvalue(Place.REAL, ys, 0.0, n)) ** (2 - 2 * a_power)
         total += float(trapezoid(vals, ys))
     return total
 
 
-def sobolev_term_decay_slope(a_power: int, y: float = 1.0, n_lo: int = 32, n_hi: int = 256) -> float:
-    """Log-log slope of the complex-place term against n; near 4 - 4a."""
-    ns = np.array([n for n in range(n_lo, n_hi + 1, 2)], dtype=float)
-    lam = (1 + (2 * y) ** 2) / 4 + (2 * ns * (ns + 2)) / 4
+def sobolev_term_decay_slope(a_power: int) -> float:
+    """Log-log slope of the complex-place term at y = 1 against even n in
+    [32, 256]; near 4 - 4a."""
+    ns = range(32, 257, 2)
+    lam = np.array([laplace_eigenvalue(Place.COMPLEX, 1.0, 0.0, n) for n in ns])
     terms = (1 + lam) ** (2 - 2 * a_power)
-    slope = np.polyfit(np.log(ns), np.log(terms), 1)[0]
+    slope = np.polyfit(np.log(np.array(ns, dtype=float)), np.log(terms), 1)[0]
     return float(slope)

@@ -33,13 +33,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import ParityError, RangeError, ToleranceNotMet
 from .exact import ONE, PiLaurent, VarPoly
-from .numerics import DEFAULT_QUAD, QuadratureSpec
+from .numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL
+
+# theta and phi nodes of the Hopf grid gram_matrix integrates on
+GRAM_NODES = 24
 
 # variable order for 4-variable polynomials: z1, z2, conj z1, conj z2
 Z1, Z2, Z1C, Z2C = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -276,43 +278,25 @@ def hopf_grid(n_theta: int, n_phi: int):
     return values, weights
 
 
-def haar_integrate_su2(
-    f: Callable[[SU2Point], complex] | HarmonicSU2 | VarPoly,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    start: int = 12,
-) -> complex:
+def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
     """Integral against probability Haar measure on SU(2).
 
-    Objects exposing an exact polynomial are evaluated on the whole Hopf grid
-    at once; a bare callable is sampled pointwise.  The grid doubles until
-    two successive levels agree within the spec tolerances.
+    The exact polynomial is evaluated on the whole Hopf grid at once.  The
+    grid starts at 12 x 12 and doubles until two successive levels agree
+    within ten times the package's quadrature tolerances.
     """
-    poly = None
-    if isinstance(f, HarmonicSU2):
-        poly = f.poly
-    elif isinstance(f, VarPoly):
-        poly = f
+    poly = f.poly if isinstance(f, HarmonicSU2) else f
 
     def level(n: int) -> complex:
         values, weights = hopf_grid(n, n)
-        if poly is not None:
-            vals = eval_poly_grid(poly, values)
-        else:
-            v1, v2 = np.broadcast_arrays(values[0], values[1])
-            vals = np.empty(v1.shape, dtype=complex)
-            it = np.nditer(v1, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                vals[idx] = f(SU2Point(complex(v1[idx]), complex(v2[idx])))
-            # SU2Point construction guards the sphere constraint at every node
-        return complex(np.sum(vals * weights))
+        return complex(np.sum(eval_poly_grid(poly, values) * weights))
 
-    n = start
+    n = 12
     prev = level(n)
-    for _ in range(spec.max_subdivisions):
+    for _ in range(QUAD_MAX_HALVINGS):
         n *= 2
         cur = level(n)
-        if abs(cur - prev) <= max(spec.abs_tol * 10, spec.rel_tol * 10 * abs(cur)):
+        if abs(cur - prev) <= max(QUAD_ABS_TOL * 10, QUAD_REL_TOL * 10 * abs(cur)):
             return cur
         prev = cur
         if n > 400:
@@ -320,10 +304,11 @@ def haar_integrate_su2(
     raise ToleranceNotMet("Haar quadrature did not stabilize")
 
 
-def gram_matrix(harms: list[HarmonicSU2], n_theta: int = 24, n_phi: int = 24) -> np.ndarray:
-    """Quadrature Gram matrix <h_i, h_j> for a list of harmonics."""
-    values, weights = hopf_grid(n_theta, n_phi)
-    flat_w = np.broadcast_to(weights, (n_theta, n_phi, n_phi)).ravel()
+def gram_matrix(harms: list[HarmonicSU2]) -> np.ndarray:
+    """Quadrature Gram matrix <h_i, h_j> for a list of harmonics on the
+    GRAM_NODES x GRAM_NODES Hopf grid."""
+    values, weights = hopf_grid(GRAM_NODES, GRAM_NODES)
+    flat_w = np.broadcast_to(weights, (GRAM_NODES,) * 3).ravel()
     rows = np.empty((len(harms), flat_w.size), dtype=complex)
     for i, h in enumerate(harms):
         rows[i] = eval_poly_grid(h.poly, values).ravel()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -33,20 +32,12 @@ class GammaKind(Enum):
     COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 12
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Convergence test of every adaptive quadrature in the package: two
+# successive refinements agree within max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|),
+# else ToleranceNotMet after QUAD_MAX_HALVINGS refinements.
+QUAD_ABS_TOL = 1e-13
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_HALVINGS = 12
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
 # around 1e-13 or better on the strips used here, which sits comfortably
@@ -107,14 +98,14 @@ def gamma_factor(kind: GammaKind, s: complex) -> complex:
     raise ValueError(f"unknown gamma kind {kind!r}")
 
 
-def _trapezoid_doubling(g: Callable[[float], complex], spec: QuadratureSpec) -> complex:
+def _trapezoid_doubling(g: Callable[[float], complex]) -> complex:
     """Trapezoid rule with step halving for integrands decaying fast on R.
 
     The grid is extended outward until terms fall below the truncation floor,
     then the step is halved (reusing previous evaluations implicitly through
     the running sum) until two consecutive refinements agree.
     """
-    floor = spec.abs_tol * 1e-3
+    floor = QUAD_ABS_TOL * 1e-3
 
     def sweep(h: float) -> complex:
         total = complex(g(0.0))
@@ -138,21 +129,21 @@ def _trapezoid_doubling(g: Callable[[float], complex], spec: QuadratureSpec) -> 
 
     h = 0.5
     prev = sweep(h)
-    for _ in range(spec.max_subdivisions):
+    for _ in range(QUAD_MAX_HALVINGS):
         h *= 0.5
         cur = sweep(h)
-        if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
+        if abs(cur - prev) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
             return cur
         prev = cur
     raise ToleranceNotMet("trapezoid refinement budget exhausted")
 
 
-def quad_realline(g: Callable[[float], complex], spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def quad_realline(g: Callable[[float], complex]) -> complex:
     """Integral over R of a smooth integrand with at least exponential decay."""
-    return _trapezoid_doubling(g, spec)
+    return _trapezoid_doubling(g)
 
 
-def quad_halfline(f: Callable[[float], complex], spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def quad_halfline(f: Callable[[float], complex]) -> complex:
     """Integral over (0, inf) via the exp-sinh substitution r = exp(c sinh u).
 
     Handles integrands with power behavior at 0 and Gaussian or exponential
@@ -172,10 +163,10 @@ def quad_halfline(f: Callable[[float], complex], spec: QuadratureSpec = DEFAULT_
         v = complex(f(r))
         return v * w
 
-    return _trapezoid_doubling(g, spec)
+    return _trapezoid_doubling(g)
 
 
-def bessel_k(nu: complex, y: float, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def bessel_k(nu: complex, y: float) -> complex:
     """Modified Bessel function of the second kind as a half-line integral.
 
     Evaluates (1/2) * int_0^inf exp(-y (t + 1/t)) t**nu dt/t after the
@@ -192,10 +183,10 @@ def bessel_k(nu: complex, y: float, spec: QuadratureSpec = DEFAULT_QUAD) -> comp
             return 0.0j
         return 0.5 * cmath.exp(expo + nu * u)
 
-    return _trapezoid_doubling(g, spec)
+    return _trapezoid_doubling(g)
 
 
-def bessel_k_alt(nu: complex, y: float, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def bessel_k_alt(nu: complex, y: float) -> complex:
     """Second integral representation: int_0^inf exp(-y(t^2 + t^-2)) t^(2 nu) dt/t."""
     if y <= 0:
         raise ValueError("bessel_k_alt requires y > 0")
@@ -207,10 +198,10 @@ def bessel_k_alt(nu: complex, y: float, spec: QuadratureSpec = DEFAULT_QUAD) -> 
             return 0.0j
         return cmath.exp(expo + 2.0 * nu * u)
 
-    return _trapezoid_doubling(g, spec)
+    return _trapezoid_doubling(g)
 
 
-def kernel_ka(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def kernel_ka(kind: GammaKind, a: float, w: complex) -> complex:
     """Radial kernel of the smooth-section surjectivity argument.
 
     COMPLEX: 4 K_w(a); REAL: 2 K_{w/2}(a), where K is bessel_k.  The defining
@@ -219,13 +210,13 @@ def kernel_ka(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec = DEFA
     if not (1.0 <= a < 2.0):
         raise ValueError("a must lie in [1, 2)")
     if kind is GammaKind.COMPLEX:
-        return 4.0 * bessel_k(w, a, spec)
+        return 4.0 * bessel_k(w, a)
     if kind is GammaKind.REAL:
-        return 2.0 * bessel_k(complex(w) / 2.0, a, spec)
+        return 2.0 * bessel_k(complex(w) / 2.0, a)
     raise ValueError(f"unknown gamma kind {kind!r}")
 
 
-def kernel_ka_quad(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def kernel_ka_quad(kind: GammaKind, a: float, w: complex) -> complex:
     """Direct quadrature of the defining kernel integral, used as the oracle.
 
     COMPLEX: 4 int_0^inf exp(-a (r^2 + r^-2)) r^(2w) dr/r
@@ -242,11 +233,11 @@ def kernel_ka_quad(kind: GammaKind, a: float, w: complex, spec: QuadratureSpec =
             return 0.0j
         return cmath.exp(expo + (mult - 1.0) * lr)
 
-    return front * quad_halfline(f, spec)
+    return front * quad_halfline(f)
 
 
 @lru_cache(maxsize=None)
-def radial_gaussian_moment(kind: GammaKind, z: complex, spec: QuadratureSpec = DEFAULT_QUAD) -> complex:
+def radial_gaussian_moment(kind: GammaKind, z: complex) -> complex:
     """Quadrature of the Tate radial integral whose closed form is gamma_factor.
 
     COMPLEX: 4 int_0^inf exp(-2 pi r^2) r^z dr/r  =  Gamma_C(z/2)
@@ -270,4 +261,4 @@ def radial_gaussian_moment(kind: GammaKind, z: complex, spec: QuadratureSpec = D
             return 0.0j
         return cmath.exp(expo + (z - 1.0) * math.log(r))
 
-    return front * quad_halfline(f, spec)
+    return front * quad_halfline(f)

@@ -258,7 +258,7 @@ def suite_harmonics(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFA
         for n0 in range(-n, n + 1, 2):
             for k in range(n + 1):
                 harms.append(normalized_harmonic_su2(n0, n, k))
-    G = gram_matrix(harms, n_theta=24, n_phi=24)
+    G = gram_matrix(harms)
     dev = float(abs(G - np.eye(len(harms))).max())
     cases.append(scalar_case("harmonics/gram-identity", {"count": len(harms)}, dev, 0.0, tol))
 
@@ -637,7 +637,7 @@ def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT
     for sig in sigmas:
         s = complex(sig, y0)
         m = gl.completed_zeta(1 - 2 * s) / gl.completed_zeta(1 + 2 * s)
-        vals.append(gl.maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), 0.0, True))
+        vals.append(gl.maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
     mat = np.array([[1.0, sg, sg * sg] for sg in sigmas])
     extrap = float(np.linalg.solve(mat, np.array(vals))[0])
     cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, extrap, onax, 1e-5))

@@ -25,7 +25,7 @@ from intertwine.arch import (
 from intertwine.errors import ParityError, RangeError
 from intertwine.harmonics import harmonic_su2, hopf_point
 from intertwine.numerics import GammaKind, gamma_factor
-from intertwine.schwartz import section_so2, section_su2
+from intertwine.schwartz import PolyGaussian4, section_so2, section_su2
 
 
 def test_param_validation():
@@ -151,6 +151,16 @@ def test_tate_section_gamma_value():
     # at the balanced point the harmonic is 1/2
     bal = SU2Point(complex(math.sqrt(0.5)), complex(math.sqrt(0.5)))
     assert abs(tate_section_complex(phi2, pa, bal) - gamma_factor(GammaKind.COMPLEX, 2.0) * 0.5) < 1e-13
+
+
+def test_quadrature_section_skips_unmatched_weights():
+    # conj(z2)^3 has angular weight -3, not -n0 = 0: the closed form drops it,
+    # and the quadrature must skip it too rather than add trapezoid noise
+    phi = PolyGaussian4.monomial((0, 0, 0, 3))
+    pa = ArchParams(Place.COMPLEX, 0.3, 0.0, 0)
+    kp = hopf_point(0.6, 0.4, 1.2)
+    assert tate_section_complex(phi, pa, kp, "closed") == 0j
+    assert tate_section_complex(phi, pa, kp, "quadrature") == 0j
 
 
 def test_real_section_closed_equals_quadrature():

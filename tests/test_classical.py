@@ -17,7 +17,7 @@ from intertwine.classical import (
     mollify_deficit,
     point_mollification,
 )
-from intertwine.errors import GridTooCoarse, RangeError
+from intertwine.errors import RangeError
 from intertwine.exact import PiLaurent
 from intertwine.numerics import trapezoid
 
@@ -90,11 +90,6 @@ def test_mollify_smooth_bump_small():
 
 def test_mollify_zero_function():
     assert mollify_deficit(lambda xs: 0.0 * np.asarray(xs), 0.2, 2.0) == 0.0
-
-
-def test_mollify_grid_guard():
-    with pytest.raises(GridTooCoarse):
-        mollify_deficit(indicator, 0.1, 2.0, spacing=0.05)
 
 
 def test_pointwise_inversion_probe():

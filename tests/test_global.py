@@ -241,7 +241,7 @@ def test_maass_selberg_selfdual_branch():
     for sig in sigmas:
         s = complex(sig, y0)
         m = completed_zeta(1 - 2 * s) / completed_zeta(1 + 2 * s)
-        vals.append(maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), 0.0, True))
+        vals.append(maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
     mat = np.array([[1.0, sg, sg * sg] for sg in sigmas])
     extrap = float(np.linalg.solve(mat, np.array(vals))[0])
     assert abs(extrap - onax) < 1e-5
@@ -261,7 +261,7 @@ def test_maass_selberg_guards():
     with pytest.raises(ValueError):
         maass_selberg(0.6j, 2.0, 1.0, 1.0, 1.0)
     with pytest.raises(ZeroDivisionError):
-        maass_selberg(complex(0.1, 0.0), 2.0, 1.0, 1.0, 1.0, 0.0, True)
+        maass_selberg(complex(0.1, 0.0), 2.0, 1.0, 1.0, 1.0, True)
     with pytest.raises(ValueError):
         maass_selberg_onaxis(0.5, 2.0, 2.0 + 0j, 0.0)
 

@@ -25,7 +25,7 @@ from intertwine.harmonics import (
     normalized_harmonic_su2,
     su2_from_integers,
 )
-from intertwine.numerics import DEFAULT_QUAD, quad_halfline
+from intertwine.numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL, quad_halfline
 from intertwine.verify import ACCEPTANCE_SIZES
 
 
@@ -90,7 +90,7 @@ def test_gram_identity_through_four():
         for n0 in range(-n, n + 1, 2):
             for k in range(n + 1):
                 harms.append(normalized_harmonic_su2(n0, n, k))
-    G = gram_matrix(harms, n_theta=24, n_phi=24)
+    G = gram_matrix(harms)
     assert abs(G - np.eye(len(harms))).max() < 1e-6
 
 
@@ -98,11 +98,6 @@ def test_haar_basic_values():
     assert abs(haar_integrate_su2(VarPoly.monomial(4, (0, 0, 0, 0))) - 1.0) < 1e-10
     assert abs(haar_integrate_su2(VarPoly.monomial(4, (1, 0, 1, 0))) - 0.5) < 1e-10
     assert abs(haar_integrate_su2(VarPoly.monomial(4, (1, 0, 0, 1)))) < 1e-12
-
-
-def test_haar_accepts_callable():
-    val = haar_integrate_su2(lambda pt: abs(pt.z1) ** 2, start=8)
-    assert abs(val - 0.5) < 1e-8
 
 
 def test_measure_calibration():
@@ -186,13 +181,12 @@ def _eval_full(poly: VarPoly, values) -> np.ndarray:
 
 def _haar_full(level) -> complex:
     """haar_integrate_su2's doubling loop over full-grid level values."""
-    spec = DEFAULT_QUAD
     n = 12
     prev = level(n)
-    for _ in range(spec.max_subdivisions):
+    for _ in range(QUAD_MAX_HALVINGS):
         n *= 2
         cur = level(n)
-        if abs(cur - prev) <= max(spec.abs_tol * 10, spec.rel_tol * 10 * abs(cur)):
+        if abs(cur - prev) <= max(QUAD_ABS_TOL * 10, QUAD_REL_TOL * 10 * abs(cur)):
             return cur
         prev = cur
     raise AssertionError("reference quadrature did not stabilize")
@@ -248,16 +242,16 @@ def test_gram_matrix_equals_full_grid():
     ref_values, ref_weights = _meshgrid_hopf(24, 24)
     rows = np.array([_eval_full(h.poly, ref_values).ravel() for h in harms])
     ref = (rows * ref_weights.ravel()) @ np.conj(rows.T)
-    assert np.array_equal(gram_matrix(harms, n_theta=24, n_phi=24), ref)
+    assert np.array_equal(gram_matrix(harms), ref)
 
 
 def test_gram_matrix_peak_memory():
     harms = _harmonics_through_four()
-    gram_matrix(harms, n_theta=24, n_phi=24)  # fill the grid and coefficient caches
+    gram_matrix(harms)  # fill the grid and coefficient caches
     rows_nbytes = len(harms) * 24**3 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        gram_matrix(harms, n_theta=24, n_phi=24)
+        gram_matrix(harms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -274,22 +268,6 @@ def test_haar_polynomial_path_equals_full_grid():
             return complex(np.sum(_eval_full(poly, values) * weights))
 
         assert haar_integrate_su2(poly) == _haar_full(level)
-
-
-def test_haar_callable_path_equals_full_grid():
-    for triple in ACCEPTANCE_SIZES.norm_triples[:3]:
-        h = harmonic_su2(*triple)
-
-        def f(pt):
-            return abs(h(pt)) ** 2
-
-        def level(n):
-            (z1, z2, _, _), weights = _meshgrid_hopf(n, n)
-            pts = zip(z1.ravel(), z2.ravel())
-            vals = np.array([f(SU2Point(complex(a), complex(b))) for a, b in pts], dtype=complex)
-            return complex(np.sum(vals.reshape(z1.shape) * weights))
-
-        assert haar_integrate_su2(f) == _haar_full(level)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwine.errors import ConductorError, RangeError
+from intertwine.errors import ConductorError, InconsistentRatio, RangeError
 from intertwine.padic import (
     _SUM_BLOCK,
     _ExactSum,
@@ -570,6 +570,13 @@ def test_mu_oracle_all_shapes():
                 prm = params_for(p, shape, s=0.25 + 0.1j, mu=0.3, psi_c=psi_c)
                 for n in range(prm.conductor, prm.conductor + 4):
                     assert abs(mu_finite(prm, n) - mu_finite_oracle(prm, n)) < 1e-10
+
+
+def test_mu_oracle_inconsistent_ratio_guard():
+    # an impossible tolerance turns rounding in the sample rows (a spread of
+    # about 8e-17 here) into a detected sample-row dependence
+    with pytest.raises(InconsistentRatio):
+        mu_finite_oracle(unramified_params(5, 0.2), 2, tol=1e-17)
 
 
 def test_mu_level_guard():
