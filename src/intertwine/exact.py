@@ -173,9 +173,6 @@ class VarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "VarPoly":
-        return VarPoly(self.nvars, dict(self.terms))
-
     def __add__(self, other: "VarPoly") -> "VarPoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -186,7 +183,7 @@ class VarPoly:
         return VarPoly(self.nvars, out)
 
     def __sub__(self, other: "VarPoly") -> "VarPoly":
-        return self + other.scale(-1)
+        return self + VarPoly(other.nvars, {key: -c for key, c in other.terms.items()})
 
     def scale(self, s) -> "VarPoly":
         if isinstance(s, int):
@@ -267,8 +264,11 @@ class VarPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VarPoly):
             return NotImplemented
-        diff = self - other
-        return diff.is_zero()
+        # nonzero coefficients of one type are equal only as equal dicts
+        return self.terms == other.terms or (
+            any(type(c) is not type(other.terms.get(key)) for key, c in self.terms.items())
+            and (self - other).is_zero()
+        )
 
     def __repr__(self):
         return f"VarPoly({self.nvars}, {self.terms!r})"

@@ -18,12 +18,10 @@ Conventions fixed here and asserted by tests:
     z^n for n >= 0 and conj(z)^(-n) for n < 0, each of unit norm for the
     probability measure on the circle.
 
-The Haar quadrature grid (hopf_grid) is cached per size and compact: z1 has
-shape (n_theta, n_phi, 1), z2 (n_theta, 1, n_phi) and the weights
-(n_theta, 1, 1), which broadcast to the full tensor-product grid.
-eval_poly_grid takes each power on the compact array and copies it out to a
-contiguous full-shape array before multiplying, so its values keep the bits
-of an evaluation on full meshgrids.
+On the Hopf grid the monomial z1^a z2^b conj(z1)^c conj(z2)^d is
+z1^a conj(z1)^c, a function of (theta, phi1), times z2^b conj(z2)^d, a
+function of (theta, phi2), so the Haar and Gram quadratures sum the two phi
+axes separately and never evaluate on the full (theta, phi1, phi2) grid.
 """
 
 from __future__ import annotations
@@ -37,14 +35,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParityError, RangeError, ToleranceNotMet
-from .exact import ONE, PiLaurent, VarPoly
+from .exact import ONE, PiLaurent, VarPoly, scalar_is_zero
 from .numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL
 
 # theta and phi nodes of the Hopf grid gram_matrix integrates on
 GRAM_NODES = 24
 
-# variable order for 4-variable polynomials: z1, z2, conj z1, conj z2
-Z1, Z2, Z1C, Z2C = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_FR0 = Fraction(0)
 
 
 class LieGen(Enum):
@@ -126,9 +123,6 @@ class HarmonicSU2:
     def __call__(self, point: SU2Point) -> complex:
         return self.poly.evaluate(point.values())
 
-    def eval_grid(self, values) -> np.ndarray:
-        return eval_poly_grid(self.poly, values)
-
 
 @dataclass(frozen=True)
 class HarmonicSO2:
@@ -161,14 +155,21 @@ def harmonic_su2(n0: int, n: int, k: int) -> HarmonicSU2:
     p = (n + n0) // 2
     m = (n - n0) // 2
     terms: dict = {}
-    inv_binom = Fraction(1, math.comb(n, k))
-    for j in range(0, k + 1):
-        if j > p or (k - j) > m:
-            continue
-        coeff = Fraction((-1) ** (k - j) * math.comb(p, j) * math.comb(m, k - j)) * inv_binom
-        key = (p - j, j, k - j, m - (k - j))
-        terms[key] = PiLaurent.rational(coeff)
+    binom = math.comb(n, k)
+    for j in range(max(0, k - m), min(k, p) + 1):
+        coeff = Fraction((-1) ** (k - j) * math.comb(p, j) * math.comb(m, k - j), binom)
+        terms[(p - j, j, k - j, m - (k - j))] = PiLaurent({0: (coeff, _FR0)})
     return HarmonicSU2(n0, n, k, VarPoly(4, terms))
+
+
+# generator = unit * sum of parts (src, dst, sign) = sign * z_dst d/dz_src, over
+# the variables (z1, z2, conj z1, conj z2); unit None stands for 1
+_LIE_PARTS = {
+    LieGen.LH: (PiLaurent.rational(0, -1), ((0, 0, 1), (2, 2, -1), (1, 1, 1), (3, 3, -1))),
+    LieGen.RH: (PiLaurent.rational(0, 1), ((0, 0, 1), (2, 2, -1), (1, 1, -1), (3, 3, 1))),
+    LieGen.XPLUS: (None, ((0, 1, 1), (3, 2, -1))),
+    LieGen.XMINUS: (None, ((1, 0, 1), (2, 3, -1))),
+}
 
 
 def lie_act_su2(gen: LieGen, h: HarmonicSU2 | VarPoly) -> VarPoly:
@@ -178,31 +179,31 @@ def lie_act_su2(gen: LieGen, h: HarmonicSU2 | VarPoly) -> VarPoly:
     RH     =  i (z1 d1 - conj z1 dbar1 - z2 d2 + conj z2 dbar2)
     Xplus  =  z2 d1 - conj z1 dbar2
     Xminus =  z1 d2 - conj z2 dbar1
+
+    Each part sends a monomial to one monomial times an integer: Xplus sends
+    (a, b, c, d) to a (a-1, b+1, c, d) - d (a, b, c+1, d-1), and LH and RH
+    are diagonal.  The parts are summed in this order, dropping zero sums
+    after each, so keys and float sums come out as from polynomial additions.
     """
+    if gen not in _LIE_PARTS:
+        raise ValueError(f"unknown generator {gen!r}")
     poly = h.poly if isinstance(h, HarmonicSU2) else h
-    d1, d2 = poly.deriv(0), poly.deriv(1)
-    db1, db2 = poly.deriv(2), poly.deriv(3)
-    if gen is LieGen.LH:
-        combo = (
-            d1.mul_monomial(Z1)
-            + db1.mul_monomial(Z1C).scale(-1)
-            + d2.mul_monomial(Z2)
-            + db2.mul_monomial(Z2C).scale(-1)
-        )
-        return combo.scale(PiLaurent.rational(0, -1))
-    if gen is LieGen.RH:
-        combo = (
-            d1.mul_monomial(Z1)
-            + db1.mul_monomial(Z1C).scale(-1)
-            + d2.mul_monomial(Z2).scale(-1)
-            + db2.mul_monomial(Z2C)
-        )
-        return combo.scale(PiLaurent.rational(0, 1))
-    if gen is LieGen.XPLUS:
-        return d1.mul_monomial(Z2) + db2.mul_monomial(Z1C).scale(-1)
-    if gen is LieGen.XMINUS:
-        return d2.mul_monomial(Z1) + db1.mul_monomial(Z2C).scale(-1)
-    raise ValueError(f"unknown generator {gen!r}")
+    unit, parts = _LIE_PARTS[gen]
+    out: dict = {}
+    for src, dst, sign in parts:
+        for key, c in poly.terms.items():
+            e = key[src]
+            if e:
+                nk = list(key)
+                nk[src] -= 1
+                nk[dst] += 1
+                nkey = tuple(nk)
+                term = c * (sign * e)
+                out[nkey] = out[nkey] + term if nkey in out else term
+        out = {key: c for key, c in out.items() if not scalar_is_zero(c)}
+    if unit is not None:
+        out = {key: unit * c for key, c in out.items()}
+    return VarPoly(poly.nvars, out)
 
 
 def norm_su2_closed_exact(n0: int, n: int, k: int) -> Fraction:
@@ -228,27 +229,6 @@ def harmonic_so2(n: int) -> HarmonicSO2:
     return HarmonicSO2(n, VarPoly(2, {key: ONE}))
 
 
-def eval_poly_grid(poly: VarPoly, values) -> np.ndarray:
-    """Evaluate a 4-variable polynomial on numpy grids (Z1, Z2, conj Z1, conj Z2).
-
-    The grids may be compact arrays that broadcast against each other, as
-    hopf_grid returns them.  Each power is taken on the compact array and
-    then copied out to a contiguous full-shape array before it multiplies
-    into the term: numpy's complex multiply can round the last bit
-    differently when one operand is a stride-0 broadcast, and the copy keeps
-    every value equal to an evaluation on full meshgrids.
-    """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-    total = np.zeros(shape, dtype=complex)
-    for key, coeff in poly.complex_terms():
-        term = np.ones_like(total)
-        for v, e in zip(values, key):
-            if e:
-                term = term * np.ascontiguousarray(np.broadcast_to(v**e, shape))
-        total += coeff * term
-    return total
-
-
 @lru_cache(maxsize=None)
 def hopf_grid(n_theta: int, n_phi: int):
     """Gauss-Legendre nodes in theta tensored with periodic trapezoid in phi.
@@ -260,8 +240,7 @@ def hopf_grid(n_theta: int, n_phi: int):
     (n_theta, n_phi, n_phi) grid: z1 and conj z1 have shape
     (n_theta, n_phi, 1), z2 and conj z2 (n_theta, 1, n_phi), and weights
     (n_theta, 1, 1).  Every entry has the bits of the full meshgrid
-    construction.  Grids are cached per size and read-only; at n = 48 one
-    grid holds about 148 KB, where full meshgrids would take about 8 MB.
+    construction.  Grids are cached per size and read-only.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.25 * math.pi * (nodes + 1.0)
@@ -278,18 +257,37 @@ def hopf_grid(n_theta: int, n_phi: int):
     return values, weights
 
 
+def _hopf_factors(keys, n: int):
+    """Factors of the monomials keyed (a, b, c, d) on the n x n Hopf grid.
+
+    Returns (A, ia, B, ib, w): A[s, theta, phi1] = z1^a conj(z1)^c for the
+    distinct pairs (a, c) and ia the pair of each key, B[s, theta, phi2] =
+    z2^b conj(z2)^d and ib likewise for (b, d), and w the theta weights, which
+    carry the phi weights.  Key t is A[ia[t], theta, phi1] B[ib[t], theta, phi2].
+    """
+    values, weights = hopf_grid(n, n)
+    z1, z2, z1c, z2c = (v.reshape(n, n) for v in values)
+    pairs_a, pairs_b = {}, {}
+    ia = np.array([pairs_a.setdefault((a, c), len(pairs_a)) for a, _, c, _ in keys], dtype=int)
+    ib = np.array([pairs_b.setdefault((b, d), len(pairs_b)) for _, b, _, d in keys], dtype=int)
+    A = np.array([z1**a * z1c**c for a, c in pairs_a], dtype=complex).reshape(-1, n, n)
+    B = np.array([z2**b * z2c**d for b, d in pairs_b], dtype=complex).reshape(-1, n, n)
+    return A, ia, B, ib, weights.ravel()
+
+
 def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
     """Integral against probability Haar measure on SU(2).
 
-    The exact polynomial is evaluated on the whole Hopf grid at once.  The
-    grid starts at 12 x 12 and doubles until two successive levels agree
-    within ten times the package's quadrature tolerances.
+    A level sums c_t w (sum_phi1 A)(sum_phi2 B) over the terms t, with A and B
+    the factors of term t (see _hopf_factors), and the theta nodes w, from a
+    12 x 12 grid doubling until two levels agree within ten times QUAD_*_TOL.
     """
     poly = f.poly if isinstance(f, HarmonicSU2) else f
+    coeffs = np.array([c for _, c in poly.complex_terms()], dtype=complex)
 
     def level(n: int) -> complex:
-        values, weights = hopf_grid(n, n)
-        return complex(np.sum(eval_poly_grid(poly, values) * weights))
+        A, ia, B, ib, w = _hopf_factors(poly.terms, n)
+        return complex(np.sum(coeffs[:, None] * A.sum(axis=2)[ia] * B.sum(axis=2)[ib] * w))
 
     n = 12
     prev = level(n)
@@ -305,15 +303,16 @@ def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
 
 
 def gram_matrix(harms: list[HarmonicSU2]) -> np.ndarray:
-    """Quadrature Gram matrix <h_i, h_j> for a list of harmonics on the
-    GRAM_NODES x GRAM_NODES Hopf grid."""
-    values, weights = hopf_grid(GRAM_NODES, GRAM_NODES)
-    flat_w = np.broadcast_to(weights, (GRAM_NODES,) * 3).ravel()
-    rows = np.empty((len(harms), flat_w.size), dtype=complex)
-    for i, h in enumerate(harms):
-        rows[i] = eval_poly_grid(h.poly, values).ravel()
-    # conjugate in place: weighted @ conj(rows).T is the same F-ordered
-    # operand as conj(rows.T), without a third array of the grid's size
-    weighted = rows * flat_w
-    np.conj(rows, out=rows)
-    return weighted @ rows.T
+    """Quadrature Gram matrix <h_i, h_j> on the GRAM_NODES x GRAM_NODES Hopf grid:
+    C M C^H, C the coefficients over the distinct monomials t and M_tu =
+    sum_theta w (sum_phi1 A_t conj A_u)(sum_phi2 B_t conj B_u) (see _hopf_factors)."""
+    keys = list(dict.fromkeys(key for h in harms for key in h.poly.terms))
+    rows = [dict(h.poly.complex_terms()) for h in harms]
+    C = np.array([[row.get(key, 0) for key in keys] for row in rows], dtype=complex)
+    A, ia, B, ib, w = _hopf_factors(keys, GRAM_NODES)
+    # einsum, not matmul: each call into a threaded BLAS can wait for an idle
+    # worker thread, and the products here are small
+    PA = np.einsum("sqp,rqp->qsr", A, A.conj())
+    PB = np.einsum("sqp,rqp->qsr", B, B.conj())
+    M = np.einsum("q,qtu,qtu->tu", w, PA[:, ia[:, None], ia], PB[:, ib[:, None], ib])
+    return np.einsum("iu,ju->ij", np.einsum("it,tu->iu", C, M), C.conj())

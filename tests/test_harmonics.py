@@ -1,19 +1,24 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intertwine import harmonics, verify
 from intertwine.errors import ParityError, RangeError
 from intertwine.exact import PiLaurent, VarPoly
 from intertwine.harmonics import (
+    GRAM_NODES,
+    HarmonicSU2,
     LieGen,
     SU2Point,
     W_INV_POINT,
-    eval_poly_grid,
+    _hopf_factors,
     gram_matrix,
     haar_integrate_su2,
     harmonic_so2,
@@ -26,7 +31,6 @@ from intertwine.harmonics import (
     su2_from_integers,
 )
 from intertwine.numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL, quad_halfline
-from intertwine.verify import ACCEPTANCE_SIZES
 
 
 def conj_poly(poly: VarPoly) -> VarPoly:
@@ -148,9 +152,10 @@ def test_haar_moment_via_polar_identity():
 
 
 # ---------------------------------------------------------------------------
-# the compact Hopf grid against the full meshgrid construction, bit for bit
+# the separable Hopf-grid quadrature against the full meshgrid construction
 
 
+@lru_cache(maxsize=None)
 def _meshgrid_hopf(n_theta: int, n_phi: int):
     """The Hopf grid as full (n_theta, n_phi, n_phi) meshgrids."""
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
@@ -179,8 +184,13 @@ def _eval_full(poly: VarPoly, values) -> np.ndarray:
     return total
 
 
-def _haar_full(level) -> complex:
+def _haar_full(poly: VarPoly) -> complex:
     """haar_integrate_su2's doubling loop over full-grid level values."""
+
+    def level(n):
+        values, weights = _meshgrid_hopf(n, n)
+        return complex(np.sum(_eval_full(poly, values) * weights))
+
     n = 12
     prev = level(n)
     for _ in range(QUAD_MAX_HALVINGS):
@@ -195,6 +205,10 @@ def _haar_full(level) -> complex:
 def _norm_integrand(n0: int, n: int, k: int) -> VarPoly:
     h = harmonic_su2(n0, n, k)
     return h.poly * conj_poly(h.poly)
+
+
+def _su2_triples(n_max: int):
+    return [(n0, n, k) for n in range(n_max + 1) for n0 in range(-n, n + 1, 2) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("n_theta,n_phi", [(12, 12), (24, 24), (48, 48), (16, 20)])
@@ -218,56 +232,141 @@ def test_hopf_grid_cached_and_read_only():
 
 
 @pytest.mark.parametrize("n_theta", [12, 24, 48])
-def test_eval_poly_grid_equals_full_grid(n_theta):
-    values = hopf_grid(n_theta, n_theta)[0]
-    ref_values = _meshgrid_hopf(n_theta, n_theta)[0]
-    for triple in ACCEPTANCE_SIZES.norm_triples:
-        poly = _norm_integrand(*triple)
-        assert np.array_equal(eval_poly_grid(poly, values), _eval_full(poly, ref_values))
+def test_hopf_factors_equal_full_grid(n_theta):
+    # A(theta, phi1) B(theta, phi2) is the monomial on the full grid, and the
+    # theta weights are the full grid's weights
+    keys = list(dict.fromkeys(key for triple in _su2_triples(4) for key in _norm_integrand(*triple).terms))
+    A, ia, B, ib, w = _hopf_factors(keys, n_theta)
+    # one factor per distinct (a, c) and per distinct (b, d) pair
+    assert A.shape == (len({(a, c) for a, _, c, _ in keys}), n_theta, n_theta)
+    assert B.shape == (len({(b, d) for _, b, _, d in keys}), n_theta, n_theta)
+    ref_values, ref_weights = _meshgrid_hopf(n_theta, n_theta)
+    assert np.array_equal(np.broadcast_to(w[:, None, None], ref_weights.shape), ref_weights)
+    for t, key in enumerate(keys):
+        ref = _eval_full(VarPoly.monomial(4, key), ref_values)
+        assert abs(A[ia[t], :, :, None] * B[ib[t], :, None, :] - ref).max() < 1e-15
 
 
 def _harmonics_through_four():
     """The 55 normalized harmonics with n <= 4 of the harmonics suite's Gram check."""
-    return [
-        normalized_harmonic_su2(n0, n, k)
-        for n in range(5)
-        for n0 in range(-n, n + 1, 2)
-        for k in range(n + 1)
-    ]
+    return [normalized_harmonic_su2(*triple) for triple in _su2_triples(4)]
 
 
-def test_gram_matrix_equals_full_grid():
+def test_gram_matrix_matches_full_grid():
+    # the same 24 x 24 rule summed in another order: 1.3e-15 at worst
     harms = _harmonics_through_four()
     assert len(harms) == 55
     ref_values, ref_weights = _meshgrid_hopf(24, 24)
     rows = np.array([_eval_full(h.poly, ref_values).ravel() for h in harms])
     ref = (rows * ref_weights.ravel()) @ np.conj(rows.T)
-    assert np.array_equal(gram_matrix(harms), ref)
+    assert abs(gram_matrix(harms) - ref).max() < 1e-14
 
 
 def test_gram_matrix_peak_memory():
     harms = _harmonics_through_four()
     gram_matrix(harms)  # fill the grid and coefficient caches
-    rows_nbytes = len(harms) * 24**3 * np.dtype(complex).itemsize
+    rows_nbytes = len(harms) * GRAM_NODES**3 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         gram_matrix(harms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sampled rows and their weighted copy; no third grid-sized array
-    assert peak < 2.2 * rows_nbytes
+    # below the harmonics sampled on the full grid, which a full-grid
+    # evaluation has to hold at least once
+    assert peak < rows_nbytes
 
 
-def test_haar_polynomial_path_equals_full_grid():
-    for triple in ACCEPTANCE_SIZES.norm_triples:
+def test_haar_norm_integrands_match_full_grid():
+    # every norm integrand with n <= 6: 1.8e-15 relative at worst
+    for triple in _su2_triples(6):
         poly = _norm_integrand(*triple)
+        ref = _haar_full(poly)
+        assert abs(haar_integrate_su2(poly) - ref) < 1e-14 * abs(ref)
 
-        def level(n):
-            values, weights = _meshgrid_hopf(n, n)
-            return complex(np.sum(_eval_full(poly, values) * weights))
 
-        assert haar_integrate_su2(poly) == _haar_full(level)
+def test_haar_monomial_moments_exact():
+    # int |z1|^2a |z2|^2b dk = a! b! / (a + b + 1)!, and every monomial with a
+    # phase integrates to zero
+    for a, b in itertools.product(range(5), repeat=2):
+        exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+        got = haar_integrate_su2(VarPoly.monomial(4, (a, b, a, b)))
+        assert abs(got - exact) < 1e-14 * exact
+    for key in itertools.product(range(5), repeat=4):
+        if key[:2] != key[2:]:
+            assert abs(haar_integrate_su2(VarPoly.monomial(4, key))) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the checks of the harmonics suite can fail
+
+
+def _case(report, key):
+    return next(c for c in report.cases if c.key == key)
+
+
+def test_gram_identity_catches_one_perturbed_coefficient(monkeypatch):
+    def perturbed(n0, n, k):
+        h = normalized_harmonic_su2(n0, n, k)
+        if (n0, n, k) != (0, 4, 0):
+            return h
+        ((key, c),) = h.poly.terms.items()  # z1^2 conj(z2)^2, one term
+        return HarmonicSU2(n0, n, k, VarPoly(4, {key: c * (1 + 1e-6)}))
+
+    assert _case(verify.suite_harmonics(), "harmonics/gram-identity").passed
+    monkeypatch.setattr(verify, "normalized_harmonic_su2", perturbed)
+    assert not _case(verify.suite_harmonics(), "harmonics/gram-identity").passed
+
+
+def test_ladder_exact_catches_a_sign_flip(monkeypatch):
+    # Xplus with +d (a, b, c+1, d-1) in place of -d (a, b, c+1, d-1)
+    assert _case(verify.suite_harmonics(), "harmonics/ladder-exact").passed
+    monkeypatch.setitem(harmonics._LIE_PARTS, LieGen.XPLUS, (None, ((0, 1, 1), (3, 2, 1))))
+    assert not _case(verify.suite_harmonics(), "harmonics/ladder-exact").passed
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Lie action against derivatives and monomial multiplications
+
+_Z1, _Z2, _Z1C, _Z2C = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
+def _lie_act_composed(gen: LieGen, poly: VarPoly) -> VarPoly:
+    """Each generator as sums of deriv and mul_monomial polynomials."""
+    d1, d2 = poly.deriv(0), poly.deriv(1)
+    db1, db2 = poly.deriv(2), poly.deriv(3)
+    if gen is LieGen.LH:
+        combo = (
+            d1.mul_monomial(_Z1)
+            + db1.mul_monomial(_Z1C).scale(-1)
+            + d2.mul_monomial(_Z2)
+            + db2.mul_monomial(_Z2C).scale(-1)
+        )
+        return combo.scale(PiLaurent.rational(0, -1))
+    if gen is LieGen.RH:
+        combo = (
+            d1.mul_monomial(_Z1)
+            + db1.mul_monomial(_Z1C).scale(-1)
+            + d2.mul_monomial(_Z2).scale(-1)
+            + db2.mul_monomial(_Z2C)
+        )
+        return combo.scale(PiLaurent.rational(0, 1))
+    if gen is LieGen.XPLUS:
+        return d1.mul_monomial(_Z2) + db2.mul_monomial(_Z1C).scale(-1)
+    return d2.mul_monomial(_Z1) + db1.mul_monomial(_Z2C).scale(-1)
+
+
+def _assert_same_action(poly: VarPoly):
+    for gen in LieGen:
+        got, ref = lie_act_su2(gen, poly), _lie_act_composed(gen, poly)
+        assert got.terms == ref.terms
+        assert list(got.terms) == list(ref.terms)
+
+
+def test_lie_action_equals_composition_on_harmonics():
+    for triple in _su2_triples(6):
+        _assert_same_action(harmonic_su2(*triple).poly)
+        _assert_same_action(normalized_harmonic_su2(*triple).poly)
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +419,9 @@ def test_varpoly_evaluate_matches_conversion_per_call(terms, values):
         ref += prod
     assert repr(poly.evaluate(values)) == repr(ref)
     assert repr(poly.evaluate(values)) == repr(ref)  # a second call reads the cached view
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 4), pi_laurent, max_size=8))
+def test_lie_action_equals_composition_on_drawn_polynomials(terms):
+    _assert_same_action(VarPoly(4, terms))
