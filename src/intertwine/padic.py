@@ -14,9 +14,12 @@ exactly in integer limbs and rounds it once (the value math.fsum gives), so
 sums are exact up to a rounding floor near 1e-15.  The int64 products bound
 the domain: a unit integral whose denominator times p^depth reaches 2^63
 raises RangeError.
-Gauss sums are cached on (chi, psi), and unit integrals on (chi, psi, t),
-since neighbouring brute-force points share shells.  Functions on the
-multiplicative group are finite linear combinations of two kinds of atoms,
+Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
+(chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
+for the trivial character r is 1 (0 when b = 0), since its sum has the same
+terms for every unit A.  Brute-force points whose shells have the same terms
+therefore share one sum.  Functions on the multiplicative group are finite
+linear combinations of two kinds of atoms,
 
     [chi, n]   supported on p^n * units, value chi(unit part),
     [1, >= n]  the indicator of p^n * integers,
@@ -125,15 +128,22 @@ def root_of_unity_sum(numerators, den: int) -> complex:
     summed exactly and rounded once (_ExactSum), so the total is the one
     math.fsum gives and does not depend on the order of the terms.
     """
-    if not 0 < den < 2**53:
-        raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
     try:
         k = np.asarray(numerators, dtype=np.int64)
     except OverflowError:
         raise RangeError("root-of-unity numerators must fit in int64") from None
+    return _root_sum((k[start : start + _SUM_BLOCK] for start in range(0, k.size, _SUM_BLOCK)), den)
+
+
+def _root_sum(blocks, den: int) -> complex:
+    """root_of_unity_sum of numerators handed over as int64 arrays of at most
+    _SUM_BLOCK entries each, so that a caller can build them one block at a
+    time."""
+    if not 0 < den < 2**53:
+        raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
     sums = _ExactSum(2)
-    for start in range(0, k.size, _SUM_BLOCK):
-        theta = np.remainder(k[start : start + _SUM_BLOCK], den) / den
+    for k in blocks:
+        theta = np.remainder(k, den) / den
         theta *= 2 * math.pi
         terms = np.empty((2, theta.size))
         np.cos(theta, out=terms[0])
@@ -200,7 +210,8 @@ def _unit_powers(p: int, depth: int) -> np.ndarray:
 
     Filled by doubling, out[n:2n] = out[:n] g^n mod p^depth, in uint64: the
     products stay below p^(2 depth), which is < 2^64 on the domain of
-    _unit_integral.  Read-only, since every caller shares it.
+    _unit_sum.  The residues are below 2^63, so the result is the same
+    buffer viewed as int64.  Read-only, since every caller shares it.
     """
     g, mod = unit_generator(p), p**depth
     phi = (p - 1) * p ** (depth - 1)
@@ -211,37 +222,40 @@ def _unit_powers(p: int, depth: int) -> np.ndarray:
         step = min(n, phi - n)
         out[n : n + step] = out[:step] * np.uint64(pow(g, n, mod)) % np.uint64(mod)
         n += step
-    out = out.astype(np.int64)
+    out = out.view(np.int64)
     out.flags.writeable = False
     return out
 
 
+def _p_split(x, p: int) -> tuple[int | None, int, int]:
+    """(v, num, den) with x = p^v num / den and num, den prime to p, for an
+    int or a Fraction (any other rational goes through Fraction); (None, 0, 1)
+    for zero."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        return None, 0, 1
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def val_p(x: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational (None for zero)."""
-    if x == 0:
-        return None
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _p_split(x, p)[0]
 
 
 def unit_residue(x: Fraction, p: int, m: int) -> int:
     """Residue mod p^m of the unit part of x = p^v * u."""
-    if x == 0:
+    v, num, den = _p_split(x, p)
+    if v is None:
         raise ValueError("zero has no unit part")
-    num = x.numerator
-    den = x.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
     mod = p**m
     return (num * pow(den, -1, mod)) % mod
 
@@ -325,20 +339,41 @@ class MultChar:
         """Exact angle t with chi(u) = exp(2 pi i t)."""
         if self.cond == 0:
             return Fraction(0)
-        if isinstance(u, Fraction):
-            res = unit_residue(u, self.p, self.cond)
-        else:
-            res = int(u) % self.modulus
-        if res % self.p == 0:
-            raise ValueError(f"{u} is not a unit mod {self.modulus}")
         phi = (self.p - 1) * self.p ** (self.cond - 1)
-        k = _dlog_table(self.p, self.cond)[res]
-        return Fraction(self.a * k, phi)
+        return Fraction(self.a * self._log(*self._unit_parts(u)), phi)
 
     def value(self, u) -> complex:
+        """chi(u) for an int unit u, or of the unit part of a Fraction u."""
         if self.cond == 0:
             return 1.0 + 0j
-        return e_of(self.angle(u))
+        return self._unit_value(*self._unit_parts(u))
+
+    def _unit_parts(self, u) -> tuple[int, int]:
+        """(num, den), both prime to p: an int unit over 1, or the unit part
+        of a Fraction."""
+        if isinstance(u, Fraction):
+            v, num, den = _p_split(u, self.p)
+            if v is None:
+                raise ValueError("zero has no unit part")
+            return num, den
+        if int(u) % self.p == 0:
+            raise ValueError(f"{u} is not a unit mod {self.modulus}")
+        return int(u), 1
+
+    def _log(self, num: int, den: int) -> int:
+        """k with g^k = num / den mod p^cond, for num and den prime to p."""
+        mod = self.modulus
+        return _dlog_table(self.p, self.cond)[num * pow(den, -1, mod) % mod]
+
+    def _unit_value(self, num: int, den: int) -> complex:
+        """chi(num / den) for num and den prime to p, chi ramified.
+
+        The angle a k / phi(p^cond) mod 1 becomes a float by int true
+        division, which is correctly rounded, so this is e_of of the exact
+        angle to the bit, without building a Fraction.
+        """
+        phi = (self.p - 1) * self.p ** (self.cond - 1)
+        return cmath.exp(2j * math.pi * ((self.a * self._log(num, den) % phi) / phi))
 
     def at_minus_one(self) -> float:
         """chi(-1) = (-1)^a; -1 is the half-order point of the cyclic group."""
@@ -434,11 +469,12 @@ def _canon_atom(atom: Atom) -> list[tuple[float, Atom]]:
     return [(1.0, atom)]
 
 
-def _atom_value(atom: Atom, x: Fraction, v: int | None) -> complex:
-    """Value of an atom at x, where v = val_p(x) (None for x = 0)."""
+def _atom_value(atom: Atom, split: tuple[int | None, int, int]) -> complex:
+    """Value of an atom at the point x whose _p_split is split."""
+    v, num, den = split
     if isinstance(atom, TailAtom):
         return 1.0 if v is None or v >= atom.n else 0.0
-    return atom.chi.value(x) if v == atom.n else 0.0
+    return atom.chi._unit_value(num, den) if v == atom.n else 0.0
 
 
 class SimpleFunction:
@@ -470,11 +506,10 @@ class SimpleFunction:
         )
 
     def evaluate(self, x: Fraction) -> complex:
-        x = Fraction(x)
-        v = val_p(x, self.p)
+        split = _p_split(x, self.p)
         total = 0j
         for atom, coeff in self.terms.items():
-            total += coeff * _atom_value(atom, x, v)
+            total += coeff * _atom_value(atom, split)
         return total
 
     def negate_argument(self) -> "SimpleFunction":
@@ -491,15 +526,19 @@ class SimpleFunction:
         return f"SimpleFunction(p={self.p}, {self.terms!r})"
 
 
-@lru_cache(maxsize=None)
 def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     """int over units of chi(y) psi(-t y) dy (additive measure), exact.
 
-    With p^c(psi) t = A / p^b reduced, the integrand is constant on residues
-    mod p^depth, depth = max(c(chi), b, 1).  The units there are walked as
-    powers y = g^j of the fixed generator, so chi(y) = e(a j / phi(p^c(chi)))
-    needs no discrete log, and psi(-t y) = e(-A y / p^b); both angles are
-    integers over the common denominator (p - 1) p^max(c(chi) - 1, b).
+    With p^c(psi) t = A / p^b reduced, the integrand chi(y) e(-A y / p^b) is
+    constant on residues mod p^depth, depth = max(c(chi), b, 1), so the
+    integral is p^(-depth) C(psi)^(-1/2) times _unit_sum(chi, b, r), where
+    r = A mod p^b gives the same angles as A.
+
+    For the trivial character r is 1 (0 when b = 0).  A is then a unit mod
+    p^b, and y -> A y permutes the units mod p^b, so the angles -A y / p^b
+    form the same multiset for every A.  The kernel's sum is exact and does
+    not depend on the order of its terms, so every A gets the A = 1 sum to
+    the bit.  That sum is still taken term by term, not by a closed form.
     """
     p = chi.p
     shift = t * p**psi.c
@@ -507,6 +546,23 @@ def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     b = -v if v is not None and v < 0 else 0
     if shift.denominator != p**b:
         raise ValueError(f"{t} is not a p-adic rational at p = {p}")
+    r = 1 if chi.cond == 0 and b > 0 else shift.numerator % p**b
+    depth = max(chi.cond, b, 1)
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * _unit_sum(chi, b, r)
+
+
+@lru_cache(maxsize=None)
+def _unit_sum(chi: MultChar, b: int, r: int) -> complex:
+    """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
+    depth = max(c(chi), b, 1).
+
+    The units are walked as powers y = g^j of the fixed generator, so
+    chi(y) = e(a j / phi(p^c(chi))) needs no discrete log; both angles are
+    integers over the common denominator (p - 1) p^max(c(chi) - 1, b).  The
+    numerators go to the kernel one _SUM_BLOCK at a time, so a deep shell
+    never holds a full-length array of them.
+    """
+    p = chi.p
     depth = max(chi.cond, b, 1)
     top = max(chi.cond - 1, b)
     den, mod = (p - 1) * p**top, p**depth
@@ -516,12 +572,19 @@ def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
             "(angle denominator times p^depth >= 2^63)"
         )
     chi_step = chi.a * p ** (top - chi.cond + 1) % den
-    psi_step = shift.numerator * (p - 1) * p ** (top - b) % den
-    # both terms lie in [0, den * mod), so k never leaves int64
-    k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
-    k *= chi_step
-    k -= psi_step * _unit_powers(p, depth)
-    return p ** (-depth) * psi.conductor_value ** (-0.5) * root_of_unity_sum(k, den)
+    psi_step = r * (p - 1) * p ** (top - b) % den
+    powers = _unit_powers(p, depth)
+
+    def numerators():
+        # both terms lie in [0, den * mod), so k never leaves int64
+        for start in range(0, powers.size, _SUM_BLOCK):
+            units = powers[start : start + _SUM_BLOCK]
+            k = np.arange(start, start + units.size, dtype=np.int64)
+            k *= chi_step
+            k -= psi_step * units
+            yield k
+
+    return _root_sum(numerators(), den)
 
 
 @lru_cache(maxsize=None)
@@ -556,8 +619,8 @@ def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
     [chi, n]   -> p^(-n) G(chi, psi) [chi^(-1), -n - c(psi) - c(chi)]
     [1, >= n]  -> p^(-n) C(psi)^(-1/2) [1, >= -n - c(psi)]
 
-    A trivial-character shell atom is first rewritten as a difference of two
-    tail atoms.
+    Every shell atom of f is ramified: SimpleFunction rewrites a
+    trivial-character one as a difference of two tail atoms.
     """
     p = f.p
     out = []
@@ -565,11 +628,6 @@ def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
         if isinstance(atom, TailAtom):
             n = atom.n
             out.append((coeff * p ** (-n) * psi.conductor_value ** (-0.5), TailAtom(-n - psi.c)))
-        elif atom.chi.cond == 0:
-            for n, sgn in ((atom.n, 1.0), (atom.n + 1, -1.0)):
-                out.append(
-                    (sgn * coeff * p ** (-n) * psi.conductor_value ** (-0.5), TailAtom(-n - psi.c))
-                )
         else:
             n, chi = atom.n, atom.chi
             out.append(
@@ -597,13 +655,11 @@ def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
         return p ** (-k) * _unit_integral(chi, psi, Fraction(p) ** k * x)
 
     if x == 0:
-        # plain integral of f
+        # plain integral of f; a ramified shell atom integrates to zero
         total = 0j
         for atom, coeff in f.terms.items():
             if isinstance(atom, TailAtom):
                 total += coeff * p ** (-atom.n) * psi.conductor_value ** (-0.5)
-            elif atom.chi.cond == 0:
-                total += coeff * p ** (-atom.n) * (1 - Fraction(1, p)) * psi.conductor_value ** (-0.5)
         return total
 
     total = 0j
@@ -654,14 +710,13 @@ class TensorSimpleFunction:
         return TensorSimpleFunction(self.p, items)
 
     def evaluate(self, x: Fraction, y: Fraction) -> complex:
-        x, y = Fraction(x), Fraction(y)
-        vx, vy = val_p(x, self.p), val_p(y, self.p)
+        sx, sy = _p_split(x, self.p), _p_split(y, self.p)
         total = 0j
         for (a, b), coeff in self.terms.items():
-            fa = _atom_value(a, x, vx)
+            fa = _atom_value(a, sx)
             if fa == 0:
                 continue
-            total += coeff * fa * _atom_value(b, y, vy)
+            total += coeff * fa * _atom_value(b, sy)
         return total
 
     def fourier_hat(self, psi: AddChar) -> "TensorSimpleFunction":
@@ -696,12 +751,9 @@ def _atom_inner(a: Atom, b: Atom, p: int, psi: AddChar) -> float:
         if a.n != b.n:
             return 0.0
         return p ** (-a.n) * unit_vol if a.chi == b.chi else 0.0
-    if isinstance(a, CharAtom) and isinstance(b, TailAtom):
-        if a.n < b.n or a.chi.cond:
-            return 0.0
-        return p ** (-a.n) * unit_vol
-    if isinstance(a, TailAtom) and isinstance(b, CharAtom):
-        return _atom_inner(b, a, p, psi)
+    if isinstance(a, CharAtom) or isinstance(b, CharAtom):
+        # a ramified character integrates to zero over the units
+        return 0.0
     return p ** (-max(a.n, b.n)) * psi.conductor_value ** (-0.5)
 
 
@@ -868,25 +920,25 @@ def level_membership(phi: TensorSimpleFunction, params: FiniteParams, level: int
     mod = p**depth
     g = unit_generator(p)
     units = [1, g % mod, pow(g, 7, mod)]
-    # sample sphere points: one coordinate a unit, valuations up to level + 1
-    pts: list[tuple[Fraction, Fraction]] = []
+    # sample sphere points, all integers: one coordinate a unit, valuations
+    # up to level + 1
+    pts: list[tuple[int, int]] = []
     for vx in range(0, level + 2):
         for ux in units:
-            pts.append((Fraction(ux * p**vx), Fraction(1)))
-            pts.append((Fraction(1), Fraction(ux * p**vx)))
+            pts.append((ux * p**vx, 1))
+            pts.append((1, ux * p**vx))
     translations = [0, 1, g % mod, p, p * p, mod - 1]
+    xi_inv, oxi = params.xi.inverse(), params.omega_xi_inv
+    twists = [(u1, u2, xi_inv.value(u1) * oxi.value(u2)) for u1 in units for u2 in units]
 
     def close(a: complex, b: complex) -> bool:
         return abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
     for x, y in pts:
         base = phi.evaluate(x, y)
-        for u1 in units:
-            for u2 in units:
-                lhs = phi.evaluate(u1 * x, u2 * y)
-                rhs = params.xi.inverse().value(u1) * params.omega_xi_inv.value(u2) * base
-                if not close(lhs, rhs):
-                    return False
+        for u1, u2, twist in twists:
+            if not close(phi.evaluate(u1 * x, u2 * y), twist * base):
+                return False
         for t in translations:
             if not close(phi.evaluate(x, y + t * x), base):
                 return False
@@ -1017,8 +1069,8 @@ def tate_integral_padic(
     value is exact (no truncation).
     """
     p = phi.p
-    x0, y0 = Fraction(row[0]), Fraction(row[1])
-    vx, vy = val_p(x0, p), val_p(y0, p)
+    sx, sy = _p_split(row[0], p), _p_split(row[1], p)
+    vx, vy = sx[0], sy[0]
     unit_vol = psi.conductor_value ** (-0.5)
     lq = math.log(p)
 
@@ -1051,12 +1103,12 @@ def tate_integral_padic(
         # combined unit character: chi_a chi_b eta must be trivial to survive
         prod = eta
         phase = 1.0 + 0j
-        if isinstance(a, CharAtom) and a.chi.cond:
+        if isinstance(a, CharAtom):
             prod = prod * a.chi
-            phase *= a.chi.value(x0)
-        if isinstance(b, CharAtom) and b.chi.cond:
+            phase *= a.chi._unit_value(sx[1], sx[2])
+        if isinstance(b, CharAtom):
             prod = prod * b.chi
-            phase *= b.chi.value(y0)
+            phase *= b.chi._unit_value(sy[1], sy[2])
         if not prod.is_trivial():
             continue
         if pinned is not None:

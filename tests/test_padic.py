@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intertwine import padic
 from intertwine.errors import ConductorError, InconsistentRatio, RangeError
 from intertwine.padic import (
     _SUM_BLOCK,
     _ExactSum,
+    _unit_integral,
     _unit_powers,
+    _unit_sum,
     AddChar,
     CharAtom,
     FiniteParams,
@@ -22,6 +26,7 @@ from intertwine.padic import (
     TensorSimpleFunction,
     classical_vector,
     dim_ktype_finite,
+    e_of,
     fourier_atom,
     fourier_bruteforce,
     g_normalized,
@@ -109,6 +114,70 @@ def test_char_group_operations():
     prm = params_for(5, "both-trivial-twist")
     assert prm.twist_char.is_trivial()
     assert not params_for(5, "both").twist_char.is_trivial()
+
+
+@st.composite
+def ramified_chars(draw):
+    """A ramified character of conductor <= 3 at p in {3, 5, 7, 11}."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    cond = draw(st.integers(1, 3))
+    phi = (p - 1) * p ** (cond - 1)
+    a = draw(st.integers(1, phi - 1).filter(lambda a: cond == 1 or a % p))
+    return MultChar(p, cond, a)
+
+
+# nonzero signed numerators of p-adic rationals num * p^k
+NUMERATORS = st.integers(-(10**9), 10**9).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramified_chars(), NUMERATORS, st.integers(-4, 4))
+def test_char_value_is_e_of_exact_angle(chi, num, k):
+    p = chi.p
+    x = Fraction(num) * Fraction(p) ** k
+    assert chi.value(x) == e_of(chi.angle(x))
+    if num % p:
+        assert chi.value(num) == e_of(chi.angle(num))
+        assert chi.value(num) == chi.value(Fraction(num))
+    # one atom at the valuation of x takes chi of its unit part
+    v = val_p(x, p)
+    assert SimpleFunction(p, [(1.0, CharAtom(chi, v))]).evaluate(x) == e_of(chi.angle(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramified_chars(), st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9), st.integers(0, 3))
+def test_evaluate_same_for_int_and_fraction(chi, n, m, k):
+    p = chi.p
+    n *= p**k
+    line = SimpleFunction(
+        p,
+        [(1.5 - 0.5j, CharAtom(chi, k)), (2.0, TailAtom(-1)), (1j, CharAtom(chi.inverse(), 0)), (0.25, TailAtom(k + 1))],
+    )
+    plane = TensorSimpleFunction(
+        p,
+        [
+            (1.0 + 2j, CharAtom(chi, k), TailAtom(0)),
+            (-0.5, TailAtom(k), CharAtom(chi.inverse(), 0)),
+            (3.0, CharAtom(chi, 0), CharAtom(chi, 0)),
+            (0.75j, TailAtom(0), TailAtom(1)),
+        ],
+    )
+    assert line.evaluate(n) == line.evaluate(Fraction(n))
+    assert plane.evaluate(n, m) == plane.evaluate(Fraction(n), Fraction(m))
+    assert plane.evaluate(m, n) == plane.evaluate(Fraction(m), Fraction(n))
+
+
+def test_char_value_rejects_non_units():
+    chi = MultChar(5, 2, 3)
+    for u in (0, 5, -10, 125):
+        with pytest.raises(ValueError):
+            chi.value(u)
+        with pytest.raises(ValueError):
+            chi.angle(u)
+    with pytest.raises(ValueError):
+        chi.value(Fraction(0))
+    # a Fraction carries its unit part past any power of p
+    assert chi.value(Fraction(5 * 7, 25)) == chi.value(7)
 
 
 def test_addchar_values():
@@ -233,6 +302,80 @@ ROOT_SUM_CASES = [
 ]
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_trivial_character_sum_is_the_same_for_every_unit():
+    # y -> A y permutes the units mod p^b, so the exact sum of e(-A y / p^b)
+    # must not move by a bit; the p = 7, b = 5 case takes a spread sample of
+    # units, since all 14 406 of them cost ~20 s
+    for p in (3, 5, 7):
+        one = MultChar.trivial(p)
+        for b in range(1, 6):
+            ref = _bits(_unit_sum(one, b, 1))
+            stride = 41 if p**b > 5000 else 1
+            for unit in range(1, p**b, stride):
+                if unit % p:
+                    assert _bits(_unit_sum.__wrapped__(one, b, unit)) == ref, (p, b, unit)
+
+
+def _unit_integral_direct(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
+    """_unit_integral from the unreduced numerator A of p^c(psi) t = A / p^b,
+    as one full-length numerator array and no shared sums."""
+    p = chi.p
+    shift = t * p**psi.c
+    v = val_p(shift, p)
+    b = -v if v is not None and v < 0 else 0
+    depth = max(chi.cond, b, 1)
+    top = max(chi.cond - 1, b)
+    den = (p - 1) * p**top
+    chi_step = chi.a * p ** (top - chi.cond + 1) % den
+    psi_step = shift.numerator * (p - 1) * p ** (top - b) % den
+    k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
+    k *= chi_step
+    k -= psi_step * _unit_powers(p, depth)
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * root_of_unity_sum(k, den)
+
+
+def test_unit_integral_matches_direct_formula_bit_for_bit():
+    for p in (3, 5):
+        chars = [MultChar.trivial(p)]
+        for m in (1, 2, 3):
+            prim = MultChar.all_primitive(p, m)
+            chars += dict.fromkeys([prim[0], prim[1 % len(prim)], prim[-1]])
+        for psi_c in (0, 1, 2):
+            psi = AddChar(p, psi_c)
+            for chi in chars:
+                for n in range(-6, 1):
+                    for u in (1, 2, p + 2, -1):
+                        t = Fraction(u) * Fraction(p) ** n
+                        assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
+
+
+def test_bruteforce_sums_each_trivial_shell_once(monkeypatch):
+    # the suite's transform check: units 1, 2 and p + 2 at each valuation
+    # have the same trivial-character shells, so each depth is summed once
+    calls = Counter()
+    raw = _unit_sum.__wrapped__
+
+    def counted(chi, b, r):
+        if chi.cond == 0:
+            calls[chi.p, b] += 1
+        return raw(chi, b, r)
+
+    monkeypatch.setattr(padic, "_unit_sum", lru_cache(maxsize=None)(counted))
+    for p in (3, 5, 7):
+        chi, one = MultChar(p, 1, 1), MultChar.trivial(p)
+        f = SimpleFunction(p, [(1.5 - 0.5j, CharAtom(chi, 1)), (2.0, TailAtom(-1)), (1j, CharAtom(one, 0))])
+        points = [Fraction(u) * Fraction(p) ** v for v in range(-6, 7) for u in (1, 2, p + 2)] + [Fraction(0)]
+        for psi_c in (0, 1):
+            for x in points:
+                fourier_bruteforce(f, AddChar(p, psi_c), x)
+    assert max(b for _, b in calls) == 7
+    assert set(calls.values()) == {1}
+
+
 def test_root_of_unity_sum_matches_termwise_reference():
     for nums, den in ROOT_SUM_CASES:
         ref = _root_of_unity_sum_reference([int(k) for k in nums], den)
@@ -323,6 +466,7 @@ def test_unit_powers_walk_every_unit():
             mod = p**d
             phi = (p - 1) * p ** (d - 1)
             powers = _unit_powers(p, d)
+            assert powers.dtype == np.int64 and not powers.flags.writeable
             assert powers.tolist() == [pow(g, j, mod) for j in range(phi)]
             assert sorted(powers.tolist()) == [u for u in range(1, mod) if u % p]
 
@@ -416,6 +560,34 @@ def test_tate_integral_row_at_negative_valuation():
         assert abs(lhs - factor * chi.value(u) * psi.conductor_value ** (-0.5)) < 1e-15
 
 
+P_ATOMS = st.one_of(
+    st.builds(TailAtom, st.integers(-3, 3)),
+    st.builds(
+        CharAtom,
+        st.sampled_from([MultChar.trivial(5), MultChar(5, 1, 1), MultChar(5, 1, 2), MultChar(5, 2, 3)]),
+        st.integers(-3, 3),
+    ),
+)
+COEFFS = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+def _no_trivial_shell(atoms) -> bool:
+    return all(isinstance(a, TailAtom) or a.chi.cond > 0 for a in atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(COEFFS, P_ATOMS), max_size=6), st.lists(st.tuples(COEFFS, P_ATOMS, P_ATOMS), max_size=6))
+def test_functions_never_hold_trivial_shell_atoms(line_terms, plane_terms):
+    # fourier_atom, fourier_bruteforce and the inner products rely on this
+    psi = AddChar(5, 1)
+    f = SimpleFunction(5, line_terms)
+    for g in (f, f.scale(2j), f + f.negate_argument(), fourier_atom(f, psi)):
+        assert _no_trivial_shell(g.terms)
+    phi = TensorSimpleFunction(5, plane_terms)
+    for h in (phi, phi.scale(-1), phi + phi, phi.fourier_hat(psi)):
+        assert _no_trivial_shell(a for pair in h.terms for a in pair)
+
+
 def test_bruteforce_rejects_non_p_adic_point():
     f = SimpleFunction(5, [(1.0, CharAtom(MultChar(5, 1, 1), 0))])
     with pytest.raises(ValueError):
@@ -504,6 +676,18 @@ def test_level_membership_boundaries():
     prm = unramified_params(5, 0.2)
     zero = TensorSimpleFunction(5, [])
     assert level_membership(zero, prm, 0)
+
+
+def test_level_membership_sees_swapped_characters():
+    # condition (1) alone separates the two: with the characters exchanged
+    # the vector keeps its support but transforms by the other pair
+    for p in (5, 7):
+        prm = params_for(p, "both")
+        swapped = FiniteParams(p, prm.s, prm.mu, prm.omega_xi_inv, prm.xi, prm.psi)
+        for n in range(prm.conductor, prm.conductor + 2):
+            v = classical_vector(swapped, n)
+            assert level_membership(v, swapped, n)
+            assert not level_membership(v, prm, n)
 
 
 def test_orbit_measures_additivity():
