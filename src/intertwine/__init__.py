@@ -9,7 +9,7 @@ over the rationals (globalq); verification suites and reports (verify,
 reports); and the command line (cli).
 """
 
-from .arch import ArchEigenvalue, ArchParams, Place, mu_arch, mu_arch_oracle
+from .arch import ArchParams, Place, mu_arch, mu_arch_oracle
 from .errors import (
     ConductorError,
     InconsistentRatio,
@@ -23,7 +23,6 @@ from .padic import AddChar, FiniteParams, MultChar, gauss_sum, g_normalized, mu_
 from .verify import run_suite
 
 __all__ = [
-    "ArchEigenvalue",
     "ArchParams",
     "Place",
     "mu_arch",

@@ -33,7 +33,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InconsistentRatio, ParityError, RangeError
+from .errors import ParityError, RangeError
 from .harmonics import (
     LieGen,
     SU2Point,
@@ -41,7 +41,7 @@ from .harmonics import (
     hopf_point,
     lie_act_su2,
 )
-from .numerics import GammaKind, gamma_factor, radial_gaussian_moment
+from .numerics import GammaKind, _consistent_ratio, gamma_factor, radial_gaussian_moment
 from .schwartz import (
     PolyGaussian2,
     PolyGaussian4,
@@ -74,14 +74,6 @@ class ArchParams:
     def __post_init__(self):
         if self.place is Place.REAL and self.n0 not in (0, 1):
             raise ParityError(f"real-place angular weight must be 0 or 1, got {self.n0}")
-
-
-@dataclass(frozen=True)
-class ArchEigenvalue:
-    value: complex
-    n: int
-    params: ArchParams
-    normalized: bool = True
 
 
 def _check_type_index(params: ArchParams, n: int):
@@ -157,7 +149,7 @@ def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
     return vals
 
 
-def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> ArchEigenvalue:
+def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> complex:
     """Closed-form eigenvalue on weight-n flat sections.
 
     normalized=True gives the L-factor-normalized operator (unit modulus on
@@ -170,7 +162,7 @@ def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> ArchEigenval
             val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
         except (ZeroDivisionError, OverflowError) as exc:
             raise _out_of_range(params, n) from exc
-    return ArchEigenvalue(val, n, params, normalized)
+    return val
 
 
 def mu_arch_product(params: ArchParams, n: int) -> complex:
@@ -239,9 +231,9 @@ def mu_arch_derivative(params: ArchParams, n: int) -> tuple[complex, complex]:
     and evaluates the gamma ratios once instead of three times.
     """
     h = 1e-5
-    exact = mu_arch(params, n).value * mu_arch_logderiv(params, n)
-    plus = mu_arch(replace(params, s=params.s + h), n).value
-    minus = mu_arch(replace(params, s=params.s - h), n).value
+    exact = mu_arch(params, n) * mu_arch_logderiv(params, n)
+    plus = mu_arch(replace(params, s=params.s + h), n)
+    minus = mu_arch(replace(params, s=params.s - h), n)
     return exact, (plus - minus) / (2 * h)
 
 
@@ -260,7 +252,7 @@ def mu_arch_derivative_bound(params: ArchParams, n: int) -> float:
 
 
 def mu_arch_bound_check(params: ArchParams, n: int) -> bool:
-    exact = mu_arch(params, n).value * mu_arch_logderiv(params, n)
+    exact = mu_arch(params, n) * mu_arch_logderiv(params, n)
     return abs(exact) <= mu_arch_derivative_bound(params, n) + 1e-9
 
 
@@ -432,13 +424,4 @@ def mu_arch_oracle(
             n_val = tate_section_real(phi_hat, sw, kp, "quadrature")
             ratios.append(l_ratio * n_val / d_val)
 
-    if len(ratios) < 2:
-        raise InconsistentRatio("not enough usable sample points")
-    center = ratios[0]
-    scale = max(1.0, abs(center))
-    for r in ratios[1:]:
-        if abs(r - center) > tol * scale:
-            raise InconsistentRatio(
-                f"sample-point dependence {abs(r - center):.3e} exceeds {tol:.1e}"
-            )
-    return sum(ratios) / len(ratios)
+    return _consistent_ratio(ratios, tol, "point")

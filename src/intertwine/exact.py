@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 
 _FR0 = Fraction(0)
-_FR1 = Fraction(1)
 
 
 class PiLaurent:
@@ -123,9 +122,7 @@ class PiLaurent:
         return "PiLaurent(" + " + ".join(bits) + ")"
 
 
-ZERO = PiLaurent()
 ONE = PiLaurent.rational(1)
-I = PiLaurent.rational(0, 1)
 
 
 def scalar_is_zero(x) -> bool:

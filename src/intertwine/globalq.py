@@ -198,7 +198,7 @@ def mu_global(point: GlobalSpectralPoint, ktype: GlobalKType) -> complex:
     val = mu_global_factor(point.y)
     s = 1j * point.y
     if ktype.real_weight != 0:
-        val *= mu_arch(ArchParams(Place.REAL, s, point.mu, 0), ktype.real_weight).value
+        val *= mu_arch(ArchParams(Place.REAL, s, point.mu, 0), ktype.real_weight)
     for p, n in ktype.finite_weights:
         if n != 0:
             val *= mu_finite(unramified_params(p, s, point.mu), n)

@@ -73,8 +73,7 @@ class SU2Point:
         return (self.z1, self.z2, self.z1.conjugate(), self.z2.conjugate())
 
 
-W_POINT = SU2Point(0j, -1 + 0j)       # the Weyl rotation
-W_INV_POINT = SU2Point(0j, 1 + 0j)    # its inverse
+W_INV_POINT = SU2Point(0j, 1 + 0j)  # the inverse Weyl rotation
 
 
 def hopf_point(theta: float, phi1: float, phi2: float) -> SU2Point:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleError, ToleranceNotMet
+from .errors import InconsistentRatio, PoleError, ToleranceNotMet
 
 # np.trapezoid from numpy 2.0 on; np.trapz, its old name, before (and gone in 2.4)
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -262,3 +262,21 @@ def radial_gaussian_moment(kind: GammaKind, z: complex) -> complex:
         return cmath.exp(expo + (z - 1.0) * math.log(r))
 
     return front * quad_halfline(f)
+
+
+def _consistent_ratio(ratios: list[complex], tol: float, sample: str) -> complex:
+    """Mean of an oracle's eigenvalue ratios, once they agree.
+
+    Each ratio comes from one sample point or row; `sample` ("point" or
+    "row") names it in the error.  Raises InconsistentRatio with fewer than
+    two ratios, or when one lies farther than tol * max(1, |first ratio|)
+    from the first.
+    """
+    if len(ratios) < 2:
+        raise InconsistentRatio(f"not enough usable sample {sample}s")
+    center = ratios[0]
+    scale = max(1.0, abs(center))
+    for r in ratios[1:]:
+        if abs(r - center) > tol * scale:
+            raise InconsistentRatio(f"sample-{sample} dependence {abs(r - center):.3e} exceeds {tol:.1e}")
+    return sum(ratios) / len(ratios)

@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConductorError, InconsistentRatio, PoleError, RangeError
+from .errors import ConductorError, PoleError, RangeError
+from .numerics import _consistent_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +325,6 @@ class MultChar:
         return out
 
     @property
-    def modulus(self) -> int:
-        return self.p**self.cond
-
-    @property
     def conductor_value(self) -> int:
         """C(chi) = p^cond."""
         return self.p**self.cond
@@ -357,12 +354,12 @@ class MultChar:
                 raise ValueError("zero has no unit part")
             return num, den
         if int(u) % self.p == 0:
-            raise ValueError(f"{u} is not a unit mod {self.modulus}")
+            raise ValueError(f"{u} is not a unit mod {self.conductor_value}")
         return int(u), 1
 
     def _log(self, num: int, den: int) -> int:
         """k with g^k = num / den mod p^cond, for num and den prime to p."""
-        mod = self.modulus
+        mod = self.conductor_value
         return _dlog_table(self.p, self.cond)[num * pow(den, -1, mod) % mod]
 
     def _unit_value(self, num: int, den: int) -> complex:
@@ -787,10 +784,6 @@ class FiniteParams:
         """Unit part of the inducing twist: xi * (omega xi^-1)^(-1)."""
         return self.xi * self.omega_xi_inv.inverse()
 
-    def swapped(self) -> "FiniteParams":
-        """Data of the image representation: characters exchanged, s and mu flipped."""
-        return FiniteParams(self.p, -self.s, -self.mu, self.omega_xi_inv, self.xi, self.psi)
-
 
 def unramified_params(p: int, s: complex, mu: float = 0.0, psi_c: int = 0) -> FiniteParams:
     triv = MultChar.trivial(p)
@@ -1174,14 +1167,7 @@ def mu_finite_oracle(params: FiniteParams, n: int, tol: float = 1e-10) -> comple
             continue
         numer = tate_integral_padic(phi_hat, tau_inv, -params.mu, z_img, row, params.psi)
         ratios.append(l_ratio * numer / denom)
-    if len(ratios) < 2:
-        raise InconsistentRatio("not enough usable sample rows")
-    center = ratios[0]
-    scale = max(1.0, abs(center))
-    for r in ratios[1:]:
-        if abs(r - center) > tol * scale:
-            raise InconsistentRatio(f"sample-row dependence {abs(r - center):.3e} exceeds {tol:.1e}")
-    return sum(ratios) / len(ratios)
+    return _consistent_ratio(ratios, tol, "row")
 
 
 def _swap_chars(params: FiniteParams) -> FiniteParams:

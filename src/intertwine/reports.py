@@ -66,8 +66,8 @@ class Report:
     def failures(self) -> list[Case]:
         return [c for c in self.cases if not c.passed]
 
-    def to_json(self, include_timing: bool = False) -> str:
-        body = {
+    def as_dict(self, include_timing: bool = False) -> dict:
+        return {
             "suite": self.suite,
             "seed": self.seed,
             "pass": self.passed,
@@ -75,4 +75,6 @@ class Report:
             "wall_time_s": self.wall_time_s if include_timing else None,
             "cases": [c.as_dict() for c in sorted(self.cases, key=lambda c: c.key)],
         }
-        return json.dumps(body, indent=1, sort_keys=True)
+
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(self.as_dict(include_timing), indent=1, sort_keys=True)

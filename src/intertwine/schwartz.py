@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ONE, PiLaurent, VarPoly
 from .harmonics import SU2Point
@@ -111,9 +112,7 @@ def _d2(poly: VarPoly, var: int) -> VarPoly:
     return poly.deriv(var) + poly.mul_monomial(partner, _MINUS_PI)
 
 
-_HAT4_CACHE: dict[tuple[int, int, int, int], VarPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def _hat4_monomial(key: tuple[int, int, int, int]) -> VarPoly:
     """Transform of the monomial-times-Gaussian, polynomial part only.
 
@@ -122,22 +121,16 @@ def _hat4_monomial(key: tuple[int, int, int, int]) -> VarPoly:
       conj z1: -(i/2pi) d_{conj z2} T   conj z2: +(i/2pi) d_{conj z1} T
     The base Gaussian is its own transform under the twisted kernel.
     """
-    got = _HAT4_CACHE.get(key)
-    if got is not None:
-        return got
     a, b, c, d = key
     if key == (0, 0, 0, 0):
-        out = VarPoly.monomial(4, (0, 0, 0, 0))
-    elif a:
-        out = _d4(_hat4_monomial((a - 1, b, c, d)), 1).scale(_MINUS_I_OVER_2PI)
-    elif b:
-        out = _d4(_hat4_monomial((a, b - 1, c, d)), 0).scale(_I_OVER_2PI)
-    elif c:
-        out = _d4(_hat4_monomial((a, b, c - 1, d)), 3).scale(_MINUS_I_OVER_2PI)
-    else:
-        out = _d4(_hat4_monomial((a, b, c, d - 1)), 2).scale(_I_OVER_2PI)
-    _HAT4_CACHE[key] = out
-    return out
+        return VarPoly.monomial(4, (0, 0, 0, 0))
+    if a:
+        return _d4(_hat4_monomial((a - 1, b, c, d)), 1).scale(_MINUS_I_OVER_2PI)
+    if b:
+        return _d4(_hat4_monomial((a, b - 1, c, d)), 0).scale(_I_OVER_2PI)
+    if c:
+        return _d4(_hat4_monomial((a, b, c - 1, d)), 3).scale(_MINUS_I_OVER_2PI)
+    return _d4(_hat4_monomial((a, b, c, d - 1)), 2).scale(_I_OVER_2PI)
 
 
 def fourier_hat_h(phi: PolyGaussian4) -> PolyGaussian4:
@@ -148,22 +141,14 @@ def fourier_hat_h(phi: PolyGaussian4) -> PolyGaussian4:
     return PolyGaussian4(total)
 
 
-_HAT2_CACHE: dict[tuple[int, int], VarPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def _hat2_monomial(key: tuple[int, int]) -> VarPoly:
-    got = _HAT2_CACHE.get(key)
-    if got is not None:
-        return got
     a, b = key
     if key == (0, 0):
-        out = VarPoly.monomial(2, (0, 0))
-    elif a:
-        out = _d2(_hat2_monomial((a - 1, b)), 1).scale(_MINUS_ONE_OVER_PI)
-    else:
-        out = _d2(_hat2_monomial((a, b - 1)), 0).scale(_ONE_OVER_PI)
-    _HAT2_CACHE[key] = out
-    return out
+        return VarPoly.monomial(2, (0, 0))
+    if a:
+        return _d2(_hat2_monomial((a - 1, b)), 1).scale(_MINUS_ONE_OVER_PI)
+    return _d2(_hat2_monomial((a, b - 1)), 0).scale(_ONE_OVER_PI)
 
 
 def fourier_hat_c(phi: PolyGaussian2) -> PolyGaussian2:

@@ -3,10 +3,12 @@
 Each suite returns a Report whose cases pair a closed-form value with an
 independently computed one (quadrature, exact finite sum, finite difference,
 or a structural identity).  This module is the one place that says what is
-checked, at what size and to what tolerance.  The command line runs the
-suites at DEFAULT_SIZES; the acceptance tests run them at ACCEPTANCE_SIZES,
-which draw more samples over wider ranges, and read the verdict of each
-acceptance criterion off the cases that CRITERIA assigns to it.
+checked, at what size and to what tolerance.  Each case states its tolerance
+once, as a literal or as its suite's entry in SUITE_TOLERANCES, and nothing
+overrides it.  The command line runs the suites at DEFAULT_SIZES; the
+acceptance tests run them at ACCEPTANCE_SIZES, which draw more samples over
+wider ranges, and read the verdict of each acceptance criterion off the
+cases that CRITERIA assigns to it.
 """
 
 from __future__ import annotations
@@ -75,17 +77,6 @@ from .padic import (
     unramified_params,
 )
 from .reports import Case, Report, flag_case, scalar_case
-
-SUITE_TOLERANCES = {
-    "classical": 1e-10,
-    "harmonics": 1e-6,
-    "arch": 1e-8,
-    "padic": 1e-10,
-    "global": 1e-6,
-}
-
-SUITE_NAMES = ("classical", "harmonics", "arch", "padic", "global")
-
 
 @dataclass(frozen=True)
 class Sizes:
@@ -170,22 +161,6 @@ CRITERIA = {
 }
 
 
-def run_suite(name: str, seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    runners = {
-        "classical": suite_classical,
-        "harmonics": suite_harmonics,
-        "arch": suite_arch,
-        "padic": suite_padic,
-        "global": suite_global,
-    }
-    if name not in runners:
-        raise ValueError(f"unknown suite {name!r}")
-    start = time.perf_counter()
-    report = runners[name](seed=seed, tol=tol, sizes=sizes)
-    report.wall_time_s = time.perf_counter() - start
-    return report
-
-
 def _nth(key: str, j: int) -> str:
     """Key of the j-th variant of a case; the first keeps the plain key."""
     return f"{key}/{j}" if j else key
@@ -202,8 +177,8 @@ def _random_poly_gaussian(rng: random.Random) -> cl.PolyGaussian1D:
     return cl.PolyGaussian1D(coeffs, q)
 
 
-def suite_classical(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    tol = tol if tol is not None else SUITE_TOLERANCES["classical"]
+def suite_classical(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    tol = SUITE_TOLERANCES["classical"]
     rng = random.Random(seed)
     cases: list[Case] = []
 
@@ -248,8 +223,8 @@ def suite_classical(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFA
     return Report("classical", seed, cases)
 
 
-def suite_harmonics(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    tol = tol if tol is not None else SUITE_TOLERANCES["harmonics"]
+def suite_harmonics(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    tol = SUITE_TOLERANCES["harmonics"]
     cases: list[Case] = []
 
     # Gram matrix of all normalized harmonics with n <= 4
@@ -305,8 +280,8 @@ def suite_harmonics(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFA
     return Report("harmonics", seed, cases)
 
 
-def suite_arch(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    tol = tol if tol is not None else SUITE_TOLERANCES["arch"]
+def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    tol = SUITE_TOLERANCES["arch"]
     rng = random.Random(seed)
     cases: list[Case] = []
 
@@ -363,12 +338,12 @@ def suite_arch(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_S
         mu = rng.uniform(-2, 2)
         n0, n = _complex_weight(rng, 3, 4)
         pc = ArchParams(Place.COMPLEX, 1j * y, mu, n0)
-        cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mu_arch(pc, n).value), 1.0, 1e-12))
+        cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mu_arch(pc, n)), 1.0, 1e-12))
         n0r, nr = _real_weight(rng, 4)
         pr = ArchParams(Place.REAL, 1j * y, mu, n0r)
-        cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mu_arch(pr, nr).value), 1.0, 1e-12))
+        cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mu_arch(pr, nr)), 1.0, 1e-12))
         cases.append(
-            scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mu_arch(pc, n).value, mu_arch_product(pc, n), 1e-12)
+            scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mu_arch(pc, n), mu_arch_product(pc, n), 1e-12)
         )
 
     # closed form against the transform-pipeline oracle
@@ -382,7 +357,7 @@ def suite_arch(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_S
                 cases.append(
                     scalar_case(
                         f"arch/oracle-complex/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
-                        mu_arch(pa, n).value, mu_arch_oracle(pa, n), tol,
+                        mu_arch(pa, n), mu_arch_oracle(pa, n), tol,
                     )
                 )
     for n0 in (0, 1):
@@ -392,7 +367,7 @@ def suite_arch(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_S
                 cases.append(
                     scalar_case(
                         f"arch/oracle-real/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
-                        mu_arch(pr, n).value, mu_arch_oracle(pr, n), tol,
+                        mu_arch(pr, n), mu_arch_oracle(pr, n), tol,
                     )
                 )
 
@@ -442,8 +417,8 @@ def _case_params(p: int, tag: str, s: complex, mu: float, psi_c: int) -> FiniteP
 _PADIC_TAGS = ("both-ramified", "both-ramified-trivial-twist", "first-ramified", "second-ramified", "unramified")
 
 
-def suite_padic(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    tol = tol if tol is not None else SUITE_TOLERANCES["padic"]
+def suite_padic(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    tol = SUITE_TOLERANCES["padic"]
     rng = random.Random(seed)
     cases: list[Case] = []
 
@@ -563,8 +538,8 @@ def _double_transform_dev(f: SimpleFunction, psi: AddChar) -> float:
     return max(abs(ff.terms.get(k, 0) - neg.terms.get(k, 0)) for k in set(ff.terms) | set(neg.terms))
 
 
-def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT_SIZES) -> Report:
-    tol = tol if tol is not None else SUITE_TOLERANCES["global"]
+def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    tol = SUITE_TOLERANCES["global"]
     rng = random.Random(seed)
     cases: list[Case] = []
 
@@ -588,7 +563,7 @@ def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT
     # residues and the edge constant
     cases.append(scalar_case("global/residue-at-1", {}, gl.residue_at_one(), 1.0, 1e-8))
     cases.append(scalar_case("global/residue-sym", {}, gl.residue_at_zero() + gl.residue_at_one(), 2.0, 1e-7))
-    cases.append(scalar_case("global/residue-constant", {}, gl.residue_constant(), 3 / math.pi, 1e-6))
+    cases.append(scalar_case("global/residue-constant", {}, gl.residue_constant(), 3 / math.pi, tol))
 
     # global eigenvalue modulus for random small data
     worst = 0.0
@@ -614,17 +589,17 @@ def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT
     # truncated-norm identity: off-axis extrapolation against the axis form
     for (y, c) in sizes.ms_points:
         pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, 0)
-        m_iy = mu_arch(pa, 4).value
+        m_iy = mu_arch(pa, 4)
         m_prime = m_iy * mu_arch_logderiv(pa, 4)
         target = gl.maass_selberg_onaxis(y, c, m_iy, m_prime)
         sigmas = (1e-2, 1e-3, 1e-4)
         vals = []
         for sig in sigmas:
-            m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4).value
+            m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4)
             vals.append(gl.maass_selberg(complex(sig, y), c, 1.0, abs(m), m.conjugate()))
         mat = np.array([[1.0, s, s * s] for s in sigmas])
         extrap = float(np.linalg.solve(mat, np.array(vals))[0])
-        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, extrap, target, 1e-6))
+        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, extrap, target, tol))
 
     # self-dual branch against the global scalar model
     y0, c0 = 0.5, 2.0
@@ -666,3 +641,25 @@ def suite_global(seed: int = 0, tol: float | None = None, sizes: Sizes = DEFAULT
     cases.append(scalar_case("global/sobolev-slope", {"expected": 4 - 4 * 3}, slope, 4 - 4 * 3, 0.25))
 
     return Report("global", seed, cases)
+
+
+# Every suite, in command-line order, with the tolerance of its cases that
+# state none of their own; a case's tolerance is never overridden.
+_SUITES = {
+    "classical": (suite_classical, 1e-10),
+    "harmonics": (suite_harmonics, 1e-6),
+    "arch": (suite_arch, 1e-8),
+    "padic": (suite_padic, 1e-10),
+    "global": (suite_global, 1e-6),
+}
+SUITE_NAMES = tuple(_SUITES)
+SUITE_TOLERANCES = {name: tol for name, (_, tol) in _SUITES.items()}
+
+
+def run_suite(name: str, seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    start = time.perf_counter()
+    report = _SUITES[name][0](seed=seed, sizes=sizes)
+    report.wall_time_s = time.perf_counter() - start
+    return report

@@ -7,11 +7,13 @@ passes, within the criterion's time gate where it has one.  Run with -s (or
 read the captured output) to see the per-criterion lines.
 """
 
+import inspect
 import runpy
 from pathlib import Path
 
 import pytest
 
+from intertwine import verify
 from intertwine.verify import ACCEPTANCE_SIZES, CRITERIA, SUITE_NAMES, run_suite
 
 
@@ -112,3 +114,16 @@ def test_default_case_counts(seed):
     workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"))
     counts = {name: len(run_suite(name, seed=seed).cases) for name in SUITE_NAMES}
     assert counts == workloads["SUITE_CASES"]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_listed_suite_tolerance_is_applied(name, monkeypatch):
+    # the tolerance `verify --tolerances` lists is the one the suite's cases
+    # use, so an impossible one must fail the suite
+    monkeypatch.setitem(verify.SUITE_TOLERANCES, name, 1e-300)
+    assert any(c.tol == 1e-300 for c in run_suite(name).failures)
+
+
+def test_suites_take_no_tolerance():
+    for fn in [run_suite] + [getattr(verify, f"suite_{name}") for name in SUITE_NAMES]:
+        assert "tol" not in inspect.signature(fn).parameters, fn

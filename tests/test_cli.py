@@ -14,6 +14,7 @@ import intertwine.padic
 from intertwine.arch import ArchParams, Place, mu_arch_derivative
 from intertwine.cli import main
 from intertwine.padic import AddChar, FiniteParams, MultChar, mu_finite_derivative
+from intertwine.verify import SUITE_NAMES
 
 
 def test_verify_suite_exit_zero(tmp_path, capsys):
@@ -51,6 +52,29 @@ def test_tolerances_listing(capsys):
     assert main(["verify", "--tolerances"]) == 0
     out = capsys.readouterr().out
     assert "harmonics" in out and "1.0e-06" in out
+
+
+@pytest.mark.parametrize("extra", (["--tolerance", "1e-30"], ["--tolerance"], ["--tol"]))
+def test_verify_has_no_tolerance_override(capsys, extra):
+    # neither a value nor an abbreviation of --tolerances gets through
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "global"] + extra)
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--tolerance " not in capsys.readouterr().out
+
+
+def test_verify_all_merges_the_single_suite_reports(tmp_path):
+    merged_path = tmp_path / "all.json"
+    assert main(["verify", "--suite", "all", "--seed", "2", "--json", str(merged_path)]) == 0
+    merged = json.loads(merged_path.read_text())
+    singles = []
+    for name in SUITE_NAMES:
+        path = tmp_path / f"{name}.json"
+        assert main(["verify", "--suite", name, "--seed", "2", "--json", str(path)]) == 0
+        singles.append(json.loads(path.read_text()))
+    assert merged == {"suite": "all", "seed": 2, "pass": True, "reports": singles}
 
 
 def test_mu_table_complex(capsys):
