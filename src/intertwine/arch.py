@@ -37,6 +37,7 @@ from .errors import ParityError, RangeError
 from .harmonics import (
     LieGen,
     SU2Point,
+    _check_su2_indices,
     harmonic_su2,
     hopf_point,
     lie_act_su2,
@@ -78,10 +79,7 @@ class ArchParams:
 
 def _check_type_index(params: ArchParams, n: int):
     if params.place is Place.COMPLEX:
-        if n < abs(params.n0):
-            raise RangeError(f"need n >= |n0|, got n={n}, n0={params.n0}")
-        if (n - params.n0) % 2 != 0:
-            raise ParityError(f"need n = n0 mod 2, got n={n}, n0={params.n0}")
+        _check_su2_indices(params.n0, n, 0)
     else:
         if abs(n) < params.n0:
             raise RangeError(f"need |n| >= n0, got n={n}, n0={params.n0}")

@@ -34,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParityError, RangeError, ToleranceNotMet
+from .errors import ParityError, RangeError
 from .exact import ONE, PiLaurent, VarPoly, scalar_is_zero
-from .numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL
+from .numerics import _refine
 
 # theta and phi nodes of the Hopf grid gram_matrix integrates on
 GRAM_NODES = 24
@@ -279,7 +279,8 @@ def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
 
     A level sums c_t w (sum_phi1 A)(sum_phi2 B) over the terms t, with A and B
     the factors of term t (see _hopf_factors), and the theta nodes w, from a
-    12 x 12 grid doubling until two levels agree within ten times QUAD_*_TOL.
+    12 x 12 grid doubling, up to 768 x 768, until two levels agree within ten
+    times the tolerances of numerics._refine.
     """
     poly = f.poly if isinstance(f, HarmonicSU2) else f
     coeffs = np.array([c for _, c in poly.complex_terms()], dtype=complex)
@@ -288,17 +289,7 @@ def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
         A, ia, B, ib, w = _hopf_factors(poly.terms, n)
         return complex(np.sum(coeffs[:, None] * A.sum(axis=2)[ia] * B.sum(axis=2)[ib] * w))
 
-    n = 12
-    prev = level(n)
-    for _ in range(QUAD_MAX_HALVINGS):
-        n *= 2
-        cur = level(n)
-        if abs(cur - prev) <= max(QUAD_ABS_TOL * 10, QUAD_REL_TOL * 10 * abs(cur)):
-            return cur
-        prev = cur
-        if n > 400:
-            break
-    raise ToleranceNotMet("Haar quadrature did not stabilize")
+    return _refine(lambda k: level(12 * 2**k), 6, 10, "Haar quadrature did not stabilize")
 
 
 def gram_matrix(harms: list[HarmonicSU2]) -> np.ndarray:

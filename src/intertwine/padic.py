@@ -422,14 +422,10 @@ class AddChar:
 
     def angle(self, x: Fraction) -> Fraction:
         t = Fraction(x) * self.p**self.c
-        den = t.denominator
         # inputs must be p-adic rationals: denominator a power of p
-        d = den
-        while d % self.p == 0:
-            d //= self.p
-        if d != 1:
+        if _p_split(t, self.p)[2] != 1:
             raise ValueError(f"{x} is not a p-adic rational at p = {self.p}")
-        return Fraction(t.numerator % den, den)
+        return Fraction(t.numerator % t.denominator, t.denominator)
 
 
 # ---------------------------------------------------------------------------

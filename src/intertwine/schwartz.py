@@ -10,9 +10,21 @@ Two families, both exactly closed under their Fourier transform:
   * two-variable class: poly(z, conj z) * exp(-pi |z|^2), kernel
     exp(-pi (u conj z - conj u z)).
 
-The transforms are computed by peeling one variable at a time through the
-multiplication/derivation interchange of the kernel, so the result is exact
-in the PiLaurent coefficient ring; the involution hat(hat(Phi)) = Phi and the
+Both are one class body over n slots (the variables, then their conjugates)
+and the Gaussian exp(-gamma sum |z_j|^2).  The transform peels one slot at a
+time through the multiplication/derivation interchange of the kernel: with T
+the transform of the remaining factor, multiplying by slot i becomes
+
+    -/+ kappa (d/d(slot i^1) - gamma * slot (i^1 + n/2) mod n) T
+
+(minus for even i; i^1 flips the last bit of i, and the second term is the
+derivative of the Gaussian).  The only per-place facts are
+
+    n = 4:  gamma = 2 pi,  kappa = i/(2 pi)
+    n = 2:  gamma = pi,    kappa = 1/pi
+
+and the base Gaussian is its own transform.  The result is exact in the
+PiLaurent coefficient ring; the involution hat(hat(Phi)) = Phi and the
 rotation equivariance hat(kappa.Phi)(z) = hat(Phi)(z kappa) are coefficient
 identities, not numerical ones.
 """
@@ -23,140 +35,97 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 from .exact import ONE, PiLaurent, VarPoly
-from .harmonics import SU2Point
+from .harmonics import SU2Point, _check_su2_indices
 
-_E2PI = math.exp(-2.0 * math.pi)
-
-# scalars used by the interchange rules
-_I_OVER_2PI = PiLaurent.pi_power(-1, 0, Fraction(1, 2))      # i / (2 pi)
-_MINUS_I_OVER_2PI = PiLaurent.pi_power(-1, 0, Fraction(-1, 2))
-_MINUS_2PI = PiLaurent.pi_power(1, -2)
-_MINUS_PI = PiLaurent.pi_power(1, -1)
-_ONE_OVER_PI = PiLaurent.pi_power(-1, 1)
-_MINUS_ONE_OVER_PI = PiLaurent.pi_power(-1, -1)
+# (gamma, kappa) of the interchange rule, by slot count
+_RULES = {
+    4: (PiLaurent.pi_power(1, 2), PiLaurent.pi_power(-1, 0, Fraction(1, 2))),
+    2: (PiLaurent.pi_power(1, 1), PiLaurent.pi_power(-1, 1)),
+}
 
 
 @dataclass(frozen=True)
-class PolyGaussian4:
+class _PolyGaussian:
+    """poly * exp(-WIDTH sum |z_j|^2), poly in the SLOTS slots (z, conj z)."""
+
+    SLOTS: ClassVar[int]
+    WIDTH: ClassVar[float]
+
+    poly: VarPoly
+
+    @classmethod
+    def monomial(cls, expts: tuple[int, ...], coeff=ONE):
+        return cls(VarPoly.monomial(cls.SLOTS, expts, coeff))
+
+    @classmethod
+    def gaussian(cls):
+        return cls.monomial((0,) * cls.SLOTS)
+
+    def scale(self, s):
+        return type(self)(self.poly.scale(s))
+
+    def __add__(self, other):
+        return type(self)(self.poly + other.poly)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __call__(self, *zs: complex) -> complex:
+        if 2 * len(zs) != self.SLOTS:
+            raise TypeError(f"{type(self).__name__} takes {self.SLOTS // 2} points, got {len(zs)}")
+        gauss = math.exp(-self.WIDTH * sum(abs(z) ** 2 for z in zs))
+        return gauss * self.poly.evaluate(zs + tuple(z.conjugate() for z in zs))
+
+
+class PolyGaussian4(_PolyGaussian):
     """poly * exp(-2 pi (|z1|^2 + |z2|^2)) with poly in (z1, z2, conj z1, conj z2)."""
 
-    poly: VarPoly
-
-    @classmethod
-    def monomial(cls, expts: tuple[int, int, int, int], coeff=ONE) -> "PolyGaussian4":
-        return cls(VarPoly.monomial(4, expts, coeff))
-
-    @classmethod
-    def gaussian(cls) -> "PolyGaussian4":
-        return cls.monomial((0, 0, 0, 0))
-
-    def scale(self, s) -> "PolyGaussian4":
-        return PolyGaussian4(self.poly.scale(s))
-
-    def __add__(self, other: "PolyGaussian4") -> "PolyGaussian4":
-        return PolyGaussian4(self.poly + other.poly)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyGaussian4):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __call__(self, z1: complex, z2: complex) -> complex:
-        gauss = math.exp(-2.0 * math.pi * (abs(z1) ** 2 + abs(z2) ** 2))
-        return gauss * self.poly.evaluate((z1, z2, z1.conjugate(), z2.conjugate()))
+    SLOTS = 4
+    WIDTH = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PolyGaussian2:
+class PolyGaussian2(_PolyGaussian):
     """poly * exp(-pi |z|^2) with poly in (z, conj z)."""
 
-    poly: VarPoly
-
-    @classmethod
-    def monomial(cls, expts: tuple[int, int], coeff=ONE) -> "PolyGaussian2":
-        return cls(VarPoly.monomial(2, expts, coeff))
-
-    @classmethod
-    def gaussian(cls) -> "PolyGaussian2":
-        return cls.monomial((0, 0))
-
-    def scale(self, s) -> "PolyGaussian2":
-        return PolyGaussian2(self.poly.scale(s))
-
-    def __add__(self, other: "PolyGaussian2") -> "PolyGaussian2":
-        return PolyGaussian2(self.poly + other.poly)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyGaussian2):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __call__(self, z: complex) -> complex:
-        gauss = math.exp(-math.pi * abs(z) ** 2)
-        return gauss * self.poly.evaluate((z, z.conjugate()))
-
-
-# Wirtinger derivatives of poly * Gaussian, returned as the polynomial part.
-# The Gaussian exp(-2 pi (z1 conj z1 + z2 conj z2)) contributes -2 pi times
-# the conjugate variable.
-
-def _d4(poly: VarPoly, var: int) -> VarPoly:
-    partner = {0: (0, 0, 1, 0), 1: (0, 0, 0, 1), 2: (1, 0, 0, 0), 3: (0, 1, 0, 0)}[var]
-    return poly.deriv(var) + poly.mul_monomial(partner, _MINUS_2PI)
-
-
-def _d2(poly: VarPoly, var: int) -> VarPoly:
-    partner = {0: (0, 1), 1: (1, 0)}[var]
-    return poly.deriv(var) + poly.mul_monomial(partner, _MINUS_PI)
+    SLOTS = 2
+    WIDTH = math.pi
 
 
 @lru_cache(maxsize=None)
-def _hat4_monomial(key: tuple[int, int, int, int]) -> VarPoly:
-    """Transform of the monomial-times-Gaussian, polynomial part only.
+def _hat_monomial(key: tuple[int, ...]) -> VarPoly:
+    """Transform of the monomial-times-Gaussian, polynomial part only: peel
+    the first nonzero slot by the interchange rule of the module docstring."""
+    n = len(key)
+    i = next((j for j, e in enumerate(key) if e), None)
+    if i is None:
+        return VarPoly.monomial(n, key)
+    gamma, kappa = _RULES[n]
+    t = _hat_monomial(key[:i] + (key[i] - 1,) + key[i + 1 :])
+    j = i ^ 1
+    partner = tuple(int(m == (j + n // 2) % n) for m in range(n))
+    return (t.deriv(j) + t.mul_monomial(partner, -gamma)).scale(kappa if i % 2 else -kappa)
 
-    Peeling rules, with T the transform of the remaining factor:
-      z1:      -(i/2pi) d_{z2} T        z2:      +(i/2pi) d_{z1} T
-      conj z1: -(i/2pi) d_{conj z2} T   conj z2: +(i/2pi) d_{conj z1} T
-    The base Gaussian is its own transform under the twisted kernel.
-    """
-    a, b, c, d = key
-    if key == (0, 0, 0, 0):
-        return VarPoly.monomial(4, (0, 0, 0, 0))
-    if a:
-        return _d4(_hat4_monomial((a - 1, b, c, d)), 1).scale(_MINUS_I_OVER_2PI)
-    if b:
-        return _d4(_hat4_monomial((a, b - 1, c, d)), 0).scale(_I_OVER_2PI)
-    if c:
-        return _d4(_hat4_monomial((a, b, c - 1, d)), 3).scale(_MINUS_I_OVER_2PI)
-    return _d4(_hat4_monomial((a, b, c, d - 1)), 2).scale(_I_OVER_2PI)
+
+def _fourier_hat(phi: _PolyGaussian) -> _PolyGaussian:
+    total = VarPoly.zero(phi.SLOTS)
+    for key, coeff in phi.poly.terms.items():
+        total = total + _hat_monomial(key).scale(coeff)
+    return type(phi)(total)
 
 
 def fourier_hat_h(phi: PolyGaussian4) -> PolyGaussian4:
     """Exact twisted Fourier transform on the four-variable class."""
-    total = VarPoly.zero(4)
-    for key, coeff in phi.poly.terms.items():
-        total = total + _hat4_monomial(key).scale(coeff)
-    return PolyGaussian4(total)
-
-
-@lru_cache(maxsize=None)
-def _hat2_monomial(key: tuple[int, int]) -> VarPoly:
-    a, b = key
-    if key == (0, 0):
-        return VarPoly.monomial(2, (0, 0))
-    if a:
-        return _d2(_hat2_monomial((a - 1, b)), 1).scale(_MINUS_ONE_OVER_PI)
-    return _d2(_hat2_monomial((a, b - 1)), 0).scale(_ONE_OVER_PI)
+    return _fourier_hat(phi)
 
 
 def fourier_hat_c(phi: PolyGaussian2) -> PolyGaussian2:
     """Exact twisted Fourier transform on the two-variable class."""
-    total = VarPoly.zero(2)
-    for key, coeff in phi.poly.terms.items():
-        total = total + _hat2_monomial(key).scale(coeff)
-    return PolyGaussian2(total)
+    return _fourier_hat(phi)
 
 
 def k_act(kappa, phi):
@@ -198,11 +167,11 @@ Z1_KEY, Z2_KEY, Z1C_KEY, Z2C_KEY = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0,
 
 def restrict_sphere(phi: PolyGaussian4, kappa: SU2Point) -> complex:
     """Value of phi at a point of the unit sphere; the Gaussian is exp(-2 pi)."""
-    return _E2PI * phi.poly.evaluate(kappa.values())
+    return math.exp(-PolyGaussian4.WIDTH) * phi.poly.evaluate(kappa.values())
 
 
 def restrict_circle(phi: PolyGaussian2, z: complex) -> complex:
-    return math.exp(-math.pi) * phi.poly.evaluate((z, z.conjugate()))
+    return math.exp(-PolyGaussian2.WIDTH) * phi.poly.evaluate((z, z.conjugate()))
 
 
 def section_su2(n0: int, n: int) -> PolyGaussian4:
@@ -212,8 +181,7 @@ def section_su2(n0: int, n: int) -> PolyGaussian4:
     Concretely (-1)^((n - n0)/2) z1^((n-n0)/2) conj(z2)^((n+n0)/2) times the
     Gaussian; left torus translation multiplies it by exp(-i n0 alpha).
     """
-    if (n - n0) % 2 != 0 or n < abs(n0):
-        raise ValueError(f"inadmissible section indices n={n}, n0={n0}")
+    _check_su2_indices(n0, n, 0)
     a = (n - n0) // 2
     d = (n + n0) // 2
     sign = PiLaurent.rational((-1) ** a)

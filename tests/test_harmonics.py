@@ -30,7 +30,7 @@ from intertwine.harmonics import (
     normalized_harmonic_su2,
     su2_from_integers,
 )
-from intertwine.numerics import QUAD_ABS_TOL, QUAD_MAX_HALVINGS, QUAD_REL_TOL, quad_halfline
+from intertwine.numerics import _refine, quad_halfline
 
 
 def conj_poly(poly: VarPoly) -> VarPoly:
@@ -191,15 +191,7 @@ def _haar_full(poly: VarPoly) -> complex:
         values, weights = _meshgrid_hopf(n, n)
         return complex(np.sum(_eval_full(poly, values) * weights))
 
-    n = 12
-    prev = level(n)
-    for _ in range(QUAD_MAX_HALVINGS):
-        n *= 2
-        cur = level(n)
-        if abs(cur - prev) <= max(QUAD_ABS_TOL * 10, QUAD_REL_TOL * 10 * abs(cur)):
-            return cur
-        prev = cur
-    raise AssertionError("reference quadrature did not stabilize")
+    return _refine(lambda k: level(12 * 2**k), 6, 10, "reference quadrature did not stabilize")
 
 
 def _norm_integrand(n0: int, n: int, k: int) -> VarPoly:

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from intertwine.errors import ParityError, RangeError
 from intertwine.exact import PiLaurent, VarPoly
 from intertwine.harmonics import W_INV_POINT, harmonic_su2, su2_exact_values, su2_from_integers
 from intertwine.schwartz import (
@@ -179,3 +181,44 @@ def test_transform_against_kernel_quadrature_degree_two():
         )
         val = 4.0 * np.sum(WW * poly_vals * phase)
         assert abs(val - phi_hat(z1, z2)) < 1e-6
+
+
+def test_transform_against_kernel_quadrature_two_slots():
+    # the two-slot transform against its kernel integral
+    # int poly(u, conj u) exp(-pi |u|^2) exp(-pi (u conj z - conj u z)) du
+    # under Lebesgue measure on C, Gauss-Hermite per real coordinate
+    nodes, weights = np.polynomial.hermite.hermgauss(40)
+    xs = nodes / math.sqrt(math.pi)
+    ws = weights / math.sqrt(math.pi)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    WW = ws[:, None] * ws[None, :]
+    U = X + 1j * Y
+    mixed = PolyGaussian2(
+        VarPoly(2, {(2, 0): PiLaurent.rational(1), (1, 1): PiLaurent.rational(0, Fraction(1, 2)), (0, 3): PiLaurent.rational(-2)})
+    )
+    cases = ((PolyGaussian2.gaussian(), np.ones_like(U)), (mixed, U**2 + 0.5j * U * np.conj(U) - 2 * np.conj(U) ** 3))
+    for phi, poly_vals in cases:
+        phi_hat = fourier_hat_c(phi)
+        for z in (0.2 + 0.1j, -0.3 + 0.25j):
+            phase = np.exp(-math.pi * (U * np.conj(z) - np.conj(U) * z))
+            val = np.sum(WW * poly_vals * phase)
+            assert abs(val - phi_hat(z)) < 1e-12
+
+
+def test_section_su2_rejects_inadmissible_weights():
+    with pytest.raises(ParityError):
+        section_su2(0, 1)
+    with pytest.raises(RangeError):
+        section_su2(2, 0)
+
+
+def test_classes_of_different_slot_counts_never_equal():
+    assert PolyGaussian4.gaussian() != PolyGaussian2.gaussian()
+    assert PolyGaussian2.gaussian() == PolyGaussian2.monomial((0, 0))
+
+
+def test_evaluation_takes_one_point_per_variable():
+    with pytest.raises(TypeError):
+        PolyGaussian4.gaussian()(0.1j)
+    with pytest.raises(TypeError):
+        PolyGaussian2.gaussian()(0.1j, 0.2)
