@@ -91,11 +91,15 @@ def _i_pow(n: int) -> complex:
     return (1 + 0j, 1j, -1 + 0j, -1j)[n % 4]
 
 
+# (gamma kind, weight divisor d) at each place: weight n enters the gamma
+# factors as |n| / d
+_GAMMA = {Place.COMPLEX: (GammaKind.COMPLEX, 2), Place.REAL: (GammaKind.REAL, 1)}
+
+
 def arch_l_factor(params: ArchParams, z: complex) -> complex:
     """Local L-factor of the inducing character twist at this place."""
-    if params.place is Place.COMPLEX:
-        return gamma_factor(GammaKind.COMPLEX, z + 1j * params.mu + abs(params.n0) / 2)
-    return gamma_factor(GammaKind.REAL, z + 1j * params.mu + params.n0)
+    kind, d = _GAMMA[params.place]
+    return gamma_factor(kind, z + 1j * params.mu + abs(params.n0) / d)
 
 
 def _out_of_range(params: ArchParams, n: int) -> RangeError:
@@ -106,42 +110,34 @@ def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
     """Normalized eigenvalues at one spectral point for every weight in ns.
 
     The head ratio at the base weight does not depend on n, so it is
-    evaluated once; each weight then costs two gamma factors, except that at
-    the real place n and -n share theirs.  Each value is head * G(b+.) /
-    G(a+.) (real place head * sign * G(b+|n|) / G(a+|n|)), the left-to-right
-    order of the four-gamma formula in the module docstring, so a value does
-    not depend on which other weights share its column.  mu_arch is the
+    evaluated once; each weight then costs two gamma factors, shared by n
+    and -n.  Each value is head * sign * G(b+|n|/d) / G(a+|n|/d), the
+    left-to-right order of the four-gamma formula in the module docstring
+    (the sign is 1 at the complex place, where n >= 0), so a value does not
+    depend on which other weights share its column.  mu_arch is the
     one-weight column.
     """
     for n in ns:
         _check_type_index(params, n)
     if not ns:
         return []
+    kind, d = _GAMMA[params.place]
     a = 1 + 2 * params.s + 1j * params.mu
     b = 1 - 2 * params.s - 1j * params.mu
     n = ns[0]  # a head overflow is shared by every weight; name the first
     vals = []
     try:
+        h = abs(params.n0) / d
+        head = gamma_factor(kind, a + h) / gamma_factor(kind, b + h)
         if params.place is Place.COMPLEX:
-            h = abs(params.n0) / 2
-            head = (
-                gamma_factor(GammaKind.COMPLEX, a + h)
-                / gamma_factor(GammaKind.COMPLEX, b + h)
-                * _i_pow(params.n0)
-            )
-            for n in ns:
-                vals.append(
-                    head * gamma_factor(GammaKind.COMPLEX, b + n / 2) / gamma_factor(GammaKind.COMPLEX, a + n / 2)
-                )
-        else:
-            head = gamma_factor(GammaKind.REAL, a + params.n0) / gamma_factor(GammaKind.REAL, b + params.n0)
-            pairs = {}  # n and -n share one gamma pair
-            for n in ns:
-                if abs(n) not in pairs:
-                    pairs[abs(n)] = (gamma_factor(GammaKind.REAL, b + abs(n)), gamma_factor(GammaKind.REAL, a + abs(n)))
-                gb, ga = pairs[abs(n)]
-                sign = (-1.0) ** ((abs(n) - n) // 2)
-                vals.append(head * sign * gb / ga)
+            head *= _i_pow(params.n0)
+        pairs = {}
+        for n in ns:
+            if abs(n) not in pairs:
+                pairs[abs(n)] = (gamma_factor(kind, b + abs(n) / d), gamma_factor(kind, a + abs(n) / d))
+            gb, ga = pairs[abs(n)]
+            sign = (-1.0) ** ((abs(n) - n) // 2)
+            vals.append(head * sign * gb / ga)
     except (ZeroDivisionError, OverflowError) as exc:
         raise _out_of_range(params, n) from exc
     return vals
@@ -199,12 +195,9 @@ def mu_arch_logderiv_column(params: ArchParams, ns: Sequence[int]) -> list[float
         _check_type_index(params, n)
     y = params.s.imag
     t = 2 * y + params.mu
-    if params.place is Place.COMPLEX:
-        counts = [(n - abs(params.n0)) // 2 for n in ns]
-        c0, dc = 1 + abs(params.n0) / 2, 1
-    else:
-        counts = [(abs(n) - params.n0) // 2 for n in ns]
-        c0, dc = 1 + params.n0, 2
+    d = _GAMMA[params.place][1]
+    counts = [(abs(n) - abs(params.n0)) // 2 for n in ns]
+    c0, dc = 1 + abs(params.n0) / d, 2 / d
     total = 0.0
     prefix = [total]
     for k in range(max(counts, default=0)):

@@ -4,7 +4,8 @@
     intertwine mu --place complex --n0 0 --n 0:6 --y 0:2:0.5 [--format csv]
     intertwine gauss --p 5 --m-max 2 [--psi-c 1]
 
-verify exits 0 when every case passes, 1 otherwise, 2 on bad arguments.
+verify exits 0 when every case passes, 1 otherwise, 2 on bad arguments;
+every subcommand exits 2 when it cannot write its --json or --out file.
 Each case's tolerance is fixed in the verify module and has no override;
 verify --tolerances lists the tolerance each suite applies to the cases
 that state none of their own.  Reports are deterministic for a fixed seed
@@ -247,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     # silently become --tolerances, which exits 0 without running a suite
     pv = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    pv.add_argument("--seed", type=int, default=int(os.environ.get("INTERTWINE_SEED", "0")))
+    # argparse converts a string default only when verify parses, so a bad
+    # INTERTWINE_SEED is a usage error of verify (exit 2) and not of the others
+    pv.add_argument("--seed", type=int, default=os.environ.get("INTERTWINE_SEED", "0"))
     pv.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     pv.add_argument("--tolerances", action="store_true",
                     help="print the tolerance each suite applies to the cases that state none, and exit")
@@ -289,7 +292,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.func(args)
-    except (ParityError, RangeError, ValueError) as exc:
+    except (ParityError, RangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -115,9 +115,10 @@ def _refine(level: Callable[[int], complex], refinements: int, scale: int, failu
 def _trapezoid_doubling(g: Callable[[float], complex]) -> complex:
     """Trapezoid rule with step halving for integrands decaying fast on R.
 
-    The grid is extended outward until terms fall below the truncation floor,
-    then the step is halved (reusing previous evaluations implicitly through
-    the running sum) until two consecutive refinements agree.
+    Each sweep at step h walks outward from 0 in both directions until six
+    terms in a row fall below the truncation floor.  The step is halved
+    until two consecutive sweeps agree; every sweep evaluates all of its
+    nodes afresh, including those an earlier, coarser sweep already took.
     """
     floor = QUAD_ABS_TOL * 1e-3
 

@@ -25,6 +25,12 @@ linear combinations of two kinds of atoms,
     [1, >= n]  the indicator of p^n * integers,
 
 which the local Fourier transform permutes with Gauss-sum coefficients.
+Functions on the line (SimpleFunction) and pure-tensor combinations on the
+plane (TensorSimpleFunction) are the arity-1 and arity-2 cases of one
+atom-sum body, a dict from tuples of canonical atoms to coefficients.  One
+per-atom rule, _atom_hat, gives the Fourier image of an atom to the line
+transform fourier_atom and to the plane's twisted fourier_hat alike;
+fourier_bruteforce, the oracle for fourier_atom, sums shells without it.
 Measures are self-dual: additive vol(o) = C(psi)^(-1/2) and multiplicative
 vol(o^x) = C(psi)^(-1/2); both normalizations are asserted by tests.
 
@@ -39,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -252,15 +259,6 @@ def val_p(x: Fraction, p: int) -> int | None:
     return _p_split(x, p)[0]
 
 
-def unit_residue(x: Fraction, p: int, m: int) -> int:
-    """Residue mod p^m of the unit part of x = p^v * u."""
-    v, num, den = _p_split(x, p)
-    if v is None:
-        raise ValueError("zero has no unit part")
-    mod = p**m
-    return (num * pow(den, -1, mod)) % mod
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -470,53 +468,70 @@ def _atom_value(atom: Atom, split: tuple[int | None, int, int]) -> complex:
     return atom.chi._unit_value(num, den) if v == atom.n else 0.0
 
 
-class SimpleFunction:
-    """Finite complex combination of atoms on the multiplicative group."""
+class _AtomSum:
+    """Finite complex combination of pure tensors of ARITY atoms, keyed by
+    the tuple of atoms.
+
+    The constructor takes (coeff, atom_1, ..., atom_ARITY) items, expands
+    each atom in the canonical basis (_canon_atom), and merges equal keys, so
+    every stored key is canonical and every stored coefficient nonzero.
+    """
 
     __slots__ = ("p", "terms")
+    ARITY: ClassVar[int]
 
     def __init__(self, p: int, terms=None):
         self.p = p
-        merged: dict[Atom, complex] = {}
+        merged: dict[tuple[Atom, ...], complex] = {}
         if terms:
-            for coeff, atom in terms:
+            for coeff, *atoms in terms:
+                if len(atoms) != self.ARITY:
+                    raise ValueError(f"{type(self).__name__} terms hold {self.ARITY} atoms, got {len(atoms)}")
                 if coeff == 0:
                     continue
-                for w, canon in _canon_atom(atom):
-                    merged[canon] = merged.get(canon, 0j) + w * complex(coeff)
-        self.terms = {a: c for a, c in merged.items() if c != 0}
+                expanded = [(1.0, ())]
+                for atom in atoms:
+                    expanded = [(w * wa, key + (ca,)) for w, key in expanded for wa, ca in _canon_atom(atom)]
+                c = complex(coeff)
+                for w, key in expanded:
+                    merged[key] = merged.get(key, 0j) + w * c
+        self.terms = {k: c for k, c in merged.items() if c != 0}
 
-    def items(self):
-        return self.terms.items()
+    def scale(self, s: complex):
+        return type(self)(self.p, [(c * s, *key) for key, c in self.terms.items()])
 
-    def scale(self, s: complex) -> "SimpleFunction":
-        return SimpleFunction(self.p, [(c * s, a) for a, c in self.terms.items()])
+    def __add__(self, other):
+        items = [(c, *key) for key, c in self.terms.items()]
+        items += [(c, *key) for key, c in other.terms.items()]
+        return type(self)(self.p, items)
 
-    def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
-        return SimpleFunction(
-            self.p,
-            [(c, a) for a, c in self.terms.items()] + [(c, a) for a, c in other.terms.items()],
-        )
+    def __repr__(self):
+        return f"{type(self).__name__}(p={self.p}, {self.terms!r})"
+
+
+class SimpleFunction(_AtomSum):
+    """Finite complex combination of atoms on the multiplicative group,
+    keyed by 1-tuples (atom,)."""
+
+    __slots__ = ()
+    ARITY = 1
 
     def evaluate(self, x: Fraction) -> complex:
         split = _p_split(x, self.p)
         total = 0j
-        for atom, coeff in self.terms.items():
+        for (atom,), coeff in self.terms.items():
             total += coeff * _atom_value(atom, split)
         return total
 
     def negate_argument(self) -> "SimpleFunction":
         """The function x -> f(-x)."""
         out = []
-        for atom, coeff in self.terms.items():
+        for (atom,), coeff in self.terms.items():
             if isinstance(atom, CharAtom):
                 out.append((coeff * atom.chi.at_minus_one(), atom))
             else:
                 out.append((coeff, atom))
         return SimpleFunction(self.p, out)
-
-    def __repr__(self):
-        return f"SimpleFunction(p={self.p}, {self.terms!r})"
 
 
 def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
@@ -606,30 +621,29 @@ def unit_additive_integral(chi: MultChar, psi: AddChar, n: int) -> complex:
     return _unit_integral(chi, psi, Fraction(chi.p) ** n)
 
 
-def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
-    """Atom-level Fourier transform, int f(u) psi(-u x) du.
+def _atom_hat(atom: Atom, psi: AddChar) -> tuple[float, complex, Atom]:
+    """Fourier image of one canonical atom as (p^(-n), factor, image):
 
     [chi, n]   -> p^(-n) G(chi, psi) [chi^(-1), -n - c(psi) - c(chi)]
     [1, >= n]  -> p^(-n) C(psi)^(-1/2) [1, >= -n - c(psi)]
 
-    Every shell atom of f is ramified: SimpleFunction rewrites a
-    trivial-character one as a difference of two tail atoms.
+    A canonical shell atom is ramified, so its image is canonical too.
     """
-    p = f.p
+    n = atom.n
+    if isinstance(atom, TailAtom):
+        return psi.p ** (-n), psi.conductor_value ** (-0.5), TailAtom(-n - psi.c)
+    chi = atom.chi
+    return psi.p ** (-n), gauss_sum(chi, psi), CharAtom(chi.inverse(), -n - psi.c - chi.cond)
+
+
+def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
+    """Atom-level Fourier transform, int f(u) psi(-u x) du: each atom goes
+    to its image under _atom_hat, with coefficient coeff p^(-n) factor."""
     out = []
-    for atom, coeff in f.terms.items():
-        if isinstance(atom, TailAtom):
-            n = atom.n
-            out.append((coeff * p ** (-n) * psi.conductor_value ** (-0.5), TailAtom(-n - psi.c)))
-        else:
-            n, chi = atom.n, atom.chi
-            out.append(
-                (
-                    coeff * p ** (-n) * gauss_sum(chi, psi),
-                    CharAtom(chi.inverse(), -n - psi.c - chi.cond),
-                )
-            )
-    return SimpleFunction(p, out)
+    for (atom,), coeff in f.terms.items():
+        scale, factor, image = _atom_hat(atom, psi)
+        out.append((coeff * scale * factor, image))
+    return SimpleFunction(f.p, out)
 
 
 def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
@@ -650,13 +664,13 @@ def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
     if x == 0:
         # plain integral of f; a ramified shell atom integrates to zero
         total = 0j
-        for atom, coeff in f.terms.items():
+        for (atom,), coeff in f.terms.items():
             if isinstance(atom, TailAtom):
                 total += coeff * p ** (-atom.n) * psi.conductor_value ** (-0.5)
         return total
 
     total = 0j
-    for atom, coeff in f.terms.items():
+    for (atom,), coeff in f.terms.items():
         if isinstance(atom, CharAtom):
             total += coeff * shell_integral(atom.chi, atom.n)
         else:
@@ -673,34 +687,12 @@ def fourier_bruteforce(f: SimpleFunction, psi: AddChar, x: Fraction) -> complex:
 # two-variable tensors
 
 
-class TensorSimpleFunction:
-    """Finite combination of pure tensors atomA (x) atomB on the plane."""
+class TensorSimpleFunction(_AtomSum):
+    """Finite combination of pure tensors atomA (x) atomB on the plane,
+    keyed by (atomA, atomB)."""
 
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms=None):
-        self.p = p
-        merged: dict[tuple[Atom, Atom], complex] = {}
-        if terms:
-            for coeff, a, b in terms:
-                if coeff == 0:
-                    continue
-                for wa, ca in _canon_atom(a):
-                    for wb, cb in _canon_atom(b):
-                        key = (ca, cb)
-                        merged[key] = merged.get(key, 0j) + wa * wb * complex(coeff)
-        self.terms = {k: c for k, c in merged.items() if c != 0}
-
-    def items(self):
-        return self.terms.items()
-
-    def scale(self, s: complex) -> "TensorSimpleFunction":
-        return TensorSimpleFunction(self.p, [(c * s, a, b) for (a, b), c in self.terms.items()])
-
-    def __add__(self, other: "TensorSimpleFunction") -> "TensorSimpleFunction":
-        items = [(c, a, b) for (a, b), c in self.terms.items()]
-        items += [(c, a, b) for (a, b), c in other.terms.items()]
-        return TensorSimpleFunction(self.p, items)
+    __slots__ = ()
+    ARITY = 2
 
     def evaluate(self, x: Fraction, y: Fraction) -> complex:
         sx, sy = _p_split(x, self.p), _p_split(y, self.p)
@@ -713,14 +705,18 @@ class TensorSimpleFunction:
         return total
 
     def fourier_hat(self, psi: AddChar) -> "TensorSimpleFunction":
-        """Twisted plane transform hat(Phi)(x, y) = (full transform)(-y, x)."""
+        """Twisted plane transform hat(Phi)(x, y) = (full transform)(-y, x):
+        atomA (x) atomB goes to hat(atomB) (x) hat(atomA)(-.)."""
         out = []
         for (a, b), coeff in self.terms.items():
-            fa = fourier_atom(SimpleFunction(self.p, [(1.0, a)]), psi).negate_argument()
-            fb = fourier_atom(SimpleFunction(self.p, [(1.0, b)]), psi)
-            for a2, c2 in fb.terms.items():
-                for b2, c3 in fa.terms.items():
-                    out.append((coeff * c2 * c3, a2, b2))
+            scale_a, factor_a, image_a = _atom_hat(a, psi)
+            scale_b, factor_b, image_b = _atom_hat(b, psi)
+            ca = scale_a * factor_a
+            if isinstance(image_a, CharAtom):  # hat(atomA)(-x) = chi(-1) hat(atomA)(x)
+                ca *= image_a.chi.at_minus_one()
+            # grouped as the per-slot transforms were, so every coefficient
+            # keeps its bits
+            out.append((coeff * (scale_b * factor_b) * ca, image_b, image_a))
         return TensorSimpleFunction(self.p, out)
 
     def inner(self, other: "TensorSimpleFunction", psi: AddChar) -> complex:
@@ -732,10 +728,6 @@ class TensorSimpleFunction:
                 if ip:
                     total += c1 * c2.conjugate() * ip
         return total
-
-    def __repr__(self):
-        return f"TensorSimpleFunction(p={self.p}, {self.terms!r})"
-
 
 def _atom_inner(a: Atom, b: Atom, p: int, psi: AddChar) -> float:
     """Exact line inner product of two atoms (additive measure)."""

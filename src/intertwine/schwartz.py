@@ -27,6 +27,10 @@ and the base Gaussian is its own transform.  The result is exact in the
 PiLaurent coefficient ring; the involution hat(hat(Phi)) = Phi and the
 rotation equivariance hat(kappa.Phi)(z) = hat(Phi)(z kappa) are coefficient
 identities, not numerical ones.
+
+The right rotation z -> z k (k in SU(2) at n = 4, a unit complex number at
+n = 2) is one rule as well: _ROTATIONS gives the matrix of k from its slot
+values, and k_act substitutes it into the polynomial part.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ from .harmonics import SU2Point, _check_su2_indices
 _RULES = {
     4: (PiLaurent.pi_power(1, 2), PiLaurent.pi_power(-1, 0, Fraction(1, 2))),
     2: (PiLaurent.pi_power(1, 1), PiLaurent.pi_power(-1, 1)),
+}
+
+# matrix of the rotation z -> z kappa from kappa's slot values, by slot count
+_ROTATIONS = {
+    4: lambda k1, k2, k1c, k2c: ((k1, k2), (-k2c, k1c)),
+    2: lambda c, cc: ((c,),),
 }
 
 
@@ -96,6 +106,11 @@ class PolyGaussian2(_PolyGaussian):
     WIDTH = math.pi
 
 
+def _slot_key(n: int, i: int) -> tuple[int, ...]:
+    """Exponent key of the monomial slot i, one of n slots."""
+    return tuple(int(m == i) for m in range(n))
+
+
 @lru_cache(maxsize=None)
 def _hat_monomial(key: tuple[int, ...]) -> VarPoly:
     """Transform of the monomial-times-Gaussian, polynomial part only: peel
@@ -107,8 +122,7 @@ def _hat_monomial(key: tuple[int, ...]) -> VarPoly:
     gamma, kappa = _RULES[n]
     t = _hat_monomial(key[:i] + (key[i] - 1,) + key[i + 1 :])
     j = i ^ 1
-    partner = tuple(int(m == (j + n // 2) % n) for m in range(n))
-    return (t.deriv(j) + t.mul_monomial(partner, -gamma)).scale(kappa if i % 2 else -kappa)
+    return (t.deriv(j) + t.mul_monomial(_slot_key(n, (j + n // 2) % n), -gamma)).scale(kappa if i % 2 else -kappa)
 
 
 def _fourier_hat(phi: _PolyGaussian) -> _PolyGaussian:
@@ -131,38 +145,32 @@ def fourier_hat_c(phi: PolyGaussian2) -> PolyGaussian2:
 def k_act(kappa, phi):
     """Right rotation action (kappa.Phi)(z) = Phi(z kappa).
 
-    For the four-variable class kappa is an SU2Point or an exact 4-tuple of
-    scalars (k1, k2, conj k1, conj k2); for the two-variable class it is a
-    unit complex number or an exact (c, conj c) pair.  The Gaussian factor is
-    rotation invariant, so only the polynomial part substitutes.
+    kappa is given by its slot values: an SU2Point or an exact 4-tuple
+    (k1, k2, conj k1, conj k2) for the four-variable class, a unit complex
+    number or an exact (c, conj c) pair for the two-variable class.  Slot j
+    goes to sum_i slot_i M[i][j], M the _ROTATIONS matrix of the values; a
+    conjugate slot takes the same rule on the conjugate values (the two
+    halves swapped).  The Gaussian factor is rotation invariant, so only the
+    polynomial part substitutes.
     """
-    if isinstance(phi, PolyGaussian4):
-        if isinstance(kappa, SU2Point):
-            k1, k2, k1c, k2c = kappa.values()
-        else:
-            k1, k2, k1c, k2c = kappa
-        images = [
-            # z1 -> z1 k1 - z2 conj k2, z2 -> z1 k2 + z2 conj k1, conjugates likewise
-            VarPoly(4, {Z1_KEY: k1, Z2_KEY: -k2c}),
-            VarPoly(4, {Z1_KEY: k2, Z2_KEY: k1c}),
-            VarPoly(4, {Z1C_KEY: k1c, Z2C_KEY: -k2}),
-            VarPoly(4, {Z1C_KEY: k2c, Z2C_KEY: k1}),
-        ]
-        return PolyGaussian4(phi.poly.substitute(images))
-    if isinstance(phi, PolyGaussian2):
-        if isinstance(kappa, complex):
-            c, cc = kappa, kappa.conjugate()
-        else:
-            c, cc = kappa
-        images = [
-            VarPoly(2, {(1, 0): c}),
-            VarPoly(2, {(0, 1): cc}),
-        ]
-        return PolyGaussian2(phi.poly.substitute(images))
-    raise TypeError(f"unsupported operand {type(phi)!r}")
-
-
-Z1_KEY, Z2_KEY, Z1C_KEY, Z2C_KEY = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    if not isinstance(phi, _PolyGaussian):
+        raise TypeError(f"unsupported operand {type(phi)!r}")
+    if isinstance(kappa, SU2Point):
+        values = kappa.values()
+    elif isinstance(kappa, complex):
+        values = (kappa, kappa.conjugate())
+    else:
+        values = tuple(kappa)
+    n = phi.SLOTS
+    if len(values) != n:
+        raise TypeError(f"{type(phi).__name__} rotates by {n} slot values, got {len(values)}")
+    half = n // 2
+    images = []
+    for offset in (0, half):
+        matrix = _ROTATIONS[n](*values[offset:], *values[:offset])
+        for j in range(half):
+            images.append(VarPoly(n, {_slot_key(n, offset + i): row[j] for i, row in enumerate(matrix)}))
+    return type(phi)(phi.poly.substitute(images))
 
 
 def restrict_sphere(phi: PolyGaussian4, kappa: SU2Point) -> complex:

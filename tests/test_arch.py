@@ -353,6 +353,24 @@ def test_column_is_bit_identical_to_single_weights():
     assert mu_arch_logderiv_column(ArchParams(Place.REAL, 0.5j), []) == []
 
 
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_column_is_bitwise_the_frozen_expression_signed_zeros_included():
+    # == reads -0.0 as 0.0, but a table prints them as -0 and 0: one loop
+    # for both places must keep the sign of every zero part too
+    zeros = 0
+    for params, ns in _column_cases():
+        col = mu_arch_column(params, ns)
+        for i, n in enumerate(ns):
+            assert _hex(col[i]) == _hex(_frozen_mu(params, n)), (params, n)
+            unnormalized = mu_arch(params, n, normalized=False)
+            assert _hex(unnormalized) == _hex(_frozen_mu(params, n, normalized=False)), (params, n)
+            zeros += col[i].imag == 0
+    assert zeros > 0
+
+
 def test_column_checks_every_weight():
     for column in (mu_arch_column, mu_arch_logderiv_column):
         with pytest.raises(ParityError):

@@ -48,6 +48,37 @@ def test_verify_seed_env_fallback(tmp_path, monkeypatch):
     assert json.loads(path.read_text())["seed"] == 23
 
 
+def test_malformed_seed_env_is_a_verify_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("INTERTWINE_SEED", "abc")
+    # the other subcommands never read the variable
+    assert main(["gauss", "--p", "3", "--m-max", "1"]) == 0
+    capsys.readouterr()
+    for argv in (["verify", "--tolerances"], ["verify", "--suite", "global"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit --seed overrides the bad variable
+    assert main(["verify", "--tolerances", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["verify", "--suite", "global", "--seed", "0", "--json"],
+        ["mu", "--place", "complex", "--n", "0:2:2", "--y", "0", "--out"],
+        ["mu", "--place", "real", "--n", "0:2:2", "--y", "0", "--format", "json", "--out"],
+        ["gauss", "--p", "3", "--m-max", "1", "--out"],
+    ),
+)
+def test_unwritable_output_path_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
 def test_tolerances_listing(capsys):
     assert main(["verify", "--tolerances"]) == 0
     out = capsys.readouterr().out

@@ -493,11 +493,11 @@ def test_fourier_atom_rules():
     # self-dual tail
     f = SimpleFunction(5, [(1.0, TailAtom(0))])
     fa = fourier_atom(f, psi)
-    assert fa.terms == {TailAtom(0): 1.0 + 0j}
+    assert fa.terms == {(TailAtom(0),): 1.0 + 0j}
     # ramified shell picks up the Gauss sum at the reflected shift
     chi = MultChar(5, 1, 2)
     fa = fourier_atom(SimpleFunction(5, [(1.0, CharAtom(chi, 0))]), psi)
-    (atom, coeff), = fa.terms.items()
+    ((atom,), coeff), = fa.terms.items()
     assert atom == CharAtom(chi.inverse(), -1)
     assert abs(coeff - gauss_sum(chi, psi)) < 1e-15
 
@@ -582,7 +582,7 @@ def test_functions_never_hold_trivial_shell_atoms(line_terms, plane_terms):
     psi = AddChar(5, 1)
     f = SimpleFunction(5, line_terms)
     for g in (f, f.scale(2j), f + f.negate_argument(), fourier_atom(f, psi)):
-        assert _no_trivial_shell(g.terms)
+        assert _no_trivial_shell(a for (a,) in g.terms)
     phi = TensorSimpleFunction(5, plane_terms)
     for h in (phi, phi.scale(-1), phi + phi, phi.fourier_hat(psi)):
         assert _no_trivial_shell(a for pair in h.terms for a in pair)
@@ -615,6 +615,138 @@ def test_tensor_hat_involution():
     hh = phi.fourier_hat(psi).fourier_hat(psi)
     keys = set(hh.terms) | set(phi.terms)
     assert max(abs(hh.terms.get(k, 0) - phi.terms.get(k, 0)) for k in keys) < 1e-13
+
+
+# Bit-for-bit references, frozen from the per-shape code that the shared
+# atom-sum body and _atom_hat replaced.  Coefficients are compared by their
+# float bits, signed zeros included, and the term order must match too.
+
+
+def _term_bits(terms: dict) -> list:
+    return [(key, *_bits(c)) for key, c in terms.items()]
+
+
+def _ref_line(p: int, items) -> dict:
+    """The one-variable constructor: (coeff, atom) items to canonical terms."""
+    merged = {}
+    for coeff, atom in items:
+        if coeff == 0:
+            continue
+        canon = [(1.0, atom)]
+        if isinstance(atom, CharAtom) and atom.chi.cond == 0:
+            canon = [(1.0, TailAtom(atom.n)), (-1.0, TailAtom(atom.n + 1))]
+        for w, a in canon:
+            merged[a] = merged.get(a, 0j) + w * complex(coeff)
+    return {a: c for a, c in merged.items() if c != 0}
+
+
+def _ref_fourier_atom(p: int, terms: dict, psi: AddChar) -> dict:
+    out = []
+    for atom, coeff in terms.items():
+        if isinstance(atom, TailAtom):
+            n = atom.n
+            out.append((coeff * p ** (-n) * psi.conductor_value ** (-0.5), TailAtom(-n - psi.c)))
+        else:
+            n, chi = atom.n, atom.chi
+            out.append((coeff * p ** (-n) * gauss_sum(chi, psi), CharAtom(chi.inverse(), -n - psi.c - chi.cond)))
+    return _ref_line(p, out)
+
+
+def _ref_negate(p: int, terms: dict) -> dict:
+    out = []
+    for atom, coeff in terms.items():
+        out.append((coeff * atom.chi.at_minus_one() if isinstance(atom, CharAtom) else coeff, atom))
+    return _ref_line(p, out)
+
+
+def _ref_fourier_hat(phi: TensorSimpleFunction, psi: AddChar) -> dict:
+    """One-atom line function -> fourier_atom -> negate_argument per slot,
+    then the two-variable constructor."""
+    p = phi.p
+    merged = {}
+    for (a, b), coeff in phi.terms.items():
+        fa = _ref_negate(p, _ref_fourier_atom(p, _ref_line(p, [(1.0, a)]), psi))
+        fb = _ref_fourier_atom(p, _ref_line(p, [(1.0, b)]), psi)
+        for a2, c2 in fb.items():
+            for b2, c3 in fa.items():
+                # every image atom is canonical, so each weight is 1.0
+                merged[(a2, b2)] = merged.get((a2, b2), 0j) + 1.0 * 1.0 * complex(coeff * c2 * c3)
+    return {k: c for k, c in merged.items() if c != 0}
+
+
+@st.composite
+def canonical_tensors(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    chars = [MultChar.trivial(p), MultChar(p, 1, 1), MultChar(p, 1, p - 2), MultChar(p, 2, 1)]
+    atoms = st.one_of(
+        st.builds(TailAtom, st.integers(-3, 3)),
+        st.builds(CharAtom, st.sampled_from(chars), st.integers(-3, 3)),
+    )
+    coeffs = st.complex_numbers(min_magnitude=1e-3, max_magnitude=8, allow_nan=False, allow_infinity=False)
+    items = draw(st.lists(st.tuples(coeffs, atoms, atoms), min_size=1, max_size=6))
+    return TensorSimpleFunction(p, items), AddChar(p, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_tensors())
+def test_fourier_hat_is_bitwise_the_one_atom_composition(drawn):
+    phi, psi = drawn
+    assert _term_bits(phi.fourier_hat(psi).terms) == _term_bits(_ref_fourier_hat(phi, psi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_tensors())
+def test_fourier_atom_is_bitwise_the_per_shape_rule(drawn):
+    phi, psi = drawn
+    line = SimpleFunction(phi.p, [(c, a) for (a, _), c in phi.terms.items()])
+    ref = _ref_fourier_atom(phi.p, {a: c for (a,), c in line.terms.items()}, psi)
+    assert _term_bits(fourier_atom(line, psi).terms) == _term_bits({(a,): c for a, c in ref.items()})
+
+
+def _ref_atom_value(atom, x: Fraction, p: int) -> complex:
+    """An atom's value from val_p and MultChar.value, not from a shared split."""
+    v = val_p(Fraction(x), p)
+    if isinstance(atom, TailAtom):
+        return 1.0 if v is None or v >= atom.n else 0.0
+    return atom.chi.value(Fraction(x)) if v == atom.n else 0.0
+
+
+def _eval_points(p: int) -> list[Fraction]:
+    pts = [Fraction(0)]
+    for v in range(-4, 4):
+        for u in (Fraction(1), Fraction(p - 1, p + 1), Fraction(2 * p + 1, p - 2)):
+            pts.append(u * Fraction(p) ** v)
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_tensors())
+def test_evaluate_is_bitwise_the_per_arity_loops(drawn):
+    phi, _ = drawn
+    p = phi.p
+    pts = _eval_points(p)
+    line = SimpleFunction(p, [(c, b) for (_, b), c in phi.terms.items()])
+    for x in pts:
+        total = 0j
+        for (atom,), coeff in line.terms.items():
+            total += coeff * _ref_atom_value(atom, x, p)
+        assert _bits(line.evaluate(x)) == _bits(total)
+    for x in pts[::3]:
+        for y in pts:
+            total = 0j
+            for (a, b), coeff in phi.terms.items():
+                fa = _ref_atom_value(a, x, p)
+                if fa == 0:
+                    continue
+                total += coeff * fa * _ref_atom_value(b, y, p)
+            assert _bits(phi.evaluate(x, y)) == _bits(total)
+
+
+def test_atom_sums_check_their_arity():
+    with pytest.raises(ValueError):
+        SimpleFunction(5, [(1.0, TailAtom(0), TailAtom(0))])
+    with pytest.raises(ValueError):
+        TensorSimpleFunction(5, [(1.0, TailAtom(0))])
 
 
 # ---------------------------------------------------------------------------

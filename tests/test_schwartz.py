@@ -7,7 +7,7 @@ import pytest
 
 from intertwine.errors import ParityError, RangeError
 from intertwine.exact import PiLaurent, VarPoly
-from intertwine.harmonics import W_INV_POINT, harmonic_su2, su2_exact_values, su2_from_integers
+from intertwine.harmonics import W_INV_POINT, SU2Point, harmonic_su2, hopf_point, su2_exact_values, su2_from_integers
 from intertwine.schwartz import (
     PolyGaussian2,
     PolyGaussian4,
@@ -121,6 +121,56 @@ def test_k_act_identity_and_torus():
         lhs = restrict_sphere(phi, left)
         rhs = rot.conjugate() ** 1 * restrict_sphere(phi, kap)
         assert abs(lhs - rhs) < 1e-14
+
+
+def _ref_k_act(kappa, phi):
+    """The hand-written per-class rotation images, frozen."""
+    z1, z2, z1c, z2c = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    if isinstance(phi, PolyGaussian4):
+        k1, k2, k1c, k2c = kappa.values() if isinstance(kappa, SU2Point) else kappa
+        images = [
+            VarPoly(4, {z1: k1, z2: -k2c}),
+            VarPoly(4, {z1: k2, z2: k1c}),
+            VarPoly(4, {z1c: k1c, z2c: -k2}),
+            VarPoly(4, {z1c: k2c, z2c: k1}),
+        ]
+        return PolyGaussian4(phi.poly.substitute(images))
+    c, cc = (kappa, kappa.conjugate()) if isinstance(kappa, complex) else kappa
+    return PolyGaussian2(phi.poly.substitute([VarPoly(2, {(1, 0): c}), VarPoly(2, {(0, 1): cc})]))
+
+
+def _term_bits(phi) -> list:
+    return [(key, complex(c).real.hex(), complex(c).imag.hex()) for key, c in phi.poly.terms.items()]
+
+
+def test_k_act_is_bitwise_the_hand_written_images():
+    rng = random.Random(11)
+    for quad in ((1, 1, 1, 0), (2, 1, 1, 1), (3, 1, 2, 1)):
+        kap = su2_exact_values(*quad)
+        phi = random_poly4(rng, max_deg=3)
+        assert _term_bits(k_act(kap, phi)) == _term_bits(_ref_k_act(kap, phi))
+    floats4 = PolyGaussian4(VarPoly(4, {(1, 0, 2, 0): 0.5 - 1.25j, (0, 2, 0, 1): 2 + 0j, (1, 1, 1, 1): -0.75j}))
+    for angles in ((0.6, 0.4, 1.2), (1.0, 5.0, 2.6), (0.9, 1.7, 5.5)):
+        kap = hopf_point(*angles)
+        for phi in (floats4, section_su2(1, 3), section_su2(-2, 4)):
+            assert _term_bits(k_act(kap, phi)) == _term_bits(_ref_k_act(kap, phi))
+    exact2 = PolyGaussian2(VarPoly(2, {(2, 0): PiLaurent.rational(1), (1, 2): PiLaurent.rational(0, Fraction(1, 2))}))
+    rot = (PiLaurent.rational(Fraction(3, 5), Fraction(4, 5)), PiLaurent.rational(Fraction(3, 5), Fraction(-4, 5)))
+    assert _term_bits(k_act(rot, exact2)) == _term_bits(_ref_k_act(rot, exact2))
+    floats2 = PolyGaussian2(VarPoly(2, {(2, 1): 0.5 - 1.25j, (0, 3): 2 + 0j, (1, 1): 0.3j}))
+    for t in (0.3, 1.1, 4.0):
+        kap = complex(math.cos(t), math.sin(t))
+        for phi in (floats2, section_so2(3), section_so2(-4)):
+            assert _term_bits(k_act(kap, phi)) == _term_bits(_ref_k_act(kap, phi))
+
+
+def test_k_act_rejects_other_operands():
+    with pytest.raises(TypeError):
+        k_act(1 + 0j, VarPoly(2, {(1, 0): 1.0}))
+    with pytest.raises(TypeError):
+        k_act(hopf_point(0.6, 0.4, 1.2), PolyGaussian2.gaussian())
+    with pytest.raises(TypeError):
+        k_act(1 + 0j, PolyGaussian4.gaussian())
 
 
 def test_restrict_sphere_values():
