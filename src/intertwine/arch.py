@@ -73,6 +73,8 @@ class ArchParams:
     n0: int = 0
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.s) and math.isfinite(self.mu)):
+            raise ValueError(f"need finite s and mu, got s={self.s}, mu={self.mu}")
         if self.place is Place.REAL and self.n0 not in (0, 1):
             raise ParityError(f"real-place angular weight must be 0 or 1, got {self.n0}")
 

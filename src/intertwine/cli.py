@@ -41,11 +41,14 @@ from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
 def _parse_range(text: str, integer: bool = False):
-    """start:stop[:step] (inclusive stop) or a comma list.
+    """start:stop[:step] (inclusive stop) or a comma list of finite numbers.
 
     Point k of a range is start + k * step, so no rounding accumulates along
     the grid; a last point within rounding of stop is stop itself.
     """
+    for bit in text.replace(",", ":").split(":"):
+        if not math.isfinite(float(bit)):
+            raise ValueError(f"expected a finite number, got {bit!r}")
     if "," in text:
         vals = [float(v) for v in text.split(",")]
     else:

@@ -18,10 +18,11 @@ Conventions fixed here and asserted by tests:
     z^n for n >= 0 and conj(z)^(-n) for n < 0, each of unit norm for the
     probability measure on the circle.
 
-On the Hopf grid the monomial z1^a z2^b conj(z1)^c conj(z2)^d is
-z1^a conj(z1)^c, a function of (theta, phi1), times z2^b conj(z2)^d, a
-function of (theta, phi2), so the Haar and Gram quadratures sum the two phi
-axes separately and never evaluate on the full (theta, phi1, phi2) grid.
+The Haar and Gram quadratures integrate polynomials exactly on one Hopf grid
+sized from the degree (_hopf_factors).  There z1^a z2^b conj(z1)^c conj(z2)^d
+is z1^a conj(z1)^c, a function of (theta, phi1), times z2^b conj(z2)^d, a
+function of (theta, phi2), so they sum the two phi axes separately and never
+evaluate on the full (theta, phi1, phi2) grid.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ import numpy as np
 
 from .errors import ParityError, RangeError
 from .exact import ONE, PiLaurent, VarPoly, scalar_is_zero
-from .numerics import _refine
-
-# theta and phi nodes of the Hopf grid gram_matrix integrates on
-GRAM_NODES = 24
 
 _FR0 = Fraction(0)
 
@@ -230,7 +227,11 @@ def harmonic_so2(n: int) -> HarmonicSO2:
 
 @lru_cache(maxsize=None)
 def hopf_grid(n_theta: int, n_phi: int):
-    """Gauss-Legendre nodes in theta tensored with periodic trapezoid in phi.
+    """Gauss-Legendre nodes in x = cos^2(theta) tensored with periodic trapezoid in phi.
+
+    In x the Haar measure is (4 pi^2)^{-1} dx dphi1 dphi2 on [0, 1]: node t_j
+    maps to x = (1 + t_j) / 2, cos(theta) = sqrt(x), sin(theta) = sqrt(1 - x),
+    and weight w_j to w_j / 4 times (2 pi / n_phi)^2 / (2 pi^2) = w_j / (2 n_phi^2).
 
     Returns (values, weights): values is the 4-tuple of coordinate grids
     (z1, z2, conj z1, conj z2) and weights sums to 1, the probability Haar
@@ -242,64 +243,63 @@ def hopf_grid(n_theta: int, n_phi: int):
     construction.  Grids are cached per size and read-only.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    theta = 0.25 * math.pi * (nodes + 1.0)
-    wtheta = 0.25 * math.pi * wts * np.sin(theta) * np.cos(theta)
+    cos_t = np.sqrt(0.5 * (1.0 + nodes))
+    sin_t = np.sqrt(0.5 * (1.0 - nodes))
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    z1 = (np.cos(T) * np.exp(1j * P))[:, :, None]
-    z2 = (np.sin(T) * np.exp(1j * P))[:, None, :]
-    weights = (wtheta * wphi * wphi / (2.0 * math.pi**2))[:, None, None]
+    z1 = (cos_t[:, None] * np.exp(1j * phi))[:, :, None]
+    z2 = (sin_t[:, None] * np.exp(1j * phi))[:, None, :]
+    weights = (wts / (2 * n_phi * n_phi))[:, None, None]
     values = (z1, z2, np.conj(z1), np.conj(z2))
     for arr in values + (weights,):
         arr.flags.writeable = False
     return values, weights
 
 
-def _hopf_factors(keys, n: int):
-    """Factors of the monomials keyed (a, b, c, d) on the n x n Hopf grid.
+def _hopf_factors(keys, degree: int):
+    """Factors of the monomials keyed (a, b, c, d) on the Hopf grid exact at `degree`.
+
+    degree + 1 points per phi axis make the trapezoid exact for the phases
+    e^{i (a - c) phi}, |a - c| <= degree, and degree // 4 + 1 nodes in x make
+    Gauss-Legendre exact for what the phi sums leave, x^a (1 - x)^b of degree
+    a + b <= degree / 2.
 
     Returns (A, ia, B, ib, w): A[s, theta, phi1] = z1^a conj(z1)^c for the
     distinct pairs (a, c) and ia the pair of each key, B[s, theta, phi2] =
     z2^b conj(z2)^d and ib likewise for (b, d), and w the theta weights, which
     carry the phi weights.  Key t is A[ia[t], theta, phi1] B[ib[t], theta, phi2].
     """
-    values, weights = hopf_grid(n, n)
-    z1, z2, z1c, z2c = (v.reshape(n, n) for v in values)
+    m, n = degree // 4 + 1, degree + 1
+    values, weights = hopf_grid(m, n)
+    z1, z2, z1c, z2c = (v.reshape(m, n) for v in values)
     pairs_a, pairs_b = {}, {}
     ia = np.array([pairs_a.setdefault((a, c), len(pairs_a)) for a, _, c, _ in keys], dtype=int)
     ib = np.array([pairs_b.setdefault((b, d), len(pairs_b)) for _, b, _, d in keys], dtype=int)
-    A = np.array([z1**a * z1c**c for a, c in pairs_a], dtype=complex).reshape(-1, n, n)
-    B = np.array([z2**b * z2c**d for b, d in pairs_b], dtype=complex).reshape(-1, n, n)
+    A = np.array([z1**a * z1c**c for a, c in pairs_a], dtype=complex).reshape(-1, m, n)
+    B = np.array([z2**b * z2c**d for b, d in pairs_b], dtype=complex).reshape(-1, m, n)
     return A, ia, B, ib, weights.ravel()
 
 
 def haar_integrate_su2(f: HarmonicSU2 | VarPoly) -> complex:
-    """Integral against probability Haar measure on SU(2).
+    """Integral against probability Haar measure on SU(2), exact for polynomials.
 
-    A level sums c_t w (sum_phi1 A)(sum_phi2 B) over the terms t, with A and B
-    the factors of term t (see _hopf_factors), and the theta nodes w, from a
-    12 x 12 grid doubling, up to 768 x 768, until two levels agree within ten
-    times the tolerances of numerics._refine.
+    Sums c_t w (sum_phi1 A)(sum_phi2 B) over the terms t, with A and B the
+    factors of term t and w the theta weights, on the grid that _hopf_factors
+    sizes from the largest total degree of f.
     """
     poly = f.poly if isinstance(f, HarmonicSU2) else f
     coeffs = np.array([c for _, c in poly.complex_terms()], dtype=complex)
-
-    def level(n: int) -> complex:
-        A, ia, B, ib, w = _hopf_factors(poly.terms, n)
-        return complex(np.sum(coeffs[:, None] * A.sum(axis=2)[ia] * B.sum(axis=2)[ib] * w))
-
-    return _refine(lambda k: level(12 * 2**k), 6, 10, "Haar quadrature did not stabilize")
+    A, ia, B, ib, w = _hopf_factors(poly.terms, poly.max_degree())
+    return complex(np.sum(coeffs[:, None] * A.sum(axis=2)[ia] * B.sum(axis=2)[ib] * w))
 
 
 def gram_matrix(harms: list[HarmonicSU2]) -> np.ndarray:
-    """Quadrature Gram matrix <h_i, h_j> on the GRAM_NODES x GRAM_NODES Hopf grid:
+    """Exact Gram matrix <h_i, h_j> on the grid for twice the largest degree:
     C M C^H, C the coefficients over the distinct monomials t and M_tu =
     sum_theta w (sum_phi1 A_t conj A_u)(sum_phi2 B_t conj B_u) (see _hopf_factors)."""
     keys = list(dict.fromkeys(key for h in harms for key in h.poly.terms))
     rows = [dict(h.poly.complex_terms()) for h in harms]
     C = np.array([[row.get(key, 0) for key in keys] for row in rows], dtype=complex)
-    A, ia, B, ib, w = _hopf_factors(keys, GRAM_NODES)
+    A, ia, B, ib, w = _hopf_factors(keys, 2 * max((h.poly.max_degree() for h in harms), default=0))
     # einsum, not matmul: each call into a threaded BLAS can wait for an idle
     # worker thread, and the products here are small
     PA = np.einsum("sqp,rqp->qsr", A, A.conj())

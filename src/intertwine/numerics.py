@@ -32,10 +32,9 @@ class GammaKind(Enum):
     COMPLEX = "complex"
 
 
-# Convergence test of every adaptive quadrature in the package (_refine): two
-# successive refinements agree within max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|),
-# else ToleranceNotMet.  The trapezoid rule takes QUAD_MAX_HALVINGS
-# refinements; harmonics.haar_integrate_su2 takes 6 at ten times the tolerances.
+# Convergence test of the adaptive trapezoid rule: two successive step
+# halvings agree within max(QUAD_ABS_TOL, QUAD_REL_TOL * |I|), else
+# ToleranceNotMet after QUAD_MAX_HALVINGS halvings.
 QUAD_ABS_TOL = 1e-13
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_HALVINGS = 12
@@ -99,19 +98,6 @@ def gamma_factor(kind: GammaKind, s: complex) -> complex:
     raise ValueError(f"unknown gamma kind {kind!r}")
 
 
-def _refine(level: Callable[[int], complex], refinements: int, scale: int, failure: str) -> complex:
-    """level(k) at k = 1, 2, ... until it agrees with level(k - 1) within
-    max(scale * QUAD_ABS_TOL, scale * QUAD_REL_TOL * |level(k)|); raises
-    ToleranceNotMet(failure) after `refinements` refinements."""
-    prev = level(0)
-    for k in range(1, refinements + 1):
-        cur = level(k)
-        if abs(cur - prev) <= max(QUAD_ABS_TOL * scale, QUAD_REL_TOL * scale * abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet(failure)
-
-
 def _trapezoid_doubling(g: Callable[[float], complex]) -> complex:
     """Trapezoid rule with step halving for integrands decaying fast on R.
 
@@ -142,7 +128,13 @@ def _trapezoid_doubling(g: Callable[[float], complex]) -> complex:
                     raise ToleranceNotMet("integrand does not decay on the grid")
         return total * h
 
-    return _refine(lambda k: sweep(0.5 ** (k + 1)), QUAD_MAX_HALVINGS, 1, "trapezoid refinement budget exhausted")
+    prev = sweep(0.5)
+    for k in range(1, QUAD_MAX_HALVINGS + 1):
+        cur = sweep(0.5 ** (k + 1))
+        if abs(cur - prev) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
+            return cur
+        prev = cur
+    raise ToleranceNotMet("trapezoid refinement budget exhausted")
 
 
 def quad_realline(g: Callable[[float], complex]) -> complex:

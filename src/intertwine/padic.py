@@ -263,6 +263,12 @@ def val_p(x: Fraction, p: int) -> int | None:
 # characters
 
 
+def _same_prime(*primes: int) -> None:
+    """Raise ValueError unless every p-adic operand lives at one prime."""
+    if len(set(primes)) > 1:
+        raise ValueError(f"operands at different primes: {sorted(set(primes))}")
+
+
 @dataclass(frozen=True)
 class MultChar:
     """Character of the unit group, stored primitively at its conductor.
@@ -383,8 +389,7 @@ class MultChar:
         return MultChar(self.p, self.cond, (-self.a) % phi)
 
     def __mul__(self, other: "MultChar") -> "MultChar":
-        if self.p != other.p:
-            raise ValueError("characters at different primes")
+        _same_prime(self.p, other.p)
         m = max(self.cond, other.cond)
         if m == 0:
             return MultChar.trivial(self.p)
@@ -489,6 +494,7 @@ class _AtomSum:
                     raise ValueError(f"{type(self).__name__} terms hold {self.ARITY} atoms, got {len(atoms)}")
                 if coeff == 0:
                     continue
+                _same_prime(p, *(atom.chi.p for atom in atoms if isinstance(atom, CharAtom)))
                 expanded = [(1.0, ())]
                 for atom in atoms:
                     expanded = [(w * wa, key + (ca,)) for w, key in expanded for wa, ca in _canon_atom(atom)]
@@ -501,6 +507,7 @@ class _AtomSum:
         return type(self)(self.p, [(c * s, *key) for key, c in self.terms.items()])
 
     def __add__(self, other):
+        _same_prime(self.p, other.p)
         items = [(c, *key) for key, c in self.terms.items()]
         items += [(c, *key) for key, c in other.terms.items()]
         return type(self)(self.p, items)
@@ -639,6 +646,7 @@ def _atom_hat(atom: Atom, psi: AddChar) -> tuple[float, complex, Atom]:
 def fourier_atom(f: SimpleFunction, psi: AddChar) -> SimpleFunction:
     """Atom-level Fourier transform, int f(u) psi(-u x) du: each atom goes
     to its image under _atom_hat, with coefficient coeff p^(-n) factor."""
+    _same_prime(f.p, psi.p)
     out = []
     for (atom,), coeff in f.terms.items():
         scale, factor, image = _atom_hat(atom, psi)
@@ -707,6 +715,7 @@ class TensorSimpleFunction(_AtomSum):
     def fourier_hat(self, psi: AddChar) -> "TensorSimpleFunction":
         """Twisted plane transform hat(Phi)(x, y) = (full transform)(-y, x):
         atomA (x) atomB goes to hat(atomB) (x) hat(atomA)(-.)."""
+        _same_prime(self.p, psi.p)
         out = []
         for (a, b), coeff in self.terms.items():
             scale_a, factor_a, image_a = _atom_hat(a, psi)
@@ -721,6 +730,7 @@ class TensorSimpleFunction(_AtomSum):
 
     def inner(self, other: "TensorSimpleFunction", psi: AddChar) -> complex:
         """Plane inner product, exact closed orbit volumes per atom pair."""
+        _same_prime(self.p, other.p, psi.p)
         total = 0j
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -759,8 +769,9 @@ class FiniteParams:
     psi: AddChar
 
     def __post_init__(self):
-        if not (self.p == self.xi.p == self.omega_xi_inv.p == self.psi.p):
-            raise ValueError("mismatched primes")
+        if not (cmath.isfinite(self.s) and math.isfinite(self.mu)):
+            raise ValueError(f"need finite s and mu, got s={self.s}, mu={self.mu}")
+        _same_prime(self.p, self.xi.p, self.omega_xi_inv.p, self.psi.p)
 
     @property
     def conductor(self) -> int:

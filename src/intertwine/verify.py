@@ -538,6 +538,16 @@ def _double_transform_dev(f: SimpleFunction, psi: AddChar) -> float:
     return max(abs(ff.terms.get(k, 0) - neg.terms.get(k, 0)) for k in set(ff.terms) | set(neg.terms))
 
 
+# distances from the unitary axis of the Maass-Selberg off-axis samples
+_AXIS_SIGMAS = (1e-2, 1e-3, 1e-4)
+
+
+def _axis_limit(vals) -> float:
+    """Value at sigma = 0 of the quadratic in sigma through vals at _AXIS_SIGMAS."""
+    mat = np.array([[1.0, sig, sig * sig] for sig in _AXIS_SIGMAS])
+    return float(np.linalg.solve(mat, np.array(vals))[0])
+
+
 def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = SUITE_TOLERANCES["global"]
     rng = random.Random(seed)
@@ -592,14 +602,11 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         m_iy = mu_arch(pa, 4)
         m_prime = m_iy * mu_arch_logderiv(pa, 4)
         target = gl.maass_selberg_onaxis(y, c, m_iy, m_prime)
-        sigmas = (1e-2, 1e-3, 1e-4)
         vals = []
-        for sig in sigmas:
+        for sig in _AXIS_SIGMAS:
             m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4)
             vals.append(gl.maass_selberg(complex(sig, y), c, 1.0, abs(m), m.conjugate()))
-        mat = np.array([[1.0, s, s * s] for s in sigmas])
-        extrap = float(np.linalg.solve(mat, np.array(vals))[0])
-        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, extrap, target, tol))
+        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, _axis_limit(vals), target, tol))
 
     # self-dual branch against the global scalar model
     y0, c0 = 0.5, 2.0
@@ -608,14 +615,11 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     m0p = (gl.mu_global_factor(y0 + h) - gl.mu_global_factor(y0 - h)) / (2 * h) * (-1j)
     onax = gl.maass_selberg_onaxis(y0, c0, m0, m0p, is_selfdual=True)
     vals = []
-    sigmas = (1e-2, 1e-3, 1e-4)
-    for sig in sigmas:
+    for sig in _AXIS_SIGMAS:
         s = complex(sig, y0)
         m = gl.completed_zeta(1 - 2 * s) / gl.completed_zeta(1 + 2 * s)
         vals.append(gl.maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
-    mat = np.array([[1.0, sg, sg * sg] for sg in sigmas])
-    extrap = float(np.linalg.solve(mat, np.array(vals))[0])
-    cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, extrap, onax, 1e-5))
+    cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, _axis_limit(vals), onax, 1e-5))
 
     # heights at every place type
     ok = True

@@ -39,6 +39,13 @@ def test_param_validation():
         mu_arch(ArchParams(Place.REAL, 0.0, 0.0, 1), 0)
 
 
+@pytest.mark.parametrize("s,mu", [(complex("nan"), 0.0), (complex(0, math.inf), 0.0), (0.5j, math.nan), (0.5j, -math.inf)])
+def test_param_rejects_non_finite_s_and_mu(s, mu):
+    for place in Place:
+        with pytest.raises(ValueError, match="finite"):
+            ArchParams(place, s, mu, 0)
+
+
 def test_base_weight_values():
     # the empty product: the eigenvalue is the pure phase of the weight
     p2 = ArchParams(Place.COMPLEX, 0.37 + 0.21j, 0.8, 2)

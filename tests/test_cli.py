@@ -352,6 +352,31 @@ def test_range_points_are_exact_multiples_of_the_step():
     assert intertwine.cli._parse_range("5:4") == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--place", "complex", "--n", "0:2:2", "--y", "0:inf:1"],
+        ["--place", "complex", "--n", "0:2:2", "--y", "nan"],
+        ["--place", "complex", "--n", "0", "--y", "0", "--mu", "inf"],
+        ["--place", "real", "--n", "0", "--y", "0,-inf"],
+        ["--place", "finite", "--p", "5", "--n", "0", "--y", "nan"],
+        ["--place", "finite", "--p", "5", "--n", "0", "--y", "0", "--mu", "nan"],
+        ["--place", "finite", "--p", "5", "--n", "nan:2", "--y", "0"],
+    ],
+)
+def test_mu_non_finite_input_exit_two(capsys, argv):
+    assert main(["mu"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_range_rejects_non_finite_values():
+    for text, bad in (("0:inf:1", "'inf'"), ("-inf:0", "'-inf'"), ("0:1:nan", "'nan'"), ("1,nan", "'nan'"), ("inf", "'inf'")):
+        with pytest.raises(ValueError, match=bad):
+            intertwine.cli._parse_range(text)
+
+
 def test_mu_table_grid_hits_its_labels(capsys):
     assert main(["mu", "--place", "complex", "--n0", "0", "--n", "0", "--y=-5:5:0.1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -13,7 +13,6 @@ from intertwine import harmonics, verify
 from intertwine.errors import ParityError, RangeError
 from intertwine.exact import PiLaurent, VarPoly
 from intertwine.harmonics import (
-    GRAM_NODES,
     HarmonicSU2,
     LieGen,
     SU2Point,
@@ -30,7 +29,7 @@ from intertwine.harmonics import (
     normalized_harmonic_su2,
     su2_from_integers,
 )
-from intertwine.numerics import _refine, quad_halfline
+from intertwine.numerics import quad_halfline
 
 
 def conj_poly(poly: VarPoly) -> VarPoly:
@@ -157,18 +156,30 @@ def test_haar_moment_via_polar_identity():
 
 @lru_cache(maxsize=None)
 def _meshgrid_hopf(n_theta: int, n_phi: int):
-    """The Hopf grid as full (n_theta, n_phi, n_phi) meshgrids."""
+    """The Hopf grid as full (n_theta, n_phi, n_phi) meshgrids: Gauss-Legendre
+    in x = cos^2(theta), with cos(theta) = sqrt(x) and sin(theta) = sqrt(1 - x)."""
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    C, P1, P2 = np.meshgrid(np.sqrt(0.5 * (1.0 + nodes)), phi, phi, indexing="ij")
+    S = np.meshgrid(np.sqrt(0.5 * (1.0 - nodes)), phi, phi, indexing="ij")[0]
+    W = np.meshgrid(wts, phi, phi, indexing="ij")[0]
+    Zr1 = C * np.exp(1j * P1)
+    Zr2 = S * np.exp(1j * P2)
+    return (Zr1, Zr2, np.conj(Zr1), np.conj(Zr2)), W / (2 * n_phi * n_phi)
+
+
+def _theta_meshgrid_hopf(n: int):
+    """An independent Hopf rule on full n x n x n meshgrids: Gauss-Legendre in
+    theta on [0, pi/2] with the density sin(theta) cos(theta) in the weights."""
+    nodes, wts = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * math.pi * (nodes + 1.0)
     wtheta = 0.25 * math.pi * wts * np.sin(theta) * np.cos(theta)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
+    phi = 2.0 * math.pi * np.arange(n) / n
     T, P1, P2 = np.meshgrid(theta, phi, phi, indexing="ij")
     WT = np.meshgrid(wtheta, phi, phi, indexing="ij")[0]
     Zr1 = np.cos(T) * np.exp(1j * P1)
     Zr2 = np.sin(T) * np.exp(1j * P2)
-    weights = WT * wphi * wphi / (2.0 * math.pi**2)
-    return (Zr1, Zr2, np.conj(Zr1), np.conj(Zr2)), weights
+    return (Zr1, Zr2, np.conj(Zr1), np.conj(Zr2)), WT * (2.0 * math.pi / n) ** 2 / (2.0 * math.pi**2)
 
 
 def _eval_full(poly: VarPoly, values) -> np.ndarray:
@@ -184,16 +195,6 @@ def _eval_full(poly: VarPoly, values) -> np.ndarray:
     return total
 
 
-def _haar_full(poly: VarPoly) -> complex:
-    """haar_integrate_su2's doubling loop over full-grid level values."""
-
-    def level(n):
-        values, weights = _meshgrid_hopf(n, n)
-        return complex(np.sum(_eval_full(poly, values) * weights))
-
-    return _refine(lambda k: level(12 * 2**k), 6, 10, "reference quadrature did not stabilize")
-
-
 def _norm_integrand(n0: int, n: int, k: int) -> VarPoly:
     h = harmonic_su2(n0, n, k)
     return h.poly * conj_poly(h.poly)
@@ -203,7 +204,7 @@ def _su2_triples(n_max: int):
     return [(n0, n, k) for n in range(n_max + 1) for n0 in range(-n, n + 1, 2) for k in range(n + 1)]
 
 
-@pytest.mark.parametrize("n_theta,n_phi", [(12, 12), (24, 24), (48, 48), (16, 20)])
+@pytest.mark.parametrize("n_theta,n_phi", [(1, 1), (3, 9), (12, 12), (24, 24), (48, 48), (16, 20)])
 def test_hopf_grid_equals_full_meshgrid(n_theta, n_phi):
     values, weights = hopf_grid(n_theta, n_phi)
     ref_values, ref_weights = _meshgrid_hopf(n_theta, n_phi)
@@ -212,6 +213,7 @@ def test_hopf_grid_equals_full_meshgrid(n_theta, n_phi):
     assert weights.shape == (n_theta, 1, 1)
     for got, ref in zip(values + (weights,), ref_values + (ref_weights,)):
         assert np.array_equal(np.broadcast_to(got, shape), ref)
+    assert abs(np.sum(ref_weights) - 1.0) < 1e-15
 
 
 def test_hopf_grid_cached_and_read_only():
@@ -223,16 +225,18 @@ def test_hopf_grid_cached_and_read_only():
             arr[0, 0, 0] = 0
 
 
-@pytest.mark.parametrize("n_theta", [12, 24, 48])
-def test_hopf_factors_equal_full_grid(n_theta):
-    # A(theta, phi1) B(theta, phi2) is the monomial on the full grid, and the
-    # theta weights are the full grid's weights
+@pytest.mark.parametrize("degree", [0, 3, 8, 12, 24, 48])
+def test_hopf_factors_equal_full_grid(degree):
+    # degree // 4 + 1 nodes in x and degree + 1 points per phi axis; A(theta,
+    # phi1) B(theta, phi2) is the monomial on the full grid, and the theta
+    # weights are the full grid's weights
+    n_theta, n_phi = degree // 4 + 1, degree + 1
     keys = list(dict.fromkeys(key for triple in _su2_triples(4) for key in _norm_integrand(*triple).terms))
-    A, ia, B, ib, w = _hopf_factors(keys, n_theta)
+    A, ia, B, ib, w = _hopf_factors(keys, degree)
     # one factor per distinct (a, c) and per distinct (b, d) pair
-    assert A.shape == (len({(a, c) for a, _, c, _ in keys}), n_theta, n_theta)
-    assert B.shape == (len({(b, d) for _, b, _, d in keys}), n_theta, n_theta)
-    ref_values, ref_weights = _meshgrid_hopf(n_theta, n_theta)
+    assert A.shape == (len({(a, c) for a, _, c, _ in keys}), n_theta, n_phi)
+    assert B.shape == (len({(b, d) for _, b, _, d in keys}), n_theta, n_phi)
+    ref_values, ref_weights = _meshgrid_hopf(n_theta, n_phi)
     assert np.array_equal(np.broadcast_to(w[:, None, None], ref_weights.shape), ref_weights)
     for t, key in enumerate(keys):
         ref = _eval_full(VarPoly.monomial(4, key), ref_values)
@@ -245,10 +249,10 @@ def _harmonics_through_four():
 
 
 def test_gram_matrix_matches_full_grid():
-    # the same 24 x 24 rule summed in another order: 1.3e-15 at worst
+    # degree 8 products: the same 3 x 9 x 9 rule summed in another order
     harms = _harmonics_through_four()
     assert len(harms) == 55
-    ref_values, ref_weights = _meshgrid_hopf(24, 24)
+    ref_values, ref_weights = _meshgrid_hopf(3, 9)
     rows = np.array([_eval_full(h.poly, ref_values).ravel() for h in harms])
     ref = (rows * ref_weights.ravel()) @ np.conj(rows.T)
     assert abs(gram_matrix(harms) - ref).max() < 1e-14
@@ -257,36 +261,41 @@ def test_gram_matrix_matches_full_grid():
 def test_gram_matrix_peak_memory():
     harms = _harmonics_through_four()
     gram_matrix(harms)  # fill the grid and coefficient caches
-    rows_nbytes = len(harms) * GRAM_NODES**3 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         gram_matrix(harms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # below the harmonics sampled on the full grid, which a full-grid
-    # evaluation has to hold at least once
-    assert peak < rows_nbytes
+    # 0.79 MB measured on the 3 x 9 x 9 grid (numpy 2.4), with 26 % headroom;
+    # the 55 harmonics sampled on a 24 x 24 x 24 grid take 12 MB, and their
+    # separable factors on the 24 x 24 Hopf grid peak at 4.5 MB
+    assert peak < 1_000_000
 
 
 def test_haar_norm_integrands_match_full_grid():
-    # every norm integrand with n <= 6: 1.8e-15 relative at worst
+    # every norm integrand with n <= 6 against GL in theta on a 48^3 grid
+    ref_values, ref_weights = _theta_meshgrid_hopf(48)
     for triple in _su2_triples(6):
         poly = _norm_integrand(*triple)
-        ref = _haar_full(poly)
+        ref = complex(np.sum(_eval_full(poly, ref_values) * ref_weights))
         assert abs(haar_integrate_su2(poly) - ref) < 1e-14 * abs(ref)
 
 
 def test_haar_monomial_moments_exact():
-    # int |z1|^2a |z2|^2b dk = a! b! / (a + b + 1)!, and every monomial with a
-    # phase integrates to zero
-    for a, b in itertools.product(range(5), repeat=2):
-        exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
-        got = haar_integrate_su2(VarPoly.monomial(4, (a, b, a, b)))
-        assert abs(got - exact) < 1e-14 * exact
-    for key in itertools.product(range(5), repeat=4):
-        if key[:2] != key[2:]:
-            assert abs(haar_integrate_su2(VarPoly.monomial(4, key))) < 1e-15
+    # every monomial of total degree <= 12 or with exponents <= 4, each on the
+    # grid sized for its own degree: int |z1|^2a |z2|^2b dk = a! b! / (a + b + 1)!,
+    # and every monomial with a phase integrates to zero
+    for key in itertools.product(range(13), repeat=4):
+        if sum(key) > 12 and max(key) > 4:
+            continue
+        got = haar_integrate_su2(VarPoly.monomial(4, key))
+        a, b, c, d = key
+        if (a, b) == (c, d):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+            assert abs(got - exact) < 1e-14 * exact
+        else:
+            assert abs(got) < 1e-15
 
 
 # ---------------------------------------------------------------------------

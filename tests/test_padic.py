@@ -749,6 +749,50 @@ def test_atom_sums_check_their_arity():
         TensorSimpleFunction(5, [(1.0, TailAtom(0))])
 
 
+def test_atom_sum_constructor_rejects_a_character_at_another_prime():
+    chi7 = MultChar(7, 1, 1)
+    with pytest.raises(ValueError, match="different primes"):
+        SimpleFunction(5, [(1.0, CharAtom(chi7, 0))])
+    with pytest.raises(ValueError, match="different primes"):
+        TensorSimpleFunction(5, [(1.0, TailAtom(0), CharAtom(chi7, 2))])
+
+
+def test_atom_sum_addition_rejects_mixed_primes():
+    # tail atoms carry no prime, so only the sum itself can see the mismatch
+    with pytest.raises(ValueError, match="different primes"):
+        SimpleFunction(5, [(1.0, TailAtom(0))]) + SimpleFunction(7, [(1.0, TailAtom(0))])
+    with pytest.raises(ValueError, match="different primes"):
+        TensorSimpleFunction(5, [(1.0, TailAtom(0), TailAtom(1))]) + TensorSimpleFunction(3, [])
+
+
+def test_fourier_atom_rejects_a_character_at_another_prime():
+    f = SimpleFunction(5, [(1.0, TailAtom(0)), (2.0, CharAtom(MultChar(5, 1, 1), -1))])
+    with pytest.raises(ValueError, match="different primes"):
+        fourier_atom(f, AddChar(3, 0))
+
+
+def test_tensor_fourier_hat_rejects_a_character_at_another_prime():
+    phi = TensorSimpleFunction(5, [(1.0, TailAtom(0), TailAtom(0))])
+    with pytest.raises(ValueError, match="different primes"):
+        phi.fourier_hat(AddChar(7, 0))
+
+
+def test_tensor_inner_rejects_mixed_primes():
+    phi5 = TensorSimpleFunction(5, [(1.0, TailAtom(0), TailAtom(0))])
+    phi7 = TensorSimpleFunction(7, [(1.0, TailAtom(0), TailAtom(0))])
+    for other, psi in ((phi7, AddChar(5, 0)), (phi5, AddChar(7, 0))):
+        with pytest.raises(ValueError, match="different primes"):
+            phi5.inner(other, psi)
+
+
+@pytest.mark.parametrize("s,mu", [(complex("nan"), 0.3), (complex(math.inf, 0), 0.3), (0.25, math.nan), (0.25, math.inf)])
+def test_finite_params_reject_non_finite_s_and_mu(s, mu):
+    with pytest.raises(ValueError, match="finite"):
+        params_for(5, "both", s=s, mu=mu)
+    with pytest.raises(ValueError, match="finite"):
+        unramified_params(3, s, mu)
+
+
 # ---------------------------------------------------------------------------
 # classical vectors
 
