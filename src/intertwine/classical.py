@@ -154,11 +154,11 @@ def dirac_family(eps) -> PolyGaussian1D:
 
 
 def integrate(f: PolyGaussian1D) -> complex:
-    return quad_realline(lambda x: f(x))
+    return quad_realline(f.eval_array)
 
 
 def l2_norm_sq(f: PolyGaussian1D) -> float:
-    return quad_realline(lambda x: abs(f(x)) ** 2).real
+    return quad_realline(lambda x: np.abs(f.eval_array(x)) ** 2).real
 
 
 def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float) -> float:

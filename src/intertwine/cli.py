@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -37,6 +36,7 @@ from .padic import (
     mu_finite_logderiv,
     root_of_unity_sum,
 )
+from .reports import compact_json, merged_json
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
@@ -94,13 +94,7 @@ def cmd_verify(args) -> int:
         if len(reports) == 1:
             payload = reports[0].to_json(include_timing=args.timing)
         else:
-            merged = {
-                "suite": "all",
-                "seed": args.seed,
-                "pass": all_pass,
-                "reports": [r.as_dict(include_timing=args.timing) for r in reports],
-            }
-            payload = json.dumps(merged, indent=1, sort_keys=True)
+            payload = merged_json(reports, args.seed, include_timing=args.timing)
         with open(args.json, "w") as fh:
             fh.write(payload + "\n")
         print(f"report written to {args.json}")
@@ -224,9 +218,7 @@ def _emit_table(rows, fmt: str, out_path: str | None):
         print("(no rows)")
         return
     if fmt == "json":
-        # one row per line; any indent would send json to its pure-Python encoder
-        encode = json.JSONEncoder(sort_keys=True).encode
-        text = "[\n" + ",\n".join(map(encode, rows)) + "\n]\n"
+        text = "[\n" + ",\n".join(map(compact_json, rows)) + "\n]\n"
     else:
         cols = list(rows[0].keys())
         buf = io.StringIO()

@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,9 @@ from .arch import ArchParams, Place, mu_arch
 from .errors import PoleError, RangeError
 from .numerics import GammaKind, gamma_factor, trapezoid
 from .padic import mu_finite, unramified_params, val_p
+
+# riemann_zeta's height bound, which also sizes its table of log k
+_ZETA_MAX_IM = 1000.0
 
 # Euler-Maclaurin tail coefficients B_2k / (2k)! for k = 1 .. 15 (B_2 .. B_30)
 _BERNOULLI = tuple(
@@ -46,13 +50,22 @@ _BERNOULLI = tuple(
 )
 
 
+@cache
+def _log_k() -> np.ndarray:
+    """log k for k = 1 .. N - 1 at the largest N riemann_zeta's domain needs."""
+    logs = np.log(np.arange(1.0, int(1.6 * _ZETA_MAX_IM) + 10))
+    logs.flags.writeable = False
+    return logs
+
+
 def _zeta_euler_maclaurin(z: complex) -> complex:
     """sum_{k<N} k^-z + N^(1-z)/(z-1) + N^-z/2 + sum_j B_2j/(2j)! z(z+1)...(z+2j-2) N^(1-z-2j)
-    with N = max(30, 1.6 |Im z| + 10), so the tail shrinks at every height."""
+    with N = max(30, 1.6 |Im z| + 10), so the tail shrinks at every height.
+    Needs |Im z| <= _ZETA_MAX_IM."""
     big_n = max(30, int(1.6 * abs(z.imag)) + 10)
-    total = 0j
-    for k in range(1, big_n):
-        total += cmath.exp(-z * math.log(k))
+    # k^-z underflows for every k >= 2 once Re z > 1100, so capping Re z
+    # there keeps -z log k finite without moving the partial sum
+    total = complex(np.exp(-complex(min(z.real, 1100.0), z.imag) * _log_k()[: big_n - 1]).sum())
     ln = math.log(big_n)
     total += cmath.exp((1 - z) * ln) / (z - 1)
     total += 0.5 * cmath.exp(-z * ln)
@@ -68,21 +81,27 @@ def _zeta_euler_maclaurin(z: complex) -> complex:
 def riemann_zeta(z: complex) -> complex:
     """zeta(z) on Re z >= -3, |Im z| <= 1000, by Euler-Maclaurin summation.
 
-    Worst relative error against mpmath at 30 digits, over 400 random points
-    and a grid per strip of Re z, |Im z| <= 1000:
+    The error against mpmath at 30 digits stays below rel * |zeta| + abs per
+    strip of Re z, |Im z| <= 1000.  Each bound is about 1.5 times the worst
+    seen over 400 random points per strip, Im z = 0, 0.5, ..., 1000 at the
+    strip's lower edge (the worst Re z), and in the critical strip six
+    values of Re z at Im z = 0.25, 2.25, ..., 998.25:
 
-        [-3, -1)    7.4e-9   (at Re z = -3, where the partial sum cancels)
-        [-1, -1/4)  1.5e-11
-        [-1/4, 1)   9.4e-12  (off the zeros; at 51 zeros up to height 1000
-                              the absolute value is below 1.2e-12)
-        [1, 4)      1.3e-13
-        [4, 40]     4.4e-15
+                    rel      abs
+        [-3, -1)    1.7e-8   1e-11   (rel at Re z = -3 near the real axis,
+                                      where the partial sum cancels; abs
+                                      near the trivial zero at -2)
+        [-1, -1/4)  4e-11    0
+        [-1/4, 1)   1.5e-11  2e-12   (abs near the zeros; 1.2e-12 at 50
+                                      zeros up to height 1000)
+        [1, 4)      5e-13    0
+        [4, 40]     1e-14    0
 
     There is no reflection branch: completed_zeta reflects Re z < -1/4
     itself.  Raises RangeError outside the domain, PoleError at z = 1.
     """
     z = complex(z)
-    if not (-3.0 <= z.real < math.inf and abs(z.imag) <= 1000.0):
+    if not (-3.0 <= z.real < math.inf and abs(z.imag) <= _ZETA_MAX_IM):
         raise RangeError(f"riemann_zeta needs Re z >= -3 and |Im z| <= 1000, got {z}")
     if abs(z - 1) < 1e-12:
         raise PoleError("zeta pole at z = 1")

@@ -4,8 +4,9 @@ A Report is a list of Cases, each carrying the inputs, the closed-form and
 oracle values, their absolute difference, and the pass flag at the suite
 tolerance.  Serialization is deterministic: cases sort by key, floats use
 Python's shortest round-trip representation (up to 17 significant digits),
-and the volatile wall time is omitted unless explicitly requested, so two
-runs with the same seed produce byte-identical files.
+each case takes one line of compact JSON, and the volatile wall time is
+omitted unless explicitly requested, so two runs with the same seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -77,4 +78,24 @@ class Report:
         }
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.as_dict(include_timing), indent=1, sort_keys=True)
+        d = self.as_dict(include_timing)
+        return _json_lines(d, "cases", [compact_json(c) for c in d["cases"]])
+
+
+def merged_json(reports: list[Report], seed: int, include_timing: bool = False) -> str:
+    """Several suites' reports as one {"suite": "all", ...} document, each
+    report in its own to_json layout."""
+    head = {"suite": "all", "seed": seed, "pass": all(r.passed for r in reports)}
+    return _json_lines(head, "reports", [r.to_json(include_timing) for r in reports])
+
+
+# Compact sorted-key JSON of one value.  json.dumps with any indent runs the
+# pure-Python encoder; this one runs the C encoder.
+compact_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_lines(head: dict, key: str, items: list[str]) -> str:
+    """head plus head[key] = the list of the already encoded items, as
+    compact sorted-key JSON with `[`, each item and `]` on a line of its own."""
+    body = "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+    return compact_json({**head, key: None}).replace(f'"{key}": null', f'"{key}": {body}', 1)

@@ -268,7 +268,7 @@ def suite_harmonics(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     cases.append(flag_case("harmonics/weights-exact", {}, ok))
 
     # measure calibration: 8 pi^2 int exp(-r^2) r^3 dr = 4 pi^2 over the sphere
-    radial = quad_halfline(lambda r: math.exp(-r * r) * r**3).real
+    radial = quad_halfline(lambda r: np.exp(-r * r) * r**3).real
     total = 8 * math.pi**2 * radial * haar_integrate_su2(VarPoly.monomial(4, (0, 0, 0, 0))).real
     cases.append(scalar_case("harmonics/measure-constant", {}, total, 4 * math.pi**2, 1e-8 * 4 * math.pi**2))
 

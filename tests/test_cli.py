@@ -14,7 +14,7 @@ import intertwine.padic
 from intertwine.arch import ArchParams, Place, mu_arch_derivative
 from intertwine.cli import main
 from intertwine.padic import AddChar, FiniteParams, MultChar, mu_finite_derivative
-from intertwine.verify import SUITE_NAMES
+from intertwine.verify import SUITE_NAMES, run_suite
 
 
 def test_verify_suite_exit_zero(tmp_path, capsys):
@@ -106,6 +106,27 @@ def test_verify_all_merges_the_single_suite_reports(tmp_path):
         assert main(["verify", "--suite", name, "--seed", "2", "--json", str(path)]) == 0
         singles.append(json.loads(path.read_text()))
     assert merged == {"suite": "all", "seed": 2, "pass": True, "reports": singles}
+
+
+def test_verify_report_layout(tmp_path):
+    # one compact case per line; each file decodes to the old indented dump
+    single, merged = tmp_path / "one.json", tmp_path / "all.json"
+    assert main(["verify", "--suite", "classical", "--seed", "3", "--json", str(single)]) == 0
+    assert main(["verify", "--suite", "all", "--seed", "3", "--json", str(merged)]) == 0
+    reports = [run_suite(name, seed=3).as_dict() for name in SUITE_NAMES]
+    one = reports[SUITE_NAMES.index("classical")]
+    for path, expected, parts in (
+        (single, one, [one]),
+        (merged, {"suite": "all", "seed": 3, "pass": True, "reports": reports}, reports),
+    ):
+        text = path.read_text()
+        assert json.loads(text) == json.loads(json.dumps(expected, indent=1, sort_keys=True))
+        lines = text.splitlines()
+        cases = [json.dumps(c, sort_keys=True) for r in parts for c in r["cases"]]
+        assert [line.rstrip(",") for line in lines if line.startswith('{"abs_diff"')] == cases
+        # each report adds its `{"cases": [` and `], ...}` lines, a merged file its own two
+        assert len(lines) == len(cases) + 2 * len(parts) + (2 if len(parts) > 1 else 0)
+        assert text.endswith("}\n")
 
 
 def test_mu_table_complex(capsys):

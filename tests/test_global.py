@@ -126,6 +126,30 @@ def test_zeta_against_mpmath():
         assert rel_err(complex(-3.0, 1000.0)) <= 1e-8
 
 
+# riemann_zeta's documented error table: (lowest Re z, rel, abs) per strip,
+# the error being bounded by rel * |zeta| + abs
+ZETA_ERROR_TABLE = ((-3.0, 1.7e-8, 1e-11), (-1.0, 4e-11, 0.0), (-0.25, 1.5e-11, 2e-12), (1.0, 5e-13, 0.0), (4.0, 1e-14, 0.0))
+
+
+def test_zeta_within_its_error_table():
+    # the partial sum is one numpy exp over a table of log k
+    mpmath = pytest.importorskip("mpmath")
+    edges = [lo for lo, _, _ in ZETA_ERROR_TABLE[1:]] + [40.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, len(ZETA_ERROR_TABLE) - 1), st.floats(0.0, 1.0), st.floats(-1000.0, 1000.0))
+    def check(strip, frac, im):
+        lo, rel, absolute = ZETA_ERROR_TABLE[strip]
+        z = complex(lo + frac * (edges[strip] - lo), im)
+        assume(z.real < edges[strip] or strip == len(ZETA_ERROR_TABLE) - 1)
+        assume(abs(z - 1) > 1e-6)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
+        assert abs(riemann_zeta(z) - ref) <= rel * abs(ref) + absolute
+
+    check()
+
+
 def test_global_factor_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
 

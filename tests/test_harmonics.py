@@ -106,7 +106,7 @@ def test_haar_basic_values():
 def test_measure_calibration():
     # product of the radial Gaussian moment and the polar constant: the
     # plane measure is twice Lebesgue per complex coordinate
-    radial = quad_halfline(lambda r: math.exp(-r * r) * r**3).real
+    radial = quad_halfline(lambda r: np.exp(-r * r) * r**3).real
     total = 8 * math.pi**2 * radial
     assert abs(total - 4 * math.pi**2) < 1e-8
 
@@ -142,7 +142,7 @@ def test_haar_moment_via_polar_identity():
     # |z1|^2 against the Gaussian-moment oracle: the plane integral of
     # exp(-r^2) |z1|^2 computed once with the polar constant 8 pi^2 and once
     # as a product of one-coordinate moments (plane measure twice Lebesgue)
-    radial = quad_halfline(lambda r: math.exp(-r * r) * r**5).real
+    radial = quad_halfline(lambda r: np.exp(-r * r) * r**5).real
     haar_val = haar_integrate_su2(VarPoly.monomial(4, (1, 0, 1, 0))).real
     polar = 8 * math.pi**2 * radial * haar_val
     product = (2 * math.pi) * (2 * math.pi)  # moment factor times plain Gaussian mass

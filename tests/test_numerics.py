@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertwine.errors import PoleError
+from intertwine.errors import PoleError, ToleranceNotMet
 from intertwine.numerics import (
     GammaKind,
     bessel_k,
@@ -65,10 +66,10 @@ def test_gamma_poles_rejected():
 
 
 def test_quad_halfline_known_integrals():
-    assert abs(quad_halfline(lambda r: math.exp(-r * r) * r**3) - 0.5) < 1e-12
-    assert abs(quad_halfline(lambda r: math.exp(-2 * math.pi * r * r) * r) - 1 / (4 * math.pi)) < 1e-12
+    assert abs(quad_halfline(lambda r: np.exp(-r * r) * r**3) - 0.5) < 1e-12
+    assert abs(quad_halfline(lambda r: np.exp(-2 * math.pi * r * r) * r) - 1 / (4 * math.pi)) < 1e-12
     # cross-check against bessel_k: int exp(-(t + 1/t)) dt/t = 2 K_0(1)
-    val = quad_halfline(lambda t: math.exp(-(t + 1 / t)) / t)
+    val = quad_halfline(lambda t: np.exp(-(t + 1 / t)) / t)
     assert abs(val - 2 * bessel_k(0.0, 1.0)) < 1e-11
 
 
@@ -126,9 +127,65 @@ def test_kernel_nonvanishing_scan():
 
 
 def test_tolerance_not_met_raised():
-    from intertwine.errors import ToleranceNotMet
-
     # the kink at 0 caps the trapezoid rule at O(h^2), which the halving
     # budget cannot bring to the default tolerances
-    with pytest.raises(ToleranceNotMet):
-        quad_realline(lambda x: abs(x) * math.exp(-x * x))
+    with pytest.raises(ToleranceNotMet, match="budget exhausted"):
+        quad_realline(lambda x: np.abs(x) * np.exp(-x * x))
+
+
+def test_tolerance_not_met_on_a_non_decaying_integrand():
+    with pytest.raises(ToleranceNotMet, match="does not decay"):
+        quad_realline(lambda x: np.ones_like(x))
+
+
+def _counting(f):
+    """f, and the list of every node array it is called with."""
+    seen = []
+
+    def counted(x):
+        seen.append(np.array(x))
+        return f(x)
+
+    return counted, seen
+
+
+def test_non_finite_value_fails_fast_and_names_its_node():
+    g, seen = _counting(lambda x: np.where(x == 1.5, np.nan, np.exp(-x * x)))
+    with pytest.raises(ToleranceNotMet, match=r"node x = 1\.5 "):
+        quad_realline(g)
+    assert len(seen) == 1  # the first block holds x = 1.5
+    f, seen = _counting(lambda r: np.where(r > 2.0, np.inf, np.exp(-r * r)))
+    with pytest.raises(ToleranceNotMet, match="is not finite"):
+        quad_halfline(f)
+    assert len(seen) == 1
+
+
+def test_no_node_is_evaluated_twice():
+    # the sin^2 factor vanishes on every node of the step-1/2 sweep, so the
+    # window it finds is far too narrow and has to grow at the finer levels
+    for quad, f, exact in (
+        (quad_realline, lambda x: np.exp(-x * x), math.sqrt(math.pi)),
+        (quad_realline, lambda x: np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50), math.sqrt(50 * math.pi) / 2),
+        (quad_halfline, lambda r: np.exp(-r * r) * r**3, 0.5),
+    ):
+        counted, seen = _counting(f)
+        assert abs(quad(counted) - exact) < 1e-12 * exact
+        nodes = np.concatenate(seen)
+        assert len(seen) >= 3
+        assert np.unique(nodes).size == nodes.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 60.0), st.floats(-30.0, 30.0), st.sampled_from(list(GammaKind)))
+def test_radial_moment_matches_gamma_factor_on_its_domain(re_z, im_z, kind):
+    z = complex(re_z, im_z)
+    closed = gamma_factor(kind, z / 2 if kind is GammaKind.COMPLEX else z)
+    assert abs(radial_gaussian_moment(kind, z) - closed) <= 1e-12 * max(1.0, abs(closed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(300.0)))
+def test_bessel_half_order_on_its_domain(log_y):
+    y = math.exp(log_y)
+    closed = math.sqrt(math.pi / (4 * y)) * math.exp(-2 * y)
+    assert abs(bessel_k(0.5, y) - closed) <= 1e-14 * closed + 1e-16
