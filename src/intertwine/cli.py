@@ -27,10 +27,12 @@ import numpy as np
 from .arch import ArchParams, Place, mu_arch_column, mu_arch_logderiv_column
 from .errors import ParityError, RangeError
 from .padic import (
+    _SUM_BLOCK,
     AddChar,
     FiniteParams,
     MultChar,
-    g_normalized,
+    check_gauss_domain,
+    gauss_sums,
     is_odd_prime,
     mu_finite,
     mu_finite_logderiv,
@@ -174,11 +176,20 @@ def _gauss_rows_p2(m_max: int) -> list[dict]:
             chars = [("chi4", 1, 0)]
         else:
             chars = [(f"eps={eps},a={a}", eps, a) for eps in (0, 1) for a in range(1, 2 ** (m - 2), 2)]
-        for label, eps, a in chars:
-            # u = 5^k contributes e((4 a k - u) / 2^m), u = -5^k adds eps/2 and flips the sign of u
-            steps = 4 * a * ks
-            nums = np.concatenate((steps - powers, mod // 2 * eps + steps + powers))
-            g = root_of_unity_sum(nums, mod) / math.sqrt(mod)
+        eps = np.array([e for _, e, _ in chars], dtype=np.int64)[:, None]
+        steps = np.array([4 * a for _, _, a in chars], dtype=np.int64)
+        # one row per character: u = 5^k contributes e((4 a k - u) / 2^m), and
+        # u = -5^k adds eps/2 and flips the sign of u.  Each call takes as many
+        # rows as fit in one kernel block (all of them up to m = 9), so a deep m
+        # never holds every row's numerators at once
+        group = max(1, _SUM_BLOCK // (2 * ks.size))
+        sums = []
+        for start in range(0, len(chars), group):
+            k = np.multiply.outer(steps[start : start + group], ks)
+            nums = np.concatenate((k - powers, mod // 2 * eps[start : start + group] + k + powers), axis=1)
+            sums += root_of_unity_sum(nums, mod)
+        for (label, _, _), raw in zip(chars, sums):
+            g = raw / math.sqrt(mod)
             rows.append({"p": 2, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
     return rows
 
@@ -193,11 +204,12 @@ def cmd_gauss(args) -> int:
     if p == 2:
         rows = _gauss_rows_p2(args.m_max)
     else:
+        # the deepest conductor bounds the domain, so it is checked before any row
+        check_gauss_domain(p, args.m_max)
         psi = AddChar(p, args.psi_c)
         rows = []
         for m in range(1, args.m_max + 1):
-            for chi in MultChar.all_primitive(p, m):
-                g = g_normalized(chi, psi)
+            for chi, g in gauss_sums(p, m, psi).items():
                 rows.append(
                     {
                         "p": p,

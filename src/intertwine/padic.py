@@ -11,9 +11,16 @@ generator and hands integer angle numerators over a common denominator to a
 single kernel, root_of_unity_sum.  The numerators are built as int64 arrays
 and the kernel takes cos and sin in numpy blocks, sums each component
 exactly in integer limbs and rounds it once (the value math.fsum gives), so
-sums are exact up to a rounding floor near 1e-15.  The int64 products bound
-the domain: a unit integral whose denominator times p^depth reaches 2^63
-raises RangeError.
+sums are exact up to a rounding floor near 1e-15.  The kernel sums many
+rows at once: a (rows, n) array gives one exactly rounded sum per row, the
+same bits as a call on that row alone, and a call takes as many rows as fit
+in _SUM_BLOCK numerators.  gauss_sums uses it to sum every primitive
+character of one conductor as rows of a few calls instead of one call per
+character; the CLI's Gauss tables and the suite's Gauss-sum block go
+through it, and every other sum is a one-row call.  The int64 products
+bound the domain: a unit integral whose denominator times p^depth reaches
+2^63 raises RangeError, and gauss_sums checks it before it enumerates the
+characters.
 Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
 (chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
 for the trivial character r is 1 (0 when b = 0), since its sum has the same
@@ -126,7 +133,7 @@ def e_of(t: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(t))
 
 
-def root_of_unity_sum(numerators, den: int) -> complex:
+def root_of_unity_sum(numerators, den: int) -> complex | list[complex]:
     """Sum of e(k / den) over the integers k, each component exactly rounded.
 
     numerators is any int array-like whose values fit in int64, and
@@ -135,29 +142,49 @@ def root_of_unity_sum(numerators, den: int) -> complex:
     go through numpy cos and sin one block at a time, and each component is
     summed exactly and rounded once (_ExactSum), so the total is the one
     math.fsum gives and does not depend on the order of the terms.
+
+    A 2-D (rows, n) array gives a list with one sum per row, each equal to
+    the sum of that row alone to the bit.  The rows go to the kernel as many
+    at a time as fit in _SUM_BLOCK numerators.
     """
     try:
         k = np.asarray(numerators, dtype=np.int64)
     except OverflowError:
         raise RangeError("root-of-unity numerators must fit in int64") from None
-    return _root_sum((k[start : start + _SUM_BLOCK] for start in range(0, k.size, _SUM_BLOCK)), den)
+    if k.ndim not in (1, 2):
+        raise ValueError(f"numerators must be a 1-D or 2-D array, got {k.ndim} dimensions")
+    rows = np.atleast_2d(k)
+    chunk = _rows_per_call(rows.shape[1])
+    sums = []
+    for start in range(0, rows.shape[0], chunk):
+        part = rows[start : start + chunk]
+        blocks = (part[:, col : col + _SUM_BLOCK] for col in range(0, part.shape[1], _SUM_BLOCK))
+        sums += _root_sum(blocks, den, len(part))
+    return sums[0] if k.ndim == 1 else sums
 
 
-def _root_sum(blocks, den: int) -> complex:
-    """root_of_unity_sum of numerators handed over as int64 arrays of at most
-    _SUM_BLOCK entries each, so that a caller can build them one block at a
-    time."""
+def _rows_per_call(n: int) -> int:
+    """Rows of n numerators that one kernel call takes: as many as fit in
+    _SUM_BLOCK numerators, or one, in blocks of _SUM_BLOCK, if it is longer."""
+    return max(1, _SUM_BLOCK // max(n, 1))
+
+
+def _root_sum(blocks, den: int, rows: int) -> list[complex]:
+    """root_of_unity_sum of each of rows rows of numerators handed over as
+    int64 arrays of shape (rows, width), at most _SUM_BLOCK entries each, so
+    that a caller can build them one block at a time."""
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
-    sums = _ExactSum(2)
+    sums = _ExactSum(2 * rows)
     for k in blocks:
         theta = np.remainder(k, den) / den
         theta *= 2 * math.pi
-        terms = np.empty((2, theta.size))
-        np.cos(theta, out=terms[0])
-        np.sin(theta, out=terms[1])
+        terms = np.empty((2 * rows, theta.shape[1]))
+        np.cos(theta, out=terms[:rows])
+        np.sin(theta, out=terms[rows:])
         sums.add(terms)
-    return complex(*sums.values())
+    values = sums.values()
+    return [complex(re, im) for re, im in zip(values[:rows], values[rows:])]
 
 
 # A float x with |x| <= 1 is a fixed-point number whose last bit is at most
@@ -566,40 +593,51 @@ def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     return p ** (-depth) * psi.conductor_value ** (-0.5) * _unit_sum(chi, b, r)
 
 
-@lru_cache(maxsize=None)
-def _unit_sum(chi: MultChar, b: int, r: int) -> complex:
-    """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
-    depth = max(c(chi), b, 1).
+def _unit_frame(p: int, cond: int, b: int, r: int) -> tuple[int, int, int, int]:
+    """(depth, den, chi_unit, psi_step) of the sum of chi(y) e(-r y / p^b)
+    over the units y mod p^depth, depth = max(cond, b, 1), for characters of
+    conductor p^cond.
 
-    The units are walked as powers y = g^j of the fixed generator, so
-    chi(y) = e(a j / phi(p^c(chi))) needs no discrete log; both angles are
-    integers over the common denominator (p - 1) p^max(c(chi) - 1, b).  The
-    numerators go to the kernel one _SUM_BLOCK at a time, so a deep shell
-    never holds a full-length array of them.
+    The units are walked as powers y = g^j of the fixed generator, so a
+    character of exponent a has chi(y) = e(a j / phi(p^cond)) and needs no
+    discrete log; both angles are integers over the common denominator
+    den = (p - 1) p^max(cond - 1, b).  The term at j has the numerator
+    j (a chi_unit mod den) - psi_step y (_unit_numerators).  Raises
+    RangeError when den p^depth reaches 2^63, beyond the int64 numerators.
     """
-    p = chi.p
-    depth = max(chi.cond, b, 1)
-    top = max(chi.cond - 1, b)
+    depth = max(cond, b, 1)
+    top = max(cond - 1, b)
     den, mod = (p - 1) * p**top, p**depth
     if den * mod >= 2**63:
         raise RangeError(
             f"unit integral at p = {p}, depth {depth} is beyond the int64 kernel "
             "(angle denominator times p^depth >= 2^63)"
         )
-    chi_step = chi.a * p ** (top - chi.cond + 1) % den
-    psi_step = r * (p - 1) * p ** (top - b) % den
-    powers = _unit_powers(p, depth)
+    return depth, den, p ** (top - cond + 1), r * (p - 1) * p ** (top - b) % den
 
-    def numerators():
-        # both terms lie in [0, den * mod), so k never leaves int64
-        for start in range(0, powers.size, _SUM_BLOCK):
-            units = powers[start : start + _SUM_BLOCK]
-            k = np.arange(start, start + units.size, dtype=np.int64)
-            k *= chi_step
-            k -= psi_step * units
-            yield k
 
-    return _root_sum(numerators(), den)
+def _unit_numerators(chi_steps: np.ndarray, psi_step: int, powers: np.ndarray):
+    """Yield the angle numerators j chi_steps[i] - psi_step g^j of
+    _unit_frame, one row per character step, in blocks of whole columns of
+    at most _SUM_BLOCK numerators, so that a deep shell never holds a
+    full-length array of them.  Every numerator lies in (-den p^depth,
+    den p^depth), so none leaves int64."""
+    width = _SUM_BLOCK // len(chi_steps)
+    for start in range(0, powers.size, width):
+        units = powers[start : start + width]
+        k = np.multiply.outer(chi_steps, np.arange(start, start + units.size, dtype=np.int64))
+        k -= psi_step * units
+        yield k
+
+
+@lru_cache(maxsize=None)
+def _unit_sum(chi: MultChar, b: int, r: int) -> complex:
+    """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
+    depth = max(c(chi), b, 1), as a one-row kernel call (_unit_frame)."""
+    p = chi.p
+    depth, den, chi_unit, psi_step = _unit_frame(p, chi.cond, b, r)
+    chi_steps = np.array([chi.a * chi_unit % den], dtype=np.int64)
+    return _root_sum(_unit_numerators(chi_steps, psi_step, _unit_powers(p, depth)), den, 1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -618,6 +656,40 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
 def g_normalized(chi: MultChar, psi: AddChar) -> complex:
     """g(chi, psi) = G * C(chi)^(1/2) C(psi)^(1/2); unit modulus."""
     return gauss_sum(chi, psi) * math.sqrt(chi.conductor_value * psi.conductor_value)
+
+
+def check_gauss_domain(p: int, m: int) -> None:
+    """Raise RangeError unless Gauss sums of conductor p^m are inside the
+    int64 kernel, (p - 1) p^m * p^m < 2^63; the domain shrinks as m grows."""
+    _unit_frame(p, m, m, 1)
+
+
+def gauss_sums(p: int, m: int, psi: AddChar) -> dict[MultChar, complex]:
+    """g_normalized(chi, psi) for every primitive character chi of conductor
+    p^m, keyed in the order of MultChar.all_primitive, each equal to it bit
+    for bit.
+
+    Each kernel call sums the rows of as many characters as fit in
+    _SUM_BLOCK numerators (one row, in blocks, when a row alone is longer),
+    and every row is scaled as gauss_sum and g_normalized scale it.  The
+    domain is checked before the characters are enumerated.
+    """
+    _same_prime(p, psi.p)
+    if m < 1:
+        raise ConductorError("Gauss sum needs a ramified character")
+    depth, den, chi_unit, psi_step = _unit_frame(p, m, m, 1)
+    chars = MultChar.all_primitive(p, m)
+    steps = np.array([chi.a for chi in chars], dtype=np.int64) * chi_unit % den
+    powers = _unit_powers(p, depth)
+    chunk = _rows_per_call(powers.size)
+    raw = []
+    for start in range(0, len(chars), chunk):
+        part = steps[start : start + chunk]
+        raw += _root_sum(_unit_numerators(part, psi_step, powers), den, len(part))
+    # the grouping of _unit_integral, then of g_normalized
+    scale = p ** (-depth) * psi.conductor_value ** (-0.5)
+    norm = math.sqrt(p**m * psi.conductor_value)
+    return {chi: scale * g * norm for chi, g in zip(chars, raw)}
 
 
 def unit_additive_integral(chi: MultChar, psi: AddChar, n: int) -> complex:

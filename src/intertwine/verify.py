@@ -65,7 +65,7 @@ from .padic import (
     classical_vector,
     fourier_atom,
     fourier_bruteforce,
-    g_normalized,
+    gauss_sums,
     iota_normalization,
     level_membership,
     mu_finite,
@@ -428,10 +428,10 @@ def suite_padic(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         worst_mod, worst_conj = 0.0, 0.0
         count = 0
         for m in (1, 2, 3):
-            for chi in MultChar.all_primitive(p, m):
-                g = g_normalized(chi, psi)
+            table = gauss_sums(p, m, psi)
+            for chi, g in table.items():
                 worst_mod = max(worst_mod, abs(abs(g) - 1.0))
-                lhs = g_normalized(chi.inverse(), psi)
+                lhs = table[chi.inverse()]
                 worst_conj = max(worst_conj, abs(lhs - chi.at_minus_one() * g.conjugate()))
                 count += 1
         cases.append(scalar_case(f"padic/gauss-modulus/p={p}", {"count": count}, worst_mod, 0.0, 1e-12))

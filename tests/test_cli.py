@@ -314,6 +314,50 @@ def test_gauss_p2_modulus_and_conjugation(capsys):
         assert abs(table[(m, inverse)] - sign * g.conjugate()) < 1e-12
 
 
+def _count_kernel_numerators(monkeypatch) -> list[int]:
+    """Wrap the kernel so that each call records how many numerators it summed."""
+    sizes = []
+    kernel = intertwine.padic._root_sum
+
+    def counted(blocks, den, rows):
+        blocks = list(blocks)
+        sizes.append(sum(block.size for block in blocks))
+        return kernel(iter(blocks), den, rows)
+
+    monkeypatch.setattr(intertwine.padic, "_root_sum", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "argv, shapes",
+    [
+        # (characters, units) of each conductor
+        (["--p", "7", "--m-max", "3"], [(5, 6), (36, 42), (252, 294)]),
+        (["--p", "2", "--allow-p2", "--m-max", "10"], [(1, 2)] + [(2 ** (m - 2), 2 ** (m - 1)) for m in range(3, 11)]),
+    ],
+)
+def test_gauss_kernel_calls_stay_within_one_block(monkeypatch, capsys, argv, shapes):
+    sizes = _count_kernel_numerators(monkeypatch)
+    assert main(["gauss", *argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    # one call per conductor, or as few as keep each within _SUM_BLOCK numerators
+    block = intertwine.padic._SUM_BLOCK
+    assert len(sizes) == sum(math.ceil(rows / (block // n)) for rows, n in shapes)
+    assert sum(sizes) == sum(rows * n for rows, n in shapes)
+    assert max(sizes) <= block
+
+
+def test_gauss_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
+    def never(*args):
+        pytest.fail("a row was computed before the domain check")
+
+    monkeypatch.setattr(MultChar, "all_primitive", classmethod(never))
+    assert main(["gauss", "--p", "7", "--m-max", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_gauss_bad_prime_exit_two(capsys):
     for p in ("4", "9"):
         assert main(["gauss", "--p", p]) == 2

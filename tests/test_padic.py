@@ -29,8 +29,10 @@ from intertwine.padic import (
     e_of,
     fourier_atom,
     fourier_bruteforce,
+    check_gauss_domain,
     g_normalized,
     gauss_sum,
+    gauss_sums,
     iota_normalization,
     level_membership,
     mu_finite,
@@ -457,6 +459,61 @@ def test_root_of_unity_sum_empty_and_domain():
         root_of_unity_sum([1], 2**53)
     with pytest.raises(RangeError):
         root_of_unity_sum([2**63], 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_root_of_unity_sum_rows_match_single_rows_bit_for_bit(rows, data):
+    # row lengths from empty to past one kernel call's share of _SUM_BLOCK;
+    # den = 12 has 4 | den, so cos(pi/2) = 6.1e-17 makes its rows take three limbs
+    limit = _SUM_BLOCK // rows + 2
+    n = data.draw(st.one_of(st.integers(0, limit), st.just(limit), st.just(_SUM_BLOCK // rows)))
+    den = data.draw(st.sampled_from([12, 4 * 7**5, 2 * 3**10, 10**6 + 3]))
+    bound = data.draw(st.sampled_from([10 * den, 2**62]))
+    nums = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(-bound, bound, size=(rows, n))
+    sums = root_of_unity_sum(nums, den)
+    assert len(sums) == rows
+    for got, row in zip(sums, nums):
+        assert _bits(got) == _bits(root_of_unity_sum(row, den))
+
+
+def test_root_of_unity_sum_rows_edge_shapes():
+    assert root_of_unity_sum(np.zeros((3, 0), dtype=np.int64), 12) == [0j, 0j, 0j]
+    assert root_of_unity_sum(np.zeros((0, 5), dtype=np.int64), 12) == []
+    with pytest.raises(ValueError):
+        root_of_unity_sum(np.zeros((2, 2, 2), dtype=np.int64), 12)
+
+
+@pytest.mark.parametrize(
+    "p, m_max",
+    [(3, 3), (5, 3), (7, 3), (11, 2), (101, 1)],
+)
+def test_gauss_sums_match_g_normalized_bit_for_bit(p, m_max):
+    for psi_c in (0, 1, 2):
+        psi = AddChar(p, psi_c)
+        for m in range(1, m_max + 1):
+            table = gauss_sums(p, m, psi)
+            assert list(table) == MultChar.all_primitive(p, m)
+            for chi, g in table.items():
+                assert _bits(g) == _bits(g_normalized(chi, psi)), (p, m, psi_c, chi.a)
+
+
+def test_gauss_sums_domain_is_checked_before_enumerating(monkeypatch):
+    def never(*args):
+        pytest.fail("characters enumerated outside the kernel's domain")
+
+    monkeypatch.setattr(MultChar, "all_primitive", classmethod(never))
+    # (p - 1) p^m p^m: 6 * 7^20 < 2^63 <= 6 * 7^22
+    check_gauss_domain(7, 10)
+    for m in (11, 12):
+        with pytest.raises(RangeError):
+            check_gauss_domain(7, m)
+        with pytest.raises(RangeError):
+            gauss_sums(7, m, AddChar(7, 0))
+    with pytest.raises(ConductorError):
+        gauss_sums(7, 0, AddChar(7, 0))
+    with pytest.raises(ValueError):
+        gauss_sums(7, 1, AddChar(5, 0))
 
 
 def test_unit_powers_walk_every_unit():
