@@ -22,21 +22,18 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .arch import ArchParams, Place, mu_arch_column, mu_arch_logderiv_column
 from .errors import ParityError, RangeError
 from .padic import (
-    _SUM_BLOCK,
     AddChar,
     FiniteParams,
     MultChar,
     check_gauss_domain,
     gauss_sums,
+    gauss_sums_p2,
     is_odd_prime,
     mu_finite,
     mu_finite_logderiv,
-    root_of_unity_sum,
 )
 from .reports import compact_json, merged_json
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
@@ -160,36 +157,11 @@ def cmd_mu(args) -> int:
 
 
 def _gauss_rows_p2(m_max: int) -> list[dict]:
-    """Normalized Gauss sums of the primitive characters mod 2^m, 2 <= m <= m_max.
-
-    The units mod 2^m are +-5^k with 5 of order 2^(m-2).  A character sends
-    -1 to (-1)^eps and 5 to e(a / 2^(m-2)); it is primitive for odd a at
-    m >= 3, and m = 2 has the single character chi4 (eps = 1, a = 0).  Its
-    angles and those of psi(-u) = e(-u / 2^m) are integers over 2^m.
-    """
+    """Rows of padic.gauss_sums_p2 for 2 <= m <= m_max, labelled by (eps, a)."""
     rows = []
     for m in range(2, m_max + 1):
-        mod = 2**m
-        ks = np.arange(2 ** (m - 2), dtype=np.int64)
-        powers = np.array([pow(5, k, mod) for k in range(2 ** (m - 2))], dtype=np.int64)
-        if m == 2:
-            chars = [("chi4", 1, 0)]
-        else:
-            chars = [(f"eps={eps},a={a}", eps, a) for eps in (0, 1) for a in range(1, 2 ** (m - 2), 2)]
-        eps = np.array([e for _, e, _ in chars], dtype=np.int64)[:, None]
-        steps = np.array([4 * a for _, _, a in chars], dtype=np.int64)
-        # one row per character: u = 5^k contributes e((4 a k - u) / 2^m), and
-        # u = -5^k adds eps/2 and flips the sign of u.  Each call takes as many
-        # rows as fit in one kernel block (all of them up to m = 9), so a deep m
-        # never holds every row's numerators at once
-        group = max(1, _SUM_BLOCK // (2 * ks.size))
-        sums = []
-        for start in range(0, len(chars), group):
-            k = np.multiply.outer(steps[start : start + group], ks)
-            nums = np.concatenate((k - powers, mod // 2 * eps[start : start + group] + k + powers), axis=1)
-            sums += root_of_unity_sum(nums, mod)
-        for (label, _, _), raw in zip(chars, sums):
-            g = raw / math.sqrt(mod)
+        for (eps, a), g in gauss_sums_p2(m).items():
+            label = "chi4" if m == 2 else f"eps={eps},a={a}"
             rows.append({"p": 2, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
     return rows
 
@@ -201,11 +173,11 @@ def cmd_gauss(args) -> int:
         return 2
     if p != 2 and not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    # the deepest conductor bounds the domain, so it is checked before any row
+    check_gauss_domain(p, args.m_max)
     if p == 2:
         rows = _gauss_rows_p2(args.m_max)
     else:
-        # the deepest conductor bounds the domain, so it is checked before any row
-        check_gauss_domain(p, args.m_max)
         psi = AddChar(p, args.psi_c)
         rows = []
         for m in range(1, args.m_max + 1):

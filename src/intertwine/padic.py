@@ -1,5 +1,6 @@
-"""Exact local theory at an odd prime: characters, Gauss sums, atoms,
-classical vectors, and the finite-place intertwining eigenvalues.
+"""Exact local theory at an odd prime: characters, Gauss sums (and those
+mod 2^m), atoms, classical vectors, and the finite-place intertwining
+eigenvalues.
 
 Everything here is a finite exact computation.  Unit-group characters are
 stored primitively (the recorded exponent lives at the conductor modulus) on
@@ -13,14 +14,14 @@ and the kernel takes cos and sin in numpy blocks, sums each component
 exactly in integer limbs and rounds it once (the value math.fsum gives), so
 sums are exact up to a rounding floor near 1e-15.  The kernel sums many
 rows at once: a (rows, n) array gives one exactly rounded sum per row, the
-same bits as a call on that row alone, and a call takes as many rows as fit
-in _SUM_BLOCK numerators.  gauss_sums uses it to sum every primitive
-character of one conductor as rows of a few calls instead of one call per
-character; the CLI's Gauss tables and the suite's Gauss-sum block go
-through it, and every other sum is a one-row call.  The int64 products
+same bits as a call on that row alone.  _root_sums alone sizes its
+pieces, and asks its caller to build each one.  _unit_sums writes the unit
+sum's numerators once, one row per character of one conductor; gauss_sums
+sums every primitive character of a conductor that way, and gauss_sums_p2
+does the same mod 2^m (units +-5^k).  Every power of a generator comes from
+one table, _unit_powers, which _dlog_table inverts.  The int64 products
 bound the domain: a unit integral whose denominator times p^depth reaches
-2^63 raises RangeError, and gauss_sums checks it before it enumerates the
-characters.
+2^63 raises RangeError, and both Gauss tables check it first.
 Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
 (chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
 for the trivial character r is 1 (0 when b = 0), since its sum has the same
@@ -115,16 +116,13 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _dlog_table(p: int, m: int) -> dict[int, int]:
-    g = unit_generator(p)
-    mod = p**m
-    phi = (p - 1) * p ** (m - 1)
-    table = {}
-    x = 1
-    for k in range(phi):
-        table[x] = k
-        x = (x * g) % mod
-    return table
+def _dlog_table(p: int, m: int) -> list[int]:
+    """k with g^k = u mod p^m at index u, for the units u mod p^m: the
+    inverse permutation of _unit_powers (entries at multiples of p unused)."""
+    powers = _unit_powers(unit_generator(p), p**m, (p - 1) * p ** (m - 1))
+    table = np.zeros(p**m, dtype=np.int64)
+    table[powers] = np.arange(powers.size)
+    return table.tolist()
 
 
 def e_of(t: Fraction) -> complex:
@@ -144,8 +142,7 @@ def root_of_unity_sum(numerators, den: int) -> complex | list[complex]:
     math.fsum gives and does not depend on the order of the terms.
 
     A 2-D (rows, n) array gives a list with one sum per row, each equal to
-    the sum of that row alone to the bit.  The rows go to the kernel as many
-    at a time as fit in _SUM_BLOCK numerators.
+    the sum of that row alone to the bit.
     """
     try:
         k = np.asarray(numerators, dtype=np.int64)
@@ -154,107 +151,103 @@ def root_of_unity_sum(numerators, den: int) -> complex | list[complex]:
     if k.ndim not in (1, 2):
         raise ValueError(f"numerators must be a 1-D or 2-D array, got {k.ndim} dimensions")
     rows = np.atleast_2d(k)
-    chunk = _rows_per_call(rows.shape[1])
-    sums = []
-    for start in range(0, rows.shape[0], chunk):
-        part = rows[start : start + chunk]
-        blocks = (part[:, col : col + _SUM_BLOCK] for col in range(0, part.shape[1], _SUM_BLOCK))
-        sums += _root_sum(blocks, den, len(part))
+    sums = _root_sums(rows.shape, lambda r, c: rows[r, c], den)
     return sums[0] if k.ndim == 1 else sums
 
 
-def _rows_per_call(n: int) -> int:
-    """Rows of n numerators that one kernel call takes: as many as fit in
-    _SUM_BLOCK numerators, or one, in blocks of _SUM_BLOCK, if it is longer."""
-    return max(1, _SUM_BLOCK // max(n, 1))
-
-
-def _root_sum(blocks, den: int, rows: int) -> list[complex]:
-    """root_of_unity_sum of each of rows rows of numerators handed over as
-    int64 arrays of shape (rows, width), at most _SUM_BLOCK entries each, so
-    that a caller can build them one block at a time."""
+def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
+    """root_of_unity_sum of each row of a (rows, n) numerator array, built
+    one int64 piece at a time by block(row_slice, col_slice).  The one place
+    that sizes pieces: a pass takes as many whole rows as fit in _SUM_BLOCK
+    numerators, and a longer row goes alone, _SUM_BLOCK columns a piece."""
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
-    sums = _ExactSum(2 * rows)
-    for k in blocks:
-        theta = np.remainder(k, den) / den
-        theta *= 2 * math.pi
-        terms = np.empty((2 * rows, theta.shape[1]))
-        np.cos(theta, out=terms[:rows])
-        np.sin(theta, out=terms[rows:])
-        sums.add(terms)
-    values = sums.values()
-    return [complex(re, im) for re, im in zip(values[:rows], values[rows:])]
+    rows, n = shape
+    group = max(1, _SUM_BLOCK // max(n, 1))
+    out = []
+    for start in range(0, rows, group):
+        part = slice(start, min(start + group, rows))
+        count = part.stop - start
+        sums = _ExactSum(2 * count)
+        for col in range(0, n, _SUM_BLOCK):
+            theta = np.remainder(block(part, slice(col, min(col + _SUM_BLOCK, n))), den) / den
+            theta *= 2 * math.pi
+            terms = np.empty((2 * count, theta.shape[1]))
+            np.cos(theta, out=terms[:count])
+            np.sin(theta, out=terms[count:])
+            sums.add(terms)
+        values = sums.values()
+        out += [complex(re, im) for re, im in zip(values[:count], values[count:])]
+    return out
 
 
 # A float x with |x| <= 1 is a fixed-point number whose last bit is at most
 # 2^-1074.  _ExactSum cuts it into integer limbs of _LIMB_BITS bits, so that
-# a block of _SUM_BLOCK limbs, each of modulus at most 2^40, sums exactly in
-# int64 (to at most 2^15 * 2^40 = 2^55).
+# a piece of _SUM_BLOCK limbs, each of modulus at most 2^40, sums exactly in
+# int64 (to at most 2^15 * 2^40 = 2^55), and _LIMBS limbs reach below 2^-1074.
 _SUM_BLOCK = 1 << 15
 _LIMB_BITS = 40
 _LIMB_SCALE = float(1 << _LIMB_BITS)
+_LIMBS = -(-1074 // _LIMB_BITS)
 
 
 class _ExactSum:
     """Exact running sums of rows of finite floats with |x| <= 1, each kept
-    as the integer total / 2^(_LIMB_BITS * limbs).  values() rounds each
+    as the integer total / 2^(_LIMB_BITS * _LIMBS).  values() rounds each
     once with int true division, which is correctly rounded and half-even,
     so a row's value is the one math.fsum returns for the same floats (+0.0
     for a zero total)."""
 
-    __slots__ = ("totals", "limbs")
+    __slots__ = ("totals",)
 
     def __init__(self, rows: int):
         self.totals = [0] * rows
-        self.limbs = 0
 
     def add(self, x: np.ndarray) -> None:
-        """Add row i of the float array x, shape (rows, n), to total i;
-        overwrites x.  All rows of a block go through each numpy call
-        together, which keeps the cost of a short sum down."""
-        for start in range(0, x.shape[1], _SUM_BLOCK):
-            block = x[:, start : start + _SUM_BLOCK]
-            limb = np.empty_like(block)
-            limb_int = np.empty(block.shape, dtype=np.int64)
-            sums, limbs = [0] * len(self.totals), 0
-            # scaling by 2^40 and splitting off the nearest integer are both
-            # exact, so the residual stays at modulus <= 1/2 and reaches zero
-            # after at most 27 limbs
-            while np.count_nonzero(block):
-                block *= _LIMB_SCALE
-                np.rint(block, out=limb)
-                block -= limb
-                np.copyto(limb_int, limb, casting="unsafe")
-                row_sums = np.add.reduce(limb_int, axis=1).tolist()
-                sums = [(total << _LIMB_BITS) + row for total, row in zip(sums, row_sums)]
-                limbs += 1
-            if limbs > self.limbs:
-                self.totals = [total << _LIMB_BITS * (limbs - self.limbs) for total in self.totals]
-                self.limbs = limbs
-            shift = _LIMB_BITS * (self.limbs - limbs)
-            self.totals = [total + (row << shift) for total, row in zip(self.totals, sums)]
+        """Add row i of the float array x, shape (rows, n) with n at most
+        _SUM_BLOCK, to total i; overwrites x.  All rows go through each numpy
+        call together, which keeps the cost of a short sum down."""
+        if x.shape[1] > _SUM_BLOCK:
+            raise ValueError(f"a piece holds at most {_SUM_BLOCK} columns, got {x.shape[1]}")
+        limb = np.empty_like(x)
+        limb_int = np.empty(x.shape, dtype=np.int64)
+        sums, limbs = [0] * len(self.totals), 0
+        # scaling by 2^40 and splitting off the nearest integer are both
+        # exact, so the residual stays at modulus <= 1/2 and reaches zero
+        # after at most _LIMBS limbs
+        while np.count_nonzero(x):
+            x *= _LIMB_SCALE
+            np.rint(x, out=limb)
+            x -= limb
+            np.copyto(limb_int, limb, casting="unsafe")
+            row_sums = np.add.reduce(limb_int, axis=1).tolist()
+            sums = [(total << _LIMB_BITS) + row for total, row in zip(sums, row_sums)]
+            limbs += 1
+        shift = _LIMB_BITS * (_LIMBS - limbs)
+        self.totals = [total + (row << shift) for total, row in zip(self.totals, sums)]
 
     def values(self) -> list[float]:
-        return [total / (1 << _LIMB_BITS * self.limbs) for total in self.totals]
+        return [total / (1 << _LIMB_BITS * _LIMBS) for total in self.totals]
 
 
 @lru_cache(maxsize=None)
-def _unit_powers(p: int, depth: int) -> np.ndarray:
-    """The units mod p^depth as g^j mod p^depth, j = 0 .. phi(p^depth) - 1.
+def _unit_powers(g: int, mod: int, order: int) -> np.ndarray:
+    """g^j mod mod, j = 0 .. order - 1, read-only: the one table of powers
+    of a generator (unit_generator(p) at odd p, 5 mod 2^m).
 
-    Filled by doubling, out[n:2n] = out[:n] g^n mod p^depth, in uint64: the
-    products stay below p^(2 depth), which is < 2^64 on the domain of
-    _unit_sum.  The residues are below 2^63, so the result is the same
-    buffer viewed as int64.  Read-only, since every caller shares it.
+    Filled by doubling, out[n:2n] = out[:n] g^n mod mod, in uint64, so mod^2
+    must stay below 2^64 (RangeError otherwise); the residues, below 2^32,
+    are viewed as int64.  Below that bound the table still grows with the
+    modulus (phi(p^cond) entries behind _dlog_table at conductor p^cond);
+    character values by the p-adic logarithm would remove it.
     """
-    g, mod = unit_generator(p), p**depth
-    phi = (p - 1) * p ** (depth - 1)
-    out = np.empty(phi, dtype=np.uint64)
+    if mod * mod >= 2**64:
+        raise RangeError(f"powers of a unit mod {mod} are beyond the uint64 table (mod^2 >= 2^64)")
+    out = np.empty(order, dtype=np.uint64)
     out[0] = 1
     n = 1
-    while n < phi:
-        step = min(n, phi - n)
+    while n < order:
+        step = min(n, order - n)
         out[n : n + step] = out[:step] * np.uint64(pow(g, n, mod)) % np.uint64(mod)
         n += step
     out = out.view(np.int64)
@@ -602,8 +595,8 @@ def _unit_frame(p: int, cond: int, b: int, r: int) -> tuple[int, int, int, int]:
     character of exponent a has chi(y) = e(a j / phi(p^cond)) and needs no
     discrete log; both angles are integers over the common denominator
     den = (p - 1) p^max(cond - 1, b).  The term at j has the numerator
-    j (a chi_unit mod den) - psi_step y (_unit_numerators).  Raises
-    RangeError when den p^depth reaches 2^63, beyond the int64 numerators.
+    j (a chi_unit mod den) - psi_step y (_unit_sums).  Raises RangeError
+    when den p^depth reaches 2^63, beyond the int64 numerators.
     """
     depth = max(cond, b, 1)
     top = max(cond - 1, b)
@@ -616,28 +609,28 @@ def _unit_frame(p: int, cond: int, b: int, r: int) -> tuple[int, int, int, int]:
     return depth, den, p ** (top - cond + 1), r * (p - 1) * p ** (top - b) % den
 
 
-def _unit_numerators(chi_steps: np.ndarray, psi_step: int, powers: np.ndarray):
-    """Yield the angle numerators j chi_steps[i] - psi_step g^j of
-    _unit_frame, one row per character step, in blocks of whole columns of
-    at most _SUM_BLOCK numerators, so that a deep shell never holds a
-    full-length array of them.  Every numerator lies in (-den p^depth,
-    den p^depth), so none leaves int64."""
-    width = _SUM_BLOCK // len(chi_steps)
-    for start in range(0, powers.size, width):
-        units = powers[start : start + width]
-        k = np.multiply.outer(chi_steps, np.arange(start, start + units.size, dtype=np.int64))
-        k -= psi_step * units
-        yield k
+def _unit_sums(p: int, cond: int, exponents, b: int, r: int) -> list[complex]:
+    """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
+    depth = max(cond, b, 1), for the character of conductor p^cond of each
+    exponent, one kernel row each (_unit_frame).  The numerators are built
+    one piece at a time, so a deep shell never holds all of them; each lies
+    in (-den p^depth, den p^depth), so none leaves int64."""
+    depth, den, chi_unit, psi_step = _unit_frame(p, cond, b, r)
+    steps = np.array(exponents, dtype=np.int64) * chi_unit % den
+    powers = _unit_powers(unit_generator(p), p**depth, (p - 1) * p ** (depth - 1))
+
+    def block(rows: slice, cols: slice) -> np.ndarray:
+        k = np.multiply.outer(steps[rows], np.arange(cols.start, cols.stop, dtype=np.int64))
+        k -= psi_step * powers[cols]
+        return k
+
+    return _root_sums((steps.size, powers.size), block, den)
 
 
 @lru_cache(maxsize=None)
 def _unit_sum(chi: MultChar, b: int, r: int) -> complex:
-    """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
-    depth = max(c(chi), b, 1), as a one-row kernel call (_unit_frame)."""
-    p = chi.p
-    depth, den, chi_unit, psi_step = _unit_frame(p, chi.cond, b, r)
-    chi_steps = np.array([chi.a * chi_unit % den], dtype=np.int64)
-    return _root_sum(_unit_numerators(chi_steps, psi_step, _unit_powers(p, depth)), den, 1)[0]
+    """_unit_sums of the one character chi."""
+    return _unit_sums(chi.p, chi.cond, [chi.a], b, r)[0]
 
 
 @lru_cache(maxsize=None)
@@ -669,27 +662,53 @@ def gauss_sums(p: int, m: int, psi: AddChar) -> dict[MultChar, complex]:
     p^m, keyed in the order of MultChar.all_primitive, each equal to it bit
     for bit.
 
-    Each kernel call sums the rows of as many characters as fit in
-    _SUM_BLOCK numerators (one row, in blocks, when a row alone is longer),
-    and every row is scaled as gauss_sum and g_normalized scale it.  The
-    domain is checked before the characters are enumerated.
+    One _unit_sums call sums every character's row, and each row is scaled
+    as gauss_sum and g_normalized scale it.  The domain is checked before
+    the characters are enumerated.
     """
     _same_prime(p, psi.p)
     if m < 1:
         raise ConductorError("Gauss sum needs a ramified character")
-    depth, den, chi_unit, psi_step = _unit_frame(p, m, m, 1)
+    check_gauss_domain(p, m)
     chars = MultChar.all_primitive(p, m)
-    steps = np.array([chi.a for chi in chars], dtype=np.int64) * chi_unit % den
-    powers = _unit_powers(p, depth)
-    chunk = _rows_per_call(powers.size)
-    raw = []
-    for start in range(0, len(chars), chunk):
-        part = steps[start : start + chunk]
-        raw += _root_sum(_unit_numerators(part, psi_step, powers), den, len(part))
+    raw = _unit_sums(p, m, [chi.a for chi in chars], m, 1)
     # the grouping of _unit_integral, then of g_normalized
-    scale = p ** (-depth) * psi.conductor_value ** (-0.5)
+    scale = p ** (-m) * psi.conductor_value ** (-0.5)
     norm = math.sqrt(p**m * psi.conductor_value)
     return {chi: scale * g * norm for chi, g in zip(chars, raw)}
+
+
+def gauss_sums_p2(m: int) -> dict[tuple[int, int], complex]:
+    """Normalized Gauss sums of the primitive characters mod 2^m, keyed
+    (eps, a), for 2 <= m <= 31 (check_gauss_domain(2, m); RangeError
+    before any row outside it).
+
+    The units mod 2^m are +-5^k with 5 of order 2^(m-2).  A character sends
+    -1 to (-1)^eps and 5 to e(a / 2^(m-2)); it is primitive for odd a at
+    m >= 3, and m = 2 has the single character chi4 (eps = 1, a = 0).  Its
+    angles and those of psi(-u) = e(-u / 2^m) are integers over 2^m, summed
+    one row per character and divided by 2^(m/2).
+    """
+    if m < 2:
+        raise RangeError(f"Gauss sums mod 2^m need m >= 2, got {m}")
+    check_gauss_domain(2, m)
+    mod, order = 2**m, 2 ** (m - 2)
+    chars = [(1, 0)] if m == 2 else [(eps, a) for eps in (0, 1) for a in range(1, order, 2)]
+    half_eps = np.array([mod // 2 * eps for eps, _ in chars], dtype=np.int64)
+    steps = np.array([4 * a for _, a in chars], dtype=np.int64)
+    powers = _unit_powers(5, mod, order)
+
+    def block(rows: slice, cols: slice) -> np.ndarray:
+        # column sign * order + k is the unit u = (-1)^sign 5^k: it
+        # contributes e((4 a k - u) / 2^m), and e(eps / 2) when sign = 1
+        sign, k = np.divmod(np.arange(cols.start, cols.stop, dtype=np.int64), order)
+        nums = np.multiply.outer(steps[rows], k)
+        nums += np.multiply.outer(half_eps[rows], sign)
+        nums -= (1 - 2 * sign) * powers[k]
+        return nums
+
+    raw = _root_sums((len(chars), 2 * order), block, mod)
+    return {char: g / math.sqrt(mod) for char, g in zip(chars, raw)}
 
 
 def unit_additive_integral(chi: MultChar, psi: AddChar, n: int) -> complex:

@@ -315,16 +315,20 @@ def test_gauss_p2_modulus_and_conjugation(capsys):
 
 
 def _count_kernel_numerators(monkeypatch) -> list[int]:
-    """Wrap the kernel so that each call records how many numerators it summed."""
+    """Wrap the kernel so that each piece it asks its caller for records how
+    many numerators it holds."""
     sizes = []
-    kernel = intertwine.padic._root_sum
+    kernel = intertwine.padic._root_sums
 
-    def counted(blocks, den, rows):
-        blocks = list(blocks)
-        sizes.append(sum(block.size for block in blocks))
-        return kernel(iter(blocks), den, rows)
+    def counted(shape, block, den):
+        def recorded(rows, cols):
+            k = block(rows, cols)
+            sizes.append(k.size)
+            return k
 
-    monkeypatch.setattr(intertwine.padic, "_root_sum", counted)
+        return kernel(shape, recorded, den)
+
+    monkeypatch.setattr(intertwine.padic, "_root_sums", counted)
     return sizes
 
 
@@ -340,11 +344,24 @@ def test_gauss_kernel_calls_stay_within_one_block(monkeypatch, capsys, argv, sha
     sizes = _count_kernel_numerators(monkeypatch)
     assert main(["gauss", *argv, "--format", "json"]) == 0
     capsys.readouterr()
-    # one call per conductor, or as few as keep each within _SUM_BLOCK numerators
+    # one pass per conductor, or as few as keep each within _SUM_BLOCK numerators
     block = intertwine.padic._SUM_BLOCK
     assert len(sizes) == sum(math.ceil(rows / (block // n)) for rows, n in shapes)
     assert sum(sizes) == sum(rows * n for rows, n in shapes)
     assert max(sizes) <= block
+
+
+def test_kernel_splits_a_long_row_into_blocks(monkeypatch):
+    # a row longer than _SUM_BLOCK goes alone, in pieces of _SUM_BLOCK columns
+    sizes = _count_kernel_numerators(monkeypatch)
+    block = intertwine.padic._SUM_BLOCK
+    intertwine.padic.root_of_unity_sum(range(2 * block + 5), 12)
+    assert sizes == [block, block, 5]
+    sizes.clear()
+    # the units mod 7^6 of a deep trivial shell
+    intertwine.padic._unit_sums(7, 0, [0], 6, 1)
+    n = 6 * 7**5
+    assert sizes == [block] * (n // block) + [n % block]
 
 
 def test_gauss_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
@@ -353,6 +370,18 @@ def test_gauss_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
 
     monkeypatch.setattr(MultChar, "all_primitive", classmethod(never))
     assert main(["gauss", "--p", "7", "--m-max", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_gauss_p2_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
+    # 4^m < 2^63 holds up to m = 31; m = 32 would wrap the int64 numerators
+    def never(*args):
+        pytest.fail("a p = 2 row was computed before the domain check")
+
+    monkeypatch.setattr(intertwine.cli, "gauss_sums_p2", never)
+    assert main(["gauss", "--p", "2", "--allow-p2", "--m-max", "32"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""

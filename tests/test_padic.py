@@ -14,6 +14,7 @@ from intertwine.errors import ConductorError, InconsistentRatio, RangeError
 from intertwine.padic import (
     _SUM_BLOCK,
     _ExactSum,
+    _dlog_table,
     _unit_integral,
     _unit_powers,
     _unit_sum,
@@ -33,6 +34,7 @@ from intertwine.padic import (
     g_normalized,
     gauss_sum,
     gauss_sums,
+    gauss_sums_p2,
     iota_normalization,
     level_membership,
     mu_finite,
@@ -336,7 +338,7 @@ def _unit_integral_direct(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     psi_step = shift.numerator * (p - 1) * p ** (top - b) % den
     k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
     k *= chi_step
-    k -= psi_step * _unit_powers(p, depth)
+    k -= psi_step * _unit_powers(unit_generator(p), p**depth, (p - 1) * p ** (depth - 1))
     return p ** (-depth) * psi.conductor_value ** (-0.5) * root_of_unity_sum(k, den)
 
 
@@ -398,8 +400,12 @@ def test_root_of_unity_sum_is_fsum_of_numpy_terms():
 
 
 def _exact_sum(values) -> float:
+    """_ExactSum of one row, fed in pieces of _SUM_BLOCK columns, as the
+    kernel (_root_sums) splits a long row."""
+    row = np.array([values], dtype=np.float64)
     sums = _ExactSum(1)
-    sums.add(np.array([values], dtype=np.float64))
+    for col in range(0, row.shape[1], _SUM_BLOCK):
+        sums.add(row[:, col : col + _SUM_BLOCK])
     return sums.values()[0]
 
 
@@ -434,6 +440,10 @@ def test_exact_sum_is_fsum_bit_for_bit(xs, rest):
         [2.2250738585072014e-308, -1.5e-323, 1e-320],  # subnormal total
         [0.5, 2**-1074, -0.5],
         [2**-1022, 2**-1074],
+        # pieces of one limb and of all 27, in both orders: every total sits
+        # at the fixed scale 2^-1080, so no piece needs realigning
+        [0.5] * _SUM_BLOCK + [5e-324, 2**-1022, 1e-300],
+        [1e-300, 2**-1022, 5e-324] + [0.5] * _SUM_BLOCK,
     ],
 )
 def test_exact_sum_edge_cases(values):
@@ -449,6 +459,12 @@ def test_exact_sum_across_blocks(pattern, n):
     tiled = np.resize(np.array(pattern), n)
     for values in (tiled, tiled * np.linspace(-1, 1, n)):
         assert _exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+def test_exact_sum_rejects_a_piece_wider_than_one_block():
+    sums = _ExactSum(2)
+    with pytest.raises(ValueError):
+        sums.add(np.zeros((2, _SUM_BLOCK + 1)))
 
 
 def test_root_of_unity_sum_empty_and_domain():
@@ -522,10 +538,46 @@ def test_unit_powers_walk_every_unit():
         for d in range(1, 5):
             mod = p**d
             phi = (p - 1) * p ** (d - 1)
-            powers = _unit_powers(p, d)
+            powers = _unit_powers(g, mod, phi)
             assert powers.dtype == np.int64 and not powers.flags.writeable
             assert powers.tolist() == [pow(g, j, mod) for j in range(phi)]
             assert sorted(powers.tolist()) == [u for u in range(1, mod) if u % p]
+    # 5 has order 2^(m - 2) mod 2^m, and its powers are the units = 1 mod 4
+    for m in range(2, 12):
+        mod, order = 2**m, 2 ** (m - 2)
+        powers = _unit_powers(5, mod, order)
+        assert powers.tolist() == [pow(5, j, mod) for j in range(order)]
+        assert sorted(powers.tolist()) == list(range(1, mod, 4))
+
+
+def test_unit_powers_beyond_uint64_raise_at_once():
+    # the doubling products reach mod^2, so mod must stay below 2^32
+    mod = 2**32 - 1
+    assert _unit_powers(3, mod, 40).tolist() == [pow(3, j, mod) for j in range(40)]
+    with pytest.raises(RangeError):
+        _unit_powers(3, 2**32, 40)
+    with pytest.raises(RangeError):
+        MultChar(3, 41, 1).value(2)
+
+
+def test_dlog_table_inverts_the_powers():
+    for p in (3, 5, 7, 11, 13):
+        g = unit_generator(p)
+        for m in range(1, 5):
+            mod, phi = p**m, (p - 1) * p ** (m - 1)
+            table = _dlog_table(p, m)
+            for u in range(1, mod):
+                if u % p:
+                    assert 0 <= table[u] < phi and pow(g, table[u], mod) == u, (p, m, u)
+
+
+def test_gauss_sums_p2_domain():
+    # 4^m < 2^63 is m <= 31; below 2 there is no primitive character
+    for m in (-1, 0, 1, 32, 40):
+        with pytest.raises(RangeError):
+            gauss_sums_p2(m)
+    assert list(gauss_sums_p2(2)) == [(1, 0)]
+    assert list(gauss_sums_p2(4)) == [(0, 1), (0, 3), (1, 1), (1, 3)]
 
 
 def test_unit_integral_beyond_int64_raises_at_once():
