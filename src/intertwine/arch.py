@@ -244,11 +244,6 @@ def mu_arch_derivative_bound(params: ArchParams, n: int) -> float:
     return 2.0 * (2.0 / (m + 1) + math.log((abs(n) - 1) / (m + 1)))
 
 
-def mu_arch_bound_check(params: ArchParams, n: int) -> bool:
-    exact = mu_arch(params, n) * mu_arch_logderiv(params, n)
-    return abs(exact) <= mu_arch_derivative_bound(params, n) + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Tate sections
 
@@ -339,6 +334,8 @@ def tate_section_real(
     """
     if params.place is not Place.REAL:
         raise ValueError("real-place section with complex-place parameters")
+    if method not in ("closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     v = 1j * kappa
     vc = v.conjugate()
     s, mu, n0 = params.s, params.mu, params.n0
@@ -349,10 +346,8 @@ def tate_section_real(
             continue
         if method == "closed":
             rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b)
-        elif method == "quadrature":
-            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b) / 2
         else:
-            raise ValueError(f"unknown method {method!r}")
+            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b) / 2
         total += coeff * v**a * vc**b * parity * rad
     return total
 

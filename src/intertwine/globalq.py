@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
 from .arch import ArchParams, Place, mu_arch
 from .errors import PoleError, RangeError
-from .numerics import GammaKind, gamma_factor, trapezoid
+from .numerics import GammaKind, gamma_factor, limit_at_zero, trapezoid
 from .padic import mu_finite, unramified_params, val_p
 
 # riemann_zeta's height bound, which also sizes its table of log k
@@ -152,29 +151,18 @@ def residue_constant() -> float:
     return -res0 / (2 * completed_zeta(2.0).real)
 
 
-def _richardson(f: Callable[[float], float]) -> float:
-    """lim_{h -> 0+} f(h) from f(10^-2 / 2^i), i < 4, by a Neville table
-    in h (first-order sequence)."""
-    levels = 4
-    vals = []
-    h = 1e-2
-    for _ in range(levels):
-        vals.append(f(h))
-        h /= 2
-    for j in range(1, levels):
-        for i in range(levels - 1, j - 1, -1):
-            vals[i] = (2**j * vals[i] - vals[i - 1]) / (2**j - 1)
-    return vals[-1]
+# nodes h = 10^-2 / 2^i, i < 4, of both residue extrapolations
+_RESIDUE_HS = tuple(1e-2 / 2**i for i in range(4))
 
 
 def residue_at_one() -> float:
     """lim (z - 1) Lambda(z) by Richardson extrapolation from the right."""
-    return _richardson(lambda h: ((1 + h) - 1) * completed_zeta(1 + h).real)
+    return limit_at_zero(_RESIDUE_HS, [((1 + h) - 1) * completed_zeta(1 + h).real for h in _RESIDUE_HS])
 
 
 def residue_at_zero() -> float:
     # lim (z - 0) Lambda(z) with z -> 0^+ from h = z
-    return -_richardson(lambda h: h * completed_zeta(0 + h).real)
+    return -limit_at_zero(_RESIDUE_HS, [h * completed_zeta(0 + h).real for h in _RESIDUE_HS])
 
 
 def mu_global_factor(y: float) -> complex:
@@ -329,10 +317,6 @@ def height_wn(place: Place | int, x) -> float:
     if a <= 1.0:
         return 1.0
     return a ** (-2.0)
-
-
-def height_bound_check(place: Place | int, xs) -> bool:
-    return all(height_wn(place, x) <= 1.0 + 1e-15 for x in xs)
 
 
 def sobolev_weight_sum(a_power: int, y_max: float, n_max: int) -> float:

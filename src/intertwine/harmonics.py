@@ -1,4 +1,4 @@
-"""Spherical harmonics on SU(2) and SO(2) with exact polynomial realizations.
+"""Spherical harmonics on SU(2) with exact polynomial realizations.
 
 The SU(2) harmonics are the weight vectors of the degree-n irreducible
 inside the polynomial functions on the unit quaternions, realized as exact
@@ -14,9 +14,10 @@ Conventions fixed here and asserted by tests:
   * the plane measure on C is twice Lebesgue measure, so the calibration
     integral of exp(-|z1|^2 - |z2|^2) over C^2 equals 4 pi^2 and the polar
     factorization constant is 8 pi^2;
-  * SO(2) is identified with the unit circle, with the degree-n character
-    z^n for n >= 0 and conj(z)^(-n) for n < 0, each of unit norm for the
-    probability measure on the circle.
+  * SO(2) is identified with the unit circle.  Its degree-n character,
+    z^n for n >= 0 and conj(z)^(-n) for n < 0, has unit norm for the
+    probability measure on the circle and is exp(pi) times
+    schwartz.section_so2(n) at i z (the Weyl point of the circle is i).
 
 The Haar and Gram quadratures integrate polynomials exactly on one Hopf grid
 sized from the degree (_hopf_factors).  There z1^a z2^b conj(z1)^c conj(z2)^d
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParityError, RangeError
-from .exact import ONE, PiLaurent, VarPoly, scalar_is_zero
+from .exact import PiLaurent, VarPoly, scalar_is_zero
 
 _FR0 = Fraction(0)
 
@@ -80,8 +81,9 @@ def hopf_point(theta: float, phi1: float, phi2: float) -> SU2Point:
     )
 
 
-def su2_from_integers(a: int, b: int, c: int, d: int) -> SU2Point:
-    """Rational point of the unit sphere from the square of an integer quaternion.
+def su2_exact_values(a: int, b: int, c: int, d: int) -> tuple[PiLaurent, ...]:
+    """Rational point of the unit sphere from the square of an integer
+    quaternion, as exact scalars (z1, z2, conj z1, conj z2).
 
     (a + bi + cj + dk)^2 / (a^2+b^2+c^2+d^2) has exactly rational coordinates,
     which keeps polynomial substitution tests exact.
@@ -89,14 +91,6 @@ def su2_from_integers(a: int, b: int, c: int, d: int) -> SU2Point:
     n = a * a + b * b + c * c + d * d
     if n == 0:
         raise ValueError("zero quaternion")
-    z1 = complex(Fraction(a * a - b * b - c * c - d * d, n), Fraction(2 * a * b, n))
-    z2 = complex(Fraction(2 * a * c, n), Fraction(2 * a * d, n))
-    return SU2Point(z1, z2)
-
-
-def su2_exact_values(a: int, b: int, c: int, d: int) -> tuple[PiLaurent, ...]:
-    """The same rational sphere point as exact scalars (z1, z2, conj z1, conj z2)."""
-    n = a * a + b * b + c * c + d * d
     re1, im1 = Fraction(a * a - b * b - c * c - d * d, n), Fraction(2 * a * b, n)
     re2, im2 = Fraction(2 * a * c, n), Fraction(2 * a * d, n)
     return (
@@ -105,6 +99,12 @@ def su2_exact_values(a: int, b: int, c: int, d: int) -> tuple[PiLaurent, ...]:
         PiLaurent.rational(re1, -im1),
         PiLaurent.rational(re2, -im2),
     )
+
+
+def su2_from_integers(a: int, b: int, c: int, d: int) -> SU2Point:
+    """The point of su2_exact_values in floats."""
+    z1, z2 = su2_exact_values(a, b, c, d)[:2]
+    return SU2Point(complex(z1), complex(z2))
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,6 @@ class HarmonicSU2:
 
     def __call__(self, point: SU2Point) -> complex:
         return self.poly.evaluate(point.values())
-
-
-@dataclass(frozen=True)
-class HarmonicSO2:
-    """Circle character of degree n: z^n for n >= 0, conj(z)^(-n) for n < 0."""
-
-    n: int
-    poly: VarPoly
-
-    def __call__(self, z: complex) -> complex:
-        return self.poly.evaluate((z, z.conjugate()))
 
 
 def _check_su2_indices(n0: int, n: int, k: int):
@@ -218,11 +207,6 @@ def normalized_harmonic_su2(n0: int, n: int, k: int) -> HarmonicSU2:
     h = harmonic_su2(n0, n, k)
     scale = 1.0 / math.sqrt(norm_su2_closed(n0, n, k))
     return HarmonicSU2(n0, n, k, h.poly.scale(complex(scale)))
-
-
-def harmonic_so2(n: int) -> HarmonicSO2:
-    key = (n, 0) if n >= 0 else (0, -n)
-    return HarmonicSO2(n, VarPoly(2, {key: ONE}))
 
 
 @lru_cache(maxsize=None)

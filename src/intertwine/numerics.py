@@ -9,6 +9,10 @@ the completed zeta factor) is built on the two normalized gamma factors
 and on adaptive trapezoid quadrature after a double-exponential change of
 variables.  The normalizations are not assumed: the test suite pins them by
 matching the radial integrals they are meant to equal.
+
+Limits at an edge (the residues of the completed zeta at 0 and 1, the
+on-axis limit of the truncated norm) all go through limit_at_zero: the
+value at h = 0 of the polynomial through samples at a few small h.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import cmath
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -372,6 +376,27 @@ def radial_gaussian_moment(kind: GammaKind, z: complex) -> complex:
         return _masked_exp(-coef * rc * rc, (z - 1.0) * np.log(r))
 
     return front * quad_halfline(f)
+
+
+def limit_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
+    """Value at h = 0 of the polynomial of degree < len(hs) through the
+    points (hs[i], values[i]), by Neville's table.
+
+    Level j replaces p[i] by (r p[i] - p[i - 1]) / (r - 1) with
+    r = hs[i - j] / hs[i], the interpolant through hs[i - j .. i] at 0.  On
+    nodes h_i = h_0 / 2^i every r is exactly 2^j: the Richardson table of a
+    first-order sequence.  The nodes must be distinct and nonzero.
+    """
+    if len(hs) != len(values) or not hs:
+        raise ValueError(f"need one value per node, got {len(hs)} nodes and {len(values)} values")
+    if 0 in hs or len(set(hs)) != len(hs):
+        raise ValueError(f"nodes must be distinct and nonzero, got {list(hs)}")
+    p = list(values)
+    for j in range(1, len(p)):
+        for i in range(len(p) - 1, j - 1, -1):
+            r = hs[i - j] / hs[i]
+            p[i] = (r * p[i] - p[i - 1]) / (r - 1)
+    return p[-1]
 
 
 def _consistent_ratio(ratios: list[complex], tol: float, sample: str) -> complex:

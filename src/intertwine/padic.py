@@ -880,16 +880,6 @@ def unramified_params(p: int, s: complex, mu: float = 0.0, psi_c: int = 0) -> Fi
     return FiniteParams(p, s, mu, triv, triv, AddChar(p, psi_c))
 
 
-def dim_ktype_finite(params: FiniteParams, n: int) -> int:
-    """Dimension of the level-n new part: (q^n - q^(n-2) [n>=2]) [n >= c]."""
-    if n < 0:
-        raise RangeError("level must be >= 0")
-    q = params.p
-    if n < params.conductor:
-        return 0
-    return q**n - (q ** (n - 2) if n >= 2 else 0)
-
-
 # ---------------------------------------------------------------------------
 # classical vectors
 
@@ -1123,12 +1113,6 @@ def mu_finite_derivative_bound(params: FiniteParams, n: int) -> float:
     q = params.p
     extra = 2 * math.log(q) / (1 - 1 / q) if params.twist_char.is_trivial() else 0.0
     return 2 * (n * math.log(q) + math.log(params.psi.conductor_value) + extra)
-
-
-def mu_finite_bound_check(params: FiniteParams, n: int) -> bool:
-    if abs(params.s.real) > 1e-14:
-        raise ValueError("bound is stated on the unitary axis")
-    return abs(mu_finite_derivative(params, n)) <= mu_finite_derivative_bound(params, n) + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -173,15 +173,6 @@ def k_act(kappa, phi):
     return type(phi)(phi.poly.substitute(images))
 
 
-def restrict_sphere(phi: PolyGaussian4, kappa: SU2Point) -> complex:
-    """Value of phi at a point of the unit sphere; the Gaussian is exp(-2 pi)."""
-    return math.exp(-PolyGaussian4.WIDTH) * phi.poly.evaluate(kappa.values())
-
-
-def restrict_circle(phi: PolyGaussian2, z: complex) -> complex:
-    return math.exp(-PolyGaussian2.WIDTH) * phi.poly.evaluate((z, z.conjugate()))
-
-
 def section_su2(n0: int, n: int) -> PolyGaussian4:
     """The Schwartz element whose sphere restriction through the Weyl point is
     exp(-2 pi) times the k = 0 harmonic of type (n0, n).

@@ -51,6 +51,7 @@ from .numerics import (
     gamma_factor,
     kernel_ka,
     kernel_ka_quad,
+    limit_at_zero,
     quad_halfline,
     radial_gaussian_moment,
     trapezoid,
@@ -542,12 +543,6 @@ def _double_transform_dev(f: SimpleFunction, psi: AddChar) -> float:
 _AXIS_SIGMAS = (1e-2, 1e-3, 1e-4)
 
 
-def _axis_limit(vals) -> float:
-    """Value at sigma = 0 of the quadratic in sigma through vals at _AXIS_SIGMAS."""
-    mat = np.array([[1.0, sig, sig * sig] for sig in _AXIS_SIGMAS])
-    return float(np.linalg.solve(mat, np.array(vals))[0])
-
-
 def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     tol = SUITE_TOLERANCES["global"]
     rng = random.Random(seed)
@@ -606,7 +601,7 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         for sig in _AXIS_SIGMAS:
             m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4)
             vals.append(gl.maass_selberg(complex(sig, y), c, 1.0, abs(m), m.conjugate()))
-        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, _axis_limit(vals), target, tol))
+        cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, limit_at_zero(_AXIS_SIGMAS, vals), target, tol))
 
     # self-dual branch against the global scalar model
     y0, c0 = 0.5, 2.0
@@ -619,7 +614,7 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         s = complex(sig, y0)
         m = gl.completed_zeta(1 - 2 * s) / gl.completed_zeta(1 + 2 * s)
         vals.append(gl.maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
-    cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, _axis_limit(vals), onax, 1e-5))
+    cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, limit_at_zero(_AXIS_SIGMAS, vals), onax, 1e-5))
 
     # heights at every place type
     ok = True

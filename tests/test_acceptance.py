@@ -108,6 +108,37 @@ def test_every_case_has_exactly_one_criterion(acceptance_run):
         assert len(owners) == 1, f"{key} is under criteria {owners}"
 
 
+# ---------------------------------------------------------------------------
+# the bound flags can fail
+
+
+def test_derivative_bound_flags_fail_under_a_negative_bound(monkeypatch):
+    def failing(reports):
+        return {c.key for r in reports for c in r.cases if not c.passed}
+
+    flags = ("arch/deriv-bound-", "padic/deriv-bound/")
+    assert not failing([run_suite("arch"), run_suite("padic")])
+    monkeypatch.setattr(verify, "mu_arch_derivative_bound", lambda params, n: -1.0)
+    monkeypatch.setattr(verify, "mu_finite_derivative_bound", lambda params, n: -1.0)
+    mutated = [run_suite("arch"), run_suite("padic")]
+    expected = {c.key for r in mutated for c in r.cases if c.key.startswith(flags)}
+    assert {k.split("/")[0] for k in expected} == {"arch", "padic"}
+    assert failing(mutated) == expected
+
+
+@pytest.mark.parametrize("place", (verify.Place.REAL, verify.Place.COMPLEX, 5))
+def test_height_bound_flag_fails_above_one_at_any_place(place, monkeypatch):
+    height_wn = verify.gl.height_wn
+
+    def bumped(at, x):
+        return 1.0 + 1e-12 if at == place else height_wn(at, x)
+
+    key = "global/height-bound"
+    assert next(c for c in run_suite("global").cases if c.key == key).passed
+    monkeypatch.setattr(verify.gl, "height_wn", bumped)
+    assert not next(c for c in run_suite("global").cases if c.key == key).passed
+
+
 @pytest.mark.parametrize("seed", (0, 1))
 def test_default_case_counts(seed):
     # the benchmark's workloads pin these counts; read them from there

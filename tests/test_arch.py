@@ -11,7 +11,6 @@ from intertwine.arch import (
     ArchParams,
     Place,
     mu_arch,
-    mu_arch_bound_check,
     mu_arch_column,
     mu_arch_derivative,
     mu_arch_derivative_bound,
@@ -181,6 +180,19 @@ def test_real_section_closed_equals_quadrature():
             assert abs(closed - quad) < 1e-9 * max(1.0, abs(closed))
 
 
+def test_sections_reject_an_unknown_method_before_their_terms():
+    # every term of these integrands is skipped: zero parity at the real
+    # place, an angular weight other than -n0 at the complex place
+    phi_r, pa_r = section_so2(1), ArchParams(Place.REAL, 0.2, 0.0, 0)
+    phi_c, pa_c, kp = PolyGaussian4.monomial((0, 0, 0, 3)), ArchParams(Place.COMPLEX, 0.3, 0.0, 0), hopf_point(0.6, 0.4, 1.2)
+    assert tate_section_real(phi_r, pa_r, 1 + 0j) == 0j
+    assert tate_section_complex(phi_c, pa_c, kp) == 0j
+    with pytest.raises(ValueError, match="unknown method"):
+        tate_section_real(phi_r, pa_r, 1 + 0j, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        tate_section_complex(phi_c, pa_c, kp, method="bogus")
+
+
 def test_quadrature_sections_raise_where_the_radial_moment_diverges():
     # the degree-0 radial moment converges only for Re s > -1/2
     kp = hopf_point(0.7, 0.9, 1.3)
@@ -248,18 +260,6 @@ def test_derivative_worked_example():
     bound = mu_arch_derivative_bound(pa, 4)
     assert abs(bound - 4 * (1 + math.log(2))) < 1e-12
     assert abs(exact) <= bound
-
-
-def test_derivative_bounds_random():
-    rng = random.Random(8)
-    for _ in range(100):
-        y = rng.uniform(-3, 3)
-        n0 = rng.randint(-3, 3)
-        n = abs(n0) + 2 * rng.randint(0, 4)
-        assert mu_arch_bound_check(ArchParams(Place.COMPLEX, 1j * y, 0.0, n0), n)
-        n0r = rng.randint(0, 1)
-        nr = (n0r + 2 * rng.randint(0, 4)) * rng.choice((1, -1)) or n0r
-        assert mu_arch_bound_check(ArchParams(Place.REAL, 1j * y, 0.0, n0r), nr)
 
 
 def test_logderiv_sign():

@@ -20,7 +20,6 @@ from intertwine.harmonics import (
     _hopf_factors,
     gram_matrix,
     haar_integrate_su2,
-    harmonic_so2,
     harmonic_su2,
     hopf_grid,
     lie_act_su2,
@@ -30,6 +29,7 @@ from intertwine.harmonics import (
     su2_from_integers,
 )
 from intertwine.numerics import quad_halfline
+from intertwine.schwartz import section_so2
 
 
 def conj_poly(poly: VarPoly) -> VarPoly:
@@ -126,14 +126,11 @@ def test_quaternion_product_and_weyl():
 
 
 def test_so2_characters():
-    assert harmonic_so2(0).poly == VarPoly.monomial(2, (0, 0))
-    assert harmonic_so2(3).poly == VarPoly.monomial(2, (3, 0))
-    assert harmonic_so2(-2).poly == VarPoly.monomial(2, (0, 2))
-    # unit norm and orthogonality on the circle, trapezoid is exact here
+    # the degree-n character is exp(pi) section_so2(n) at i z; unit norm and
+    # orthogonality on the circle, trapezoid is exact here
     thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     zs = np.exp(1j * thetas)
-    e3 = zs**3
-    em2 = np.conj(zs) ** 2
+    e3, em2 = (np.array([math.exp(math.pi) * section_so2(n)(1j * z) for z in zs]) for n in (3, -2))
     assert abs(np.mean(np.abs(e3) ** 2) - 1.0) < 1e-14
     assert abs(np.mean(e3 * np.conj(em2))) < 1e-14
 

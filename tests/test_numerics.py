@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertwine.errors import PoleError, ToleranceNotMet
+from intertwine.verify import _AXIS_SIGMAS
 from intertwine.numerics import (
     GammaKind,
     bessel_k,
@@ -14,6 +16,7 @@ from intertwine.numerics import (
     gamma_factor,
     kernel_ka,
     kernel_ka_quad,
+    limit_at_zero,
     quad_halfline,
     quad_realline,
     radial_gaussian_moment,
@@ -189,3 +192,56 @@ def test_bessel_half_order_on_its_domain(log_y):
     y = math.exp(log_y)
     closed = math.sqrt(math.pi / (4 * y)) * math.exp(-2 * y)
     assert abs(bessel_k(0.5, y) - closed) <= 1e-14 * closed + 1e-16
+
+
+# ---------------------------------------------------------------------------
+# the one extrapolation to zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True),
+    st.floats(1e-3, 1.0),
+    st.data(),
+)
+def test_limit_at_zero_is_exact_for_polynomials_of_lower_degree(divisors, h0, data):
+    hs = [h0 / m for m in divisors]
+    coeffs = [Fraction(c) for c in data.draw(st.lists(st.floats(-10, 10), min_size=len(hs), max_size=len(hs)))]
+    exact = [sum(c * Fraction(h) ** k for k, c in enumerate(coeffs)) for h in hs]
+    got = limit_at_zero(hs, [float(v) for v in exact])
+    # rounding the samples costs at most the Lebesgue constant at 0 times
+    # the largest sample, in units of the double epsilon
+    lebesgue = sum(
+        abs(math.prod(Fraction(hj) / (Fraction(hj) - Fraction(hi)) for hj in hs if hj != hi)) for hi in hs
+    )
+    scale = float(lebesgue) * max(1.0, max(abs(float(v)) for v in exact))
+    assert abs(got - float(coeffs[0])) <= 64 * len(hs) * 2.0**-52 * scale
+
+
+def _doubling_neville_table(vals):
+    """The residues' first-order Neville table on h = 10^-2 / 2^i, frozen."""
+    vals = list(vals)
+    levels = len(vals)
+    for j in range(1, levels):
+        for i in range(levels - 1, j - 1, -1):
+            vals[i] = (2**j * vals[i] - vals[i - 1]) / (2**j - 1)
+    return vals[-1]
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+def test_limit_at_zero_is_the_doubling_neville_table_bit_for_bit(vals):
+    hs = [1e-2 / 2**i for i in range(len(vals))]
+    assert limit_at_zero(hs, vals).hex() == float(_doubling_neville_table(vals)).hex()
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+def test_limit_at_zero_matches_the_vandermonde_solve(vals):
+    mat = np.array([[1.0, sig, sig * sig] for sig in _AXIS_SIGMAS])
+    solved = float(np.linalg.solve(mat, np.array(vals))[0])
+    assert abs(limit_at_zero(_AXIS_SIGMAS, vals) - solved) <= 1e-14 * max(map(abs, vals))
+
+
+def test_limit_at_zero_rejects_bad_nodes():
+    for hs in ((1e-2, 1e-3, 1e-2), (1e-2, 0.0, 1e-4), (1e-2, 1e-3)):
+        with pytest.raises(ValueError):
+            limit_at_zero(hs, (1.0, 2.0, 3.0))

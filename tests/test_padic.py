@@ -26,7 +26,6 @@ from intertwine.padic import (
     TailAtom,
     TensorSimpleFunction,
     classical_vector,
-    dim_ktype_finite,
     e_of,
     fourier_atom,
     fourier_bruteforce,
@@ -38,7 +37,6 @@ from intertwine.padic import (
     iota_normalization,
     level_membership,
     mu_finite,
-    mu_finite_bound_check,
     mu_finite_derivative,
     mu_finite_derivative_bound,
     mu_finite_logderiv,
@@ -1062,8 +1060,8 @@ def test_derivative_and_bounds():
         for shape in ALL_SHAPES:
             prm = params_for(p, shape, s=1j * rng.uniform(-3, 3), mu=rng.uniform(-1, 1), psi_c=rng.choice((0, 1)))
             for n in range(prm.conductor, prm.conductor + 3):
-                assert mu_finite_bound_check(prm, n)
-                # finite-difference cross-check of the exact derivative
+                # finite-difference cross-check of the exact derivative; the
+                # bound is the padic/deriv-bound/* cases of the padic suite
                 h = 5e-5
                 plus = FiniteParams(p, prm.s + h, prm.mu, prm.xi, prm.omega_xi_inv, prm.psi)
                 minus = FiniteParams(p, prm.s - h, prm.mu, prm.xi, prm.omega_xi_inv, prm.psi)
@@ -1100,16 +1098,6 @@ def test_tate_integral_sphere_value():
     v0 = classical_vector(prm, 0)
     val = tate_integral_padic(v0, prm.twist_char, 0.0, 0.0, (Fraction(0), Fraction(1)), prm.psi)
     assert abs(val - v0.evaluate(Fraction(0), Fraction(1))) < 1e-14
-
-
-def test_dim_ktype():
-    prm = unramified_params(5, 0.0)
-    assert [dim_ktype_finite(prm, n) for n in range(4)] == [1, 5, 24, 120]
-    ram = params_for(5, "both")
-    assert dim_ktype_finite(ram, 1) == 0
-    assert dim_ktype_finite(ram, 2) == 24
-    with pytest.raises(RangeError):
-        dim_ktype_finite(prm, -1)
 
 
 def test_displayed_unramified_vector_forms():

@@ -14,8 +14,6 @@ from intertwine.schwartz import (
     fourier_hat_c,
     fourier_hat_h,
     k_act,
-    restrict_circle,
-    restrict_sphere,
     section_so2,
     section_su2,
 )
@@ -118,8 +116,8 @@ def test_k_act_identity_and_torus():
         from intertwine.harmonics import SU2Point
 
         left = SU2Point(rot * kap.z1, rot * kap.z2)
-        lhs = restrict_sphere(phi, left)
-        rhs = rot.conjugate() ** 1 * restrict_sphere(phi, kap)
+        lhs = phi(left.z1, left.z2)
+        rhs = rot.conjugate() ** 1 * phi(kap.z1, kap.z2)
         assert abs(lhs - rhs) < 1e-14
 
 
@@ -173,19 +171,20 @@ def test_k_act_rejects_other_operands():
         k_act(1 + 0j, PolyGaussian4.gaussian())
 
 
-def test_restrict_sphere_values():
+def test_sphere_values():
     e2pi = math.exp(-2 * math.pi)
     g = PolyGaussian4.gaussian()
     for quad in ((1, 1, 1, 0), (2, 1, 1, 1), (1, 2, 3, 1)):
         kap = su2_from_integers(*quad)
-        assert abs(restrict_sphere(g, kap) - e2pi) < 1e-15
+        assert abs(g(kap.z1, kap.z2) - e2pi) < 1e-15
     # the section through the Weyl point restricts to the harmonic
     for (n0, n) in ((0, 2), (1, 3), (-2, 4), (2, 2)):
         phi = section_su2(n0, n)
         h = harmonic_su2(n0, n, 0)
         for quad in ((1, 2, 3, 1), (2, 1, 1, 1), (1, 1, 1, 1), (3, 1, 2, 1), (1, 3, 1, 2)):
             kap = su2_from_integers(*quad)
-            lhs = restrict_sphere(phi, W_INV_POINT.mul(kap))
+            w_kap = W_INV_POINT.mul(kap)
+            lhs = phi(w_kap.z1, w_kap.z2)
             assert abs(lhs - e2pi * h(kap)) < 1e-14
 
 
@@ -193,8 +192,8 @@ def test_restrict_linearity():
     rng = random.Random(9)
     a, b = random_poly4(rng), random_poly4(rng)
     kap = su2_from_integers(1, 1, 1, 0)
-    lhs = restrict_sphere(a + b.scale(PiLaurent.rational(2)), kap)
-    rhs = restrict_sphere(a, kap) + 2 * restrict_sphere(b, kap)
+    lhs = (a + b.scale(PiLaurent.rational(2)))(kap.z1, kap.z2)
+    rhs = a(kap.z1, kap.z2) + 2 * b(kap.z1, kap.z2)
     assert abs(lhs - rhs) < 1e-14
 
 
@@ -204,7 +203,7 @@ def test_so2_section_restriction():
         for theta in (0.3, 1.2, 2.9):
             c = complex(math.cos(theta), math.sin(theta))
             en = c**n if n >= 0 else c.conjugate() ** (-n)
-            lhs = restrict_circle(phi, 1j * c)  # the Weyl point of the circle is i
+            lhs = phi(1j * c)  # the Weyl point of the circle is i
             assert abs(lhs - math.exp(-math.pi) * en) < 1e-14
 
 
