@@ -267,6 +267,87 @@ def _angular_trapezoid(m: int, n_alpha: int) -> complex:
     return acc * (2.0 * math.pi / n_alpha)
 
 
+def _check_method(method: str):
+    if method not in ("closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _complex_degree_weights(phi: PolyGaussian4, n0: int, kappa: SU2Point, method: str) -> tuple:
+    """(degree, weight) pairs of the complex-place section of phi at kappa.
+
+    The section is sum_deg W_deg * R(deg), R the radial integral of
+    _section_sum.  W_deg sums coeff * v1^a v2^b conj(v1)^c conj(v2)^d over
+    the monomials of total degree deg whose angular weight matches -n0,
+    times (2/pi) * (trapezoid angular sum) for "quadrature"; degrees come in
+    the order of their first monomial.  This is the only monomial loop of
+    the complex place: both methods of tate_section_complex and the oracle's
+    plan read it.
+    """
+    v1, v2 = _bottom_row(kappa)
+    v1c, v2c = v1.conjugate(), v2.conjugate()
+    if method == "quadrature":
+        n_alpha = 4 * (phi.poly.max_degree() + abs(n0) + 2) + 8
+    weights: dict[int, complex] = {}
+    for (a, b, c, d), coeff in phi.poly.complex_terms():
+        if method == "closed":
+            if a + b - c - d != -n0:
+                continue
+            w = coeff * v1**a * v2**b * v1c**c * v2c**d
+        else:
+            angular = _angular_trapezoid(n0 + a + b - c - d, n_alpha)
+            # the sum is 2 pi or rounding noise (at most 4e-14 for |m| <= 40 and
+            # n_alpha <= 59), so any threshold between the two skips exactly the
+            # monomials whose weight does not match n0, as the closed form does
+            if abs(angular) < 1e-9:
+                continue
+            w = coeff * v1**a * v2**b * v1c**c * v2c**d * (2.0 / math.pi) * angular
+        deg = a + b + c + d
+        weights[deg] = weights[deg] + w if deg in weights else w
+    return tuple(weights.items())
+
+
+def _real_degree_weights(phi: PolyGaussian2, n0: int, kappa: complex) -> tuple:
+    """(degree, weight) pairs of the real-place section of phi at kappa.
+
+    W_deg sums coeff * v^a conj(v)^b * (1 + (-1)^(n0 + a + b)) over the
+    monomials of degree a + b = deg, v = i kappa; the parity factor folds
+    the two half-lines of R^x.  The weights do not depend on the method.
+    This is the only monomial loop of the real place.
+    """
+    v = 1j * kappa
+    vc = v.conjugate()
+    weights: dict[int, complex] = {}
+    for (a, b), coeff in phi.poly.complex_terms():
+        parity = 1.0 + (-1.0) ** (n0 + a + b)
+        if parity == 0.0:
+            continue
+        w = coeff * v**a * vc**b * parity
+        deg = a + b
+        weights[deg] = weights[deg] + w if deg in weights else w
+    return tuple(weights.items())
+
+
+def _section_sum(weights: tuple, params: ArchParams, method: str) -> complex:
+    """sum_deg W_deg * R(deg), R(deg) the radial integral of the degree-deg
+    monomials at params' s and mu, as a gamma factor ("closed") or by
+    double-exponential quadrature ("quadrature")."""
+    s, mu = params.s, params.mu
+    total = 0j
+    for deg, w in weights:
+        if params.place is Place.REAL:
+            if method == "closed":
+                rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg)
+            else:
+                rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg) / 2
+        elif method == "closed":
+            rad = gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2)
+        else:
+            # int_0^inf exp(-2 pi r^2) r^z dr/r
+            rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg) / 4
+        total += w * rad
+    return total
+
+
 def tate_section_complex(
     phi: PolyGaussian4,
     params: ArchParams,
@@ -280,45 +361,14 @@ def tate_section_complex(
     replaces the angular integral by a trapezoid sum over the circle, which
     is exact for these trigonometric polynomials, and the radial integral by
     double-exponential quadrature (requires the integrals to converge, i.e.
-    moderate |Re s|).
+    moderate |Re s|).  Both methods group the monomials by degree through
+    _complex_degree_weights, then sum each degree's weight times its radial
+    integral.
     """
     if params.place is not Place.COMPLEX:
         raise ValueError("complex-place section with real-place parameters")
-    v1, v2 = _bottom_row(kappa)
-    v1c, v2c = v1.conjugate(), v2.conjugate()
-    s, mu, n0 = params.s, params.mu, params.n0
-
-    if method == "closed":
-        total = 0j
-        for (a, b, c, d), coeff in phi.poly.complex_terms():
-            if a + b - c - d != -n0:
-                continue
-            deg = a + b + c + d
-            g = gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2)
-            total += coeff * v1**a * v2**b * v1c**c * v2c**d * g
-        return total
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-
-    max_osc = phi.poly.max_degree() + abs(n0) + 2
-    n_alpha = 4 * max_osc + 8
-    total = 0j
-    for (a, b, c, d), coeff in phi.poly.complex_terms():
-        angular = _angular_trapezoid(n0 + a + b - c - d, n_alpha)
-        # the sum is 2 pi or rounding noise (at most 4e-14 for |m| <= 40 and
-        # n_alpha <= 59), so any threshold between the two skips exactly the
-        # monomials whose weight does not match n0, as the closed form does
-        if abs(angular) < 1e-9:
-            continue
-        deg = a + b + c + d
-        # int_0^inf exp(-2 pi r^2) r^z dr/r
-        rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg) / 4
-        total += (
-            coeff
-            * v1**a * v2**b * v1c**c * v2c**d
-            * (2.0 / math.pi) * angular * rad
-        )
-    return total
+    _check_method(method)
+    return _section_sum(_complex_degree_weights(phi, params.n0, kappa, method), params, method)
 
 
 def tate_section_real(
@@ -331,25 +381,13 @@ def tate_section_real(
 
     The row (0, t) kappa corresponds to the complex number t * i * kappa; the
     two half-lines of the multiplicative group fold into a parity factor.
+    Both methods sum the per-degree weights of _real_degree_weights times
+    each degree's radial integral.
     """
     if params.place is not Place.REAL:
         raise ValueError("real-place section with complex-place parameters")
-    if method not in ("closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    v = 1j * kappa
-    vc = v.conjugate()
-    s, mu, n0 = params.s, params.mu, params.n0
-    total = 0j
-    for (a, b), coeff in phi.poly.complex_terms():
-        parity = 1.0 + (-1.0) ** (n0 + a + b)
-        if parity == 0.0:
-            continue
-        if method == "closed":
-            rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b)
-        else:
-            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b) / 2
-        total += coeff * v**a * vc**b * parity * rad
-    return total
+    _check_method(method)
+    return _section_sum(_real_degree_weights(phi, params.n0, kappa), params, method)
 
 
 # sample points of mu_arch_oracle at the complex and at the real place
@@ -368,6 +406,45 @@ def _swapped(params: ArchParams) -> ArchParams:
     return ArchParams(params.place, -params.s, -params.mu, -params.n0 if params.place is Place.COMPLEX else params.n0)
 
 
+@lru_cache(maxsize=None)
+def _plan(place: Place, n0: int, n: int, k: int) -> tuple:
+    """The part of mu_arch_oracle that does not depend on s or mu.
+
+    One row per usable sample point: (harmonics, denominator weights,
+    numerator weights), the weights those of the exact section for weight
+    (n0, n), raised k times, and of its exact twisted transform (at weight
+    -n0 on the complex place).  harmonics is (h_src(kappa), h_dst(kappa)) at
+    the complex place and () at the real place, where both sections carry
+    the same character of kappa.  A complex sample point where either
+    harmonic is below 1e-6 is not usable and has no row.  Every container is
+    a tuple.
+    """
+    rows = []
+    if place is Place.COMPLEX:
+        phi = section_su2(n0, n)
+        for _ in range(k):
+            phi = PolyGaussian4(lie_act_su2(LieGen.XPLUS, phi.poly))
+        phi_hat = fourier_hat_h(phi)
+        h_src = harmonic_su2(n0, n, k)
+        h_dst = harmonic_su2(-n0, n, k)
+        for kp in _KAPPAS:
+            denom_h = h_src(kp)
+            num_h = h_dst(kp)
+            if abs(denom_h) < 1e-6 or abs(num_h) < 1e-6:
+                continue
+            rows.append((
+                (denom_h, num_h),
+                _complex_degree_weights(phi, n0, kp, "quadrature"),
+                _complex_degree_weights(phi_hat, -n0, kp, "quadrature"),
+            ))
+    else:
+        phi = section_so2(n)
+        phi_hat = fourier_hat_c(phi)
+        for kp in _REAL_KAPPAS:
+            rows.append(((), _real_degree_weights(phi, n0, kp), _real_degree_weights(phi_hat, n0, kp)))
+    return tuple(rows)
+
+
 def mu_arch_oracle(
     params: ArchParams,
     n: int,
@@ -380,36 +457,35 @@ def mu_arch_oracle(
     applies the exact twisted transform, evaluates both Tate integrals by
     quadrature at several sample points, normalizes by the local L-factors,
     and checks that the resulting ratio does not depend on the sample point.
+
+    Work is split by what it depends on.  Once per shape (place, n0, n, k),
+    in the cached _plan: the exact section and its transform are built, and
+    the harmonic values at the sample points and each section's per-degree
+    weights there are kept.  Once per call: the L-factor ratio, the radial
+    moments at s and mu (themselves cached in radial_gaussian_moment), the
+    sums of weights times moments, and the consistency check across sample
+    points.
+
+    Raises ValueError where a radial moment diverges: the degree-d moment
+    needs Re s > -(d + 2)/4 at the complex place and Re s > -(d + 1)/2 at
+    the real place for the section, and the same with -s for its transform.
+    Raises InconsistentRatio when two sample points disagree by more than
+    tol.
     """
     _check_type_index(params, n)
     sw = _swapped(params)
     # denominator L-factor belongs to the inverse character: twist -mu
     l_ratio = arch_l_factor(params, 1 + 2 * params.s) / arch_l_factor(sw, 1 - 2 * params.s)
+    if params.place is Place.REAL and k != 0:
+        raise ValueError("raised sections only exist at the complex place")
 
     ratios: list[complex] = []
-    if params.place is Place.COMPLEX:
-        phi = section_su2(params.n0, n)
-        for _ in range(k):
-            phi = PolyGaussian4(lie_act_su2(LieGen.XPLUS, phi.poly))
-        phi_hat = fourier_hat_h(phi)
-        h_src = harmonic_su2(params.n0, n, k)
-        h_dst = harmonic_su2(-params.n0, n, k)
-        for kp in _KAPPAS:
-            denom_h = h_src(kp)
-            num_h = h_dst(kp)
-            if abs(denom_h) < 1e-6 or abs(num_h) < 1e-6:
-                continue
-            d_val = tate_section_complex(phi, params, kp, "quadrature")
-            n_val = tate_section_complex(phi_hat, sw, kp, "quadrature")
+    for harmonics, den_w, num_w in _plan(params.place, params.n0, n, k):
+        d_val = _section_sum(den_w, params, "quadrature")
+        n_val = _section_sum(num_w, sw, "quadrature")
+        if harmonics:
+            denom_h, num_h = harmonics
             ratios.append(l_ratio * (n_val / num_h) / (d_val / denom_h))
-    else:
-        if k != 0:
-            raise ValueError("raised sections only exist at the complex place")
-        phi = section_so2(n)
-        phi_hat = fourier_hat_c(phi)
-        for kp in _REAL_KAPPAS:
-            d_val = tate_section_real(phi, params, kp, "quadrature")
-            n_val = tate_section_real(phi_hat, sw, kp, "quadrature")
+        else:
             ratios.append(l_ratio * n_val / d_val)
-
     return _consistent_ratio(ratios, tol, "point")

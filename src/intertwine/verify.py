@@ -339,12 +339,13 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         mu = rng.uniform(-2, 2)
         n0, n = _complex_weight(rng, 3, 4)
         pc = ArchParams(Place.COMPLEX, 1j * y, mu, n0)
-        cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mu_arch(pc, n)), 1.0, 1e-12))
+        mc = mu_arch(pc, n)
+        cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mc), 1.0, 1e-12))
         n0r, nr = _real_weight(rng, 4)
         pr = ArchParams(Place.REAL, 1j * y, mu, n0r)
         cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mu_arch(pr, nr)), 1.0, 1e-12))
         cases.append(
-            scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mu_arch(pc, n), mu_arch_product(pc, n), 1e-12)
+            scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mc, mu_arch_product(pc, n), 1e-12)
         )
 
     # closed form against the transform-pipeline oracle

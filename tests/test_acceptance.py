@@ -139,6 +139,20 @@ def test_height_bound_flag_fails_above_one_at_any_place(place, monkeypatch):
     assert not next(c for c in run_suite("global").cases if c.key == key).passed
 
 
+def test_maass_selberg_cases_fail_when_the_axis_form_is_off(monkeypatch):
+    # criterion 9 compares each off-axis extrapolation with the axis form;
+    # an axis form off by 1e-4 must fail those cases and nothing else
+    ms = CRITERIA[9].prefixes
+    assert not [c.key for c in run_suite("global").failures if c.key.startswith(ms)]
+    onaxis = verify.gl.maass_selberg_onaxis
+    monkeypatch.setattr(verify.gl, "maass_selberg_onaxis", lambda *args, **kw: onaxis(*args, **kw) + 1e-4)
+    reports = [run_suite(name) for name in SUITE_NAMES]
+    failing = [c.key for r in reports for c in r.failures]
+    expected = [c.key for r in reports for c in r.cases if c.key.startswith(ms)]
+    assert "global/ms-selfdual-limit" in expected and len(expected) > 1
+    assert failing == expected
+
+
 @pytest.mark.parametrize("seed", (0, 1))
 def test_default_case_counts(seed):
     # the benchmark's workloads pin these counts; read them from there

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intertwine import arch
 from intertwine.arch import (
     _angular_trapezoid,
     ArchParams,
@@ -21,10 +22,10 @@ from intertwine.arch import (
     tate_section_complex,
     tate_section_real,
 )
-from intertwine.errors import ParityError, RangeError
-from intertwine.harmonics import harmonic_su2, hopf_point
-from intertwine.numerics import GammaKind, gamma_factor
-from intertwine.schwartz import PolyGaussian4, section_so2, section_su2
+from intertwine.errors import InconsistentRatio, ParityError, RangeError
+from intertwine.harmonics import LieGen, harmonic_su2, hopf_point, lie_act_su2
+from intertwine.numerics import GammaKind, _consistent_ratio, gamma_factor, radial_gaussian_moment
+from intertwine.schwartz import PolyGaussian4, fourier_hat_c, fourier_hat_h, section_so2, section_su2
 
 
 def test_param_validation():
@@ -271,13 +272,163 @@ def test_logderiv_sign():
 
 
 def test_inconsistent_ratio_guard():
-    from intertwine.errors import InconsistentRatio
-
     # an impossible tolerance turns quadrature noise into a detected
     # sample-point dependence
     pa = ArchParams(Place.COMPLEX, 0.3, 0.4, 0)
     with pytest.raises(InconsistentRatio):
         mu_arch_oracle(pa, 4, tol=1e-17)
+
+
+# the (n0, n) shapes of verify's oracle grid at each place
+_ORACLE_SHAPES = {
+    Place.COMPLEX: [(n0, n) for n0 in range(-2, 3) for n in range(abs(n0), 7) if (n - n0) % 2 == 0],
+    Place.REAL: [(n0, n) for n0 in (0, 1) for n in (n0, n0 + 2, -(n0 + 2), n0 + 4)],
+}
+
+
+def _raised(n0, n, k):
+    phi = section_su2(n0, n)
+    for _ in range(k):
+        phi = PolyGaussian4(lie_act_su2(LieGen.XPLUS, phi.poly))
+    return phi
+
+
+def _reference_oracle(params, n, k):
+    # the oracle's ratio rebuilt from the public sections at every sample point
+    sw = arch._swapped(params)
+    l_ratio = arch.arch_l_factor(params, 1 + 2 * params.s) / arch.arch_l_factor(sw, 1 - 2 * params.s)
+    ratios = []
+    if params.place is Place.COMPLEX:
+        phi = _raised(params.n0, n, k)
+        phi_hat = fourier_hat_h(phi)
+        for kp in arch._KAPPAS:
+            denom_h, num_h = harmonic_su2(params.n0, n, k)(kp), harmonic_su2(-params.n0, n, k)(kp)
+            if abs(denom_h) < 1e-6 or abs(num_h) < 1e-6:
+                continue
+            d_val = tate_section_complex(phi, params, kp, "quadrature")
+            n_val = tate_section_complex(phi_hat, sw, kp, "quadrature")
+            ratios.append(l_ratio * (n_val / num_h) / (d_val / denom_h))
+    else:
+        phi = section_so2(n)
+        for kp in arch._REAL_KAPPAS:
+            d_val = tate_section_real(phi, params, kp, "quadrature")
+            n_val = tate_section_real(fourier_hat_c(phi), sw, kp, "quadrature")
+            ratios.append(l_ratio * n_val / d_val)
+    return _consistent_ratio(ratios, 1e-8, "point")
+
+
+def test_planned_oracle_is_the_ratio_of_the_public_sections():
+    for place, shapes in _ORACLE_SHAPES.items():
+        mu = 0.4 if place is Place.COMPLEX else -0.2
+        for n0, n in shapes:
+            for k in range(min(abs(n), 2) + 1) if place is Place.COMPLEX else (0,):
+                for s in (0.3, 0.15 - 0.1j):
+                    pa = ArchParams(place, s, mu, n0)
+                    got, ref = mu_arch_oracle(pa, n, k), _reference_oracle(pa, n, k)
+                    if k == 0:
+                        assert _hex(got) == _hex(ref), (pa, n)
+                    else:
+                        assert abs(got - ref) <= 1e-14 * abs(ref), (pa, n, k)
+
+
+def _termwise_complex(phi, params, kappa, method):
+    # one monomial at a time, each times its own radial integral
+    v1, v2 = -kappa.z2.conjugate(), kappa.z1.conjugate()
+    v1c, v2c = v1.conjugate(), v2.conjugate()
+    s, mu, n0 = params.s, params.mu, params.n0
+    n_alpha = 4 * (phi.poly.max_degree() + abs(n0) + 2) + 8
+    total = 0j
+    for (a, b, c, d), coeff in phi.poly.complex_terms():
+        deg = a + b + c + d
+        mono = coeff * v1**a * v2**b * v1c**c * v2c**d
+        if method == "closed":
+            if a + b - c - d == -n0:
+                total += mono * gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2)
+            continue
+        angular = _angular_trapezoid(n0 + a + b - c - d, n_alpha)
+        if abs(angular) >= 1e-9:
+            rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg) / 4
+            total += mono * (2.0 / math.pi) * angular * rad
+    return total
+
+
+def _termwise_real(phi, params, kappa, method):
+    v = 1j * kappa
+    s, mu, n0 = params.s, params.mu, params.n0
+    total = 0j
+    for (a, b), coeff in phi.poly.complex_terms():
+        parity = 1.0 + (-1.0) ** (n0 + a + b)
+        if parity == 0.0:
+            continue
+        if method == "closed":
+            rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b)
+        else:
+            rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + a + b) / 2
+        total += coeff * v**a * v.conjugate()**b * parity * rad
+    return total
+
+
+def test_sections_sum_by_degree_as_the_termwise_loop_does():
+    # at k = 0 every degree holds one matching monomial, so grouping by
+    # degree moves no bit; raised sections group several per degree
+    for method in ("closed", "quadrature"):
+        for n0, n in _ORACLE_SHAPES[Place.COMPLEX]:
+            for k in range(min(n, 2) + 1):
+                phi = _raised(n0, n, k)
+                for f, w0 in ((phi, n0), (fourier_hat_h(phi), -n0)):
+                    pa = ArchParams(Place.COMPLEX, 0.2 + 0.1j, 0.4, w0)
+                    for kp in arch._KAPPAS:
+                        got = tate_section_complex(f, pa, kp, method)
+                        ref = _termwise_complex(f, pa, kp, method)
+                        if k == 0:
+                            assert _hex(got) == _hex(ref), (n0, n, method)
+                        else:
+                            assert abs(got - ref) <= 1e-14 * abs(ref), (n0, n, k, method)
+        for n0, n in _ORACLE_SHAPES[Place.REAL]:
+            phi = section_so2(n)
+            pa = ArchParams(Place.REAL, 0.2 + 0.1j, -0.2, n0)
+            for f in (phi, fourier_hat_c(phi)):
+                for kp in arch._REAL_KAPPAS:
+                    assert _hex(tate_section_real(f, pa, kp, method)) == _hex(_termwise_real(f, pa, kp, method))
+
+
+def test_oracle_plan_holds_shape_data_only(monkeypatch):
+    pa = ArchParams(Place.COMPLEX, 0.2 + 0.1j, 0.4, 1)
+    warm = mu_arch_oracle(pa, 3, k=1)
+    arch._plan.cache_clear()
+    assert _hex(mu_arch_oracle(pa, 3, k=1)) == _hex(warm)
+    # other s and mu reuse the one entry of the shape
+    for s, mu in ((0.3, 0.4), (0.15 - 0.1j, -1.0)):
+        mu_arch_oracle(ArchParams(Place.COMPLEX, s, mu, 1), 3, k=1)
+    assert arch._plan.cache_info().currsize == 1
+
+    def assert_tuples(x):
+        if isinstance(x, tuple):
+            for item in x:
+                assert_tuples(item)
+        else:
+            assert type(x) in (int, float, complex), type(x)
+
+    for key in ((Place.COMPLEX, 1, 3, 1), (Place.COMPLEX, -2, 4, 0), (Place.REAL, 1, -3, 0)):
+        assert_tuples(arch._plan(*key))
+    # the planned path never reads the closed form it checks
+    for name in ("mu_arch", "mu_arch_column"):
+        monkeypatch.setattr(arch, name, None)
+    assert _hex(mu_arch_oracle(pa, 3, k=1)) == _hex(warm)
+
+
+@pytest.mark.parametrize("place,n0,n", [(Place.COMPLEX, 0, 4), (Place.REAL, 1, -3)])
+def test_oracle_fails_when_one_sample_point_turns_its_phase(place, n0, n, monkeypatch):
+    # e^(i 1e-6) at one sample point is a sample-point dependence of 1e-6,
+    # 100 times the default tolerance
+    pa = ArchParams(place, 0.3, 0.4, n0)
+    mu_arch_oracle(pa, n)
+    rows = list(arch._plan(place, n0, n, 0))
+    harmonics, den_w, num_w = rows[1]
+    rows[1] = (harmonics, den_w, tuple((deg, w * cmath.exp(1e-6j)) for deg, w in num_w))
+    monkeypatch.setattr(arch, "_plan", lambda *key: tuple(rows))
+    with pytest.raises(InconsistentRatio):
+        mu_arch_oracle(pa, n)
 
 
 def test_unnormalized_variant():

@@ -22,6 +22,9 @@ KEPT = {
     "harmonics.su2_from_integers": "float view of the rational sphere points of the K-equivariance tests",
     "padic.root_of_unity_sum": "public entry of the exact kernel on a numerator array, which its reference "
     "tests call; the library builds numerators piece by piece through _root_sums",
+    "arch.tate_section_complex": "the section value f_Phi(s; kappa) at one point, which the tests take as the "
+    "reference for mu_arch_oracle; the oracle sums the same per-degree weights from its cached _plan",
+    "arch.tate_section_real": "the real-place section value, the reference for mu_arch_oracle at that place",
 }
 
 
