@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intertwine.arch import ArchParams, Place, mu_arch
+from intertwine.arch import ArchParams, Place, mu_arch, mu_arch_logderiv
 from intertwine.errors import PoleError, RangeError
 from intertwine.globalq import (
     GlobalKType,
@@ -235,6 +235,39 @@ def test_maass_selberg_positive_and_scaling():
     v1 = maass_selberg_onaxis(0.3, 2.0, cmath.exp(0.4j), 0.0)
     v2 = maass_selberg_onaxis(0.3, 4.0, cmath.exp(0.4j), 0.0)
     assert abs((v2 - v1) - 2 * math.log(2)) < 1e-12
+
+
+def test_maass_selberg_limit_consistency():
+    for (y, c) in ((0.7, 2.0), (1.5, 3.0)):
+        pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, 0)
+        m_iy = mu_arch(pa, 4)
+        m_prime = m_iy * mu_arch_logderiv(pa, 4)
+        target = maass_selberg_onaxis(y, c, m_iy, m_prime)
+        sigmas = (1e-2, 1e-3, 1e-4)
+        vals = []
+        for sig in sigmas:
+            m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4)
+            vals.append(maass_selberg(complex(sig, y), c, 1.0, abs(m), m.conjugate()))
+        mat = np.array([[1.0, s, s * s] for s in sigmas])
+        extrap = float(np.linalg.solve(mat, np.array(vals))[0])
+        assert abs(extrap - target) < 1e-6
+
+
+def test_maass_selberg_selfdual_branch():
+    y0, c0 = 0.5, 2.0
+    m0 = mu_global_factor(y0)
+    h = 1e-5
+    m0p = (mu_global_factor(y0 + h) - mu_global_factor(y0 - h)) / (2 * h) * (-1j)
+    onax = maass_selberg_onaxis(y0, c0, m0, m0p, is_selfdual=True)
+    sigmas = (1e-2, 1e-3, 1e-4)
+    vals = []
+    for sig in sigmas:
+        s = complex(sig, y0)
+        m = completed_zeta(1 - 2 * s) / completed_zeta(1 + 2 * s)
+        vals.append(maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
+    mat = np.array([[1.0, sg, sg * sg] for sg in sigmas])
+    extrap = float(np.linalg.solve(mat, np.array(vals))[0])
+    assert abs(extrap - onax) < 1e-5
 
 
 def test_maass_selberg_selfdual_center_limit():
