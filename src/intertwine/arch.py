@@ -253,7 +253,6 @@ def _bottom_row(kappa: SU2Point) -> tuple[complex, complex]:
     return (-kappa.z2.conjugate(), kappa.z1.conjugate())
 
 
-@lru_cache(maxsize=None)
 def _angular_trapezoid(m: int, n_alpha: int) -> complex:
     """n_alpha-point trapezoid sum of int_0^(2 pi) exp(i m alpha) dalpha.
 

@@ -1,9 +1,10 @@
 """The one-dimensional reference theory on the Gaussian span.
 
 Functions are finite sums  sum_n c_n x^n exp(-q pi x^2)  with q a positive
-rational.  The Fourier transform with kernel exp(-2 pi i x xi) maps the span
-to itself, sending the width parameter q to 1/q, and is implemented as a
-symbolic recursion so that the double-transform identity
+rational; the polynomial part is a one-variable exact.VarPoly.  The Fourier
+transform with kernel exp(-2 pi i x xi) maps the span to itself, sending the
+width parameter q to 1/q, and is implemented as a symbolic recursion on that
+polynomial so that the double-transform identity
 
     ft(ft(f))(x) = f(-x)
 
@@ -21,23 +22,24 @@ from typing import Callable
 import numpy as np
 
 from .errors import RangeError
-from .exact import ONE, PiLaurent, fraction_sqrt
+from .exact import PiLaurent, VarPoly, fraction_sqrt
 from .numerics import quad_realline
 
 
 class PolyGaussian1D:
-    """Polynomial times Gaussian: sqrt(scale_sq) * sum_n c_n x^n exp(-q pi x^2).
+    """Polynomial times Gaussian: sqrt(scale_sq) * poly(x) exp(-q pi x^2).
 
-    The Gaussian width is stored as the rational q (the function carries
-    exp(-q pi x^2)); coefficients are exact PiLaurent scalars unless a float
-    has been mixed in.  scale_sq records the square of a positive prefactor
-    accumulated by transforms; it folds into the coefficients whenever it is
-    a perfect rational square, which restores exact equality after a
-    round trip.  All of these are set only by the constructor, which also
-    keeps their float views for evaluation.
+    The polynomial part is a one-variable exact.VarPoly, built from a
+    {n: c_n} dict; coefficients are exact PiLaurent scalars unless a float
+    has been mixed in.  The Gaussian width is stored as the rational q.
+    scale_sq records the square of a positive prefactor accumulated by
+    transforms; it folds into the coefficients whenever it is a perfect
+    rational square, which restores exact equality after a round trip.  All
+    of these are set only by the constructor, which also keeps the float
+    views of q and sqrt(scale_sq) for evaluation.
     """
 
-    __slots__ = ("coeffs", "q", "scale_sq", "_complex_coeffs", "_q_float", "_scale")
+    __slots__ = ("poly", "q", "scale_sq", "_q_float", "_scale")
 
     def __init__(self, coeffs: dict, q, scale_sq=1):
         q = Fraction(q)
@@ -45,67 +47,37 @@ class PolyGaussian1D:
             raise ValueError("Gaussian width must be positive")
         self.q = q
         self.scale_sq = Fraction(scale_sq)
-        clean = {}
-        for n, c in coeffs.items():
-            if isinstance(c, (int, Fraction)):
-                c = PiLaurent.rational(c)
-            if isinstance(c, PiLaurent):
-                if not c.is_zero():
-                    clean[int(n)] = c
-            elif c != 0:
-                clean[int(n)] = c
-        self.coeffs = clean
-        self._fold()
-        self._complex_coeffs = tuple((n, complex(c)) for n, c in self.coeffs.items())
-        self._q_float = float(self.q)
-        self._scale = math.sqrt(float(self.scale_sq))
-
-    def _fold(self):
+        self.poly = VarPoly(1, {
+            (int(n),): PiLaurent.rational(c) if isinstance(c, (int, Fraction)) else c
+            for n, c in coeffs.items()
+        })
         root = fraction_sqrt(self.scale_sq)
         if root is not None and root != 1:
-            self.coeffs = {n: c * root for n, c in self.coeffs.items()}
+            self.poly = self.poly.scale(root)
             self.scale_sq = Fraction(1)
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
+        self._q_float = float(self.q)
+        self._scale = math.sqrt(float(self.scale_sq))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyGaussian1D):
             return NotImplemented
-        if self.q != other.q or self.scale_sq != other.scale_sq:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        for n in keys:
-            a = self.coeffs.get(n)
-            b = other.coeffs.get(n)
-            if a is None or b is None or a != b:
-                return False
-        return True
+        return self.q == other.q and self.scale_sq == other.scale_sq and self.poly == other.poly
 
-    def __call__(self, x: float) -> complex:
-        gauss = math.exp(-self._q_float * math.pi * x * x)
-        total = 0j
-        for n, c in self._complex_coeffs:
-            total += c * x**n
-        return self._scale * gauss * total
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        gauss = np.exp(-self._q_float * math.pi * xs * xs)
-        total = np.zeros_like(xs, dtype=complex)
-        for n, c in self._complex_coeffs:
-            total += c * xs**n
-        return self._scale * gauss * total
+    def __call__(self, x):
+        """The value at a float, or elementwise on an array of floats."""
+        gauss = np.exp(-self._q_float * math.pi * x * x)
+        return self._scale * gauss * self.poly.evaluate((x,))
 
     def reflected(self) -> "PolyGaussian1D":
         """The function x -> f(-x)."""
         return PolyGaussian1D(
-            {n: (c if n % 2 == 0 else -c) for n, c in self.coeffs.items()},
+            {n: (c if n % 2 == 0 else -c) for (n,), c in self.poly.terms.items()},
             self.q,
             self.scale_sq,
         )
 
     def __repr__(self):
-        return f"PolyGaussian1D(coeffs={self.coeffs!r}, q={self.q}, scale_sq={self.scale_sq})"
+        return f"PolyGaussian1D(poly={self.poly!r}, q={self.q}, scale_sq={self.scale_sq})"
 
 
 def ft_1d(f: PolyGaussian1D) -> PolyGaussian1D:
@@ -117,27 +89,17 @@ def ft_1d(f: PolyGaussian1D) -> PolyGaussian1D:
     map is a finite exact recursion.
     """
     qi = 1 / f.q
-
-    def d_once(poly: dict) -> dict:
-        # d/dxi acting on poly(xi) * exp(-qi pi xi^2)
-        out: dict = {}
-        pull = PiLaurent.pi_power(1, -2 * qi)
-        for m, a in poly.items():
-            if m >= 1:
-                out[m - 1] = out.get(m - 1, PiLaurent()) + a * m
-            out[m + 1] = out.get(m + 1, PiLaurent()) + a * pull
-        return out
-
-    result: dict = {}
-    for n, c in f.coeffs.items():
-        poly = {0: ONE}
+    # d/dxi of p(xi) exp(-qi pi xi^2) is (p'(xi) - 2 qi pi xi p(xi)) exp(...);
+    # p' first keeps the terms in ascending degree, the order they are summed in
+    pull = PiLaurent.pi_power(1, -2 * qi)
+    result = VarPoly.zero(1)
+    for (n,), c in f.poly.terms.items():
+        poly = VarPoly.monomial(1, (0,))
         for _ in range(n):
-            poly = d_once(poly)
+            poly = poly.deriv(0) + poly.mul_monomial((1,), pull)
         front = PiLaurent.i_power(n) * PiLaurent.pi_power(-n, Fraction(1, 2**n))
-        for m, a in poly.items():
-            term = c * front * a
-            result[m] = result[m] + term if m in result else term
-    return PolyGaussian1D(result, qi, f.scale_sq * qi)
+        result = result + poly.scale(c * front)
+    return PolyGaussian1D({n: c for (n,), c in result.terms.items()}, qi, f.scale_sq * qi)
 
 
 def dirac_family(eps) -> PolyGaussian1D:
@@ -154,20 +116,30 @@ def dirac_family(eps) -> PolyGaussian1D:
 
 
 def integrate(f: PolyGaussian1D) -> complex:
-    return quad_realline(f.eval_array)
+    return quad_realline(f)
 
 
 def l2_norm_sq(f: PolyGaussian1D) -> float:
-    return quad_realline(lambda x: np.abs(f.eval_array(x)) ** 2).real
+    return quad_realline(lambda x: np.abs(f(x)) ** 2).real
+
+
+def _grid_width(eps) -> float:
+    """eps as a float, checked before a grid of spacing proportional to it
+    is built: a width that is not finite and positive gives no grid."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps > 0):
+        raise RangeError(f"the mollifier width must be finite and positive, got eps={eps}")
+    return eps
 
 
 def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float) -> float:
     """Discretized || f * v_eps - f ||_p on a uniform grid of [-4, 4] with spacing eps/8.
 
     f must be bounded with support inside the grid window.  The convolution
-    kernel is the dirac_family Gaussian sampled on the same grid.
+    kernel is the dirac_family Gaussian sampled on the same grid.  eps must
+    be finite and positive (RangeError otherwise).
     """
-    eps = float(eps)
+    eps = _grid_width(eps)
     if p < 1:
         raise ValueError("p must be >= 1")
     h = eps / 8.0
@@ -184,7 +156,9 @@ def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float)
 
 def point_mollification(f: Callable[[np.ndarray], np.ndarray], y: float, eps: float) -> complex:
     """Grid value of int f(y + x) conj(v_eps(x)) dx over [-6, 6] with spacing
-    eps/16, the pointwise inversion probe."""
+    eps/16, the pointwise inversion probe.  eps must be finite and positive
+    (RangeError otherwise)."""
+    eps = _grid_width(eps)
     h = eps / 16.0
     xs = np.arange(-6.0, 6.0 + 0.5 * h, h)
     kernel = (1.0 / eps) * np.exp(-math.pi * xs**2 / eps**2)
@@ -193,7 +167,7 @@ def point_mollification(f: Callable[[np.ndarray], np.ndarray], y: float, eps: fl
 
 
 def decay_check(
-    h: Callable[[np.ndarray], np.ndarray] | PolyGaussian1D,
+    h: Callable[[np.ndarray], np.ndarray],
     n: int,
     x_halfwidth: float = 6.0,
     xi_max: float = 8.0,
@@ -228,9 +202,8 @@ def decay_check(
             f"decay_check needs grid >= 2, x_halfwidth > 0 and xi_max > 0, "
             f"got grid={grid}, x_halfwidth={x_halfwidth}, xi_max={xi_max}"
         )
-    fn = h.eval_array if isinstance(h, PolyGaussian1D) else h
     xs, x_step = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False, retstep=True)
-    hx = np.asarray(fn(xs), dtype=complex)
+    hx = np.asarray(h(xs), dtype=complex)
     xis, xi_step = np.linspace(-xi_max, xi_max, 257, retstep=True)
     # c from the steps linspace places the points with (xs[1] - xs[0] can be
     # off by an ulp of x_0, which k^2 would magnify); c = c_hi + c_lo with

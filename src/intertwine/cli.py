@@ -35,7 +35,7 @@ from .padic import (
     mu_finite,
     mu_finite_logderiv,
 )
-from .reports import compact_json, merged_json
+from .reports import compact_json, json_list, merged_json
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
@@ -202,7 +202,7 @@ def _emit_table(rows, fmt: str, out_path: str | None):
         print("(no rows)")
         return
     if fmt == "json":
-        text = "[\n" + ",\n".join(map(compact_json, rows)) + "\n]\n"
+        text = json_list([compact_json(r) for r in rows]) + "\n"
     else:
         cols = list(rows[0].keys())
         buf = io.StringIO()

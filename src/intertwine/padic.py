@@ -9,8 +9,9 @@ evaluated from exact rational angles.  Every Gauss-type sum (the Gauss sum,
 the unit integral behind its support window, the shells of the brute-force
 transform) is one unit integral that walks the units as powers of that
 generator and hands integer angle numerators over a common denominator to a
-single kernel, root_of_unity_sum.  The numerators are built as int64 arrays
-and the kernel takes cos and sin in numpy blocks, sums each component
+single kernel, _root_sums (root_of_unity_sum is its public entry on a
+numerator array, which the tests call).  The numerators are built as int64
+arrays and the kernel takes cos and sin in numpy blocks, sums each component
 exactly in integer limbs and rounds it once (the value math.fsum gives), so
 sums are exact up to a rounding floor near 1e-15.  The kernel sums many
 rows at once: a (rows, n) array gives one exactly rounded sum per row, the

@@ -94,8 +94,12 @@ def merged_json(reports: list[Report], seed: int, include_timing: bool = False) 
 compact_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def json_list(items: list[str]) -> str:
+    """The JSON list of the already encoded items, with `[`, each item and
+    `]` on a line of its own (`[]` when there are none)."""
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
 def _json_lines(head: dict, key: str, items: list[str]) -> str:
-    """head plus head[key] = the list of the already encoded items, as
-    compact sorted-key JSON with `[`, each item and `]` on a line of its own."""
-    body = "[\n" + ",\n".join(items) + "\n]" if items else "[]"
-    return compact_json({**head, key: None}).replace(f'"{key}": null', f'"{key}": {body}', 1)
+    """head plus head[key] = json_list(items), as compact sorted-key JSON."""
+    return compact_json({**head, key: None}).replace(f'"{key}": null', f'"{key}": {json_list(items)}', 1)

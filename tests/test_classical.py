@@ -18,7 +18,7 @@ from intertwine.classical import (
     point_mollification,
 )
 from intertwine.errors import RangeError
-from intertwine.exact import PiLaurent
+from intertwine.exact import ONE, PiLaurent, fraction_sqrt, scalar_is_zero
 from intertwine.numerics import trapezoid
 
 
@@ -60,6 +60,63 @@ def test_involution_exact(coeffs, q):
     assert ft_1d(ft_1d(f)) == f.reflected()
 
 
+def _dict_ft_1d(coeffs: dict, q: Fraction, scale_sq: Fraction):
+    """ft_1d written as a recursion on {n: coeff} dicts, without VarPoly, kept
+    as the reference: the transform's coefficients in the order they are
+    summed in, its width and its scale_sq."""
+    qi = 1 / q
+
+    def d_once(poly: dict) -> dict:
+        # d/dxi acting on poly(xi) * exp(-qi pi xi^2)
+        out: dict = {}
+        pull = PiLaurent.pi_power(1, -2 * qi)
+        for m, a in poly.items():
+            if m >= 1:
+                out[m - 1] = out.get(m - 1, PiLaurent()) + a * m
+            out[m + 1] = out.get(m + 1, PiLaurent()) + a * pull
+        return out
+
+    result: dict = {}
+    for n, c in coeffs.items():
+        poly = {0: ONE}
+        for _ in range(n):
+            poly = d_once(poly)
+        front = PiLaurent.i_power(n) * PiLaurent.pi_power(-n, Fraction(1, 2**n))
+        for m, a in poly.items():
+            term = c * front * a
+            result[m] = result[m] + term if m in result else term
+    scale_sq = scale_sq * qi
+    root = fraction_sqrt(scale_sq)
+    if root is not None and root != 1:
+        result = {m: c * root for m, c in result.items()}
+        scale_sq = Fraction(1)
+    return {m: c for m, c in result.items() if not scalar_is_zero(c)}, qi, scale_sq
+
+
+# exact rationals, or floats far from underflow, so that no term of the
+# transform rounds to zero
+mixed_coeff = st.one_of(
+    rational.filter(bool).map(PiLaurent.rational),
+    st.floats(min_value=-5.0, max_value=5.0).filter(lambda x: abs(x) >= 1e-3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=0, max_value=6), mixed_coeff, min_size=1, max_size=5),
+    width,
+    st.sampled_from([1, 2, Fraction(3, 5), Fraction(9, 4), Fraction(1, 4)]),
+)
+def test_transform_matches_the_dict_recursion(coeffs, q, scale_sq):
+    f = PolyGaussian1D(coeffs, q, scale_sq)
+    g = ft_1d(f)
+    want, want_q, want_scale_sq = _dict_ft_1d({n: c for (n,), c in f.poly.terms.items()}, f.q, f.scale_sq)
+    assert (g.q, g.scale_sq) == (want_q, want_scale_sq)
+    # exact PiLaurent coefficients compare as such; repr also pins the order
+    # of the terms, the order evaluation sums them in, and the float bits
+    assert repr(list(g.poly.terms.items())) == repr([((m,), c) for m, c in want.items()])
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.dictionaries(st.integers(min_value=0, max_value=3), rational, min_size=1, max_size=3), width)
 def test_plancherel(coeffs, q):
@@ -92,6 +149,15 @@ def test_mollify_zero_function():
     assert mollify_deficit(lambda xs: 0.0 * np.asarray(xs), 0.2, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("eps", [-0.1, 0.0, float("nan"), float("inf")])
+def test_mollifier_probes_reject_a_width_that_is_not_positive(eps):
+    # no grid of spacing eps / 8 or eps / 16 exists, so there is no value to return
+    with pytest.raises(RangeError):
+        mollify_deficit(indicator, eps, 2.0)
+    with pytest.raises(RangeError):
+        point_mollification(bump, 0.3, eps)
+
+
 def test_pointwise_inversion_probe():
     probes = [abs(point_mollification(bump, 0.3, e) - bump(np.array([0.3]))[0]) for e in (0.4, 0.2, 0.1, 0.05)]
     assert all(a > b for a, b in zip(probes, probes[1:]))
@@ -121,9 +187,8 @@ def test_decay_check_zero():
 
 def _dense_transform(h, x_halfwidth, xi_max, grid):
     """The xi grid and the Riemann sum as one dense phase-matrix product."""
-    fn = h.eval_array if isinstance(h, PolyGaussian1D) else h
     xs = np.linspace(-x_halfwidth, x_halfwidth, grid, endpoint=False)
-    hx = np.asarray(fn(xs), dtype=complex)
+    hx = np.asarray(h(xs), dtype=complex)
     xis = np.linspace(-xi_max, xi_max, 257)
     return xis, np.exp(-2j * math.pi * np.outer(xis, xs)) @ hx * (xs[1] - xs[0])
 
@@ -176,7 +241,7 @@ def test_evaluation_matches_symbolic():
     g = ft_1d(f)
     # numeric transform at a sample point as an independent check
     xs = np.linspace(-9, 9, 36001)
-    fx = f.eval_array(xs)
+    fx = f(xs)
     for xi in (0.0, 0.35, -1.2):
         direct = trapezoid(fx * np.exp(-2j * math.pi * xs * xi), xs)
         assert abs(direct - g(xi)) < 1e-8
@@ -188,6 +253,8 @@ def test_decay_check_accepts_symbolic_input():
     val3 = decay_check(f, 3)
     assert 0 < val0 < 10
     assert val3 < 10  # rapidly decreasing transform keeps every weighted sup finite
+    # the object is sampled as any callable is
+    assert val3 == decay_check(lambda xs: f(xs), 3)
 
 
 def _coefficient_complex(c) -> complex:
@@ -218,13 +285,13 @@ def test_evaluation_matches_conversion_per_call(coeffs, q, scale_sq, xs):
     scale = math.sqrt(float(f.scale_sq))
     for x in xs:
         total = 0j
-        for n, c in f.coeffs.items():
+        for (n,), c in f.poly.terms.items():
             total += _coefficient_complex(c) * x**n
-        ref = scale * math.exp(-float(f.q) * math.pi * x * x) * total
+        ref = scale * np.exp(-float(f.q) * math.pi * x * x) * total
         assert repr(f(x)) == repr(ref)  # repr tells -0.0 from 0.0
     arr = np.array(xs)
     total = np.zeros_like(arr, dtype=complex)
-    for n, c in f.coeffs.items():
+    for (n,), c in f.poly.terms.items():
         total += _coefficient_complex(c) * arr**n
     ref = scale * np.exp(-float(f.q) * math.pi * arr * arr) * total
-    assert f.eval_array(arr).tobytes() == ref.tobytes()
+    assert f(arr).tobytes() == ref.tobytes()
