@@ -125,10 +125,13 @@ def l2_norm_sq(f: PolyGaussian1D) -> float:
 
 def _grid_width(eps) -> float:
     """eps as a float, checked before a grid of spacing proportional to it
-    is built: a width that is not finite and positive gives no grid."""
+    is built.  A width that is not finite and positive gives no grid.  The
+    grids grow as 1/eps, so the floor is 1e-3: tracemalloc peaks read about
+    0.068/eps MB for mollify_deficit and 0.0094/eps MB for
+    point_mollification (68 and 9.4 MB at eps = 1e-3)."""
     eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0):
-        raise RangeError(f"the mollifier width must be finite and positive, got eps={eps}")
+    if not (math.isfinite(eps) and eps >= 1e-3):
+        raise RangeError(f"the mollifier width must be finite and at least 1e-3, got eps={eps}")
     return eps
 
 
@@ -137,7 +140,9 @@ def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float)
 
     f must be bounded with support inside the grid window.  The convolution
     kernel is the dirac_family Gaussian sampled on the same grid.  eps must
-    be finite and positive (RangeError otherwise).
+    be finite and at least 1e-3 (RangeError otherwise, before any grid is
+    built); the grid stacks 65 shifted copies of 64/eps + 1 samples, a
+    tracemalloc peak of about 68 MB at eps = 1e-3.
     """
     eps = _grid_width(eps)
     if p < 1:
@@ -156,8 +161,9 @@ def mollify_deficit(f: Callable[[np.ndarray], np.ndarray], eps: float, p: float)
 
 def point_mollification(f: Callable[[np.ndarray], np.ndarray], y: float, eps: float) -> complex:
     """Grid value of int f(y + x) conj(v_eps(x)) dx over [-6, 6] with spacing
-    eps/16, the pointwise inversion probe.  eps must be finite and positive
-    (RangeError otherwise)."""
+    eps/16, the pointwise inversion probe.  eps must be finite and at least
+    1e-3 (RangeError otherwise, before any grid is built); the grid has
+    192/eps + 1 points, a tracemalloc peak of about 9.4 MB at eps = 1e-3."""
     eps = _grid_width(eps)
     h = eps / 16.0
     xs = np.arange(-6.0, 6.0 + 0.5 * h, h)

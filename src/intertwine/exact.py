@@ -2,15 +2,18 @@
 
 Scalars live in the ring of finite Laurent combinations
 
-    sum_k (a_k + i b_k) * pi**k,   a_k, b_k rational,
+    sum_k (a_k + i b_k) / d_k * pi**k,   a_k, b_k, d_k integers,
 
 which is closed under every operation the symbolic transforms perform:
 the 2 pi i factors of the Fourier interchange rules, the binomial
 coefficients of the harmonics, and the Gaussian ladder all stay inside it.
-Identities asserted "exactly" in the tests are coefficient equalities here,
-with no floating point involved.  Mixing a PiLaurent with a float or complex
-degrades the computation to complex arithmetic, which is what the numeric
-evaluation paths want anyway.
+Each coefficient is stored as one reduced triple of Python ints (a, b, d)
+with gcd(a, b, d) = 1 and d > 0, a normal form that is unique, so an
+operation is integer arithmetic followed by one gcd and equal scalars have
+equal term dicts.  Identities asserted "exactly" in the tests are
+coefficient equalities here, with no floating point involved.  Mixing a
+PiLaurent with a float or complex degrades the computation to complex
+arithmetic, which is what the numeric evaluation paths want anyway.
 """
 
 from __future__ import annotations
@@ -18,34 +21,82 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-_FR0 = Fraction(0)
+
+def _reduced(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a, b, d) over gcd(a, b, d), for d > 0 and (a, b) != (0, 0)."""
+    g = math.gcd(a, b, d)
+    if g == 1:
+        return a, b, d
+    return a // g, b // g, d // g
+
+
+def _num_den(x) -> tuple[int, int]:
+    """Numerator and denominator of an int, a Fraction or anything Fraction accepts."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _triple(re, im) -> tuple[int, int, int]:
+    """The normal form of re + i im, for rationals re, im not both zero."""
+    a, da = _num_den(re)
+    b, db = _num_den(im)
+    if da == db:
+        return _reduced(a, b, da)
+    return _reduced(a * db, b * da, da * db)
 
 
 class PiLaurent:
-    """Element of Q(i)[pi, 1/pi], stored as {power of pi: (re, im)}."""
+    """Element of Q(i)[pi, 1/pi], stored as {power of pi: (a, b, d)}.
+
+    The triple (a, b, d) is the coefficient (a + i b) / d in normal form:
+    gcd(a, b, d) = 1, d > 0, and (a, b) != (0, 0), since zero coefficients
+    are dropped.  Every operation keeps the term order a sum or product of
+    dicts of (re, im) pairs would give, because conversion to complex sums
+    the terms in that order.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
-        clean: dict[int, tuple[Fraction, Fraction]] = {}
+    def __init__(self, terms: dict | None = None):
+        """From {power of pi: (re, im)} with re, im ints or Fractions."""
+        clean: dict[int, tuple[int, int, int]] = {}
         if terms:
             for k, (re, im) in terms.items():
                 if re or im:
-                    clean[k] = (re, im)
+                    clean[k] = _triple(re, im)
         self.terms = clean
 
     @classmethod
+    def _of(cls, terms: dict[int, tuple[int, int, int]]) -> "PiLaurent":
+        """A scalar on terms already in normal form, taken as they are."""
+        new = object.__new__(cls)
+        new.terms = terms
+        return new
+
+    @classmethod
+    def _ratio(cls, a: int, b: int, d: int) -> "PiLaurent":
+        """The rational scalar (a + i b) / d, for ints with d > 0."""
+        return cls._of({0: _reduced(a, b, d)} if a or b else {})
+
+    @classmethod
     def rational(cls, re, im=0) -> "PiLaurent":
-        return cls({0: (Fraction(re), Fraction(im))})
+        return cls({0: (re, im)})
 
     @classmethod
     def pi_power(cls, k: int, re=1, im=0) -> "PiLaurent":
-        return cls({k: (Fraction(re), Fraction(im))})
+        return cls({k: (re, im)})
 
     @classmethod
     def i_power(cls, n: int) -> "PiLaurent":
         re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]
         return cls.rational(re, im)
+
+    def fraction_terms(self) -> dict[int, tuple[Fraction, Fraction]]:
+        """The coefficients as {power of pi: (re, im)} Fractions, in term order."""
+        return {k: (Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -54,15 +105,28 @@ class PiLaurent:
         return bool(self.terms)
 
     def __neg__(self) -> "PiLaurent":
-        return PiLaurent({k: (-re, -im) for k, (re, im) in self.terms.items()})
+        return PiLaurent._of({k: (-a, -b, d) for k, (a, b, d) in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, PiLaurent):
             out = dict(self.terms)
-            for k, (re, im) in other.terms.items():
-                a, b = out.get(k, (_FR0, _FR0))
-                out[k] = (a + re, b + im)
-            return PiLaurent(out)
+            for k, (a2, b2, d2) in other.terms.items():
+                got = out.get(k)
+                if got is None:
+                    out[k] = (a2, b2, d2)
+                    continue
+                a1, b1, d1 = got
+                if d1 == d2:
+                    a, b, d = a1 + a2, b1 + b2, d1
+                else:
+                    a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+                # each key of other comes once, so deleting a zero sum here
+                # leaves the order that dropping it at the end would
+                if a or b:
+                    out[k] = _reduced(a, b, d)
+                else:
+                    del out[k]
+            return PiLaurent._of(out)
         if isinstance(other, (int, Fraction)):
             return self + PiLaurent.rational(other)
         return complex(self) + other
@@ -77,22 +141,47 @@ class PiLaurent:
 
     def __mul__(self, other):
         if isinstance(other, PiLaurent):
-            out: dict[int, tuple[Fraction, Fraction]] = {}
-            for k1, (a, b) in self.terms.items():
-                for k2, (c, d) in other.terms.items():
+            st, ot = self.terms, other.terms
+            if len(st) == 1 and len(ot) == 1:
+                ((k1, (a1, b1, d1)),) = st.items()
+                ((k2, (a2, b2, d2)),) = ot.items()
+                return PiLaurent._of({k1 + k2: _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)})
+            # accumulate unreduced in first-appearance order, then reduce and
+            # drop the zero sums
+            out: dict[int, tuple[int, int, int]] = {}
+            for k1, (a1, b1, d1) in st.items():
+                for k2, (a2, b2, d2) in ot.items():
                     k = k1 + k2
-                    re, im = out.get(k, (_FR0, _FR0))
-                    out[k] = (re + a * c - b * d, im + a * d + b * c)
-            return PiLaurent(out)
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return PiLaurent({k: (re * f, im * f) for k, (re, im) in self.terms.items()})
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                    got = out.get(k)
+                    if got is not None:
+                        sa, sb, sd = got
+                        if sd == d:
+                            a, b = sa + a, sb + b
+                        else:
+                            a, b, d = sa * d + a * sd, sb * d + b * sd, sd * d
+                    out[k] = (a, b, d)
+            return PiLaurent._of({k: _reduced(a, b, d) for k, (a, b, d) in out.items() if a or b})
+        if isinstance(other, int):
+            if not other:
+                return PiLaurent._of({})
+            out = {}
+            for k, (a, b, d) in self.terms.items():
+                # gcd(a n, b n, d) = gcd(n, d), since gcd(gcd(a, b), d) = 1
+                g = math.gcd(other, d)
+                out[k] = (a * other // g, b * other // g, d // g)
+            return PiLaurent._of(out)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            if not n:
+                return PiLaurent._of({})
+            return PiLaurent._of({k: _reduced(a * n, b * n, d * m) for k, (a, b, d) in self.terms.items()})
         return complex(self) * other
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "PiLaurent":
-        return PiLaurent({k: (re, -im) for k, (re, im) in self.terms.items()})
+        return PiLaurent._of({k: (a, -b, d) for k, (a, b, d) in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PiLaurent):
@@ -102,22 +191,26 @@ class PiLaurent:
         return NotImplemented
 
     def __hash__(self):
+        # a rational scalar equals its int or Fraction, so it hashes as one
+        if self.terms.keys() <= {0}:
+            a, b, d = self.terms.get(0, (0, 0, 1))
+            if not b:
+                return hash(Fraction(a, d))
         return hash(frozenset(self.terms.items()))
 
     def __complex__(self) -> complex:
-        # complex(float(re), float(im)) has the bits of complex(re + im * 1j)
-        # without the Fraction arithmetic
+        # a / d is correctly rounded, as float(Fraction(a, d)) is, so this has
+        # the bits of complex(re + im * 1j) without the Fraction arithmetic
         total = 0j
-        for k, (re, im) in self.terms.items():
-            total += complex(float(re), float(im)) * math.pi**k
+        for k, (a, b, d) in self.terms.items():
+            total += complex(a / d, b / d) * math.pi**k
         return total
 
     def __repr__(self):
         if not self.terms:
             return "PiLaurent(0)"
         bits = []
-        for k in sorted(self.terms):
-            re, im = self.terms[k]
+        for k, (re, im) in sorted(self.fraction_terms().items()):
             bits.append(f"({re}+{im}i)*pi^{k}")
         return "PiLaurent(" + " + ".join(bits) + ")"
 

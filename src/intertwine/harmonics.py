@@ -39,8 +39,6 @@ import numpy as np
 from .errors import ParityError, RangeError
 from .exact import PiLaurent, VarPoly, scalar_is_zero
 
-_FR0 = Fraction(0)
-
 
 class LieGen(Enum):
     LH = "LH"
@@ -91,13 +89,13 @@ def su2_exact_values(a: int, b: int, c: int, d: int) -> tuple[PiLaurent, ...]:
     n = a * a + b * b + c * c + d * d
     if n == 0:
         raise ValueError("zero quaternion")
-    re1, im1 = Fraction(a * a - b * b - c * c - d * d, n), Fraction(2 * a * b, n)
-    re2, im2 = Fraction(2 * a * c, n), Fraction(2 * a * d, n)
+    re1, im1 = a * a - b * b - c * c - d * d, 2 * a * b
+    re2, im2 = 2 * a * c, 2 * a * d
     return (
-        PiLaurent.rational(re1, im1),
-        PiLaurent.rational(re2, im2),
-        PiLaurent.rational(re1, -im1),
-        PiLaurent.rational(re2, -im2),
+        PiLaurent._ratio(re1, im1, n),
+        PiLaurent._ratio(re2, im2, n),
+        PiLaurent._ratio(re1, -im1, n),
+        PiLaurent._ratio(re2, -im2, n),
     )
 
 
@@ -142,8 +140,8 @@ def harmonic_su2(n0: int, n: int, k: int) -> HarmonicSU2:
     terms: dict = {}
     binom = math.comb(n, k)
     for j in range(max(0, k - m), min(k, p) + 1):
-        coeff = Fraction((-1) ** (k - j) * math.comb(p, j) * math.comb(m, k - j), binom)
-        terms[(p - j, j, k - j, m - (k - j))] = PiLaurent({0: (coeff, _FR0)})
+        num = (-1) ** (k - j) * math.comb(p, j) * math.comb(m, k - j)
+        terms[(p - j, j, k - j, m - (k - j))] = PiLaurent._ratio(num, 0, binom)
     return HarmonicSU2(n0, n, k, VarPoly(4, terms))
 
 

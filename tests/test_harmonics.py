@@ -380,7 +380,7 @@ pi_laurent = st.dictionaries(
 def _complex_by_fractions(x: PiLaurent) -> complex:
     """Each coefficient converted through Fraction arithmetic."""
     total = 0j
-    for k, (re, im) in x.terms.items():
+    for k, (re, im) in x.fraction_terms().items():
         total += complex(re + im * 1j) * math.pi**k
     return total
 
