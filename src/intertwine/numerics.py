@@ -10,6 +10,13 @@ and on adaptive trapezoid quadrature after a double-exponential change of
 variables.  The normalizations are not assumed: the test suite pins them by
 matching the radial integrals they are meant to equal.
 
+complex_gamma and gamma_factor take a complex scalar or an ndarray through
+one Lanczos body: a scalar stays on Python complex arithmetic (about 3 us a
+call), an array is one vectorized pass (a one-point array costs about
+55 us, so arrays pay from about 20-30 points).  The closed forms built on
+them (arch.mu_arch_many, globalq.completed_zeta) pass each batch of points
+in one call.
+
 Limits at an edge (the residues of the completed zeta at 0 and 1, the
 on-axis limit of the truncated norm) all go through limit_at_zero: the
 value at h = 0 of the polynomial through samples at a few small h.
@@ -43,9 +50,9 @@ QUAD_ABS_TOL = 1e-13
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_HALVINGS = 12
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
-# around 1e-13 or better on the strips used here, which sits comfortably
-# under the 1e-8 .. 1e-10 tolerances of the consumers.
+# Lanczos approximation (Pugh, PhD thesis, 2004), g = 7 with 9
+# coefficients; see gamma_factor for the accuracy measured on the box the
+# library reaches.
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -58,48 +65,105 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument (Lanczos, reflection for Re z < 1/2)."""
-    z = complex(z)
-    if z.real < 0.5:
-        s = cmath.sin(math.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z = {z}")
-        return math.pi / (s * complex_gamma(1.0 - z))
-    z -= 1.0
+def _lanczos(z, exp):
+    """Gamma(z) on Re z >= 1/2 by the Lanczos sum, for a complex scalar or a
+    complex array; exp is cmath.exp or np.exp to match."""
+    z = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         x += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return _SQRT_2PI * t ** (z + 0.5) * exp(-t) * x
 
 
-def _near_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
-    if z.real > 0.5:
-        return False
-    n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= tol and abs(z.imag) <= tol
+def complex_gamma(z):
+    """Gamma function for complex argument: the Lanczos sum on Re z >= 1/2,
+    and below it the reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
+
+    A scalar z gives a Python complex, computed in Python complex
+    arithmetic.  An ndarray gives a complex array of its shape: one Lanczos
+    sum over every element (at 1 - z where Re z < 1/2), then sin(pi z) and
+    the reflection on those elements only, so that sin never sees, and
+    never overflows on, an element that does not reflect.  Array elements
+    that leave float range come back inf or nan, with no warning.  Raises
+    PoleError where sin(pi z) is exactly 0.
+    """
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+        if not z.real < 0.5:
+            return _lanczos(z, cmath.exp)
+        s = cmath.sin(math.pi * z)
+        if s == 0:
+            raise PoleError(f"gamma pole at z = {z}")
+        return math.pi / (s * _lanczos(1.0 - z, cmath.exp))
+    z = z.astype(complex)
+    left = z.real < 0.5
+    with np.errstate(all="ignore"):
+        g = _lanczos(np.where(left, 1.0 - z, z), np.exp)
+        zl = z[left]
+        s = np.sin(math.pi * zl)
+        if not s.all():
+            raise PoleError(f"gamma pole at z = {zl[s == 0][0]}")
+        g[left] = math.pi / (s * g[left])
+    return g
 
 
-def gamma_factor(kind: GammaKind, s: complex) -> complex:
+def _near_nonpositive_integer(z, tol: float = 1e-12):
+    """Whether z lies within tol of 0, -1, -2, ...; elementwise for an array."""
+    x = z.real
+    n = (x + 0.5) // 1.0
+    return (n <= 0) & (abs(x - n) <= tol) & (abs(z.imag) <= tol)
+
+
+def gamma_factor(kind: GammaKind, s):
     """Normalized gamma factor at an archimedean completion.
 
     REAL gives pi**(-s/2) Gamma(s/2), COMPLEX gives 2 (2 pi)**(-s) Gamma(s).
-    Raises PoleError when the underlying Gamma argument sits at a nonpositive
-    integer; continuation through poles is the caller's responsibility.
+    s is a complex scalar (Python complex arithmetic, a Python complex
+    back) or an ndarray (one vectorized pass, an array of its shape back,
+    with inf or nan and no warning where an element leaves float range).
+    Raises PoleError when the underlying Gamma argument sits at a
+    nonpositive integer, naming the first such element of an array;
+    continuation through poles is the caller's responsibility.
+
+    Accuracy against mpmath at 30 digits, on the box -1/4 <= Re s <= 42,
+    |Im s| <= 50, which holds every argument that verify (at both sizes)
+    and the benchmark's mu tables pass: at most 2.1e-13 relative, for a
+    scalar and for an array alike, and an array element lies within 4.5e-14
+    relative of the scalar value (both kinds; 160 000 random points and the
+    38 000 distinct arguments of those runs); the worst random points lie
+    near |Im s| = 50.
     """
-    s = complex(s)
+    if not isinstance(s, np.ndarray):
+        return _gamma_factor(kind, complex(s), False)
+    with np.errstate(all="ignore"):
+        return _gamma_factor(kind, s.astype(complex), True)
+
+
+def _gamma_factor(kind: GammaKind, s, array: bool):
+    """gamma_factor of a Python complex s, or of a complex ndarray s under a
+    quiet np.errstate."""
     if kind is GammaKind.REAL:
-        if _near_nonpositive_integer(s / 2):
-            raise PoleError(f"Gamma_R pole at s = {s}")
-        return cmath.exp(-(s / 2) * math.log(math.pi)) * complex_gamma(s / 2)
+        z, log_base = s / 2, _LOG_PI
+    elif kind is GammaKind.COMPLEX:
+        z, log_base = s, _LOG_2PI
+    else:
+        raise ValueError(f"unknown gamma kind {kind!r}")
+    if array:
+        pole = _near_nonpositive_integer(z)
+        if pole.any():
+            raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s[pole][0]}")
+    elif z.real <= 0.5 and _near_nonpositive_integer(z):
+        raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s}")
+    front = (np.exp if array else cmath.exp)(-z * log_base)
     if kind is GammaKind.COMPLEX:
-        if _near_nonpositive_integer(s):
-            raise PoleError(f"Gamma_C pole at s = {s}")
-        return 2.0 * cmath.exp(-s * math.log(2.0 * math.pi)) * complex_gamma(s)
-    raise ValueError(f"unknown gamma kind {kind!r}")
+        front = 2.0 * front
+    return front * complex_gamma(z)
 
 
 # The coarsest sweep (step 1/2) takes its nodes outward in blocks per side,

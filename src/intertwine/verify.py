@@ -27,10 +27,10 @@ from . import globalq as gl
 from .arch import (
     ArchParams,
     Place,
-    mu_arch,
     mu_arch_derivative,
     mu_arch_derivative_bound,
     mu_arch_logderiv,
+    mu_arch_many,
     mu_arch_oracle,
     mu_arch_product,
 )
@@ -66,6 +66,7 @@ from .padic import (
     classical_vector,
     fourier_atom,
     fourier_bruteforce,
+    gauss_sum,
     gauss_sums,
     iota_normalization,
     level_membership,
@@ -333,58 +334,63 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
             place = "" if kind is GammaKind.COMPLEX else f"{kind.value}/"
             cases.append(flag_case(f"arch/kernel-nonvanish/{place}y={yv}", {"best": f"{best:.3e}"}, best > 1e-8))
 
-    # unitarity on the axis
-    for i in range(sizes.unitary_samples):
+    # unitarity on the axis: every point drawn first, then one closed-form
+    # call per place
+    draws = []
+    for _ in range(sizes.unitary_samples):
         y = rng.uniform(-sizes.unitary_y, sizes.unitary_y)
         mu = rng.uniform(-2, 2)
-        n0, n = _complex_weight(rng, 3, 4)
-        pc = ArchParams(Place.COMPLEX, 1j * y, mu, n0)
-        mc = mu_arch(pc, n)
+        draws.append((y, mu, _complex_weight(rng, 3, 4), _real_weight(rng, 4)))
+    ys, mus, complex_weights, real_weights = zip(*draws)
+    mcs = mu_arch_many(Place.COMPLEX, 1j * np.array(ys), mus, *zip(*complex_weights))
+    mrs = mu_arch_many(Place.REAL, 1j * np.array(ys), mus, *zip(*real_weights))
+    for i, (y, mu, (n0, n), (n0r, nr)) in enumerate(draws):
+        mc = complex(mcs[i])
         cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mc), 1.0, 1e-12))
-        n0r, nr = _real_weight(rng, 4)
-        pr = ArchParams(Place.REAL, 1j * y, mu, n0r)
-        cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mu_arch(pr, nr)), 1.0, 1e-12))
+        cases.append(scalar_case(f"arch/unitary-real/{i}", {"y": y, "n0": n0r, "n": nr}, abs(mrs[i]), 1.0, 1e-12))
+        pc = ArchParams(Place.COMPLEX, 1j * y, mu, n0)
         cases.append(
             scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mc, mu_arch_product(pc, n), 1e-12)
         )
 
-    # closed form against the transform-pipeline oracle
+    # closed form against the transform-pipeline oracle; the closed form of
+    # each place's fixed grid of shapes takes one call
     s_values = (0.3, 0.25, 0.2 + 0.1j, 0.15 - 0.1j, 0.35 + 0.05j)
-    for n0 in range(-2, 3):
-        for n in range(abs(n0), 7):
-            if (n - n0) % 2:
-                continue
-            for j, s in enumerate(s_values):
-                pa = ArchParams(Place.COMPLEX, s, 0.4, n0)
-                cases.append(
-                    scalar_case(
-                        f"arch/oracle-complex/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
-                        mu_arch(pa, n), mu_arch_oracle(pa, n), tol,
-                    )
+    grids = {
+        Place.COMPLEX: (0.4, [(n0, n, j, s) for n0 in range(-2, 3) for n in range(abs(n0), 7) if (n - n0) % 2 == 0
+                              for j, s in enumerate(s_values)]),
+        Place.REAL: (-0.2, [(n0, n, j, s) for n0 in (0, 1) for n in (n0, n0 + 2, -(n0 + 2), n0 + 4)
+                            for j, s in enumerate(s_values[:sizes.oracle_real_s])]),
+    }
+    for place, (mu, grid) in grids.items():
+        n0s, ns, _, ss = zip(*grid)
+        closed = mu_arch_many(place, ss, mu, n0s, ns)
+        for (n0, n, j, s), value in zip(grid, closed):
+            pa = ArchParams(place, s, mu, n0)
+            cases.append(
+                scalar_case(
+                    f"arch/oracle-{place.value}/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
+                    value, mu_arch_oracle(pa, n), tol,
                 )
-    for n0 in (0, 1):
-        for n in (n0, n0 + 2, -(n0 + 2), n0 + 4):
-            for j, s in enumerate(s_values[:sizes.oracle_real_s]):
-                pr = ArchParams(Place.REAL, s, -0.2, n0)
-                cases.append(
-                    scalar_case(
-                        f"arch/oracle-real/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
-                        mu_arch(pr, n), mu_arch_oracle(pr, n), tol,
-                    )
-                )
+            )
 
-    # derivative: exact sum against finite differences, and the bounds
+    # derivative: exact sum against finite differences, and the bounds; all
+    # points drawn first, then one derivative call per place
     y_max, n0_max, steps = sizes.deriv_ranges
-    for i in range(sizes.deriv_samples):
+    draws = []
+    for _ in range(sizes.deriv_samples):
         y = rng.uniform(-y_max, y_max)
-        weights = {Place.COMPLEX: _complex_weight(rng, n0_max, steps), Place.REAL: _real_weight(rng, steps)}
+        draws.append((y, {Place.COMPLEX: _complex_weight(rng, n0_max, steps), Place.REAL: _real_weight(rng, steps)}))
+    ss = 1j * np.array([y for y, _ in draws])
+    derivs = {place: mu_arch_derivative(place, ss, 0.0, *zip(*(w[place] for _, w in draws)))
+              for place in (Place.COMPLEX, Place.REAL)}
+    for i, (y, weights) in enumerate(draws):
         for place, (n0, n) in weights.items():
-            pa = ArchParams(place, 1j * y, 0.0, n0)
-            exact, fd = mu_arch_derivative(pa, n)
+            exact, fd = (complex(a[i]) for a in derivs[place])
             inputs = {"y": y, "n0": n0, "n": n}
             cases.append(scalar_case(f"arch/deriv-fd-{place.value}/{i}", inputs, exact, fd, 1e-5))
             cases.append(flag_case(f"arch/deriv-bound-{place.value}/{i}", inputs,
-                                   abs(exact) <= mu_arch_derivative_bound(pa, n) + 1e-9))
+                                   abs(exact) <= mu_arch_derivative_bound(ArchParams(place, 1j * y, 0.0, n0), n) + 1e-9))
 
     return Report("arch", seed, cases)
 
@@ -443,9 +449,9 @@ def suite_padic(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     chi = MultChar(5, 2, 3)
     psi = AddChar(5, 1)
     for n in range(-6, sizes.support_n_max + 1):
-        val = abs(unit_additive_integral(chi, psi, n))
-        expected = 0.0 if n != -3 else abs(unit_additive_integral(chi, psi, -3))
-        cases.append(scalar_case(f"padic/gauss-support/n={n}", {"n": n}, val, expected, 1e-13))
+        expected = gauss_sum(chi, psi) if n == -3 else 0.0
+        cases.append(scalar_case(f"padic/gauss-support/n={n}", {"n": n}, unit_additive_integral(chi, psi, n),
+                                 expected, 1e-13))
     cases.append(flag_case("padic/gauss-support-nonzero", {}, abs(unit_additive_integral(chi, psi, -3)) > 1e-3))
 
     # atom transform against the brute-force sum, plus the double transform
@@ -549,21 +555,18 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     rng = random.Random(seed)
     cases: list[Case] = []
 
-    # completed zeta: special value, functional equation, reflection
+    # completed zeta: special value, functional equation, reflection; each
+    # grid takes one completed_zeta call
     cases.append(scalar_case("global/lambda-2", {}, gl.completed_zeta(2.0), math.pi / 6, 1e-12))
-    worst = 0.0
-    for t in np.linspace(0.1, 50, 41):
-        z = complex(rng.uniform(0.1, 0.9), t)
-        worst = max(worst, abs(gl.completed_zeta(z) - gl.completed_zeta(1 - z)))
-    cases.append(scalar_case("global/functional-equation", {}, worst, 0.0, 1e-9))
-    worst = max(
-        abs(gl.completed_zeta(1 - 2j * y) - gl.completed_zeta(1 + 2j * y).conjugate())
-        for y in np.linspace(0.1, 20, 50)
-    )
-    cases.append(scalar_case("global/schwarz-reflection", {}, worst, 0.0, 1e-9))
+    zs = np.array([complex(rng.uniform(0.1, 0.9), t) for t in np.linspace(0.1, 50, 41)])
+    lam = gl.completed_zeta(np.concatenate((zs, 1 - zs))).reshape(2, -1)
+    cases.append(scalar_case("global/functional-equation", {}, np.abs(lam[0] - lam[1]).max(), 0.0, 1e-9))
+    ys = np.linspace(0.1, 20, 50)
+    lam = gl.completed_zeta(np.concatenate((1 - 2j * ys, 1 + 2j * ys))).reshape(2, -1)
+    cases.append(scalar_case("global/schwarz-reflection", {}, np.abs(lam[0] - lam[1].conj()).max(), 0.0, 1e-9))
 
     # axis modulus of the global factor
-    worst = max(abs(abs(gl.mu_global_factor(y)) - 1.0) for y in np.linspace(0.1, 20, 100))
+    worst = np.abs(np.abs(gl.mu_global_factor(np.linspace(0.1, 20, 100))) - 1.0).max()
     cases.append(scalar_case("global/mu-factor-modulus", {}, worst, 0.0, 1e-8))
 
     # residues and the edge constant
@@ -571,15 +574,15 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     cases.append(scalar_case("global/residue-sym", {}, gl.residue_at_zero() + gl.residue_at_one(), 2.0, 1e-7))
     cases.append(scalar_case("global/residue-constant", {}, gl.residue_constant(), 3 / math.pi, tol))
 
-    # global eigenvalue modulus for random small data
-    worst = 0.0
+    # global eigenvalue modulus for random small data, all 50 points in one call
+    points, ktypes = [], []
     for _ in range(50):
-        kt = gl.GlobalKType(
+        ktypes.append(gl.GlobalKType(
             real_weight=2 * rng.randint(0, 3),
             finite_weights=tuple((p, rng.randint(0, 2)) for p in rng.sample((3, 5, 7, 11), 2)),
-        )
-        v = gl.mu_global(gl.GlobalSpectralPoint(rng.uniform(0.1, 5.0)), kt)
-        worst = max(worst, abs(abs(v) - 1.0))
+        ))
+        points.append(gl.GlobalSpectralPoint(rng.uniform(0.1, 5.0)))
+    worst = np.abs(np.abs(gl.mu_global(points, ktypes)) - 1.0).max()
     cases.append(scalar_case("global/mu-global-modulus", {}, worst, 0.0, 1e-8))
 
     # Laplacian eigenvalues: displayed values, positivity, monotonicity
@@ -593,27 +596,27 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     cases.append(flag_case("global/laplace-monotone", {}, mono))
 
     # truncated-norm identity: off-axis extrapolation against the axis form
+    # (mu on the axis and at the off-axis samples in one call per point)
     for (y, c) in sizes.ms_points:
         pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, 0)
-        m_iy = mu_arch(pa, 4)
+        ss = [complex(sig, y) for sig in _AXIS_SIGMAS]
+        m_iy, *ms = mu_arch_many(Place.COMPLEX, [1j * y] + ss, 0.0, 0, 4).tolist()
         m_prime = m_iy * mu_arch_logderiv(pa, 4)
         target = gl.maass_selberg_onaxis(y, c, m_iy, m_prime)
-        vals = []
-        for sig in _AXIS_SIGMAS:
-            m = mu_arch(ArchParams(Place.COMPLEX, complex(sig, y), 0.0, 0), 4)
-            vals.append(gl.maass_selberg(complex(sig, y), c, 1.0, abs(m), m.conjugate()))
+        vals = [gl.maass_selberg(s, c, 1.0, abs(m), m.conjugate()) for s, m in zip(ss, ms)]
         cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, limit_at_zero(_AXIS_SIGMAS, vals), target, tol))
 
-    # self-dual branch against the global scalar model
+    # self-dual branch against the global scalar model; the factor and its
+    # two difference points take one call, the off-axis samples another
     y0, c0 = 0.5, 2.0
-    m0 = gl.mu_global_factor(y0)
     h = 1e-5
-    m0p = (gl.mu_global_factor(y0 + h) - gl.mu_global_factor(y0 - h)) / (2 * h) * (-1j)
+    m0, m_plus, m_minus = gl.mu_global_factor(np.array([y0, y0 + h, y0 - h])).tolist()
+    m0p = (m_plus - m_minus) / (2 * h) * (-1j)
     onax = gl.maass_selberg_onaxis(y0, c0, m0, m0p, is_selfdual=True)
+    ss = np.array([complex(sig, y0) for sig in _AXIS_SIGMAS])
+    lam_minus, lam_plus = gl.completed_zeta(np.concatenate((1 - 2 * ss, 1 + 2 * ss))).reshape(2, -1)
     vals = []
-    for sig in _AXIS_SIGMAS:
-        s = complex(sig, y0)
-        m = gl.completed_zeta(1 - 2 * s) / gl.completed_zeta(1 + 2 * s)
+    for s, m in zip(ss.tolist(), (lam_minus / lam_plus).tolist()):
         vals.append(gl.maass_selberg(s, c0, 1.0, abs(m), m.conjugate(), True))
     cases.append(scalar_case("global/ms-selfdual-limit", {"y": y0}, limit_at_zero(_AXIS_SIGMAS, vals), onax, 1e-5))
 

@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from intertwine.arch import (
     mu_arch_derivative_bound,
     mu_arch_logderiv,
     mu_arch_logderiv_column,
+    mu_arch_many,
     mu_arch_oracle,
     mu_arch_product,
     tate_section_complex,
@@ -240,14 +243,13 @@ def test_derivative_exact_vs_fd():
         y = rng.uniform(-2, 2)
         n0 = rng.randint(-2, 2)
         n = abs(n0) + 2 * rng.randint(0, 3)
-        pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, n0)
-        exact, fd = mu_arch_derivative(pa, n)
+        (exact,), (fd,) = mu_arch_derivative(Place.COMPLEX, 1j * y, 0.0, n0, n)
         assert abs(exact - fd) < 1e-5
 
 
 def test_derivative_zero_at_base_weight():
     pa = ArchParams(Place.COMPLEX, 0.9j, 0.3, 2)
-    exact, _ = mu_arch_derivative(pa, 2)
+    (exact,), _ = mu_arch_derivative(pa.place, pa.s, pa.mu, pa.n0, 2)
     assert exact == 0
     assert mu_arch_derivative_bound(pa, 2) == 0.0
 
@@ -256,7 +258,7 @@ def test_derivative_worked_example():
     # weight 4 at the center: the exact sum gives -4 (1/1 + 2/4) = -6 times
     # a unit phase, within the bound 4 (1 + log 2)
     pa = ArchParams(Place.COMPLEX, 0j, 0.0, 0)
-    exact, _ = mu_arch_derivative(pa, 4)
+    (exact,), _ = mu_arch_derivative(pa.place, pa.s, pa.mu, pa.n0, 4)
     assert abs(abs(exact) - 6.0) < 1e-12
     bound = mu_arch_derivative_bound(pa, 4)
     assert abs(bound - 4 * (1 + math.log(2))) < 1e-12
@@ -444,28 +446,32 @@ def test_unnormalized_variant():
 
 
 def _frozen_mu(params, n, normalized=True):
-    # the four-gamma expression evaluated left to right, as a single weight
-    # always was; any change in operation order shows as a bit difference
-    s, mu, n0 = params.s, params.mu, params.n0
+    # the four-gamma expression evaluated left to right on one-point arrays,
+    # sign included at both places, as mu_arch_many evaluates every point of
+    # a batch; any change in operation order shows as a bit difference
+    s, mu, n0 = np.array([params.s]), np.array([params.mu]), params.n0
     a = 1 + 2 * s + 1j * mu
     b = 1 - 2 * s - 1j * mu
+    sign = (-1.0) ** ((abs(n) - n) // 2)
     if params.place is Place.COMPLEX:
         h = abs(n0) / 2
         c = GammaKind.COMPLEX
         val = (
-            gamma_factor(c, a + h) / gamma_factor(c, b + h) * (1 + 0j, 1j, -1 + 0j, -1j)[n0 % 4]
+            gamma_factor(c, a + h) / gamma_factor(c, b + h) * (1 + 0j, 1j, -1 + 0j, -1j)[n0 % 4] * sign
             * gamma_factor(c, b + n / 2) / gamma_factor(c, a + n / 2)
         )
-        if not normalized:
-            val *= gamma_factor(c, 1 - 2 * s + 1j * -mu + abs(-n0) / 2) / gamma_factor(c, 1 + 2 * s + 1j * mu + h)
-        return val
-    r = GammaKind.REAL
-    val = (
-        gamma_factor(r, a + n0) / gamma_factor(r, b + n0) * (-1.0) ** ((abs(n) - n) // 2)
-        * gamma_factor(r, b + abs(n)) / gamma_factor(r, a + abs(n))
-    )
+    else:
+        c = GammaKind.REAL
+        val = (
+            gamma_factor(c, a + n0) / gamma_factor(c, b + n0) * sign
+            * gamma_factor(c, b + abs(n)) / gamma_factor(c, a + abs(n))
+        )
+    val = complex(val[0])
     if not normalized:
-        val *= gamma_factor(r, 1 - 2 * s + 1j * -mu + n0) / gamma_factor(r, 1 + 2 * s + 1j * mu + n0)
+        # the L-factor ratio stays on scalar gamma factors
+        s, mu = params.s, params.mu
+        h = abs(n0) / 2 if params.place is Place.COMPLEX else n0
+        val *= gamma_factor(c, 1 - 2 * s + 1j * -mu + h) / gamma_factor(c, 1 + 2 * s + 1j * mu + h)
     return val
 
 
@@ -548,3 +554,33 @@ def test_column_range_error_names_an_overflowing_weight():
         mu_arch_column(ArchParams(Place.COMPLEX, 1j), [2, 400, 4])
     with pytest.raises(RangeError, match=r"n = -400$"):
         mu_arch_column(ArchParams(Place.REAL, 1j), [2, -400])
+
+
+def test_many_range_error_names_the_first_overflowing_point():
+    # one element of a batch leaves float range: RangeError names its y and
+    # n, and no RuntimeWarning comes from the inf and nan left in the batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"y = 1, n = 400$"):
+            mu_arch_many(Place.COMPLEX, [0.5j, 1j, 2j, 1j], 0.3, [0, 0, 2, 0], [2, 400, 4, 500])
+        with pytest.raises(RangeError, match=r"y = -2, n = -402$"):
+            mu_arch_many(Place.REAL, [0.5j, -2j], 0.0, 0, [2, -402])
+        with pytest.raises(RangeError, match=r"y = 300, n = 0$"):
+            mu_arch_derivative(Place.COMPLEX, [1j, 300j], 0.0, 0, [2, 0])
+        # the same points one by one: only the overflowing one fails
+        vals = mu_arch_many(Place.COMPLEX, [0.5j, 2j], 0.3, [0, 2], [2, 4])
+    assert np.allclose(np.abs(vals), 1.0, rtol=0, atol=1e-14)
+
+
+def test_many_checks_every_point_as_the_scalar_form_does():
+    with pytest.raises(ParityError):
+        mu_arch_many(Place.COMPLEX, [0.5j, 0.5j], 0.0, 0, [2, 3])
+    with pytest.raises(RangeError):
+        mu_arch_many(Place.COMPLEX, 0.5j, 0.0, [0, 4], [2, 2])
+    with pytest.raises(ParityError, match="must be 0 or 1"):
+        mu_arch_many(Place.REAL, 0.5j, 0.0, [0, 2], [2, 2])
+    with pytest.raises(ValueError, match="need finite s and mu"):
+        mu_arch_many(Place.REAL, [0.5j, complex(0, math.inf)], 0.0, 0, 0)
+    with pytest.raises(ValueError, match="need finite s and mu"):
+        mu_arch_many(Place.REAL, 0.5j, [0.0, math.nan], 0, 0)
+    assert mu_arch_many(Place.REAL, [], 0.0, 0, []).shape == (0,)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -11,7 +12,7 @@ import intertwine.arch
 import intertwine.cli
 import intertwine.numerics
 import intertwine.padic
-from intertwine.arch import ArchParams, Place, mu_arch_derivative
+from intertwine.arch import Place, mu_arch_derivative
 from intertwine.cli import main
 from intertwine.padic import AddChar, FiniteParams, MultChar, mu_finite_derivative
 from intertwine.verify import SUITE_NAMES, run_suite
@@ -166,7 +167,7 @@ def test_mu_table_arch_derivative_is_exact_half(capsys, place, extra):
     rows = _mu_rows(capsys, place, extra)
     assert len(rows) == (5 if place == "complex" else 10) * 5
     for r in rows:
-        exact, _ = mu_arch_derivative(ArchParams(Place(place), 1j * r["y"], 0.3, r["n0"]), r["n"])
+        (exact,), _ = mu_arch_derivative(Place(place), 1j * r["y"], 0.3, r["n0"], r["n"])
         assert complex(r["mu_prime_re"], r["mu_prime_im"]) == exact
 
 
@@ -198,15 +199,13 @@ def _count_calls(monkeypatch, fn_name: str, modules) -> list:
 
 
 @pytest.mark.parametrize("place,extra", ARCH_TABLES)
-def test_mu_table_shares_the_head_ratio_per_y_point(capsys, monkeypatch, place, extra):
-    # the weight-independent pair once per y point, plus two gamma factors per
-    # row at the complex place and per distinct |n| at the real place
+def test_mu_table_takes_one_gamma_call_per_table(capsys, monkeypatch, place, extra):
+    # every gamma factor of the table, four per row, in one array call
     calls = _count_calls(monkeypatch, "gamma_factor", [intertwine.numerics, intertwine.arch, intertwine.cli])
     rows = _mu_rows(capsys, place, extra)
-    ys = {r["y"] for r in rows}
-    assert len(ys) == 5
-    per_y = len(rows) // len(ys) if place == "complex" else len({abs(r["n"]) for r in rows})
-    assert len(calls) == 2 * per_y * len(ys) + 2 * len(ys)
+    assert len({r["y"] for r in rows}) == 5
+    assert len(calls) == 1
+    assert calls[0][1].shape == (4 * len(rows),)
 
 
 def test_mu_table_evaluates_each_finite_row_once(capsys, monkeypatch):
@@ -407,6 +406,17 @@ def test_mu_gamma_overflow_exit_two(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"y = {argv[3]}" in err and f"n = {argv[1]}" in err
+
+
+@pytest.mark.parametrize("place,n", [("real", 400), ("complex", 300)])
+def test_mu_overflow_on_the_array_path_exits_two_without_a_warning(capsys, place, n):
+    # the first weight whose gamma ratio leaves float range is named; the
+    # inf and nan it leaves in the batch raise no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["mu", "--place", place, "--y", "1", "--n", f"{n}:{n + 2}:2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: mu_arch: gamma ratio leaves float range at y = 1, n = {n}\n"
 
 
 def test_gauss_p2_csv_quotes_labels(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,28 @@ def test_completed_zeta_value_and_poles():
         completed_zeta(0.0)
     with pytest.raises(PoleError):
         completed_zeta(1.0)
+
+
+def test_poles_rejected_on_the_array_path():
+    # one pole in a batch raises PoleError naming it, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pole, name in ((0.0, r"0j"), (1.0, r"\(1\+0j\)")):
+            with pytest.raises(PoleError, match=rf"z = {name}$"):
+                completed_zeta(np.array([2.0, 0.5 + 14j, pole, -150.0 + 400j]))
+        with pytest.raises(PoleError):
+            riemann_zeta(np.array([2.0, 1.0, 1e200]))
+        with pytest.raises(RangeError, match=r"got \(0.5\+450.5j\)"):
+            completed_zeta(np.array([2.0, 0.5 + 450.5j]))
+        # the batch form of each evaluator gives the scalar form's values
+        zs = np.array([2.0, 0.5 + 14j, -150.0 + 400j, 1e200])
+        assert riemann_zeta(zs[3:])[0] == riemann_zeta(1e200) == 1
+        lam = completed_zeta(zs[:3])
+        for z, v in zip(zs[:3], lam):
+            assert abs(v - completed_zeta(complex(z))) <= 1e-13 * abs(v)
+        ys = np.array([0.0, 1e-10, 0.7, -3.0, 200.0])
+        for y, v in zip(ys, mu_global_factor(ys)):
+            assert abs(v - mu_global_factor(float(y))) <= 1e-13
 
 
 def test_functional_equation_grid():
@@ -192,11 +215,11 @@ def test_residues():
 def test_mu_global_product():
     pt = GlobalSpectralPoint(1.0)
     # trivial type: the bare completed-zeta ratio
-    assert abs(mu_global(pt, GlobalKType()) - mu_global_factor(1.0)) < 1e-14
+    assert abs(mu_global([pt], [GlobalKType()])[0] - mu_global_factor(1.0)) < 1e-14
     # real-place weight only
     kt = GlobalKType(real_weight=2)
     expected = mu_global_factor(1.0) * mu_arch(ArchParams(Place.REAL, 1j, 0.0, 0), 2)
-    assert abs(mu_global(pt, kt) - expected) < 1e-12
+    assert abs(mu_global([pt], [kt])[0] - expected) < 1e-12
     # mixed data stays unitary
     rng = random.Random(3)
     for _ in range(50):
@@ -204,7 +227,7 @@ def test_mu_global_product():
             real_weight=2 * rng.randint(0, 3),
             finite_weights=tuple((p, rng.randint(0, 2)) for p in rng.sample((3, 5, 7, 11), 2)),
         )
-        val = mu_global(GlobalSpectralPoint(rng.uniform(0.1, 5.0)), kt)
+        val = mu_global([GlobalSpectralPoint(rng.uniform(0.1, 5.0))], [kt])[0]
         assert abs(abs(val) - 1.0) < 1e-8
 
 
