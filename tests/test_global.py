@@ -67,6 +67,16 @@ def test_poles_rejected_on_the_array_path():
             assert abs(v - mu_global_factor(float(y))) <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 40.0), st.floats(-1000.0, 1000.0)), min_size=1, max_size=12))
+def test_zeta_batch_gives_each_point_its_one_point_value(points):
+    # N is set per point, so a point's value does not depend on its batch
+    zs = [complex(x, y) for x, y in points if abs(complex(x, y) - 1) > 1e-6]
+    assume(zs)
+    for z, v in zip(zs, riemann_zeta(np.array(zs))):
+        assert v == riemann_zeta(z)
+
+
 def test_functional_equation_grid():
     rng = random.Random(0)
     worst = 0.0
