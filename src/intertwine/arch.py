@@ -28,8 +28,10 @@ The closed form is array-first: mu_arch_many evaluates it at many points
 mu_arch_column, mu_arch and mu_arch_derivative are its callers (the log
 derivative likewise: mu_arch_logderiv_many).  A point costs about 1.5-2 us
 in a batch of 100 or more, against about 100-150 us for a one-point call,
-so verify's loops and the mu tables pass whole batches.  The oracle stays
-per point: mu_arch_oracle's radial moments are quadratures.
+so verify's loops and the mu tables pass whole batches.  The oracle
+takes batches too: mu_arch_oracle_many fetches the radial moments of all
+its points in one array call, one stacked quadrature for every moment the
+cache lacks, and mu_arch_oracle is its one-point caller.
 """
 
 from __future__ import annotations
@@ -371,21 +373,42 @@ def _section_sum(weights: tuple, params: ArchParams, method: str) -> complex:
     """sum_deg W_deg * R(deg), R(deg) the radial integral of the degree-deg
     monomials at params' s and mu, as a gamma factor ("closed") or by
     double-exponential quadrature ("quadrature")."""
+    if method == "quadrature":
+        return _weighted_sum(weights, _quadrature_radials(params.place, _moment_zs(params, weights)))
     s, mu = params.s, params.mu
+    if params.place is Place.REAL:
+        rads = [0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg) for deg, _ in weights]
+    else:
+        rads = [gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2) for deg, _ in weights]
+    return _weighted_sum(weights, rads)
+
+
+def _weighted_sum(weights: tuple, rads) -> complex:
+    """sum_deg W_deg * R(deg), left to right; rads is a sequence or an
+    iterator of the radial integrals, and only len(weights) are taken."""
     total = 0j
-    for deg, w in weights:
-        if params.place is Place.REAL:
-            if method == "closed":
-                rad = 0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg)
-            else:
-                rad = radial_gaussian_moment(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg) / 2
-        elif method == "closed":
-            rad = gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2)
-        else:
-            # int_0^inf exp(-2 pi r^2) r^z dr/r
-            rad = radial_gaussian_moment(GammaKind.COMPLEX, 2 + 4 * s + 2j * mu + deg) / 4
+    for (_, w), rad in zip(weights, rads):
         total += w * rad
     return total
+
+
+def _moment_zs(params: ArchParams, weights: tuple) -> list[complex]:
+    """The exponents z of the radial moments behind the radial integrals of
+    the "quadrature" method, one per (degree, weight) pair: 1 + 2s + i mu +
+    deg at the real place, 2 + 4s + 2i mu + deg at the complex place,
+    summed left to right."""
+    s, mu = params.s, params.mu
+    base = 1 + 2 * s + 1j * mu if params.place is Place.REAL else 2 + 4 * s + 2j * mu
+    return [base + deg for deg, _ in weights]
+
+
+def _quadrature_radials(place: Place, zs: list[complex]) -> list[complex]:
+    """The radial integrals whose moment exponents are zs, from one array
+    call of radial_gaussian_moment: the moment / 2 at the real place,
+    int_0^inf exp(-2 pi r^2) r^z dr/r = moment / 4 at the complex place."""
+    if place is Place.REAL:
+        return [m / 2 for m in radial_gaussian_moment(GammaKind.REAL, np.array(zs)).tolist()]
+    return [m / 4 for m in radial_gaussian_moment(GammaKind.COMPLEX, np.array(zs)).tolist()]
 
 
 def tate_section_complex(
@@ -497,14 +520,15 @@ def mu_arch_oracle(
     applies the exact twisted transform, evaluates both Tate integrals by
     quadrature at several sample points, normalizes by the local L-factors,
     and checks that the resulting ratio does not depend on the sample point.
+    The one-point case of mu_arch_oracle_many.
 
     Work is split by what it depends on.  Once per shape (place, n0, n, k),
     in the cached _plan: the exact section and its transform are built, and
     the harmonic values at the sample points and each section's per-degree
     weights there are kept.  Once per call: the L-factor ratio, the radial
-    moments at s and mu (themselves cached in radial_gaussian_moment), the
-    sums of weights times moments, and the consistency check across sample
-    points.
+    moments at s and mu (one array call of radial_gaussian_moment, which
+    computes the ones missing from its cache in one stack), the sums of
+    weights times moments, and the consistency check across sample points.
 
     Raises ValueError where a radial moment diverges: the degree-d moment
     needs Re s > -(d + 2)/4 at the complex place and Re s > -(d + 1)/2 at
@@ -512,20 +536,56 @@ def mu_arch_oracle(
     Raises InconsistentRatio when two sample points disagree by more than
     tol.
     """
-    _check_type_index(params.place, params.n0, n)
-    sw = _swapped(params)
-    # denominator L-factor belongs to the inverse character: twist -mu
-    l_ratio = arch_l_factor(params, 1 + 2 * params.s) / arch_l_factor(sw, 1 - 2 * params.s)
-    if params.place is Place.REAL and k != 0:
-        raise ValueError("raised sections only exist at the complex place")
+    return complex(mu_arch_oracle_many([params], [n], k, tol)[0])
 
-    ratios: list[complex] = []
-    for harmonics, den_w, num_w in _plan(params.place, params.n0, n, k):
-        d_val = _section_sum(den_w, params, "quadrature")
-        n_val = _section_sum(num_w, sw, "quadrature")
-        if harmonics:
-            denom_h, num_h = harmonics
-            ratios.append(l_ratio * (n_val / num_h) / (d_val / denom_h))
-        else:
-            ratios.append(l_ratio * n_val / d_val)
-    return _consistent_ratio(ratios, tol, "point")
+
+def mu_arch_oracle_many(
+    params: Sequence[ArchParams],
+    ns: Sequence[int],
+    k: int = 0,
+    tol: float = 1e-8,
+) -> np.ndarray:
+    """mu_arch_oracle at each (params[i], ns[i]), as a complex array.
+
+    The radial moments of every point's sample rows are fetched in one
+    array call of radial_gaussian_moment per place, so one stacked
+    quadrature computes every moment the cache lacks; each value is bit for
+    bit its one-point value.  Every point is checked (weight, raise count,
+    L-factor ratio) before any moment is computed, and the errors are those
+    of mu_arch_oracle, for the first failing point.
+    """
+    points = []
+    for pa, n in zip(params, ns, strict=True):
+        _check_type_index(pa.place, pa.n0, n)
+        sw = _swapped(pa)
+        # denominator L-factor belongs to the inverse character: twist -mu
+        l_ratio = arch_l_factor(pa, 1 + 2 * pa.s) / arch_l_factor(sw, 1 - 2 * pa.s)
+        if pa.place is Place.REAL and k != 0:
+            raise ValueError("raised sections only exist at the complex place")
+        points.append((pa, sw, l_ratio, _plan(pa.place, pa.n0, n, k)))
+
+    # the moments of each place in one call, taken back in the order they
+    # were listed: point by point, row by row, the denominator's degrees
+    # before the numerator's
+    zs: dict[Place, list[complex]] = {}
+    for pa, sw, _, plan in points:
+        z = zs.setdefault(pa.place, [])
+        for _, den_w, num_w in plan:
+            z += _moment_zs(pa, den_w)
+            z += _moment_zs(sw, num_w)
+    rads = {place: iter(_quadrature_radials(place, z)) for place, z in zs.items()}
+
+    out = []
+    for pa, sw, l_ratio, plan in points:
+        ratios: list[complex] = []
+        taken = rads[pa.place]
+        for harmonics, den_w, num_w in plan:
+            d_val = _weighted_sum(den_w, taken)
+            n_val = _weighted_sum(num_w, taken)
+            if harmonics:
+                denom_h, num_h = harmonics
+                ratios.append(l_ratio * (n_val / num_h) / (d_val / denom_h))
+            else:
+                ratios.append(l_ratio * n_val / d_val)
+        out.append(_consistent_ratio(ratios, tol, "point"))
+    return np.array(out, complex)

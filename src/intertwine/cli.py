@@ -21,6 +21,7 @@ import io
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .padic import (
     FiniteParams,
     MultChar,
     check_gauss_domain,
+    check_gauss_work,
     gauss_sums,
     gauss_sums_p2,
     is_odd_prime,
@@ -178,8 +180,10 @@ def cmd_gauss(args) -> int:
         return 2
     if p != 2 and not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    # the deepest conductor bounds the domain, so it is checked before any row
+    # the deepest conductor bounds the domain, and the whole table the work,
+    # so both are checked before any row
     check_gauss_domain(p, args.m_max)
+    check_gauss_work(p, args.m_max)
     if p == 2:
         rows = _gauss_rows_p2(args.m_max)
     else:
@@ -232,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     # silently become --tolerances, which exits 0 without running a suite
     pv = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    # argparse converts a string default only when verify parses, so a bad
-    # INTERTWINE_SEED is a usage error of verify (exit 2) and not of the others
-    pv.add_argument("--seed", type=int, default=os.environ.get("INTERTWINE_SEED", "0"))
+    # no default here: main reads INTERTWINE_SEED (else 0) when verify runs
+    # without --seed, so a bad value is a usage error of verify (exit 2) and
+    # not of the others
+    pv.add_argument("--seed", type=int)
     pv.add_argument("--json", metavar="PATH", help="write the machine-readable report here")
     pv.add_argument("--tolerances", action="store_true",
                     help="print the tolerance each suite applies to the cases that state none, and exit")
@@ -267,9 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: a build takes about 1 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.seed is None:
+        # read on every call, so that calls in one process may differ
+        env = os.environ.get("INTERTWINE_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.error(f"argument --seed: invalid int value: {env!r} (from INTERTWINE_SEED)")
     if args.command == "verify" and args.tolerances:
         for name, tol in SUITE_TOLERANCES.items():
             print(f"{name}: {tol:.1e}")

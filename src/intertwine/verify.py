@@ -31,7 +31,7 @@ from .arch import (
     mu_arch_derivative_bound,
     mu_arch_logderiv,
     mu_arch_many,
-    mu_arch_oracle,
+    mu_arch_oracle_many,
     mu_arch_product,
 )
 from .exact import PiLaurent, VarPoly
@@ -309,28 +309,32 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         )
     )
 
-    # Bessel symmetry and dual representation
-    for i in range(20):
-        nu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        yv = rng.uniform(0.3, 4.0)
-        cases.append(scalar_case(f"arch/bessel-sym/{i}", {"nu": nu, "y": yv}, bessel_k(nu, yv), bessel_k(-nu, yv), 1e-12))
-        if i < sizes.dualrep_samples:
-            cases.append(scalar_case(f"arch/bessel-dualrep/{i}", {"nu": nu, "y": yv}, bessel_k(nu, yv), bessel_k_alt(nu, yv), 1e-10))
+    # Bessel symmetry and dual representation: every point drawn first,
+    # then one stacked call each for K_nu, K_-nu and the dual representation
+    points = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.3, 4.0)) for _ in range(20)]
+    nus, ys = (np.array(v) for v in zip(*points))
+    dual = sizes.dualrep_samples
+    k_pos, k_neg = bessel_k(nus, ys).tolist(), bessel_k(-nus, ys).tolist()
+    k_alt = bessel_k_alt(nus[:dual], ys[:dual]).tolist()
+    for i, (nu, yv) in enumerate(points):
+        cases.append(scalar_case(f"arch/bessel-sym/{i}", {"nu": nu, "y": yv}, k_pos[i], k_neg[i], 1e-12))
+        if i < dual:
+            cases.append(scalar_case(f"arch/bessel-dualrep/{i}", {"nu": nu, "y": yv}, k_pos[i], k_alt[i], 1e-10))
 
-    # kernel identities and the nonvanishing scan
+    # kernel identities and the nonvanishing scan, one stacked call per kind
+    # and side
+    a_s, w_s = (np.array(v) for v in zip(*sizes.kernel_pairs))
     for kind in (GammaKind.COMPLEX, GammaKind.REAL):
-        for (a, w) in sizes.kernel_pairs:
-            cases.append(
-                scalar_case(
-                    f"arch/kernel-quad/{kind.value}/{a}/{w}", {"a": a, "w": w},
-                    kernel_ka(kind, a, w), kernel_ka_quad(kind, a, w), 1e-9,
-                )
-            )
+        closed, quad = kernel_ka(kind, a_s, w_s).tolist(), kernel_ka_quad(kind, a_s, w_s).tolist()
+        for i, (a, w) in enumerate(sizes.kernel_pairs):
+            cases.append(scalar_case(f"arch/kernel-quad/{kind.value}/{a}/{w}", {"a": a, "w": w}, closed[i], quad[i], 1e-9))
     # existence scan on moderate axis points; the kernel decays like
     # exp(-pi |y|) in the order, so large y needs rescaled thresholds
+    scan_y, scan_a = (0.0, 0.5, 2.0, 3.5), (1.0, 1.25, 1.5, 1.75)
     for kind in sizes.nonvanish_kinds:
-        for yv in (0.0, 0.5, 2.0, 3.5):
-            best = max(abs(kernel_ka(kind, a, 1 + 2j * yv)) for a in (1.0, 1.25, 1.5, 1.75))
+        values = kernel_ka(kind, np.tile(scan_a, len(scan_y)), np.array([1 + 2j * yv for yv in scan_y for _ in scan_a]))
+        for yv, row in zip(scan_y, values.reshape(len(scan_y), len(scan_a)).tolist()):
+            best = max(abs(v) for v in row)
             place = "" if kind is GammaKind.COMPLEX else f"{kind.value}/"
             cases.append(flag_case(f"arch/kernel-nonvanish/{place}y={yv}", {"best": f"{best:.3e}"}, best > 1e-8))
 
@@ -353,8 +357,8 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
             scalar_case(f"arch/product-form/{i}", {"y": y, "n0": n0, "n": n}, mc, mu_arch_product(pc, n), 1e-12)
         )
 
-    # closed form against the transform-pipeline oracle; the closed form of
-    # each place's fixed grid of shapes takes one call
+    # closed form against the transform-pipeline oracle; each place's fixed
+    # grid of shapes takes one closed-form call and one oracle call
     s_values = (0.3, 0.25, 0.2 + 0.1j, 0.15 - 0.1j, 0.35 + 0.05j)
     grids = {
         Place.COMPLEX: (0.4, [(n0, n, j, s) for n0 in range(-2, 3) for n in range(abs(n0), 7) if (n - n0) % 2 == 0
@@ -365,13 +369,10 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     for place, (mu, grid) in grids.items():
         n0s, ns, _, ss = zip(*grid)
         closed = mu_arch_many(place, ss, mu, n0s, ns)
-        for (n0, n, j, s), value in zip(grid, closed):
-            pa = ArchParams(place, s, mu, n0)
+        oracle = mu_arch_oracle_many([ArchParams(place, s, mu, n0) for n0, _, _, s in grid], ns).tolist()
+        for (n0, n, j, s), value, quad in zip(grid, closed, oracle):
             cases.append(
-                scalar_case(
-                    f"arch/oracle-{place.value}/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s},
-                    value, mu_arch_oracle(pa, n), tol,
-                )
+                scalar_case(f"arch/oracle-{place.value}/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s}, value, quad, tol)
             )
 
     # derivative: exact sum against finite differences, and the bounds; all

@@ -21,6 +21,7 @@ from intertwine.arch import (
     mu_arch_logderiv_column,
     mu_arch_many,
     mu_arch_oracle,
+    mu_arch_oracle_many,
     mu_arch_product,
     tate_section_complex,
     tate_section_real,
@@ -29,6 +30,10 @@ from intertwine.errors import InconsistentRatio, ParityError, RangeError
 from intertwine.harmonics import LieGen, harmonic_su2, hopf_point, lie_act_su2
 from intertwine.numerics import GammaKind, _consistent_ratio, gamma_factor, radial_gaussian_moment
 from intertwine.schwartz import PolyGaussian4, fourier_hat_c, fourier_hat_h, section_so2, section_su2
+
+# an overflow or invalid operation inside the array closed forms or the
+# stacked quadratures fails the test instead of passing with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_param_validation():
@@ -417,6 +422,30 @@ def test_oracle_plan_holds_shape_data_only(monkeypatch):
     for name in ("mu_arch", "mu_arch_column"):
         monkeypatch.setattr(arch, name, None)
     assert _hex(mu_arch_oracle(pa, 3, k=1)) == _hex(warm)
+
+
+def test_oracle_batch_is_its_points_bit_for_bit(monkeypatch):
+    # a grid of both places at s and mu not used elsewhere, so its moments
+    # are new: one array moment call per place, and each point's value is
+    # its one-point call's
+    calls = []
+    moments = arch.radial_gaussian_moment
+
+    def counted(kind, z):
+        calls.append((kind, np.shape(z)))
+        return moments(kind, z)
+
+    monkeypatch.setattr(arch, "radial_gaussian_moment", counted)
+    points = [(ArchParams(place, s, mu, n0), n) for place, mu in ((Place.COMPLEX, 0.35), (Place.REAL, -0.45))
+              for s in (0.27, 0.18 - 0.07j) for n0, n in _ORACLE_SHAPES[place][:4]]
+    batch = mu_arch_oracle_many([pa for pa, _ in points], [n for _, n in points])
+    assert [kind for kind, _ in calls] == [GammaKind.COMPLEX, GammaKind.REAL]
+    assert [_hex(v) for v in batch.tolist()] == [_hex(mu_arch_oracle(pa, n)) for pa, n in points]
+    # every point is checked before any moment is computed
+    calls.clear()
+    with pytest.raises(ParityError):
+        mu_arch_oracle_many([points[0][0], points[1][0]], [points[0][1], points[1][1] + 1])
+    assert calls == []
 
 
 @pytest.mark.parametrize("place,n0,n", [(Place.COMPLEX, 0, 4), (Place.REAL, 1, -3)])

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -16,6 +18,8 @@ from intertwine.arch import Place, mu_arch_derivative
 from intertwine.cli import main
 from intertwine.padic import AddChar, FiniteParams, MultChar, mu_finite_derivative
 from intertwine.verify import SUITE_NAMES, run_suite
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(intertwine.cli.__file__)))
 
 
 def test_verify_suite_exit_zero(tmp_path, capsys):
@@ -61,6 +65,22 @@ def test_malformed_seed_env_is_a_verify_usage_error(monkeypatch, capsys):
         assert "invalid int value: 'abc'" in capsys.readouterr().err
     # an explicit --seed overrides the bad variable
     assert main(["verify", "--tolerances", "--seed", "3"]) == 0
+
+
+def test_one_process_reads_the_seed_variable_on_every_call(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; each call still honours the
+    # INTERTWINE_SEED it runs under
+    for seed in ("31", "32"):
+        monkeypatch.setenv("INTERTWINE_SEED", seed)
+        path = tmp_path / f"r{seed}.json"
+        assert main(["verify", "--suite", "global", "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["seed"] == int(seed)
+    monkeypatch.setenv("INTERTWINE_SEED", "3x")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "global"])
+    assert exc.value.code == 2
+    assert intertwine.cli._main_parser() is intertwine.cli._main_parser()
+    assert intertwine.cli.build_parser() is not intertwine.cli.build_parser()
 
 
 @pytest.mark.parametrize(
@@ -384,6 +404,32 @@ def test_gauss_p2_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_gauss_beyond_the_work_budget_exits_two_before_any_row(monkeypatch, capsys):
+    # inside the int64 domain, but about 1.8e11 terms at p = 2 up to m = 20
+    # and 8.9e9 at p = 7 up to m = 6
+    def never(*args):
+        pytest.fail("a row was computed before the work check")
+
+    monkeypatch.setattr(intertwine.cli, "gauss_sums_p2", never)
+    monkeypatch.setattr(intertwine.cli, "gauss_sums", never)
+    for argv in (["--p", "2", "--allow-p2", "--m-max", "20"], ["--p", "7", "--m-max", "6"]):
+        assert main(["gauss", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the budget" in captured.err and captured.out == ""
+    # the benchmark's tables stay far below the budget
+    for p, m_max in ((5, 3), (7, 3), (101, 1), (2, 10)):
+        intertwine.padic.check_gauss_work(p, m_max)
+
+
+def test_gauss_work_check_exits_within_its_timeout():
+    # a fresh interpreter, as CI runs it: a table past the budget must exit
+    # 2 at once and not start on its smaller conductors
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "intertwine.cli", "gauss", "--p", "2", "--allow-p2", "--m-max", "20"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
 def test_gauss_bad_prime_exit_two(capsys):

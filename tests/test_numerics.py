@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intertwine.numerics as numerics
 from intertwine.errors import PoleError, ToleranceNotMet
 from intertwine.verify import _AXIS_SIGMAS
 from intertwine.numerics import (
@@ -22,6 +23,10 @@ from intertwine.numerics import (
     quad_realline,
     radial_gaussian_moment,
 )
+
+# an overflow or invalid operation inside an integrand, a stacked one
+# included, fails the test instead of passing with a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_lanczos_reference_points():
@@ -240,6 +245,206 @@ def test_no_node_is_evaluated_twice():
         nodes = np.concatenate(seen)
         assert len(seen) >= 3
         assert np.unique(nodes).size == nodes.size
+
+
+# ---------------------------------------------------------------------------
+# the stacked driver
+
+
+def _frozen_trapezoid_doubling(f, exp_sinh=False):
+    """The one-integrand trapezoid driver as it stood before stacks, frozen
+    as the bitwise reference of a one-row call."""
+    floor = numerics.QUAD_ABS_TOL * 1e-3
+
+    def evaluate(level, first_p, first_n, stride, n_p, n_n):
+        x, _, _ = numerics._line_nodes(level, first_p, first_n, stride, n_p, n_n)
+        w = keep = None
+        if exp_sinh:
+            u = x
+            keep = np.abs(u) <= numerics._EXP_SINH_EDGE
+            if keep.all():
+                keep = None
+            else:
+                u = u[keep]
+            x = np.exp(numerics._EXP_SINH_C * np.sinh(u))
+            w = x * numerics._EXP_SINH_C * np.cosh(u)
+        v = f(x)
+        if w is not None:
+            v = v * w
+        part = v.sum()
+        assert np.isfinite(part)
+        if keep is not None:
+            full = np.zeros(keep.shape, v.dtype)
+            full[keep] = v
+            v = full
+        return v, part
+
+    total, window, run, ended = 0.0, [0, 0], [0, 0], [False, False]
+    start, n_p, n_n, block = 1, 9, 8, 8
+    while True:
+        v, part = evaluate(0, window[0] + 1 - start, window[1] + 1, 1, n_p, n_n)
+        total += part
+        quiet = (np.abs(v) < floor * (1.0 + abs(total))).tolist()
+        for s, lo, hi in ((0, start, n_p), (1, n_p, n_p + n_n)):
+            r = run[s]
+            for q in quiet[lo:hi]:
+                r = r + 1 if q else 0
+                if r == 6:
+                    ended[s] = True
+                    break
+            run[s] = r
+            window[s] += hi - lo
+        if ended[0] and ended[1]:
+            break
+        start = 0
+        n_p, n_n = (0 if ended[s] else block for s in (0, 1))
+        block *= 2
+    prev = 0.5 * total
+    for level in range(1, numerics.QUAD_MAX_HALVINGS + 1):
+        n_p, n_n = window[0] << (level - 1), window[1] << (level - 1)
+        v, part = evaluate(level, 1, 1, 2, n_p, n_n)
+        total += part
+        edges = [abs(v[n_p - 1]), abs(v[-1])]
+        for s in (0, 1):
+            while edges[s] >= floor * (1.0 + abs(total)):
+                count = 8 << level
+                first = (window[s] << level) + 1
+                ext, part = evaluate(level, first, first, 1, count if s == 0 else 0, count if s == 1 else 0)
+                total += part
+                window[s] += 8
+                edges[s] = np.abs(ext[-6:]).max()
+        cur = total * 0.5 ** (level + 1)
+        if abs(cur - prev) <= max(numerics.QUAD_ABS_TOL, numerics.QUAD_REL_TOL * abs(cur)):
+            return complex(cur)
+        prev = cur
+    raise AssertionError("no convergence")
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_one_row_driver_is_the_frozen_driver_bit_for_bit():
+    # the integrands of test_no_node_is_evaluated_twice; the sin^2 one grows
+    # its window at the finer levels
+    for quad, f, exp_sinh in (
+        (quad_realline, lambda x: np.exp(-x * x), False),
+        (quad_realline, lambda x: np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50), False),
+        (quad_halfline, lambda r: np.exp(-r * r) * r**3, True),
+    ):
+        assert _bits(quad(f)) == _bits(_frozen_trapezoid_doubling(f, exp_sinh))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.0, 2.0), st.floats(0.05, 20.0)), min_size=1, max_size=5))
+def test_every_row_of_a_bessel_stack_is_its_one_row_value(points):
+    # repeated points and +-nu pairs in one stack, each row bit for bit its
+    # scalar call
+    nus = [complex(a, b) for a, b, _ in points]
+    ys = [y for _, _, y in points]
+    nus, ys = nus + [-nu for nu in nus] + nus[:1], ys + ys + ys[:1]
+    for fn in (bessel_k, bessel_k_alt):
+        stack = fn(np.array(nus), np.array(ys))
+        assert stack.shape == (len(nus),) and stack.dtype == complex
+        for nu, y, value in zip(nus, ys, stack.tolist()):
+            assert _bits(value) == _bits(fn(nu, y))
+
+
+def test_array_evaluators_keep_their_scalar_values_and_shapes():
+    a, w = np.array([[1.0, 1.5], [1.25, 1.75]]), np.array([[1.0 + 0j, 1.0 + 2j], [1.0 - 1j, 1.0 + 0.4j]])
+    for kind in GammaKind:
+        for fn in (kernel_ka, kernel_ka_quad):
+            grid = fn(kind, a, w)
+            assert grid.shape == (2, 2)
+            assert [_bits(v) for v in grid.ravel().tolist()] == [_bits(fn(kind, x, v)) for x, v in zip(a.ravel(), w.ravel())]
+        # one z broadcast against a grid of a: a scalar argument with an array
+        assert kernel_ka(kind, a, 1.0 + 0.5j).shape == (2, 2)
+    assert type(bessel_k(0.5, 1.0)) is complex and type(radial_gaussian_moment(GammaKind.REAL, 2.5)) is complex
+
+
+def test_moment_array_computes_only_the_missing_entries_in_one_stack(monkeypatch):
+    kind = GammaKind.COMPLEX
+    known = radial_gaussian_moment(kind, 3.25 + 0.5j)
+    stacks = []
+    driver = numerics._trapezoid_doubling
+
+    def counted(f, nodes=numerics._line_nodes, rows=None):
+        stacks.append(rows)
+        return driver(f, nodes, rows)
+
+    monkeypatch.setattr(numerics, "_trapezoid_doubling", counted)
+    zs = np.array([3.25 + 0.5j, 4.75 - 1j, 4.75 - 1j, 5.5 + 0j])
+    values = radial_gaussian_moment(kind, zs)
+    assert stacks == [2]  # one stack, of the two new distinct points
+    assert _bits(values[0]) == _bits(known) and _bits(values[1]) == _bits(values[2])
+    assert _bits(radial_gaussian_moment(kind, 5.5)) == _bits(values[3]) and stacks == [2]
+
+
+def _recording(g):
+    """g, and the list of every (nodes, rows) call it gets."""
+    seen = []
+
+    def recorded(x, rows):
+        seen.append((np.array(x), np.arange(rows.start, rows.stop) if isinstance(rows, slice) else np.array(rows)))
+        return g(x, rows)
+
+    return recorded, seen
+
+
+def _gaussian_rows(scales):
+    c = np.array(scales)[:, None]
+    return lambda x, rows: np.exp(-c[rows] * x * x)
+
+
+def test_no_row_evaluates_a_node_twice():
+    # rows of different widths share union calls; rows that grow their
+    # window at the finer levels, with the same window, share the growth
+    sin2 = lambda x, rows: np.array([1.0, 2.0, 3.0])[rows, None] * np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50)
+    for g, k, exact in (
+        (_gaussian_rows([0.2, 1.0, 7.0, 40.0]), 4, [math.sqrt(math.pi / c) for c in (0.2, 1.0, 7.0, 40.0)]),
+        (sin2, 3, [c * math.sqrt(50 * math.pi) / 2 for c in (1.0, 2.0, 3.0)]),
+    ):
+        recorded, seen = _recording(g)
+        values = numerics._trapezoid_doubling(recorded, rows=k)
+        assert np.abs(values - exact).max() < 1e-11 * max(exact)
+        for row in range(k):
+            nodes = np.concatenate([x for x, rows in seen if row in rows])
+            assert np.unique(nodes).size == nodes.size
+
+
+def test_a_stack_names_the_row_and_node_of_a_non_finite_value():
+    def g(x, rows):
+        c = np.array([1.0, 2.0])[rows, None]
+        return np.where((c == 2.0) & (x == 1.5), np.nan, np.exp(-c * x * x))
+
+    with pytest.raises(ToleranceNotMet, match=r"in row 1 at node x = 1\.5 is not finite"):
+        numerics._trapezoid_doubling(g, rows=2)
+
+
+def test_a_non_decaying_row_fails_its_stack():
+    g = lambda x, rows: np.array([[1.0], [0.0]])[rows] + np.array([[0.0], [1.0]])[rows] * np.exp(-x * x)
+    with pytest.raises(ToleranceNotMet, match="does not decay on the grid in row 0"):
+        numerics._trapezoid_doubling(g, rows=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: bessel_k(0.5, math.nan), "bessel_k requires finite y, got nan"),
+        (lambda: bessel_k(np.array([0.5, 1.0 + math.inf * 1j]), 1.0), r"bessel_k requires finite nu, got \(nan\+infj\) at index \(1,\)"),
+        (lambda: bessel_k_alt(0.5, math.nan), "bessel_k_alt requires finite y, got nan"),
+        (lambda: kernel_ka(GammaKind.COMPLEX, 1.5, complex(math.nan, 1.0)), "kernel_ka requires finite w"),
+        (lambda: kernel_ka_quad(GammaKind.REAL, np.array([1.0, math.inf]), 1.0), r"kernel_ka_quad requires finite a, got inf at index \(1,\)"),
+        (lambda: radial_gaussian_moment(GammaKind.REAL, complex(2.0, math.nan)), "radial_gaussian_moment requires finite z"),
+    ),
+)
+def test_non_finite_arguments_raise_before_any_node(monkeypatch, call, message):
+    def never(*args, **kwargs):
+        pytest.fail("a node was evaluated")
+
+    monkeypatch.setattr(numerics, "_trapezoid_doubling", never)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @settings(max_examples=60, deadline=None)
