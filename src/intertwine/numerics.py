@@ -338,13 +338,13 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
             for g_rows, span, g_v in groups:
                 idx = _columns(span, where, n)
                 parts = _row_sums(g_v, idx).tolist()
-                for i, part in enumerate(parts):
-                    if not cmath.isfinite(part):
-                        idx = np.arange(n) if idx is None else idx
-                        j = int(idx[np.flatnonzero(~np.isfinite(g_v[i, idx]))[0]])
-                        raise ToleranceNotMet(
-                            f"integrand value {complex(g_v[i, j])}{of(g_rows[i])} at node x = {float(x[j])!r} is not finite"
-                        )
+                if not all(map(cmath.isfinite, parts)):
+                    i = [cmath.isfinite(part) for part in parts].index(False)
+                    idx = np.arange(n) if idx is None else idx
+                    j = int(idx[np.flatnonzero(~np.isfinite(g_v[i, idx]))[0]])
+                    raise ToleranceNotMet(
+                        f"integrand value {complex(g_v[i, j])}{of(g_rows[i])} at node x = {float(x[j])!r} is not finite"
+                    )
                 yield g_rows, span, parts, g_v, where
 
     # coarsest sweep: node 0 and a block on each side, then further blocks
@@ -362,10 +362,11 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
         n_p, n_n = size
         spans = [((0, 0 if ended[r][0] else n_p), (n_p, n_p if ended[r][1] else n_p + n_n)) for r in sweeping]
         for rs, span, parts, v, where in evaluate((0, first[0], first[1], 1, n_p, n_n), sweeping, spans):
+            floors = []
             for r, part in zip(rs, parts):
                 total[r] += part
-            floors = np.array([floor * (1.0 + abs(total[r])) for r in rs])[:, None]
-            for r, quiet in zip(rs, (np.abs(_full(v, where)) < floors).tolist()):
+                floors.append(floor * (1.0 + abs(total[r])))
+            for r, quiet in zip(rs, (np.abs(_full(v, where)) < np.array(floors)[:, None]).tolist()):
                 for s, (lo, hi) in enumerate(span):
                     lo = max(lo, start)
                     q = run[r][s]
