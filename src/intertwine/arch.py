@@ -25,8 +25,8 @@ for odd n0 where the two possible sign conventions genuinely differ.
 
 The closed form is array-first: mu_arch_many evaluates it at many points
 (s, mu, n0, n) of one place with one gamma_factor call over an array, and
-mu_arch_column, mu_arch and mu_arch_derivative are its callers (the log
-derivative likewise: mu_arch_logderiv_many).  A point costs about 1.5-2 us
+mu_arch and mu_arch_derivative are its callers (the log derivative
+likewise: mu_arch_logderiv_many).  A point costs about 1.5-2 us
 in a batch of 100 or more, against about 100-150 us for a one-point call,
 so verify's loops and the mu tables pass whole batches.  The oracle
 takes batches too: mu_arch_oracle_many fetches the radial moments of all
@@ -177,20 +177,15 @@ def mu_arch_many(place: Place, s, mu, n0, n) -> np.ndarray:
     return vals
 
 
-def mu_arch_column(params: ArchParams, ns: Sequence[int]) -> list[complex]:
-    """Normalized eigenvalues at one spectral point for every weight in ns:
-    mu_arch_many at that point, one call for the column."""
-    return mu_arch_many(params.place, params.s, params.mu, params.n0, ns).tolist()
-
-
 def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> complex:
-    """Closed-form eigenvalue on weight-n flat sections: the one-weight column.
+    """Closed-form eigenvalue on weight-n flat sections: mu_arch_many at one
+    point.
 
     normalized=True gives the L-factor-normalized operator (unit modulus on
     the axis); normalized=False removes that normalization, multiplying by
     the inverse ratio of the local L-factors.
     """
-    val = mu_arch_column(params, [n])[0]
+    val = complex(mu_arch_many(params.place, params.s, params.mu, params.n0, [n])[0])
     if not normalized:
         try:
             val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
@@ -244,15 +239,9 @@ def mu_arch_logderiv_many(place: Place, s, mu, n0, n) -> np.ndarray:
     return total
 
 
-def mu_arch_logderiv_column(params: ArchParams, ns: Sequence[int]) -> list[float]:
-    """Exact logarithmic derivatives (d/ds) log mu at s = iy for every weight
-    in ns: mu_arch_logderiv_many at that point."""
-    return mu_arch_logderiv_many(params.place, params.s, params.mu, params.n0, ns).tolist()
-
-
 def mu_arch_logderiv(params: ArchParams, n: int) -> float:
     """Exact logarithmic derivative (d/ds) log mu at s = iy; real and <= 0."""
-    return mu_arch_logderiv_column(params, [n])[0]
+    return float(mu_arch_logderiv_many(params.place, params.s, params.mu, params.n0, [n])[0])
 
 
 def mu_arch_derivative(place: Place, s, mu, n0, n) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,13 @@ call), an array is one vectorized pass (a one-point array costs about
 them (arch.mu_arch_many, globalq.completed_zeta) pass each batch of points
 in one call.
 
-The quadratures are stacked the same way: one trapezoid driver integrates a
-stack of integrands on one node schedule, each row bit for bit its one-row
+The quadratures are stacked too: _trapezoid_doubling runs the one-row
+rule (_row_schedule) for each row of a stack and evaluates the rows that
+need the same node set next in one call, each row bit for bit its one-row
 value.  bessel_k, bessel_k_alt, kernel_ka, kernel_ka_quad and
-radial_gaussian_moment take arrays (a 20-point Bessel stack costs about a
-third of 20 scalar calls); quad_realline, quad_halfline and a scalar call
-of any of them are one-row stacks.
+radial_gaussian_moment take arrays (a 20-point Bessel stack costs about
+a quarter of 20 scalar calls); quad_realline, quad_halfline and a scalar
+call of any of them are one-row stacks.
 
 Limits at an edge (the residues of the completed zeta at 0 and 1, the
 on-axis limit of the truncated norm) all go through limit_at_zero: the
@@ -173,18 +174,14 @@ def _gamma_factor(kind: GammaKind, s, array: bool):
     return front * complex_gamma(z)
 
 
-# The coarsest sweep (step 1/2) takes its nodes outward in blocks per side,
-# _BLOCK, _BLOCK, 2 _BLOCK, 4 _BLOCK, ... nodes, until a side holds
-# _QUIET_RUN terms in a row below the truncation floor; no side may take
-# more than _MAX_NODES nodes at one level.  A side that turns out too narrow
-# at a finer level grows by _BLOCK coarse steps at a time.
+# _row_schedule's block of coarse steps, run of quiet terms, and nodes a
+# side may take at one level
 _BLOCK = 8
 _QUIET_RUN = 6
 _MAX_NODES = 200_000
 # One integrand call of a stack holds at most _STACK_CELLS values (rows x
-# nodes); the driver splits the still-active rows of a larger call, so that
-# a stack's temporaries stay near those of one row (the tracemalloc peak of
-# a verify arch suite grows by about 0.2 MB).
+# nodes); the driver splits a larger group of rows, so that a stack's
+# temporaries stay near those of one row.
 _STACK_CELLS = 1 << 11
 
 
@@ -211,246 +208,166 @@ _EXP_SINH_EDGE = math.asinh(700.0 / _EXP_SINH_C)
 def _exp_sinh_nodes(level: int, first_p: int, first_n: int, stride: int, n_p: int, n_n: int):
     """The _line_nodes set mapped by r = exp(c sinh u), with weights
     dr/du = r c cosh u.  Nodes with |c sinh u| > 700 are masked out: r and
-    w hold only the others, and `where` maps each node of the set to its
-    index in r, -1 where masked (None when nothing is masked)."""
+    w hold only the others, and `keep` marks which nodes of the set they
+    are (None when nothing is masked)."""
     u, _, _ = _line_nodes(level, first_p, first_n, stride, n_p, n_n)
     keep = np.abs(u) <= _EXP_SINH_EDGE
-    where = None
-    if not keep.all():
-        u = u[keep]
-        where = _frozen(np.where(keep, np.cumsum(keep) - 1, -1))
+    keep = None if keep.all() else _frozen(keep)
+    u = u if keep is None else u[keep]
     r = np.exp(_EXP_SINH_C * np.sinh(u))
     w = r * _EXP_SINH_C * np.cosh(u)
-    return _frozen(r), _frozen(w), where
+    return _frozen(r), _frozen(w), keep
 
 
-def _columns(spans: tuple, where: np.ndarray | None, n: int) -> np.ndarray | None:
-    """Indices among the n evaluated values of a node set of its nodes in
-    the index ranges `spans` of the whole set, masked nodes skipped (see
-    _exp_sinh_nodes); None when that is every value."""
-    if sum(hi - lo for lo, hi in spans) == (n if where is None else where.size):
-        return None
-    idx = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-    if where is not None:
-        idx = where[idx]
-        idx = idx[idx >= 0]
-    return idx
+def _row_schedule():
+    """The trapezoid rule with nested step halving for one integrand decaying
+    fast on R, as a generator: it yields the key (level, first_p, first_n,
+    stride, n_p, n_n) of each node set it needs (see _line_nodes), is sent
+    (v, part), the set's weighted values (0 at a masked node, see
+    _exp_sinh_nodes) and the sum of those evaluated, and returns the
+    integral.
 
-
-def _row_sums(v: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """Each row's sum over the columns idx (None: all) of a C-contiguous
-    (rows, n) array.  np.take keeps the block C-contiguous, so each row is
-    summed as a 1-D array of its own values would be; the fancy index
-    v[:, idx] comes out F-ordered, and its row sums regroup the terms."""
-    return np.add.reduce(v if idx is None else np.take(v, idx, axis=1), axis=1)
-
-
-def _full(v: np.ndarray, where: np.ndarray | None, nodes=None) -> np.ndarray:
-    """Rows of evaluated values v at the given nodes of the whole set (a
-    list or a slice of indices; None: every node), 0 where a node is
-    masked (see _exp_sinh_nodes)."""
-    if where is None:
-        return v if nodes is None else v[:, nodes]
-    idx = where if nodes is None else where[nodes]
-    if not v.shape[1]:
-        return np.zeros((v.shape[0], idx.size), v.dtype)
-    return np.where(idx >= 0, v[:, idx], 0)
+    The sweep at step 1/2 walks outward from 0 in blocks of _BLOCK, _BLOCK,
+    2 _BLOCK, 4 _BLOCK, ... nodes per side until each side ends in
+    _QUIET_RUN terms in a row below the truncation floor
+    floor * (1 + |running total|); the nodes it took fix the window.  Each
+    halving then takes only the new odd nodes of the window, both sides in
+    one set.  A side whose outermost new node is not below the floor grows
+    by _BLOCK coarse steps at a time, every node at the current spacing,
+    until a block ends in _QUIET_RUN quiet terms.  The step is halved until
+    two successive levels agree; no node is taken twice.  Raises
+    ToleranceNotMet when a side needs more than _MAX_NODES nodes at one
+    level, or when QUAD_MAX_HALVINGS halvings do not converge.
+    """
+    floor = QUAD_ABS_TOL * 1e-3
+    total, window, run, ended = 0.0, [0, 0], [0, 0], [False, False]
+    # the first set also takes node 0, which neither side's window counts
+    start, n_p, n_n, block = 1, _BLOCK + 1, _BLOCK, _BLOCK
+    while True:
+        # an ended side's empty range starts at 1, so that rows that differ
+        # only there share the set
+        v, part = yield (0, window[0] + 1 - start if n_p else 1, window[1] + 1 if n_n else 1, 1, n_p, n_n)
+        total += part
+        quiet = (np.abs(v) < floor * (1.0 + abs(total))).tolist()
+        for s, lo, hi in ((0, start, n_p), (1, n_p, n_p + n_n)):
+            r = run[s]
+            for q in quiet[lo:hi]:
+                r = r + 1 if q else 0
+                if r == _QUIET_RUN:
+                    ended[s] = True
+                    break
+            run[s] = r
+            window[s] += hi - lo
+        if ended[0] and ended[1]:
+            break
+        if max(window[s] for s in (0, 1) if not ended[s]) >= _MAX_NODES:
+            raise ToleranceNotMet("integrand does not decay on the grid")
+        start = 0
+        n_p, n_n = (0 if ended[s] else min(block, _MAX_NODES - window[s]) for s in (0, 1))
+        block *= 2
+    prev = 0.5 * total
+    for level in range(1, QUAD_MAX_HALVINGS + 1):
+        # the odd multiples of h = 2^-(level + 1) inside each side's window
+        n_p, n_n = window[0] << (level - 1), window[1] << (level - 1)
+        v, part = yield (level, 1, 1, 2, n_p, n_n)
+        total += part
+        edges = [abs(v[n_p - 1]), abs(v[-1])]
+        for s in (0, 1):
+            # a window that was too narrow: one more block of coarse steps
+            # on this side, every node at this level's spacing, until the
+            # block ends in _QUIET_RUN quiet terms
+            while edges[s] >= floor * (1.0 + abs(total)):
+                count = _BLOCK << level
+                first = (window[s] << level) + 1
+                if first - 1 + count > _MAX_NODES:
+                    raise ToleranceNotMet("integrand does not decay on the grid")
+                v, part = yield (level, first, first, 1, count if s == 0 else 0, count if s == 1 else 0)
+                total += part
+                window[s] += _BLOCK
+                edges[s] = np.abs(v[-_QUIET_RUN:]).max()
+        cur = total * 0.5 ** (level + 1)
+        if abs(cur - prev) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
+            return complex(cur)
+        prev = cur
+    raise ToleranceNotMet("trapezoid refinement budget exhausted")
 
 
 def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None):
-    """Trapezoid rule with nested step halving for a stack of integrands
-    decaying fast on R.
+    """The rule of _row_schedule for a stack of integrands, each row on its
+    own schedule.
 
     With rows None, f maps a node array of shape (n,) to its values, shape
     (n,), and the integral comes back as a complex.  With rows = K, f(x, r)
-    maps the nodes x and the still-active rows r (a slice or an ascending
-    int array) to the values of those rows, shape (len(r), n), and the K
-    integrals come back as a complex array; the one-row case is the same
-    loop with one row.  `nodes(level, first_p, first_n, stride, n_p, n_n)`
-    gives the points x and their weights dx/du (see _line_nodes and
-    _exp_sinh_nodes).
+    maps the nodes x and some rows r (a slice or an ascending int array) to
+    the values of those rows, shape (len(r), n), and the K integrals come
+    back as a complex array.  `nodes(level, first_p, first_n, stride, n_p,
+    n_n)` gives the points x, their weights dx/du and the mask of the nodes
+    kept (see _line_nodes and _exp_sinh_nodes).
 
-    Per row: the sweep at step 1/2 walks outward from 0 in blocks until
-    each side ends in six terms in a row below the truncation floor
-    floor * (1 + |running total|); the nodes it took fix the window.  Each
-    halving then takes only the new odd nodes of the window, both sides
-    together, and adds them to the running sum.  A side whose outermost
-    new node is not below the floor grows by blocks of coarse steps, taking
-    every node of a block at the current spacing, until a block ends in six
-    quiet terms.  The step is halved until two successive levels agree.
-
-    Each sweep, halving and growth step evaluates the union of the nodes
-    its still-active rows need, in one call of f (split into row chunks of
-    at most _STACK_CELLS values), and each row sums exactly its own nodes,
-    in the order of a one-row call (_row_sums).  So a row's value is bit
-    for bit its one-row value, whatever else is in the stack.  A row never
-    takes a node twice; it is evaluated again at a node only when it grows
-    over nodes that a wider row's window made a union call take.
-
-    Raises ToleranceNotMet, naming the row of a stack, when a row's value
-    at one of its own nodes is not finite (naming the node), when a side
-    needs more than _MAX_NODES nodes at one level, or when
-    QUAD_MAX_HALVINGS halvings do not converge.
+    Each step groups the still-active rows by the node set they ask for
+    next and evaluates each group in one call of f, split into row chunks
+    of at most _STACK_CELLS values.  A row is evaluated only at its own
+    nodes and summed as a 1-D array of its values would be, so it is bit
+    for bit its one-row value, whatever else is in the stack.  Raises
+    ToleranceNotMet, naming the row of a stack, when a row's sum over a
+    node set is not finite (naming the node of its first non-finite value,
+    if any), or when its schedule raises.
     """
     stacked = rows is not None
     if not stacked:
         one, rows = f, 1
 
         def f(x, active):
-            v = np.asarray(one(x))
-            if v.shape != x.shape:
-                raise ValueError(f"integrand returned shape {v.shape} for {x.shape[0]} nodes")
-            return v[None]
+            return np.asarray(one(x))[None]
 
-    if rows == 0:
-        return np.zeros(0, complex)
-    floor = QUAD_ABS_TOL * 1e-3
-
-    def of(r):
-        return f" in row {r}" if stacked else ""
-
-    def evaluate(key, active, spans):
-        # yield (rows, span, parts, values, where) for each group of the rows
-        # `active` whose own nodes are the same index ranges `span` of the
-        # node set `key` (spans[i] belongs to row active[i]): the rows'
-        # sums over their own nodes, their evaluated values, and the set's
-        # map to them (_full)
-        x, w, where = nodes(*key)
-        n = x.shape[0]
-        step = len(active) if len(active) * n <= _STACK_CELLS else max(1, _STACK_CELLS // n)
-        for c in range(0, len(active), step):
-            rs, sp = active[c:c + step], spans[c:c + step]
-            # a run of consecutive rows is passed as a slice
-            v = f(x, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else np.array(rs))
-            if v.shape != (len(rs), n):
-                raise ValueError(f"integrand returned shape {v.shape} for {len(rs)} rows of {n} nodes")
-            if w is not None:
-                v = v * w
-            if not v.flags.c_contiguous:
-                v = np.ascontiguousarray(v)
-            if sp.count(sp[0]) == len(sp):
-                groups = [(rs, sp[0], v)]
-            else:
-                groups = []
-                for span in dict.fromkeys(sp):
-                    own = [i for i, other in enumerate(sp) if other == span]
-                    groups.append(([rs[i] for i in own], span, v[own]))
-            for g_rows, span, g_v in groups:
-                idx = _columns(span, where, n)
-                parts = _row_sums(g_v, idx).tolist()
-                if not all(map(cmath.isfinite, parts)):
-                    i = [cmath.isfinite(part) for part in parts].index(False)
-                    idx = np.arange(n) if idx is None else idx
-                    j = int(idx[np.flatnonzero(~np.isfinite(g_v[i, idx]))[0]])
-                    raise ToleranceNotMet(
-                        f"integrand value {complex(g_v[i, j])}{of(g_rows[i])} at node x = {float(x[j])!r} is not finite"
-                    )
-                yield g_rows, span, parts, g_v, where
-
-    # coarsest sweep: node 0 and a block on each side, then further blocks
-    # on each side until it holds a run of quiet terms; every node taken
-    # stays in the window.  Every side still sweeping has taken the same
-    # blocks, so the rows that extend a side share its next block.
-    total: list = [0.0] * rows
-    window = [[0, 0] for _ in range(rows)]  # coarse nodes taken on the positive and the negative side
-    run = [[0, 0] for _ in range(rows)]  # quiet terms at the end of each side so far
-    ended = [[False, False] for _ in range(rows)]
-    sweeping = list(range(rows))
-    start, first, size = 1, [0, 1], [_BLOCK + 1, _BLOCK]  # the first call also takes node 0
-    block = _BLOCK
-    while sweeping:
-        n_p, n_n = size
-        spans = [((0, 0 if ended[r][0] else n_p), (n_p, n_p if ended[r][1] else n_p + n_n)) for r in sweeping]
-        for rs, span, parts, v, where in evaluate((0, first[0], first[1], 1, n_p, n_n), sweeping, spans):
-            floors = []
-            for r, part in zip(rs, parts):
-                total[r] += part
-                floors.append(floor * (1.0 + abs(total[r])))
-            for r, quiet in zip(rs, (np.abs(_full(v, where)) < np.array(floors)[:, None]).tolist()):
-                for s, (lo, hi) in enumerate(span):
-                    lo = max(lo, start)
-                    q = run[r][s]
-                    for quiet_term in quiet[lo:hi]:
-                        q = q + 1 if quiet_term else 0
-                        if q == _QUIET_RUN:
-                            ended[r][s] = True
-                            break
-                    run[r][s] = q
-                    window[r][s] += hi - lo
-        sweeping = [r for r in sweeping if not (ended[r][0] and ended[r][1])]
-        start = 0
-        for s in (0, 1):
-            extending = [r for r in sweeping if not ended[r][s]]
-            if not extending:
-                first[s], size[s] = 1, 0
-                continue
-            taken = window[extending[0]][s]
-            if taken >= _MAX_NODES:
-                raise ToleranceNotMet(f"integrand does not decay on the grid{of(extending[0])}")
-            first[s], size[s] = taken + 1, min(block, _MAX_NODES - taken)
-        block *= 2
-
-    prev = [0.5 * t for t in total]
+    in_row = " in row {}" if stacked else ""
+    schedules = [_row_schedule() for _ in range(rows)]
+    keys = [next(s) for s in schedules]
     out: list = [None] * rows
-    active = list(range(rows))
-    edges = [[0.0, 0.0] for _ in range(rows)]
-    for level in range(1, QUAD_MAX_HALVINGS + 1):
-        # the odd multiples of h = 2^-(level + 1) inside each side's window
-        sh = level - 1
-        n_p = max([window[r][0] for r in active]) << sh
-        n_n = max([window[r][1] for r in active]) << sh
-        spans = [((0, window[r][0] << sh), (n_p, n_p + (window[r][1] << sh))) for r in active]
-        for rs, ((_, a), (_, b)), parts, v, where in evaluate((level, 1, 1, 2, n_p, n_n), active, spans):
-            # each side's outermost new node
-            for r, part, outer in zip(rs, parts, _full(v, where, [a - 1, b - 1]).tolist()):
-                total[r] += part
-                edges[r] = [abs(outer[0]), abs(outer[1])]
-        for s in (0, 1):
-            # a window that was too narrow: one more block of coarse steps
-            # on this side, every node at this level's spacing, until the
-            # block ends in six quiet terms
-            growing = [r for r in active if edges[r][s] >= floor * (1.0 + abs(total[r]))]
-            count = _BLOCK << level
-            while growing:
-                for r in growing:
-                    if (window[r][s] << level) + count > _MAX_NODES:
-                        raise ToleranceNotMet(f"integrand does not decay on the grid{of(r)}")
-                firsts = [(window[r][s] << level) + 1 for r in growing]
-                lo = min(firsts)
-                n = max(firsts) + count - lo
-                spans = [((q - lo, q - lo + count),) for q in firsts]
-                key = (level, lo, lo, 1, n if s == 0 else 0, n if s == 1 else 0)
-                for rs, ((_, hi),), parts, v, where in evaluate(key, growing, spans):
-                    tails = np.abs(_full(v, where, slice(hi - _QUIET_RUN, hi))).max(axis=1).tolist()
-                    for r, part, tail in zip(rs, parts, tails):
-                        total[r] += part
-                        window[r][s] += _BLOCK
-                        edges[r][s] = tail
-                growing = [r for r in growing if edges[r][s] >= floor * (1.0 + abs(total[r]))]
-        scale = 0.5 ** (level + 1)
-        still = []
+    active = range(rows)
+    while active:
+        groups: dict = {}
         for r in active:
-            cur = total[r] * scale
-            if abs(cur - prev[r]) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
-                out[r] = complex(cur)
-            else:
-                prev[r] = cur
-                still.append(r)
-        active = still
-        if not active:
-            return np.array(out, complex) if stacked else out[0]
-    raise ToleranceNotMet(f"trapezoid refinement budget exhausted{of(active[0])}")
+            groups.setdefault(keys[r], []).append(r)
+        for key, group in groups.items():
+            x, w, keep = nodes(*key)
+            n = x.shape[0]
+            step = len(group) if len(group) * n <= _STACK_CELLS else max(1, _STACK_CELLS // n)
+            for c in range(0, len(group), step):
+                rs = group[c:c + step]
+                # a run of consecutive rows is passed as a slice
+                v = f(x, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else np.array(rs))
+                if v.shape != (len(rs), n):
+                    raise ValueError(f"integrand returned shape {v.shape} for {len(rs)} rows of {n} nodes")
+                # a C-contiguous block sums each row as a 1-D array
+                v = np.ascontiguousarray(v if w is None else v * w)
+                full = v
+                if keep is not None:
+                    full = np.zeros((len(rs), keep.size), v.dtype)
+                    full[:, keep] = v
+                for i, (r, part) in enumerate(zip(rs, np.add.reduce(v, axis=1).tolist())):
+                    if not cmath.isfinite(part):
+                        bad = np.flatnonzero(~np.isfinite(v[i]))
+                        what = f"value {complex(v[i, bad[0]])}" if bad.size else f"sum {part}"
+                        at = f" at node x = {float(x[bad[0]])!r}" if bad.size else ""
+                        raise ToleranceNotMet(f"integrand {what}{in_row.format(r)}{at} is not finite")
+                    try:
+                        keys[r] = schedules[r].send((full[i], part))
+                    except StopIteration as done:
+                        out[r] = done.value
+                    except ToleranceNotMet as exc:
+                        raise ToleranceNotMet(f"{exc}{in_row.format(r)}") from None
+        active = [r for r in active if out[r] is None]
+    return np.array(out, complex) if stacked else out[0]
 
 
 def quad_realline(g: Callable[[np.ndarray], np.ndarray]) -> complex:
     """Integral over R of a smooth integrand with at least exponential decay.
 
     g takes a float64 array of nodes and returns an array of the same shape
-    (real or complex), finite at every node it is given.  The step-1/2
-    sweep finds the window, each halving evaluates only the new odd nodes
-    in one call of g, and no node is evaluated twice; a non-finite value
-    raises ToleranceNotMet naming its node.  A one-row call of the stacked
-    driver (_trapezoid_doubling).
+    (real or complex), finite at every node it is given.  The rule of
+    _row_schedule, one call of g per node set: no node is evaluated twice,
+    and a non-finite value raises ToleranceNotMet naming its node.
     """
     return _trapezoid_doubling(g)
 
@@ -465,8 +382,7 @@ def quad_halfline(f: Callable[[np.ndarray], np.ndarray]) -> complex:
     returns an array of the same shape, finite and computed without
     overflow at every r it is given (compute in log form and mask where a
     factor would leave float range).  The map and its weights are cached
-    per node set; the nodes are nested as in quad_realline, and this too is
-    a one-row call of the stacked driver.
+    per node set of quad_realline's rule.
     """
     return _trapezoid_doubling(f, _exp_sinh_nodes)
 
@@ -583,9 +499,13 @@ def kernel_ka_quad(kind: GammaKind, a, w):
     COMPLEX: 4 int_0^inf exp(-a (r^2 + r^-2)) r^(2w) dr/r
     REAL:    2 int_0^inf exp(-a (r^2 + r^-2)) r^w     dr/r
 
-    Finite a and w, scalars or arrays broadcast together, as in bessel_k.
+    Finite a > 0, where the integral converges, and finite w, scalars or
+    arrays broadcast together, as in bessel_k; a <= 0 raises ValueError
+    before any node is evaluated.
     """
     (a, w), shape = _stack("kernel_ka_quad", a=a, w=w)
+    if not (a > 0).all():
+        raise ValueError("kernel_ka_quad requires a > 0")
     scale = np.array([-v for v in a.tolist()])[:, None]
     power = np.array([(2.0 * complex(v) if kind is GammaKind.COMPLEX else complex(v)) - 1.0 for v in w.tolist()])[:, None]
     front = 4.0 if kind is GammaKind.COMPLEX else 2.0

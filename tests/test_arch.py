@@ -14,11 +14,10 @@ from intertwine.arch import (
     ArchParams,
     Place,
     mu_arch,
-    mu_arch_column,
     mu_arch_derivative,
     mu_arch_derivative_bound,
     mu_arch_logderiv,
-    mu_arch_logderiv_column,
+    mu_arch_logderiv_many,
     mu_arch_many,
     mu_arch_oracle,
     mu_arch_oracle_many,
@@ -419,7 +418,7 @@ def test_oracle_plan_holds_shape_data_only(monkeypatch):
     for key in ((Place.COMPLEX, 1, 3, 1), (Place.COMPLEX, -2, 4, 0), (Place.REAL, 1, -3, 0)):
         assert_tuples(arch._plan(*key))
     # the planned path never reads the closed form it checks
-    for name in ("mu_arch", "mu_arch_column"):
+    for name in ("mu_arch", "mu_arch_many"):
         monkeypatch.setattr(arch, name, None)
     assert _hex(mu_arch_oracle(pa, 3, k=1)) == _hex(warm)
 
@@ -534,16 +533,16 @@ def _column_cases():
 def test_column_is_bit_identical_to_single_weights():
     cases = 0
     for params, ns in _column_cases():
-        col = mu_arch_column(params, ns)
-        ld = mu_arch_logderiv_column(params, ns)
+        col = mu_arch_many(params.place, params.s, params.mu, params.n0, ns)
+        ld = mu_arch_logderiv_many(params.place, params.s, params.mu, params.n0, ns)
         for i, n in enumerate(ns):
             assert col[i] == mu_arch(params, n) == _frozen_mu(params, n), (params, n)
             assert ld[i] == mu_arch_logderiv(params, n) == _frozen_logderiv(params, n), (params, n)
             assert mu_arch(params, n, normalized=False) == _frozen_mu(params, n, normalized=False)
             cases += 1
     assert cases == 5 * 3 * (9 * 6 + 2 * 7)
-    assert mu_arch_column(ArchParams(Place.REAL, 0.5j), []) == []
-    assert mu_arch_logderiv_column(ArchParams(Place.REAL, 0.5j), []) == []
+    for many in (mu_arch_many, mu_arch_logderiv_many):
+        assert many(Place.REAL, 0.5j, 0.0, 0, []).tolist() == []
 
 
 def _hex(z: complex) -> tuple[str, str]:
@@ -555,7 +554,7 @@ def test_column_is_bitwise_the_frozen_expression_signed_zeros_included():
     # for both places must keep the sign of every zero part too
     zeros = 0
     for params, ns in _column_cases():
-        col = mu_arch_column(params, ns)
+        col = mu_arch_many(params.place, params.s, params.mu, params.n0, ns)
         for i, n in enumerate(ns):
             assert _hex(col[i]) == _hex(_frozen_mu(params, n)), (params, n)
             unnormalized = mu_arch(params, n, normalized=False)
@@ -565,24 +564,24 @@ def test_column_is_bitwise_the_frozen_expression_signed_zeros_included():
 
 
 def test_column_checks_every_weight():
-    for column in (mu_arch_column, mu_arch_logderiv_column):
+    for many in (mu_arch_many, mu_arch_logderiv_many):
         with pytest.raises(ParityError):
-            column(ArchParams(Place.COMPLEX, 0.5j, 0.0, 0), [0, 2, 3])
+            many(Place.COMPLEX, 0.5j, 0.0, 0, [0, 2, 3])
         with pytest.raises(RangeError):
-            column(ArchParams(Place.COMPLEX, 0.5j, 0.0, 4), [4, 6, 2])
+            many(Place.COMPLEX, 0.5j, 0.0, 4, [4, 6, 2])
         with pytest.raises(RangeError):
-            column(ArchParams(Place.REAL, 0.5j, 0.0, 1), [1, -1, 0])
+            many(Place.REAL, 0.5j, 0.0, 1, [1, -1, 0])
 
 
 def test_column_range_error_names_an_overflowing_weight():
     # the shared head underflows at y = 400: the first weight is named
     with pytest.raises(RangeError, match=r"y = 400, n = 10$"):
-        mu_arch_column(ArchParams(Place.COMPLEX, 400j), [10, 2])
+        mu_arch_many(Place.COMPLEX, 400j, 0.0, 0, [10, 2])
     # only the weight-400 ratio overflows at y = 1
     with pytest.raises(RangeError, match=r"y = 1, n = 400$"):
-        mu_arch_column(ArchParams(Place.COMPLEX, 1j), [2, 400, 4])
+        mu_arch_many(Place.COMPLEX, 1j, 0.0, 0, [2, 400, 4])
     with pytest.raises(RangeError, match=r"n = -400$"):
-        mu_arch_column(ArchParams(Place.REAL, 1j), [2, -400])
+        mu_arch_many(Place.REAL, 1j, 0.0, 0, [2, -400])
 
 
 def test_many_range_error_names_the_first_overflowing_point():

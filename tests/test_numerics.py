@@ -230,6 +230,9 @@ def test_non_finite_value_fails_fast_and_names_its_node():
     with pytest.raises(ToleranceNotMet, match="is not finite"):
         quad_halfline(f)
     assert len(seen) == 1
+    # finite values whose sum overflows: no node to name
+    with np.errstate(over="ignore"), pytest.raises(ToleranceNotMet, match=r"^integrand sum inf is not finite$"):
+        quad_realline(lambda x: np.full(x.shape, 1e308))
 
 
 def test_no_node_is_evaluated_twice():
@@ -324,15 +327,23 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _same_node_sets(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_one_row_driver_is_the_frozen_driver_bit_for_bit():
     # the integrands of test_no_node_is_evaluated_twice; the sin^2 one grows
-    # its window at the finer levels
+    # its window at the finer levels.  The same value, from the same node
+    # arrays in the same order.
     for quad, f, exp_sinh in (
         (quad_realline, lambda x: np.exp(-x * x), False),
         (quad_realline, lambda x: np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50), False),
         (quad_halfline, lambda r: np.exp(-r * r) * r**3, True),
     ):
-        assert _bits(quad(f)) == _bits(_frozen_trapezoid_doubling(f, exp_sinh))
+        counted, seen = _counting(f)
+        frozen, frozen_seen = _counting(f)
+        assert _bits(quad(counted)) == _bits(_frozen_trapezoid_doubling(frozen, exp_sinh))
+        assert _same_node_sets(seen, frozen_seen)
 
 
 @settings(max_examples=25, deadline=None)
@@ -397,8 +408,9 @@ def _gaussian_rows(scales):
 
 
 def test_no_row_evaluates_a_node_twice():
-    # rows of different widths share union calls; rows that grow their
-    # window at the finer levels, with the same window, share the growth
+    # rows of different widths in one stack, and rows that grow their window
+    # at the finer levels; each row is evaluated at exactly the node arrays
+    # of its own one-row call, set by set and in order
     sin2 = lambda x, rows: np.array([1.0, 2.0, 3.0])[rows, None] * np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50)
     for g, k, exact in (
         (_gaussian_rows([0.2, 1.0, 7.0, 40.0]), 4, [math.sqrt(math.pi / c) for c in (0.2, 1.0, 7.0, 40.0)]),
@@ -408,8 +420,12 @@ def test_no_row_evaluates_a_node_twice():
         values = numerics._trapezoid_doubling(recorded, rows=k)
         assert np.abs(values - exact).max() < 1e-11 * max(exact)
         for row in range(k):
-            nodes = np.concatenate([x for x, rows in seen if row in rows])
+            own = [x for x, rows in seen if row in rows]
+            nodes = np.concatenate(own)
             assert np.unique(nodes).size == nodes.size
+            alone, alone_seen = _counting(lambda x: g(x, slice(row, row + 1))[0])
+            assert _bits(numerics._trapezoid_doubling(alone)) == _bits(values[row])
+            assert _same_node_sets(own, alone_seen)
 
 
 def test_a_stack_names_the_row_and_node_of_a_non_finite_value():
@@ -435,6 +451,7 @@ def test_a_non_decaying_row_fails_its_stack():
         (lambda: bessel_k_alt(0.5, math.nan), "bessel_k_alt requires finite y, got nan"),
         (lambda: kernel_ka(GammaKind.COMPLEX, 1.5, complex(math.nan, 1.0)), "kernel_ka requires finite w"),
         (lambda: kernel_ka_quad(GammaKind.REAL, np.array([1.0, math.inf]), 1.0), r"kernel_ka_quad requires finite a, got inf at index \(1,\)"),
+        (lambda: kernel_ka_quad(GammaKind.COMPLEX, 0.0, 1.0), "kernel_ka_quad requires a > 0"),
         (lambda: radial_gaussian_moment(GammaKind.REAL, complex(2.0, math.nan)), "radial_gaussian_moment requires finite z"),
     ),
 )
