@@ -345,7 +345,11 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
                 if keep is not None:
                     full = np.zeros((len(rs), keep.size), v.dtype)
                     full[:, keep] = v
-                for i, (r, part) in enumerate(zip(rs, np.add.reduce(v, axis=1).tolist())):
+                # finite values may sum past float range; the check below
+                # reports that, so the overflow raises no RuntimeWarning
+                with np.errstate(over="ignore"):
+                    sums = np.add.reduce(v, axis=1).tolist()
+                for i, (r, part) in enumerate(zip(rs, sums)):
                     if not cmath.isfinite(part):
                         bad = np.flatnonzero(~np.isfinite(v[i]))
                         what = f"value {complex(v[i, bad[0]])}" if bad.size else f"sum {part}"

@@ -19,10 +19,13 @@ same bits as a call on that row alone.  _root_sums alone sizes its
 pieces, and asks its caller to build each one.  _unit_sums writes the unit
 sum's numerators once, one row per character of one conductor; gauss_sums
 sums every primitive character of a conductor that way, and gauss_sums_p2
-does the same mod 2^m (units +-5^k).  Every power of a generator comes from
-one table, _unit_powers, which _dlog_table inverts.  The int64 products
-bound the domain: a unit integral whose denominator times p^depth reaches
-2^63 raises RangeError, and both Gauss tables check it first.
+does the same mod 2^m (units +-5^k).  They walk the powers of a generator
+one piece at a time, each piece g^c0 times one cached head table of at most
+_SUM_BLOCK powers (_unit_power_piece), so a deep shell holds one piece of
+powers, never phi(p^depth) of them; only _dlog_table, which inverts the
+powers, builds a whole unit group.  The int64 products bound the domain:
+a unit integral whose denominator times p^depth reaches 2^63 raises
+RangeError, and both Gauss tables check it first.
 Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
 (chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
 for the trivial character r is 1 (0 when b = 0), since its sum has the same
@@ -233,14 +236,14 @@ class _ExactSum:
 
 @lru_cache(maxsize=None)
 def _unit_powers(g: int, mod: int, order: int) -> np.ndarray:
-    """g^j mod mod, j = 0 .. order - 1, read-only: the one table of powers
-    of a generator (unit_generator(p) at odd p, 5 mod 2^m).
+    """g^j mod mod, j = 0 .. order - 1, read-only: a table of powers of a
+    generator (unit_generator(p) at odd p, 5 mod 2^m).  The unit sums ask
+    for at most _SUM_BLOCK of them, the head of every piece they walk
+    (_unit_power_piece); only _dlog_table asks for a whole unit group.
 
     Filled by doubling, out[n:2n] = out[:n] g^n mod mod, in uint64, so mod^2
     must stay below 2^64 (RangeError otherwise); the residues, below 2^32,
-    are viewed as int64.  Below that bound the table still grows with the
-    modulus (phi(p^cond) entries behind _dlog_table at conductor p^cond);
-    character values by the p-adic logarithm would remove it.
+    are viewed as int64.
     """
     if mod * mod >= 2**64:
         raise RangeError(f"powers of a unit mod {mod} are beyond the uint64 table (mod^2 >= 2^64)")
@@ -254,6 +257,24 @@ def _unit_powers(g: int, mod: int, order: int) -> np.ndarray:
     out = out.view(np.int64)
     out.flags.writeable = False
     return out
+
+
+def _unit_power_piece(g: int, mod: int, order: int, j: np.ndarray) -> np.ndarray:
+    """g^j mod mod for the int64 exponents j of one kernel piece, each in
+    [j[0], j[0] + h), h = min(order, _SUM_BLOCK), g of order `order`.
+
+    They are g^j[0] times the head table _unit_powers(g, mod, h), taken in
+    uint64: both factors are below mod, and mod^2 < 2^64 (_unit_powers
+    checks it, and _unit_frame's den mod < 2^63 implies it), so every
+    product and residue is exact.  A deep shell thus holds one piece of
+    powers at a time, never phi(p^depth) of them."""
+    head = _unit_powers(g, mod, min(order, _SUM_BLOCK))
+    start = int(j[0])
+    if start == 0:
+        return head[j]
+    piece = head[j - start].view(np.uint64) * np.uint64(pow(g, start, mod))
+    piece %= np.uint64(mod)
+    return piece.view(np.int64)
 
 
 def _p_split(x, p: int) -> tuple[int | None, int, int]:
@@ -618,14 +639,15 @@ def _unit_sums(p: int, cond: int, exponents, b: int, r: int) -> list[complex]:
     in (-den p^depth, den p^depth), so none leaves int64."""
     depth, den, chi_unit, psi_step = _unit_frame(p, cond, b, r)
     steps = np.array(exponents, dtype=np.int64) * chi_unit % den
-    powers = _unit_powers(unit_generator(p), p**depth, (p - 1) * p ** (depth - 1))
+    g, mod, order = unit_generator(p), p**depth, (p - 1) * p ** (depth - 1)
 
     def block(rows: slice, cols: slice) -> np.ndarray:
-        k = np.multiply.outer(steps[rows], np.arange(cols.start, cols.stop, dtype=np.int64))
-        k -= psi_step * powers[cols]
+        j = np.arange(cols.start, cols.stop, dtype=np.int64)
+        k = np.multiply.outer(steps[rows], j)
+        k -= psi_step * _unit_power_piece(g, mod, order, j)
         return k
 
-    return _root_sums((steps.size, powers.size), block, den)
+    return _root_sums((steps.size, order), block, den)
 
 
 @lru_cache(maxsize=None)
@@ -724,15 +746,17 @@ def gauss_sums_p2(m: int) -> dict[tuple[int, int], complex]:
     chars = [(1, 0)] if m == 2 else [(eps, a) for eps in (0, 1) for a in range(1, order, 2)]
     half_eps = np.array([mod // 2 * eps for eps, _ in chars], dtype=np.int64)
     steps = np.array([4 * a for _, a in chars], dtype=np.int64)
-    powers = _unit_powers(5, mod, order)
 
     def block(rows: slice, cols: slice) -> np.ndarray:
         # column sign * order + k is the unit u = (-1)^sign 5^k: it
-        # contributes e((4 a k - u) / 2^m), and e(eps / 2) when sign = 1
+        # contributes e((4 a k - u) / 2^m), and e(eps / 2) when sign = 1.
+        # A piece holds both sign halves when 2 order fits in one (its k
+        # then start at 0), or else lies in one half, whose order columns
+        # are whole pieces; either way its k are as _unit_power_piece asks.
         sign, k = np.divmod(np.arange(cols.start, cols.stop, dtype=np.int64), order)
         nums = np.multiply.outer(steps[rows], k)
         nums += np.multiply.outer(half_eps[rows], sign)
-        nums -= (1 - 2 * sign) * powers[k]
+        nums -= (1 - 2 * sign) * _unit_power_piece(5, mod, order, k)
         return nums
 
     raw = _root_sums((len(chars), 2 * order), block, mod)

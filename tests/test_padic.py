@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -353,6 +354,58 @@ def test_unit_integral_matches_direct_formula_bit_for_bit():
                     for u in (1, 2, p + 2, -1):
                         t = Fraction(u) * Fraction(p) ** n
                         assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
+    # rows past three _SUM_BLOCKs (the 100 842 units mod 7^6): every piece
+    # after the first is g^c0 times the head table, the reference reads one
+    # full table
+    psi = AddChar(7, 0)
+    assert 6 * 7**5 > 3 * _SUM_BLOCK
+    for chi in (MultChar.trivial(7), MultChar.all_primitive(7, 1)[1]):
+        for u in (1, 3, -1):
+            t = Fraction(u, 7**6)
+            assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
+
+
+def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
+    # pieces of 4 columns: every later piece of powers is g^c0 times the
+    # head table, at odd p and for the +-5^k walk mod 2^m, which full-size
+    # pieces reach only past 2^15 units (gauss_sums_p2 from m = 18)
+    def sums():
+        return (
+            padic._unit_sums(7, 1, [1, 4], 3, 5),
+            padic._unit_sums(5, 2, [1, 2, 7], 2, 1),
+            list(gauss_sums_p2(7).values()),
+            list(gauss_sums_p2(3).values()),
+        )
+
+    full = sums()
+    monkeypatch.setattr(padic, "_SUM_BLOCK", 4)
+    for whole, pieced in zip(full, sums()):
+        assert [_bits(v) for v in whole] == [_bits(v) for v in pieced]
+
+
+def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
+    # the trivial shell mod 3^13: 1 062 882 units, whose whole table of
+    # powers would take 8.5 MB; the walk asks only for the head table
+    sizes = []
+    raw = padic._unit_powers
+
+    def recorded(g, mod, order):
+        sizes.append(order)
+        return raw(g, mod, order)
+
+    monkeypatch.setattr(padic, "_unit_powers", recorded)
+    raw.cache_clear()
+    tracemalloc.start()
+    try:
+        (total,) = padic._unit_sums(3, 0, [0], 13, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= _SUM_BLOCK
+    # a few pieces of int64 numerators and float64 terms, not the row
+    assert peak < 16 * 8 * _SUM_BLOCK
+    # the Ramanujan sum c_(3^13)(1) is 0
+    assert abs(total) < 1e-9
 
 
 def test_bruteforce_sums_each_trivial_shell_once(monkeypatch):
@@ -546,6 +599,18 @@ def test_unit_powers_walk_every_unit():
         powers = _unit_powers(5, mod, order)
         assert powers.tolist() == [pow(5, j, mod) for j in range(order)]
         assert sorted(powers.tolist()) == list(range(1, mod, 4))
+
+
+def test_unit_power_pieces_are_the_powers():
+    # each piece of a walk past one _SUM_BLOCK is g^c0 times the head table,
+    # reduced mod p^depth (5 mod 2^m included)
+    for g, mod, order in ((unit_generator(3), 3**13, 2 * 3**12), (unit_generator(7), 7**6, 6 * 7**5), (5, 2**20, 2**18)):
+        for c0 in range(0, order, _SUM_BLOCK):
+            j = np.arange(c0, min(c0 + _SUM_BLOCK, order), dtype=np.int64)
+            piece = padic._unit_power_piece(g, mod, order, j)
+            assert piece.dtype == np.int64 and piece.shape == j.shape
+            sample = np.r_[0 : j.size : 101, j.size - 1]
+            assert piece[sample].tolist() == [pow(g, int(e), mod) for e in j[sample]], (g, mod, c0)
 
 
 def test_unit_powers_beyond_uint64_raise_at_once():
