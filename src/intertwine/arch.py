@@ -29,9 +29,10 @@ mu_arch and mu_arch_derivative are its callers (the log derivative
 likewise: mu_arch_logderiv_many).  A point costs about 1.5-2 us
 in a batch of 100 or more, against about 100-150 us for a one-point call,
 so verify's loops and the mu tables pass whole batches.  The oracle
-takes batches too: mu_arch_oracle_many fetches the radial moments of all
-its points in one array call, one stacked quadrature for every moment the
-cache lacks, and mu_arch_oracle is its one-point caller.
+takes batches too: mu_arch_oracle_many takes the local L-factors of all
+its points in one gamma_factor call per place and their radial moments in
+one array call, one stacked quadrature for every moment the cache lacks,
+and mu_arch_oracle is its one-point caller.
 """
 
 from __future__ import annotations
@@ -113,14 +114,28 @@ def _i_pow(n: int) -> complex:
 _GAMMA = {Place.COMPLEX: (GammaKind.COMPLEX, 2), Place.REAL: (GammaKind.REAL, 1)}
 
 
-def arch_l_factor(params: ArchParams, z: complex) -> complex:
-    """Local L-factor of the inducing character twist at this place."""
-    kind, d = _GAMMA[params.place]
-    return gamma_factor(kind, z + 1j * params.mu + abs(params.n0) / d)
+def _out_of_range(y: float, n: int, name: str = "mu_arch") -> RangeError:
+    return RangeError(f"{name}: gamma ratio leaves float range at y = {y:g}, n = {n}")
 
 
-def _out_of_range(y: float, n: int) -> RangeError:
-    return RangeError(f"mu_arch: gamma ratio leaves float range at y = {y:g}, n = {n}")
+def _l_factors(params: Sequence[ArchParams]) -> list[tuple[complex, complex]]:
+    """(L(1 + 2s), L'(1 - 2s)) at each point, the local L-factors (gamma
+    factors at z + i mu + |n0| / d) of the character and of its inverse
+    (twist -mu); one gamma_factor call per place, inf or nan out of range."""
+    args: dict[Place, list[complex]] = {}
+    for pa in params:
+        h = abs(pa.n0) / _GAMMA[pa.place][1]
+        args.setdefault(pa.place, []).extend((1 + 2 * pa.s + 1j * pa.mu + h, 1 - 2 * pa.s + 1j * -pa.mu + h))
+    values = {place: iter(gamma_factor(_GAMMA[place][0], np.array(zs)).tolist()) for place, zs in args.items()}
+    return [(next(values[pa.place]), next(values[pa.place])) for pa in params]
+
+
+def _l_ratio(num: complex, den: complex, y: float, n: int, name: str) -> complex:
+    """num / den in Python complex arithmetic, unless den is 0 or den or the
+    ratio is not finite: then RangeError (_out_of_range)."""
+    if den == 0 or not (cmath.isfinite(den) and cmath.isfinite(ratio := num / den)):
+        raise _out_of_range(y, n, name)
+    return ratio
 
 
 def _points(place: Place, s, mu, n0, n) -> tuple[np.ndarray, ...]:
@@ -183,14 +198,15 @@ def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> complex:
 
     normalized=True gives the L-factor-normalized operator (unit modulus on
     the axis); normalized=False removes that normalization, multiplying by
-    the inverse ratio of the local L-factors.
+    the inverse ratio of the local L-factors, with the RangeError of
+    mu_arch_many where that ratio or the product is not finite.
     """
     val = complex(mu_arch_many(params.place, params.s, params.mu, params.n0, [n])[0])
     if not normalized:
-        try:
-            val *= arch_l_factor(_swapped(params), 1 - 2 * params.s) / arch_l_factor(params, 1 + 2 * params.s)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise _out_of_range(params.s.imag, n) from exc
+        (lf, lf_inv), = _l_factors([params])
+        val *= _l_ratio(lf_inv, lf, params.s.imag, n, "mu_arch")
+        if not cmath.isfinite(val):
+            raise _out_of_range(params.s.imag, n)
     return val
 
 
@@ -360,15 +376,18 @@ def _real_degree_weights(phi: PolyGaussian2, n0: int, kappa: complex) -> tuple:
 
 def _section_sum(weights: tuple, params: ArchParams, method: str) -> complex:
     """sum_deg W_deg * R(deg), R(deg) the radial integral of the degree-deg
-    monomials at params' s and mu, as a gamma factor ("closed") or by
-    double-exponential quadrature ("quadrature")."""
+    monomials at params' s and mu, as a gamma factor ("closed", RangeError
+    out of float range) or by double-exponential quadrature ("quadrature")."""
     if method == "quadrature":
         return _weighted_sum(weights, _quadrature_radials(params.place, _moment_zs(params, weights)))
-    s, mu = params.s, params.mu
+    kind, d = _GAMMA[params.place]
+    base = 1 + 2 * params.s + 1j * params.mu
+    gammas = gamma_factor(kind, np.array([base + deg / d for deg, _ in weights]))
+    if not np.isfinite(gammas).all():
+        raise RangeError(f"tate section: a gamma factor leaves float range at s = {params.s}")
+    rads = gammas.tolist()
     if params.place is Place.REAL:
-        rads = [0.5 * gamma_factor(GammaKind.REAL, 1 + 2 * s + 1j * mu + deg) for deg, _ in weights]
-    else:
-        rads = [gamma_factor(GammaKind.COMPLEX, 1 + 2 * s + 1j * mu + deg / 2) for deg, _ in weights]
+        rads = [0.5 * g for g in rads]
     return _weighted_sum(weights, rads)
 
 
@@ -395,9 +414,8 @@ def _quadrature_radials(place: Place, zs: list[complex]) -> list[complex]:
     """The radial integrals whose moment exponents are zs, from one array
     call of radial_gaussian_moment: the moment / 2 at the real place,
     int_0^inf exp(-2 pi r^2) r^z dr/r = moment / 4 at the complex place."""
-    if place is Place.REAL:
-        return [m / 2 for m in radial_gaussian_moment(GammaKind.REAL, np.array(zs)).tolist()]
-    return [m / 4 for m in radial_gaussian_moment(GammaKind.COMPLEX, np.array(zs)).tolist()]
+    kind, d = _GAMMA[place]
+    return [m / (2 * d) for m in radial_gaussian_moment(kind, np.array(zs)).tolist()]
 
 
 def tate_section_complex(
@@ -536,22 +554,24 @@ def mu_arch_oracle_many(
 ) -> np.ndarray:
     """mu_arch_oracle at each (params[i], ns[i]), as a complex array.
 
-    The radial moments of every point's sample rows are fetched in one
+    The local L-factors of every point come from one gamma_factor call per
+    place, and the radial moments of every point's sample rows from one
     array call of radial_gaussian_moment per place, so one stacked
     quadrature computes every moment the cache lacks; each value is bit for
-    bit its one-point value.  Every point is checked (weight, raise count,
-    L-factor ratio) before any moment is computed, and the errors are those
-    of mu_arch_oracle, for the first failing point.
+    bit its one-point value.  Every point is checked (weight and raise
+    count, then its L-factor ratio: RangeError where it is not finite)
+    before any moment is computed, and the errors are those of
+    mu_arch_oracle, for the first failing point.
     """
-    points = []
     for pa, n in zip(params, ns, strict=True):
         _check_type_index(pa.place, pa.n0, n)
-        sw = _swapped(pa)
-        # denominator L-factor belongs to the inverse character: twist -mu
-        l_ratio = arch_l_factor(pa, 1 + 2 * pa.s) / arch_l_factor(sw, 1 - 2 * pa.s)
         if pa.place is Place.REAL and k != 0:
             raise ValueError("raised sections only exist at the complex place")
-        points.append((pa, sw, l_ratio, _plan(pa.place, pa.n0, n, k)))
+    # the denominator's L-factor belongs to the inverse character: twist -mu
+    points = [
+        (pa, _swapped(pa), _l_ratio(lf, lf_inv, pa.s.imag, n, "mu_arch_oracle"), _plan(pa.place, pa.n0, n, k))
+        for pa, n, (lf, lf_inv) in zip(params, ns, _l_factors(params))
+    ]
 
     # the moments of each place in one call, taken back in the order they
     # were listed: point by point, row by row, the denominator's degrees

@@ -10,12 +10,10 @@ and on adaptive trapezoid quadrature after a double-exponential change of
 variables.  The normalizations are not assumed: the test suite pins them by
 matching the radial integrals they are meant to equal.
 
-complex_gamma and gamma_factor take a complex scalar or an ndarray through
-one Lanczos body: a scalar stays on Python complex arithmetic (about 3 us a
-call), an array is one vectorized pass (a one-point array costs about
-55 us, so arrays pay from about 20-30 points).  The closed forms built on
-them (arch.mu_arch_many, globalq.completed_zeta) pass each batch of points
-in one call.
+complex_gamma and gamma_factor have one vectorized Lanczos body each, and
+a scalar is a one-point array (about 55 us a call), so the closed forms
+built on them (arch.mu_arch_many, the oracle's L-factors,
+globalq.completed_zeta) pass each batch of points in one call.
 
 The quadratures are stacked too: _trapezoid_doubling runs the one-row
 rule (_row_schedule) for each row of a stack and evaluates the rows that
@@ -40,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InconsistentRatio, PoleError, ToleranceNotMet
+from .errors import InconsistentRatio, PoleError, RangeError, ToleranceNotMet
 
 # np.trapezoid from numpy 2.0 on; np.trapz, its old name, before (and gone in 2.4)
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -78,100 +76,84 @@ _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _lanczos(z, exp):
-    """Gamma(z) on Re z >= 1/2 by the Lanczos sum, for a complex scalar or a
-    complex array; exp is cmath.exp or np.exp to match."""
+def _lanczos(z: np.ndarray) -> np.ndarray:
+    """Gamma(z) on Re z >= 1/2 by the Lanczos sum, elementwise."""
     z = z - 1.0
     x = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         x += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * exp(-t) * x
+    return _SQRT_2PI * t ** (z + 0.5) * np.exp(-t) * x
+
+
+def _one_body(body: Callable, x, name: str, arg: str):
+    """body of the flat complex array of x, under a quiet np.errstate: an
+    array of x's shape for an ndarray or a sequence x, else the one value
+    as a Python complex, RangeError naming x where it is not finite."""
+    xs = np.asarray(x, complex)
+    with np.errstate(all="ignore"):
+        v = _unstack(body(xs.ravel()), xs.shape if xs.ndim or isinstance(x, np.ndarray) else None)
+    if isinstance(v, complex) and not cmath.isfinite(v):
+        raise RangeError(f"{name}({arg}) leaves float range at {arg} = {x}")
+    return v
+
+
+def _gamma(z: np.ndarray) -> np.ndarray:
+    left = z.real < 0.5
+    g = _lanczos(np.where(left, 1.0 - z, z))
+    zl = z[left]
+    s = np.sin(math.pi * zl)
+    if not s.all():
+        raise PoleError(f"gamma pole at z = {zl[s == 0][0]}")
+    g[left] = math.pi / (s * g[left])
+    return g
 
 
 def complex_gamma(z):
     """Gamma function for complex argument: the Lanczos sum on Re z >= 1/2,
     and below it the reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
 
-    A scalar z gives a Python complex, computed in Python complex
-    arithmetic.  An ndarray gives a complex array of its shape: one Lanczos
-    sum over every element (at 1 - z where Re z < 1/2), then sin(pi z) and
-    the reflection on those elements only, so that sin never sees, and
-    never overflows on, an element that does not reflect.  Array elements
-    that leave float range come back inf or nan, with no warning.  Raises
-    PoleError where sin(pi z) is exactly 0.
+    Scalars, arrays and float range as in gamma_factor.  sin(pi z) is taken
+    on the reflected elements only, so that sin never sees, and never
+    overflows on, an element that does not reflect.  Raises PoleError where
+    sin(pi z) is exactly 0.
     """
-    if not isinstance(z, np.ndarray):
-        z = complex(z)
-        if not z.real < 0.5:
-            return _lanczos(z, cmath.exp)
-        s = cmath.sin(math.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z = {z}")
-        return math.pi / (s * _lanczos(1.0 - z, cmath.exp))
-    z = z.astype(complex)
-    left = z.real < 0.5
-    with np.errstate(all="ignore"):
-        g = _lanczos(np.where(left, 1.0 - z, z), np.exp)
-        zl = z[left]
-        s = np.sin(math.pi * zl)
-        if not s.all():
-            raise PoleError(f"gamma pole at z = {zl[s == 0][0]}")
-        g[left] = math.pi / (s * g[left])
-    return g
-
-
-def _near_nonpositive_integer(z, tol: float = 1e-12):
-    """Whether z lies within tol of 0, -1, -2, ...; elementwise for an array."""
-    x = z.real
-    n = (x + 0.5) // 1.0
-    return (n <= 0) & (abs(x - n) <= tol) & (abs(z.imag) <= tol)
+    return _one_body(_gamma, z, "Gamma", "z")
 
 
 def gamma_factor(kind: GammaKind, s):
     """Normalized gamma factor at an archimedean completion.
 
     REAL gives pi**(-s/2) Gamma(s/2), COMPLEX gives 2 (2 pi)**(-s) Gamma(s).
-    s is a complex scalar (Python complex arithmetic, a Python complex
-    back) or an ndarray (one vectorized pass, an array of its shape back,
-    with inf or nan and no warning where an element leaves float range).
-    Raises PoleError when the underlying Gamma argument sits at a
-    nonpositive integer, naming the first such element of an array;
-    continuation through poles is the caller's responsibility.
+    s is a complex scalar (a Python complex back) or an ndarray or a
+    sequence (an array of its shape back).  A scalar is a one-point array, bit for bit, and
+    an element does not depend on the others.  An array element that
+    leaves float range is inf or nan, with no warning; a scalar there
+    raises RangeError naming s.  Raises PoleError when the Gamma argument
+    lies within 1e-12 of a nonpositive integer, naming the first such
+    element; continuation through poles is the caller's responsibility.
 
     Accuracy against mpmath at 30 digits, on the box -1/4 <= Re s <= 42,
     |Im s| <= 50, which holds every argument that verify (at both sizes)
-    and the benchmark's mu tables pass: at most 2.1e-13 relative, for a
-    scalar and for an array alike, and an array element lies within 4.5e-14
-    relative of the scalar value (both kinds; 160 000 random points and the
-    38 000 distinct arguments of those runs); the worst random points lie
-    near |Im s| = 50.
+    and the benchmark's mu tables pass: at most 2.1e-13 relative (both
+    kinds; 160 000 random points and the 38 000 distinct arguments of those
+    runs); the worst random points lie near |Im s| = 50.
     """
-    if not isinstance(s, np.ndarray):
-        return _gamma_factor(kind, complex(s), False)
-    with np.errstate(all="ignore"):
-        return _gamma_factor(kind, s.astype(complex), True)
-
-
-def _gamma_factor(kind: GammaKind, s, array: bool):
-    """gamma_factor of a Python complex s, or of a complex ndarray s under a
-    quiet np.errstate."""
-    if kind is GammaKind.REAL:
-        z, log_base = s / 2, _LOG_PI
-    elif kind is GammaKind.COMPLEX:
-        z, log_base = s, _LOG_2PI
-    else:
+    if kind not in (GammaKind.REAL, GammaKind.COMPLEX):
         raise ValueError(f"unknown gamma kind {kind!r}")
-    if array:
-        pole = _near_nonpositive_integer(z)
+
+    def body(s: np.ndarray) -> np.ndarray:
+        z = s / 2 if kind is GammaKind.REAL else s
+        x = z.real
+        n = (x + 0.5) // 1.0
+        pole = (n <= 0) & (abs(x - n) <= 1e-12) & (abs(z.imag) <= 1e-12)
         if pole.any():
             raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s[pole][0]}")
-    elif z.real <= 0.5 and _near_nonpositive_integer(z):
-        raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s}")
-    front = (np.exp if array else cmath.exp)(-z * log_base)
-    if kind is GammaKind.COMPLEX:
-        front = 2.0 * front
-    return front * complex_gamma(z)
+        if kind is GammaKind.REAL:
+            return np.exp(-z * _LOG_PI) * complex_gamma(z)
+        return 2.0 * np.exp(-z * _LOG_2PI) * complex_gamma(z)
+
+    return _one_body(body, s, f"Gamma_{kind.name[0]}", "s")
 
 
 # _row_schedule's block of coarse steps, run of quiet terms, and nodes a
@@ -339,16 +321,16 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
                 v = f(x, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else np.array(rs))
                 if v.shape != (len(rs), n):
                     raise ValueError(f"integrand returned shape {v.shape} for {len(rs)} rows of {n} nodes")
-                # a C-contiguous block sums each row as a 1-D array
-                v = np.ascontiguousarray(v if w is None else v * w)
+                # weighted or summed, finite values may leave float range;
+                # the check below reports it, with no RuntimeWarning.  A
+                # C-contiguous block sums each row as a 1-D array.
+                with np.errstate(over="ignore"):
+                    v = np.ascontiguousarray(v if w is None else v * w)
+                    sums = np.add.reduce(v, axis=1).tolist()
                 full = v
                 if keep is not None:
                     full = np.zeros((len(rs), keep.size), v.dtype)
                     full[:, keep] = v
-                # finite values may sum past float range; the check below
-                # reports that, so the overflow raises no RuntimeWarning
-                with np.errstate(over="ignore"):
-                    sums = np.add.reduce(v, axis=1).tolist()
                 for i, (r, part) in enumerate(zip(rs, sums)):
                     if not cmath.isfinite(part):
                         bad = np.flatnonzero(~np.isfinite(v[i]))
@@ -410,14 +392,9 @@ def _masked_exp(expo: np.ndarray, rest: np.ndarray) -> np.ndarray:
 
 def _stack(name: str, **args) -> tuple[list[np.ndarray], tuple | None]:
     """The arguments of an array evaluator as flat arrays of their common
-    broadcast shape, and that shape: None when no argument is an ndarray,
-    so that the evaluator returns a complex.  Raises ValueError naming the
+    broadcast shape, and that shape: None when every argument is a scalar
+    (no ndarray, no sequence), so that the evaluator returns a complex.  Raises ValueError naming the
     first non-finite entry, before any node is evaluated."""
-    if not any(isinstance(v, np.ndarray) for v in args.values()):
-        for key, v in args.items():
-            if not cmath.isfinite(v):
-                raise ValueError(f"{name} requires finite {key}, got {v!r}")
-        return [np.array([v]) for v in args.values()], None
     arrays = [np.asarray(v) for v in args.values()]
     for key, a in zip(args, arrays):
         if not np.isfinite(a).all():
@@ -425,7 +402,8 @@ def _stack(name: str, **args) -> tuple[list[np.ndarray], tuple | None]:
             at = f" at index {tuple(int(i) for i in np.unravel_index(bad, a.shape))}" if a.ndim else ""
             raise ValueError(f"{name} requires finite {key}, got {a.flat[bad].item()!r}{at}")
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    return [(a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in arrays], shape
+    flat = [(a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in arrays]
+    return flat, shape if shape or any(isinstance(v, np.ndarray) for v in args.values()) else None
 
 
 def _unstack(values: np.ndarray, shape: tuple | None):
@@ -543,10 +521,6 @@ def radial_gaussian_moment(kind: GammaKind, z):
     from the cache, in one stacked quadrature.
     """
     cache = _MOMENTS[kind]
-    if not isinstance(z, np.ndarray):
-        hit = cache.get(complex(z))
-        if hit is not None:
-            return hit
     (z,), shape = _stack("radial_gaussian_moment", z=z)
     zs = z.tolist()
     missing = [v for v in dict.fromkeys(zs) if v not in cache]

@@ -13,7 +13,10 @@ single kernel, _root_sums (root_of_unity_sum is its public entry on a
 numerator array, which the tests call).  The numerators are built as int64
 arrays and the kernel takes cos and sin in numpy blocks, sums each component
 exactly in integer limbs and rounds it once (the value math.fsum gives), so
-sums are exact up to a rounding floor near 1e-15.  The kernel sums many
+a sum adds no rounding of its own.  Each term still carries the rounding of
+its cos and sin, so the error floor grows with the number of terms: the
+trivial unit sum mod 3^13 (1 062 882 terms, exactly 0) reads -4.1e-11, and
+mod 7^6 (100 842 terms) -3.9e-12.  The kernel sums many
 rows at once: a (rows, n) array gives one exactly rounded sum per row, the
 same bits as a call on that row alone.  _root_sums alone sizes its
 pieces, and asks its caller to build each one.  _unit_sums writes the unit

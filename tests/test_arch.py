@@ -302,7 +302,11 @@ def _raised(n0, n, k):
 def _reference_oracle(params, n, k):
     # the oracle's ratio rebuilt from the public sections at every sample point
     sw = arch._swapped(params)
-    l_ratio = arch.arch_l_factor(params, 1 + 2 * params.s) / arch.arch_l_factor(sw, 1 - 2 * params.s)
+    # the local L-factors of the character and of its inverse, one point each
+    kind, d = (GammaKind.COMPLEX, 2) if params.place is Place.COMPLEX else (GammaKind.REAL, 1)
+    l_ratio = gamma_factor(kind, 1 + 2 * params.s + 1j * params.mu + abs(params.n0) / d) / gamma_factor(
+        kind, 1 - 2 * params.s + 1j * sw.mu + abs(sw.n0) / d
+    )
     ratios = []
     if params.place is Place.COMPLEX:
         phi = _raised(params.n0, n, k)
@@ -445,6 +449,37 @@ def test_oracle_batch_is_its_points_bit_for_bit(monkeypatch):
     with pytest.raises(ParityError):
         mu_arch_oracle_many([points[0][0], points[1][0]], [points[0][1], points[1][1] + 1])
     assert calls == []
+
+
+def test_oracle_takes_its_l_factors_in_one_gamma_call_per_place(monkeypatch):
+    # every point's L-factor ratio from one array gamma_factor call per
+    # place, each ratio bit for bit its one-point value
+    calls = []
+    real = arch.gamma_factor
+
+    def counted(kind, s):
+        calls.append((kind, np.shape(s)))
+        return real(kind, s)
+
+    monkeypatch.setattr(arch, "gamma_factor", counted)
+    points = [(ArchParams(place, s, mu, n0), n) for place, mu in ((Place.REAL, 0.25), (Place.COMPLEX, -0.3))
+              for s in (0.22, 0.31 + 0.04j) for n0, n in _ORACLE_SHAPES[place][:5]]
+    batch = mu_arch_oracle_many([pa for pa, _ in points], [n for _, n in points])
+    assert calls == [(GammaKind.REAL, (2 * 10,)), (GammaKind.COMPLEX, (2 * 10,))]
+    assert [_hex(v) for v in batch.tolist()] == [_hex(mu_arch_oracle(pa, n)) for pa, n in points]
+    assert len(calls) == 2 + len(points)
+
+
+def test_l_factor_ratio_outside_float_range_raises_range_error():
+    # mu_arch_many is finite here (about 1), but the L-factor ratio
+    # overflows; the unnormalized value was inf + nan i without an error
+    pa = ArchParams(Place.REAL, -130.3)
+    assert np.isfinite(mu_arch(pa, 0))
+    with pytest.raises(RangeError, match=r"^mu_arch: gamma ratio leaves float range at y = 0, n = 0$"):
+        mu_arch(pa, 0, normalized=False)
+    # the closed section's gamma factors overflow at s = 200
+    with pytest.raises(RangeError, match="gamma factor leaves float range at s = 200"):
+        tate_section_complex(section_su2(0, 2), ArchParams(Place.COMPLEX, 200.0), hopf_point(0.6, 0.4, 1.2))
 
 
 @pytest.mark.parametrize("place,n0,n", [(Place.COMPLEX, 0, 4), (Place.REAL, 1, -3)])

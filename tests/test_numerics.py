@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intertwine.numerics as numerics
-from intertwine.errors import PoleError, ToleranceNotMet
+from intertwine.errors import PoleError, RangeError, ToleranceNotMet
 from intertwine.verify import _AXIS_SIGMAS
 from intertwine.numerics import (
     GammaKind,
@@ -90,12 +90,10 @@ def test_gamma_poles_rejected_on_the_array_path():
     assert np.isfinite(vals[:2]).all() and not np.isfinite(vals[2])
 
 
-# gamma_factor's box and its measured bounds (see its docstring): relative
-# error against mpmath, and the distance of an array element from the
-# scalar value, each about 1.5 times the worst seen
+# gamma_factor's box and its measured bound (see its docstring): relative
+# error against mpmath, about 1.5 times the worst seen
 GAMMA_BOX = ((-0.25, 42.0), (-50.0, 50.0))
 GAMMA_REL_ERR = 3.2e-13
-GAMMA_ARRAY_DEV = 7e-14
 gamma_box_points = st.tuples(st.floats(*GAMMA_BOX[0]), st.floats(*GAMMA_BOX[1])).map(lambda p: complex(*p)).filter(
     lambda z: abs(z) > 1e-6  # the pole at 0 of both kinds
 )
@@ -104,12 +102,32 @@ gamma_box_points = st.tuples(st.floats(*GAMMA_BOX[0]), st.floats(*GAMMA_BOX[1]))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(gamma_box_points, min_size=1, max_size=40), st.sampled_from(list(GammaKind)))
 def test_gamma_array_matches_elementwise_scalars(points, kind):
+    # a scalar is a one-point array, and an element does not depend on the
+    # others: bit for bit, signed zeros included
     arr = gamma_factor(kind, np.array(points))
     assert arr.shape == (len(points),) and arr.dtype == complex
-    for z, a in zip(points, arr):
+    gammas = complex_gamma(np.array(points)).tolist()
+    for z, a, g in zip(points, arr.tolist(), gammas):
         scalar = gamma_factor(kind, z)
         assert type(scalar) is complex
-        assert abs(a - scalar) <= GAMMA_ARRAY_DEV * abs(scalar)
+        assert _bits(scalar) == _bits(a)
+        assert _bits(complex_gamma(z)) == _bits(g)
+    # an array keeps its shape, and a list is an array, not its first point
+    assert gamma_factor(kind, np.array(points * 2).reshape(2, -1)).shape == (2, len(points))
+    assert gamma_factor(kind, points).tolist() == arr.tolist()
+
+
+def test_a_scalar_gamma_outside_float_range_raises_range_error():
+    # an array element there is inf or nan with no warning; a scalar raises
+    # RangeError naming its argument, which the CLI reports as exit 2
+    with pytest.raises(RangeError, match=r"Gamma_C\(s\) leaves float range at s = 300.0"):
+        gamma_factor(GammaKind.COMPLEX, 300.0)
+    with pytest.raises(RangeError, match=r"Gamma_R\(s\) leaves float range at s = \(-1.5\+900j\)"):
+        gamma_factor(GammaKind.REAL, -1.5 + 900j)
+    with pytest.raises(RangeError, match=r"Gamma\(z\) leaves float range at z = 200.0"):
+        complex_gamma(200.0)
+    vals = gamma_factor(GammaKind.COMPLEX, np.array([300.0, 2.0]))
+    assert not np.isfinite(vals[0]) and vals[1] == gamma_factor(GammaKind.COMPLEX, 2.0)
 
 
 def test_gamma_factor_against_mpmath_on_its_box():
@@ -234,6 +252,15 @@ def test_non_finite_value_fails_fast_and_names_its_node():
     # RuntimeWarning (pyproject's filter turns one from intertwine into an error)
     with pytest.raises(ToleranceNotMet, match=r"^integrand sum inf is not finite$"):
         quad_realline(lambda x: np.full(x.shape, 1e308))
+
+
+@pytest.mark.parametrize("c", [1e290, 1e300, 1e308])
+def test_exp_sinh_weights_that_overflow_name_their_node(c):
+    # the exp-sinh weights reach about 1e304, so c times a weight leaves
+    # float range before the row sum: ToleranceNotMet naming the node, and
+    # no overflow RuntimeWarning from the weighting
+    with pytest.raises(ToleranceNotMet, match=r"^integrand value \(inf\+0j\) at node x = \S+ is not finite$"):
+        quad_halfline(lambda r: np.full(r.shape, c))
 
 
 def test_no_node_is_evaluated_twice():
@@ -372,6 +399,8 @@ def test_array_evaluators_keep_their_scalar_values_and_shapes():
         # one z broadcast against a grid of a: a scalar argument with an array
         assert kernel_ka(kind, a, 1.0 + 0.5j).shape == (2, 2)
     assert type(bessel_k(0.5, 1.0)) is complex and type(radial_gaussian_moment(GammaKind.REAL, 2.5)) is complex
+    # a sequence is an array, not its first entry
+    assert bessel_k([0.5, 1.5], 1.0).tolist() == [bessel_k(0.5, 1.0), bessel_k(1.5, 1.0)]
 
 
 def test_moment_array_computes_only_the_missing_entries_in_one_stack(monkeypatch):
