@@ -55,7 +55,7 @@ from .harmonics import (
     hopf_point,
     lie_act_su2,
 )
-from .numerics import GammaKind, _consistent_ratio, gamma_factor, radial_gaussian_moment
+from .numerics import GammaKind, _consistent_ratio, _stack, gamma_factor, radial_gaussian_moment
 from .schwartz import (
     PolyGaussian2,
     PolyGaussian4,
@@ -87,7 +87,7 @@ class ArchParams:
 
     def __post_init__(self):
         if not (cmath.isfinite(self.s) and math.isfinite(self.mu)):
-            raise ValueError(f"need finite s and mu, got s={self.s}, mu={self.mu}")
+            raise RangeError(f"need finite s and mu, got s={self.s}, mu={self.mu}")
         if self.place is Place.REAL and self.n0 not in (0, 1):
             raise ParityError(f"real-place angular weight must be 0 or 1, got {self.n0}")
 
@@ -138,23 +138,18 @@ def _l_ratio(num: complex, den: complex, y: float, n: int, name: str) -> complex
     return ratio
 
 
-def _points(place: Place, s, mu, n0, n) -> tuple[np.ndarray, ...]:
-    """s, mu, n0 and n broadcast against each other and flattened, after
-    the checks ArchParams and _check_type_index make on each point."""
-    s, mu, n0, n = np.asarray(s, complex), np.asarray(mu, float), np.asarray(n0), np.asarray(n)
-    for name, a in (("s", s), ("mu", mu)):
-        bad = ~np.isfinite(a)
-        if bad.any():
-            raise ValueError(f"need finite s and mu, got {name}={a[bad][0]}")
+def _points(name: str, place: Place, s, mu, n0, n) -> tuple[np.ndarray, ...]:
+    """s, mu, n0 and n flattened by numerics._stack for the evaluator
+    `name`, after the checks ArchParams and _check_type_index make on each
+    point."""
+    (s, mu, n0, n), _ = _stack(name, real=("mu",), s=s, mu=mu, n0=n0, n=n)
     if place is Place.REAL:
         bad = (n0 != 0) & (n0 != 1)
         if bad.any():
             raise ParityError(f"real-place angular weight must be 0 or 1, got {n0[bad][0]}")
-    shape = np.broadcast(s, mu, n0, n).shape
-    s, mu, n0, n = (a.ravel() if a.shape == shape else np.broadcast_to(a, shape).ravel() for a in (s, mu, n0, n))
     for pair in dict.fromkeys(zip(n0.tolist(), n.tolist())):
         _check_type_index(place, *pair)
-    return s, mu, n0, n
+    return s.astype(complex, copy=False), mu.astype(float, copy=False), n0, n
 
 
 def mu_arch_many(place: Place, s, mu, n0, n) -> np.ndarray:
@@ -172,7 +167,7 @@ def mu_arch_many(place: Place, s, mu, n0, n) -> np.ndarray:
     leaves float range), naming the y = Im s and the n of the first such
     point.
     """
-    s, mu, n0, n = _points(place, s, mu, n0, n)
+    s, mu, n0, n = _points("mu_arch_many", place, s, mu, n0, n)
     kind, d = _GAMMA[place]
     a = 1 + 2 * s + 1j * mu
     b = 1 - 2 * s - 1j * mu
@@ -243,7 +238,7 @@ def mu_arch_logderiv_many(place: Place, s, mu, n0, n) -> np.ndarray:
     t = 2y + mu and c = 1 + (|n0| + 2k) / d for k = 0 .. K - 1, subtracted
     in order of k; so a value does not depend on the other points.
     """
-    s, mu, n0, n = _points(place, s, mu, n0, n)
+    s, mu, n0, n = _points("mu_arch_logderiv_many", place, s, mu, n0, n)
     d = _GAMMA[place][1]
     t = 2 * s.imag + mu
     counts = (np.abs(n) - np.abs(n0)) // 2
@@ -271,7 +266,7 @@ def mu_arch_derivative(place: Place, s, mu, n0, n) -> tuple[np.ndarray, np.ndarr
     tests); a caller that needs just the derivative computes mu * logderiv
     itself and evaluates the gamma ratios once instead of three times.
     """
-    s, mu, n0, n = _points(place, s, mu, n0, n)
+    s, mu, n0, n = _points("mu_arch_derivative", place, s, mu, n0, n)
     h = 1e-5
     val, plus, minus = mu_arch_many(place, np.concatenate((s, s + h, s - h)), np.tile(mu, 3), np.tile(n0, 3),
                                     np.tile(n, 3)).reshape(3, -1)

@@ -16,12 +16,13 @@ on |Re z| <= 200, |Im z| <= 450 and the global factor on |y| <= 200.  Each
 docstring gives the accuracy measured there against mpmath at 30 digits;
 outside its domain an evaluator raises RangeError.
 
-riemann_zeta, completed_zeta, mu_global_factor and mu_global take arrays of
-points: one vectorized Euler-Maclaurin body serves them, and a scalar is
-its one-point case (about 60 us for zeta, against 12 us for the scalar loop
-it replaced), so the callers here and in verify pass each grid in one call:
-the residue extrapolations their four nodes, the suite's
-functional-equation, reflection and factor grids their points.
+riemann_zeta, completed_zeta and mu_global_factor take scalars, ndarrays,
+lists and tuples of points as the numerics module docstring says, and
+mu_global a sequence of points: one vectorized Euler-Maclaurin body serves
+them, and a scalar is its one-point case (about 60 us for zeta, against
+12 us for the scalar loop it replaced), so the callers here and in verify
+pass each grid in one call: the residue extrapolations their four nodes,
+the suite's functional-equation, reflection and factor grids their points.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .arch import Place, mu_arch_many
 from .errors import PoleError, RangeError
-from .numerics import GammaKind, gamma_factor, limit_at_zero, trapezoid
+from .numerics import GammaKind, _stack, gamma_factor, limit_at_zero, trapezoid
 from .padic import mu_finite, unramified_params, val_p
 
 # riemann_zeta's height bound, which also sizes its table of log k
@@ -105,12 +106,10 @@ def _zeta_euler_maclaurin(z: np.ndarray) -> np.ndarray:
 def riemann_zeta(z):
     """zeta(z) on Re z >= -3, |Im z| <= 1000, by Euler-Maclaurin summation.
 
-    z is a complex scalar (a Python complex back) or an ndarray (an array of
-    its shape back); one vectorized body serves both, with N and the
-    integer shift set per point, and a point's value does not depend on the
-    other points of the array.  A scalar is a one-point array (about 60 us
-    against 12 us for the scalar loop it replaced), so callers pass their
-    points in one array.
+    z is taken as in the numerics module docstring; one vectorized body
+    serves every point, with N and the integer shift set per point.  A
+    scalar is a one-point array (about 60 us against 12 us for the scalar
+    loop it replaced), so callers pass their points in one array.
 
     The error against mpmath at 30 digits stays below rel * |zeta| + abs per
     strip of Re z, |Im z| <= 1000.  Each bound is about 1.5 times the worst
@@ -133,24 +132,23 @@ def riemann_zeta(z):
     itself.  Raises RangeError outside the domain, PoleError at z = 1, each
     naming the first such element of an array.
     """
-    array = isinstance(z, np.ndarray)
-    zs = np.asarray(z, complex).ravel()
-    bad = ~((-3.0 <= zs.real) & (zs.real < math.inf) & (np.abs(zs.imag) <= _ZETA_MAX_IM))
+    (zs,), back = _stack("riemann_zeta", z=z)
+    zs = zs.astype(complex, copy=False)
+    bad = ~((-3.0 <= zs.real) & (np.abs(zs.imag) <= _ZETA_MAX_IM))
     if bad.any():
         raise RangeError(f"riemann_zeta needs Re z >= -3 and |Im z| <= 1000, got {zs[bad][0]}")
     if (np.abs(zs - 1) < 1e-12).any():
         raise PoleError("zeta pole at z = 1")
-    vals = _zeta_euler_maclaurin(zs)
-    return vals.reshape(np.shape(z)) if array else complex(vals[0])
+    return back(_zeta_euler_maclaurin(zs))
 
 
 def completed_zeta(z):
     """Lambda(z) = Gamma_R(z) zeta(z) on |Re z| <= 200, |Im z| <= 450.
 
-    z is a complex scalar (a Python complex back) or an ndarray (an array of
-    its shape back, from one gamma_factor and one riemann_zeta call).
-    Poles at 0 and 1.  Re z < -1/4 goes through Lambda(z) = Lambda(1 - z),
-    which keeps the trivial-zero cancellation away from 0 * inf.  The bounds
+    z is taken as in the numerics module docstring, an array in one
+    gamma_factor and one riemann_zeta call.  Poles at 0 and 1.  Re z < -1/4
+    goes through Lambda(z) = Lambda(1 - z), which keeps the trivial-zero
+    cancellation away from 0 * inf.  The bounds
     are where Gamma_R leaves float range: on Re z < 1 the reflection inside
     complex_gamma overflows from |Im z| = 452.5 (on Re z >= 1 the value
     underflows from |Im z| of about 900), and Gamma_R overflows from Re z of
@@ -159,8 +157,8 @@ def completed_zeta(z):
     Raises RangeError outside the domain and PoleError at a pole, each
     naming the first such element of an array.
     """
-    array = isinstance(z, np.ndarray)
-    zs = np.asarray(z, complex).ravel()
+    (zs,), back = _stack("completed_zeta", z=z)
+    zs = zs.astype(complex, copy=False)
     bad = ~((np.abs(zs.real) <= 200.0) & (np.abs(zs.imag) <= 450.0))
     if bad.any():
         raise RangeError(f"completed_zeta needs |Re z| <= 200 and |Im z| <= 450, got {zs[bad][0]}")
@@ -168,8 +166,7 @@ def completed_zeta(z):
     if pole.any():
         raise PoleError(f"completed zeta pole at z = {zs[pole][0]}")
     zs = np.where(zs.real < -0.25, 1 - zs, zs)
-    vals = gamma_factor(GammaKind.REAL, zs) * riemann_zeta(zs)
-    return vals.reshape(np.shape(z)) if array else complex(vals[0])
+    return back(gamma_factor(GammaKind.REAL, zs) * riemann_zeta(zs))
 
 
 def residue_constant() -> float:
@@ -204,8 +201,8 @@ def residue_at_zero() -> float:
 def mu_global_factor(y):
     """Lambda(1 - 2iy) / Lambda(1 + 2iy), the global eigenvalue factor, on |y| <= 200.
 
-    y is a real scalar (a Python complex back) or an ndarray (an array of its
-    shape back, from one completed_zeta call).  For real y,
+    y is real, taken as in the numerics module docstring (an array in one
+    completed_zeta call); a complex y raises TypeError.  For real y,
     Lambda(1 - 2iy) = conj Lambda(1 + 2iy), so the factor is conj(w) / w
     with w = Lambda(1 + 2iy): one evaluation, unit modulus by construction,
     all of the error in the phase.  Worst absolute error against mpmath at
@@ -216,8 +213,8 @@ def mu_global_factor(y):
     returned directly.  Raises RangeError for |y| > 200, naming the first
     such element of an array.
     """
-    array = isinstance(y, np.ndarray)
-    ys = np.asarray(y, float).ravel()
+    (ys,), back = _stack("mu_global_factor", real=("y",), y=y)
+    ys = ys.astype(float, copy=False)
     bad = ~(np.abs(ys) <= 200.0)
     if bad.any():
         raise RangeError(f"mu_global_factor needs |y| <= 200, got {ys[bad][0]}")
@@ -225,7 +222,7 @@ def mu_global_factor(y):
     far = np.abs(ys) >= 1e-9
     w = completed_zeta(1 + 2j * ys[far])
     vals[far] = w.conj() / w
-    return vals.reshape(np.shape(y)) if array else complex(vals[0])
+    return back(vals)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,17 @@ and on adaptive trapezoid quadrature after a double-exponential change of
 variables.  The normalizations are not assumed: the test suite pins them by
 matching the radial integrals they are meant to equal.
 
+Every evaluator here and in globalq takes its arguments through _stack
+and _unstack: each a scalar, ndarray, list or tuple, broadcast together and
+evaluated as one flat array, each element bit for bit its scalar call.  Any
+ndarray (0-d included), list or tuple gives a complex array of the
+broadcast shape; all scalars give a Python complex, and RangeError names
+them where that value is not finite.  A non-finite argument raises
+RangeError (a ValueError) naming the evaluator, the argument and its
+index, and a complex one where a real is required TypeError, before
+anything is evaluated; arch.mu_arch_many and its kin flatten their points
+the same way and return flat arrays.
+
 complex_gamma and gamma_factor have one vectorized Lanczos body each, and
 a scalar is a one-point array (about 55 us a call), so the closed forms
 built on them (arch.mu_arch_many, the oracle's L-factors,
@@ -33,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,52 +97,38 @@ def _lanczos(z: np.ndarray) -> np.ndarray:
     return _SQRT_2PI * t ** (z + 0.5) * np.exp(-t) * x
 
 
-def _one_body(body: Callable, x, name: str, arg: str):
-    """body of the flat complex array of x, under a quiet np.errstate: an
-    array of x's shape for an ndarray or a sequence x, else the one value
-    as a Python complex, RangeError naming x where it is not finite."""
-    xs = np.asarray(x, complex)
-    with np.errstate(all="ignore"):
-        v = _unstack(body(xs.ravel()), xs.shape if xs.ndim or isinstance(x, np.ndarray) else None)
-    if isinstance(v, complex) and not cmath.isfinite(v):
-        raise RangeError(f"{name}({arg}) leaves float range at {arg} = {x}")
-    return v
-
-
-def _gamma(z: np.ndarray) -> np.ndarray:
-    left = z.real < 0.5
-    g = _lanczos(np.where(left, 1.0 - z, z))
-    zl = z[left]
-    s = np.sin(math.pi * zl)
-    if not s.all():
-        raise PoleError(f"gamma pole at z = {zl[s == 0][0]}")
-    g[left] = math.pi / (s * g[left])
-    return g
-
-
 def complex_gamma(z):
     """Gamma function for complex argument: the Lanczos sum on Re z >= 1/2,
     and below it the reflection Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
 
-    Scalars, arrays and float range as in gamma_factor.  sin(pi z) is taken
-    on the reflected elements only, so that sin never sees, and never
+    Arguments and results as in the module docstring; an array element
+    that leaves float range is inf or nan, with no warning.  sin(pi z) is
+    taken on the reflected elements only, so that sin never sees, and never
     overflows on, an element that does not reflect.  Raises PoleError where
     sin(pi z) is exactly 0.
     """
-    return _one_body(_gamma, z, "Gamma", "z")
+    (z,), back = _stack("Gamma", z=z)
+    z = z.astype(complex, copy=False)
+    left = z.real < 0.5
+    with np.errstate(all="ignore"):
+        g = _lanczos(np.where(left, 1.0 - z, z))
+        zl = z[left]
+        s = np.sin(math.pi * zl)
+        if not s.all():
+            raise PoleError(f"gamma pole at z = {zl[s == 0][0]}")
+        g[left] = math.pi / (s * g[left])
+    return back(g)
 
 
 def gamma_factor(kind: GammaKind, s):
     """Normalized gamma factor at an archimedean completion.
 
-    REAL gives pi**(-s/2) Gamma(s/2), COMPLEX gives 2 (2 pi)**(-s) Gamma(s).
-    s is a complex scalar (a Python complex back) or an ndarray or a
-    sequence (an array of its shape back).  A scalar is a one-point array, bit for bit, and
-    an element does not depend on the others.  An array element that
-    leaves float range is inf or nan, with no warning; a scalar there
-    raises RangeError naming s.  Raises PoleError when the Gamma argument
-    lies within 1e-12 of a nonpositive integer, naming the first such
-    element; continuation through poles is the caller's responsibility.
+    REAL gives pi**(-s/2) Gamma(s/2), COMPLEX gives 2 (2 pi)**(-s) Gamma(s),
+    on complex s as in the module docstring.  An array element that leaves
+    float range is inf or nan, with no warning.  Raises PoleError when the
+    Gamma argument lies within 1e-12 of a nonpositive integer, naming the
+    first such element; continuation through poles is the caller's
+    responsibility.
 
     Accuracy against mpmath at 30 digits, on the box -1/4 <= Re s <= 42,
     |Im s| <= 50, which holds every argument that verify (at both sizes)
@@ -142,18 +139,18 @@ def gamma_factor(kind: GammaKind, s):
     if kind not in (GammaKind.REAL, GammaKind.COMPLEX):
         raise ValueError(f"unknown gamma kind {kind!r}")
 
-    def body(s: np.ndarray) -> np.ndarray:
-        z = s / 2 if kind is GammaKind.REAL else s
-        x = z.real
-        n = (x + 0.5) // 1.0
-        pole = (n <= 0) & (abs(x - n) <= 1e-12) & (abs(z.imag) <= 1e-12)
-        if pole.any():
-            raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s[pole][0]}")
+    (s,), back = _stack(f"Gamma_{kind.name[0]}", s=s)
+    s = s.astype(complex, copy=False)
+    z = s / 2 if kind is GammaKind.REAL else s
+    x = z.real
+    n = (x + 0.5) // 1.0
+    pole = (n <= 0) & (abs(x - n) <= 1e-12) & (abs(z.imag) <= 1e-12)
+    if pole.any():
+        raise PoleError(f"Gamma_{kind.name[0]} pole at s = {s[pole][0]}")
+    with np.errstate(all="ignore"):
         if kind is GammaKind.REAL:
-            return np.exp(-z * _LOG_PI) * complex_gamma(z)
-        return 2.0 * np.exp(-z * _LOG_2PI) * complex_gamma(z)
-
-    return _one_body(body, s, f"Gamma_{kind.name[0]}", "s")
+            return back(np.exp(-z * _LOG_PI) * complex_gamma(z))
+        return back(2.0 * np.exp(-z * _LOG_2PI) * complex_gamma(z))
 
 
 # _row_schedule's block of coarse steps, run of quiet terms, and nodes a
@@ -293,7 +290,8 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
     for bit its one-row value, whatever else is in the stack.  Raises
     ToleranceNotMet, naming the row of a stack, when a row's sum over a
     node set is not finite (naming the node of its first non-finite value,
-    if any), or when its schedule raises.
+    if any, and with weights the integrand value there), or when its
+    schedule raises.
     """
     stacked = rows is not None
     if not stacked:
@@ -324,6 +322,7 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
                 # weighted or summed, finite values may leave float range;
                 # the check below reports it, with no RuntimeWarning.  A
                 # C-contiguous block sums each row as a 1-D array.
+                raw = v
                 with np.errstate(over="ignore"):
                     v = np.ascontiguousarray(v if w is None else v * w)
                     sums = np.add.reduce(v, axis=1).tolist()
@@ -336,7 +335,9 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
                         bad = np.flatnonzero(~np.isfinite(v[i]))
                         what = f"value {complex(v[i, bad[0]])}" if bad.size else f"sum {part}"
                         at = f" at node x = {float(x[bad[0]])!r}" if bad.size else ""
-                        raise ToleranceNotMet(f"integrand {what}{in_row.format(r)}{at} is not finite")
+                        note = f" (integrand value {complex(raw[i, bad[0]])})" if bad.size and w is not None else ""
+                        kind = "integrand" if w is None else "weighted"
+                        raise ToleranceNotMet(f"{kind} {what}{in_row.format(r)}{at} is not finite{note}")
                     try:
                         keys[r] = schedules[r].send((full[i], part))
                     except StopIteration as done:
@@ -390,26 +391,36 @@ def _masked_exp(expo: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return out.reshape(rest.shape)
 
 
-def _stack(name: str, **args) -> tuple[list[np.ndarray], tuple | None]:
-    """The arguments of an array evaluator as flat arrays of their common
-    broadcast shape, and that shape: None when every argument is a scalar
-    (no ndarray, no sequence), so that the evaluator returns a complex.  Raises ValueError naming the
-    first non-finite entry, before any node is evaluated."""
+def _stack(name: str, real: tuple = (), **args) -> tuple[list[np.ndarray], Callable]:
+    """The arguments of an evaluator as flat arrays of their common
+    broadcast shape, and the function (_unstack) that turns the flat
+    result back as the module docstring says.  Raises TypeError for a
+    complex array of an argument named in `real`, and RangeError naming the
+    first non-finite entry, before anything is evaluated."""
     arrays = [np.asarray(v) for v in args.values()]
     for key, a in zip(args, arrays):
+        if key in real and np.iscomplexobj(a):
+            raise TypeError(f"{name} requires real {key}, got {a.dtype}")
         if not np.isfinite(a).all():
             bad = int(np.flatnonzero(~np.isfinite(a))[0])
             at = f" at index {tuple(int(i) for i in np.unravel_index(bad, a.shape))}" if a.ndim else ""
-            raise ValueError(f"{name} requires finite {key}, got {a.flat[bad].item()!r}{at}")
+            raise RangeError(f"{name} requires finite {key}, got {a.flat[bad].item()!r}{at}")
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     flat = [(a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in arrays]
-    return flat, shape if shape or any(isinstance(v, np.ndarray) for v in args.values()) else None
+    scalar = not shape and not any(isinstance(v, np.ndarray) for v in args.values())
+    return flat, partial(_unstack, name, args if scalar else None, shape)
 
 
-def _unstack(values: np.ndarray, shape: tuple | None):
-    """An array evaluator's result: a complex for scalar arguments, else
-    the values in the arguments' broadcast shape."""
-    return complex(values[0]) if shape is None else values.reshape(shape)
+def _unstack(name: str, scalars: dict | None, shape: tuple, values: np.ndarray):
+    """values in the arguments' broadcast shape, or for scalar arguments
+    the one value as a complex, RangeError naming them if it is not finite."""
+    if scalars is None:
+        return values.reshape(shape)
+    v = complex(values[0])
+    if not cmath.isfinite(v):
+        at = ", ".join(f"{key} = {x}" for key, x in scalars.items())
+        raise RangeError(f"{name}({', '.join(scalars)}) leaves float range at {at}")
+    return v
 
 
 def bessel_k(nu, y):
@@ -418,18 +429,16 @@ def bessel_k(nu, y):
     Evaluates (1/2) * int_0^inf exp(-y (t + 1/t)) t**nu dt/t after the
     logarithmic substitution t = exp(u), which makes the integrand
     symmetric with doubly exponential decay.  nu (complex) and y (real)
-    are scalars, giving a complex, or arrays broadcast together, giving an
-    array of their shape in one stacked quadrature; each entry is bit for
-    bit the value of its scalar call.
+    are taken as in the module docstring, an array in one stacked
+    quadrature.
 
-    Domain: finite nu and finite y > 0; a non-finite entry raises
-    ValueError naming it, before any node is evaluated.  At order 1/2,
+    Domain: finite nu and finite y > 0.  At order 1/2,
     against the closed form sqrt(pi / (4y)) exp(-2y) on 1e-6 <= y <= 300,
     the error is at most 1.4e-15 relative while K >= 1e-11 and 4e-18
     absolute below (3 000 log-spaced y): QUAD_ABS_TOL, not the rule, limits
     the relative accuracy of small values.
     """
-    (nu, y), shape = _stack("bessel_k", nu=nu, y=y)
+    (nu, y), back = _stack("bessel_k", nu=nu, y=y)
     if not (y > 0).all():
         raise ValueError("bessel_k requires y > 0")
     scale = np.array([-2.0 * v for v in y.tolist()])[:, None]
@@ -439,13 +448,13 @@ def bessel_k(nu, y):
         # cosh stays finite on |u| <= 700, and past it the term is masked anyway
         return 0.5 * _masked_exp(scale[rows] * np.cosh(np.minimum(np.abs(u), 700.0)), order[rows] * u)
 
-    return _unstack(_trapezoid_doubling(g, rows=y.size), shape)
+    return back(_trapezoid_doubling(g, rows=y.size))
 
 
 def bessel_k_alt(nu, y):
     """Second integral representation: int_0^inf exp(-y(t^2 + t^-2)) t^(2 nu) dt/t,
     on the arguments and domain of bessel_k."""
-    (nu, y), shape = _stack("bessel_k_alt", nu=nu, y=y)
+    (nu, y), back = _stack("bessel_k_alt", nu=nu, y=y)
     if not (y > 0).all():
         raise ValueError("bessel_k_alt requires y > 0")
     scale = np.array([-2.0 * v for v in y.tolist()])[:, None]
@@ -454,7 +463,7 @@ def bessel_k_alt(nu, y):
     def g(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _masked_exp(scale[rows] * np.cosh(np.minimum(np.abs(2.0 * u), 700.0)), order[rows] * u)
 
-    return _unstack(_trapezoid_doubling(g, rows=y.size), shape)
+    return back(_trapezoid_doubling(g, rows=y.size))
 
 
 def kernel_ka(kind: GammaKind, a, w):
@@ -462,16 +471,15 @@ def kernel_ka(kind: GammaKind, a, w):
 
     COMPLEX: 4 K_w(a); REAL: 2 K_{w/2}(a), where K is bessel_k.  The defining
     integrals (see kernel_ka_quad) reduce to these by t = r^2 resp. t = r.
-    a in [1, 2) and finite complex w are scalars or arrays broadcast
-    together, as in bessel_k.
+    a in [1, 2) and finite complex w are taken as in bessel_k.
     """
-    (a, w), shape = _stack("kernel_ka", a=a, w=w)
+    (a, w), back = _stack("kernel_ka", a=a, w=w)
     if not ((1.0 <= a) & (a < 2.0)).all():
         raise ValueError("a must lie in [1, 2)")
     if kind is GammaKind.COMPLEX:
-        return _unstack(4.0 * bessel_k(w, a), shape)
+        return back(4.0 * bessel_k(w, a))
     if kind is GammaKind.REAL:
-        return _unstack(2.0 * bessel_k(np.array([complex(v) / 2.0 for v in w.tolist()]), a), shape)
+        return back(2.0 * bessel_k(np.array([complex(v) / 2.0 for v in w.tolist()]), a))
     raise ValueError(f"unknown gamma kind {kind!r}")
 
 
@@ -481,11 +489,10 @@ def kernel_ka_quad(kind: GammaKind, a, w):
     COMPLEX: 4 int_0^inf exp(-a (r^2 + r^-2)) r^(2w) dr/r
     REAL:    2 int_0^inf exp(-a (r^2 + r^-2)) r^w     dr/r
 
-    Finite a > 0, where the integral converges, and finite w, scalars or
-    arrays broadcast together, as in bessel_k; a <= 0 raises ValueError
-    before any node is evaluated.
+    Finite a > 0, where the integral converges, and finite w, taken as in
+    bessel_k; a <= 0 raises ValueError before any node is evaluated.
     """
-    (a, w), shape = _stack("kernel_ka_quad", a=a, w=w)
+    (a, w), back = _stack("kernel_ka_quad", a=a, w=w)
     if not (a > 0).all():
         raise ValueError("kernel_ka_quad requires a > 0")
     scale = np.array([-v for v in a.tolist()])[:, None]
@@ -497,7 +504,7 @@ def kernel_ka_quad(kind: GammaKind, a, w):
         rc = np.clip(r, 1e-100, 1e100)
         return _masked_exp(scale[rows] * (rc * rc + 1.0 / (rc * rc)), power[rows] * np.log(r))
 
-    return _unstack(front * _trapezoid_doubling(f, _exp_sinh_nodes, rows=a.size), shape)
+    return back(front * _trapezoid_doubling(f, _exp_sinh_nodes, rows=a.size))
 
 
 # radial_gaussian_moment's values per kind, keyed on complex z
@@ -515,13 +522,13 @@ def radial_gaussian_moment(kind: GammaKind, z):
     them.  On 0.05 <= Re z <= 60, |Im z| <= 30 the two sides differ by at
     most 1.8e-13 * max(1, |closed form|) (1 200 random points, both kinds);
     below Re z = 0.05 the cut at r = exp(-700) costs exp(-700 Re z) / Re z.
-    z is a scalar (a complex back) or an array (an array of its shape).
-    Cached per (kind, z): the archimedean oracle needs the same moments at
-    every sample point, and an array call computes only the entries missing
-    from the cache, in one stacked quadrature.
+    z is taken as in the module docstring.  Cached per (kind, z): the
+    archimedean oracle needs the same moments at every sample point, and an
+    array call computes only the entries missing from the cache, in one
+    stacked quadrature.
     """
     cache = _MOMENTS[kind]
-    (z,), shape = _stack("radial_gaussian_moment", z=z)
+    (z,), back = _stack("radial_gaussian_moment", z=z)
     zs = z.tolist()
     missing = [v for v in dict.fromkeys(zs) if v not in cache]
     if missing:
@@ -541,7 +548,7 @@ def radial_gaussian_moment(kind: GammaKind, z):
 
         values = front * _trapezoid_doubling(f, _exp_sinh_nodes, rows=len(missing))
         cache.update(zip(missing, values.tolist()))
-    return _unstack(np.array([cache[v] for v in zs], complex), shape)
+    return back(np.array([cache[v] for v in zs], complex))
 
 
 def limit_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:

@@ -642,8 +642,12 @@ def test_many_checks_every_point_as_the_scalar_form_does():
         mu_arch_many(Place.COMPLEX, 0.5j, 0.0, [0, 4], [2, 2])
     with pytest.raises(ParityError, match="must be 0 or 1"):
         mu_arch_many(Place.REAL, 0.5j, 0.0, [0, 2], [2, 2])
-    with pytest.raises(ValueError, match="need finite s and mu"):
+    with pytest.raises(RangeError, match=r"^mu_arch_many requires finite s, got infj at index \(1,\)$"):
         mu_arch_many(Place.REAL, [0.5j, complex(0, math.inf)], 0.0, 0, 0)
-    with pytest.raises(ValueError, match="need finite s and mu"):
+    with pytest.raises(RangeError, match=r"^mu_arch_many requires finite mu, got nan at index \(1,\)$"):
         mu_arch_many(Place.REAL, 0.5j, [0.0, math.nan], 0, 0)
+    # a complex twist is refused, never cast to its real part
+    for mu in (0.3 + 1j, [0.0, 0.3 + 1j], np.array([0.3 + 0j])):
+        with pytest.raises(TypeError, match=r"^mu_arch_many requires real mu, got complex128$"):
+            mu_arch_many(Place.REAL, 0.5j, mu, 0, 0)
     assert mu_arch_many(Place.REAL, [], 0.0, 0, []).shape == (0,)

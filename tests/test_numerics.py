@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import intertwine.numerics as numerics
 from intertwine.errors import PoleError, RangeError, ToleranceNotMet
+from intertwine.globalq import completed_zeta, mu_global_factor, riemann_zeta
 from intertwine.verify import _AXIS_SIGMAS
 from intertwine.numerics import (
     GammaKind,
@@ -112,9 +114,6 @@ def test_gamma_array_matches_elementwise_scalars(points, kind):
         assert type(scalar) is complex
         assert _bits(scalar) == _bits(a)
         assert _bits(complex_gamma(z)) == _bits(g)
-    # an array keeps its shape, and a list is an array, not its first point
-    assert gamma_factor(kind, np.array(points * 2).reshape(2, -1)).shape == (2, len(points))
-    assert gamma_factor(kind, points).tolist() == arr.tolist()
 
 
 def test_a_scalar_gamma_outside_float_range_raises_range_error():
@@ -257,9 +256,14 @@ def test_non_finite_value_fails_fast_and_names_its_node():
 @pytest.mark.parametrize("c", [1e290, 1e300, 1e308])
 def test_exp_sinh_weights_that_overflow_name_their_node(c):
     # the exp-sinh weights reach about 1e304, so c times a weight leaves
-    # float range before the row sum: ToleranceNotMet naming the node, and
-    # no overflow RuntimeWarning from the weighting
-    with pytest.raises(ToleranceNotMet, match=r"^integrand value \(inf\+0j\) at node x = \S+ is not finite$"):
+    # float range before the row sum: ToleranceNotMet naming the node, the
+    # weighted value and the finite integrand value there, and no overflow
+    # RuntimeWarning from the weighting
+    value = re.escape(repr(complex(c)))
+    with pytest.raises(
+        ToleranceNotMet,
+        match=rf"^weighted value \(inf\+0j\) at node x = \S+ is not finite \(integrand value {value}\)$",
+    ):
         quad_halfline(lambda r: np.full(r.shape, c))
 
 
@@ -398,9 +402,6 @@ def test_array_evaluators_keep_their_scalar_values_and_shapes():
             assert [_bits(v) for v in grid.ravel().tolist()] == [_bits(fn(kind, x, v)) for x, v in zip(a.ravel(), w.ravel())]
         # one z broadcast against a grid of a: a scalar argument with an array
         assert kernel_ka(kind, a, 1.0 + 0.5j).shape == (2, 2)
-    assert type(bessel_k(0.5, 1.0)) is complex and type(radial_gaussian_moment(GammaKind.REAL, 2.5)) is complex
-    # a sequence is an array, not its first entry
-    assert bessel_k([0.5, 1.5], 1.0).tolist() == [bessel_k(0.5, 1.0), bessel_k(1.5, 1.0)]
 
 
 def test_moment_array_computes_only_the_missing_entries_in_one_stack(monkeypatch):
@@ -493,6 +494,61 @@ def test_non_finite_arguments_raise_before_any_node(monkeypatch, call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
+
+
+# Each evaluator that takes its arguments through numerics._stack, as a
+# function of one argument: the name its errors give, that argument's
+# name, and four points of its domain.
+CONVENTION = {
+    "complex_gamma": ("Gamma", "z", complex_gamma, [0.5 + 1j, 2.5, -0.5 + 0.3j, 3.0]),
+    "gamma_factor": ("Gamma_R", "s", lambda s: gamma_factor(GammaKind.REAL, s), [0.5 + 1j, 2.5, -0.5 + 0.3j, 3.0]),
+    "riemann_zeta": ("riemann_zeta", "z", riemann_zeta, [2.0, 0.5 + 14j, -2.5, 4.0]),
+    "completed_zeta": ("completed_zeta", "z", completed_zeta, [2.0, 0.5 + 14j, -1.5 + 3j, 4.0]),
+    "mu_global_factor": ("mu_global_factor", "y", mu_global_factor, [0.5, 1.0, 0.0, -3.0]),
+    "bessel_k": ("bessel_k", "y", lambda y: bessel_k(0.5 + 0.25j, y), [0.5, 1.0, 1.7, 3.0]),
+    "bessel_k_alt": ("bessel_k_alt", "nu", lambda nu: bessel_k_alt(nu, 1.2), [0.0, 0.5, 1 + 1j, 2.25]),
+    "kernel_ka": ("kernel_ka", "a", lambda a: kernel_ka(GammaKind.REAL, a, 0.3 + 0.2j), [1.0, 1.25, 1.5, 1.9]),
+    "kernel_ka_quad": (
+        "kernel_ka_quad", "w", lambda w: kernel_ka_quad(GammaKind.COMPLEX, 1.5, w), [0.0, 0.5j, 1.0, -0.7]
+    ),
+    "radial_gaussian_moment": (
+        "radial_gaussian_moment", "z", lambda z: radial_gaussian_moment(GammaKind.REAL, z), [0.5, 1 + 1j, 2.5, 4 - 2j]
+    ),
+}
+
+
+@pytest.mark.parametrize("evaluator", CONVENTION)
+def test_every_evaluator_takes_scalars_and_arrays_one_way(evaluator):
+    # a scalar gives a complex; a list, a tuple, a 0-d and a 2-D array give
+    # an array of their shape, each element bit for bit its scalar call
+    name, arg, f, points = CONVENTION[evaluator]
+    scalars = [f(p) for p in points]
+    assert all(type(v) is complex for v in scalars)
+    for x, shape, expected in (
+        (points, (4,), scalars),
+        (tuple(points), (4,), scalars),
+        (np.array(points[1]), (), scalars[1:2]),
+        (np.array(points).reshape(2, 2), (2, 2), scalars),
+    ):
+        v = f(x)
+        assert isinstance(v, np.ndarray) and v.shape == shape and v.dtype == complex
+        assert [_bits(e) for e in v.ravel().tolist()] == [_bits(e) for e in expected]
+    # a non-finite argument raises RangeError naming the evaluator, the
+    # argument and, in an array, its index
+    with pytest.raises(RangeError, match=rf"^{name} requires finite {arg}, got nan$"):
+        f(math.nan)
+    with pytest.raises(RangeError, match=rf"^{name} requires finite {arg}, got \(?nan(\+0j\))? at index \(1, 0\)$"):
+        f([[points[0]], [math.nan]])
+
+
+def test_global_factor_rejects_a_complex_y_without_a_warning():
+    # a complex y is refused as it is, never cast to its real part with a
+    # ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (0.5j, [0.5, 1j], np.array([0.5 + 0j])):
+            with pytest.raises(TypeError, match="mu_global_factor requires real y"):
+                mu_global_factor(y)
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.05, 60.0), st.floats(-30.0, 30.0), st.sampled_from(list(GammaKind)))

@@ -1,11 +1,12 @@
-"""Every public function and class of the library is reached from the library.
+"""Every function and class of the library is reached from the library.
 
-A public module-level function or class that no code in src/intertwine
-names outside its own definition, and that intertwine.__all__ does not
-export, runs only under the tests: it restates a check a suite already makes,
-or a formula another function owns, or it is dead.  Give it a caller or a
-verify case, or delete it.  Docstrings and comments do not count as callers.
-KEPT holds the exceptions, each with its reason.
+A module-level function or class that no code in src/intertwine names
+outside its own definition, and that intertwine.__all__ does not export,
+runs only under the tests: it restates a check a suite already makes, or a
+formula another function owns, or it is dead.  Give it a caller or a verify
+case, or delete it.  The rule holds for private helpers too.  Docstrings,
+comments and tests do not count as callers.  KEPT holds the exceptions,
+each with its reason; none of them is private.
 """
 
 import ast
@@ -38,26 +39,34 @@ def _names_in_code(tree: ast.AST):
             yield node.lineno, node.name
 
 
-def unreached_public_names() -> list[str]:
+def unreached_names() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     uses = [(mod, line, name) for mod, tree in trees.items() for line, name in _names_in_code(tree)]
     found = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in intertwine.__all__:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if node.name in intertwine.__all__:
-                continue
             if not any(name == node.name and not (m == mod and line in own) for m, line, name in uses):
                 found.append(f"{mod}.{node.name}")
     return found
 
 
+def _private(name: str) -> bool:
+    return name.split(".")[1].startswith("_")
+
+
 def test_every_public_name_is_reached_from_the_library():
-    unreached = set(unreached_public_names())
+    unreached = {name for name in unreached_names() if not _private(name)}
     only_tests = sorted(unreached - set(KEPT))
     assert not only_tests, f"public names no library code reaches: {only_tests}"
     # an exception that gained a caller leaves the list
     stale = sorted(set(KEPT) - unreached)
     assert not stale, f"reached from the library, drop from KEPT: {stale}"
+
+
+def test_every_private_helper_is_reached_from_the_library():
+    # a helper left behind when its last caller moved elsewhere
+    dead = sorted(name for name in unreached_names() if _private(name))
+    assert not dead, f"private helpers no library code reaches: {dead}"
