@@ -23,16 +23,16 @@ with a = 1+2s+i mu, b = 1-2s-i mu.  The i**n0 phase at the complex place is
 the one the transform pipeline produces; see the oracle tests, which pin it
 for odd n0 where the two possible sign conventions genuinely differ.
 
-The closed form is array-first: mu_arch_many evaluates it at many points
-(s, mu, n0, n) of one place with one gamma_factor call over an array, and
-mu_arch and mu_arch_derivative are its callers (the log derivative
-likewise: mu_arch_logderiv_many).  A point costs about 1.5-2 us
-in a batch of 100 or more, against about 100-150 us for a one-point call,
-so verify's loops and the mu tables pass whole batches.  The oracle
-takes batches too: mu_arch_oracle_many takes the local L-factors of all
-its points in one gamma_factor call per place and their radial moments in
-one array call, one stacked quadrature for every moment the cache lacks,
-and mu_arch_oracle is its one-point caller.
+Each quantity has one evaluator on the points (s, mu, n0, n) of one place,
+taken and returned by the convention of the numerics module docstring:
+mu_arch (the closed form), mu_arch_logderiv, mu_arch_derivative and
+mu_arch_oracle.  Each checks its points once (_points) and evaluates all of
+them in one pass: mu_arch with one gamma_factor call over an array (a point
+costs about 1.5-2 us in an array of 100 or more, against about 100-150 us
+for a one-point call, so verify's loops and the mu tables pass whole
+arrays), the oracle with one gamma_factor call for the local L-factors of
+all its points and one array call of radial_gaussian_moment for their
+moments, one stacked quadrature for every moment the cache lacks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -114,60 +114,35 @@ def _i_pow(n: int) -> complex:
 _GAMMA = {Place.COMPLEX: (GammaKind.COMPLEX, 2), Place.REAL: (GammaKind.REAL, 1)}
 
 
+# |Re s| at most this counts as the unitary axis s = iy, the domain of the
+# log derivative and of the product form; _ON_AXIS is that domain as
+# numerics._stack takes it
+_AXIS = 1e-14
+_ON_AXIS = (f"s on the unitary axis (|Re s| <= {_AXIS:g})", lambda s: np.abs(np.real(s)) <= _AXIS)
+
+
 def _out_of_range(y: float, n: int, name: str = "mu_arch") -> RangeError:
     return RangeError(f"{name}: gamma ratio leaves float range at y = {y:g}, n = {n}")
 
 
-def _l_factors(params: Sequence[ArchParams]) -> list[tuple[complex, complex]]:
-    """(L(1 + 2s), L'(1 - 2s)) at each point, the local L-factors (gamma
-    factors at z + i mu + |n0| / d) of the character and of its inverse
-    (twist -mu); one gamma_factor call per place, inf or nan out of range."""
-    args: dict[Place, list[complex]] = {}
-    for pa in params:
-        h = abs(pa.n0) / _GAMMA[pa.place][1]
-        args.setdefault(pa.place, []).extend((1 + 2 * pa.s + 1j * pa.mu + h, 1 - 2 * pa.s + 1j * -pa.mu + h))
-    values = {place: iter(gamma_factor(_GAMMA[place][0], np.array(zs)).tolist()) for place, zs in args.items()}
-    return [(next(values[pa.place]), next(values[pa.place])) for pa in params]
-
-
-def _l_ratio(num: complex, den: complex, y: float, n: int, name: str) -> complex:
-    """num / den in Python complex arithmetic, unless den is 0 or den or the
-    ratio is not finite: then RangeError (_out_of_range)."""
-    if den == 0 or not (cmath.isfinite(den) and cmath.isfinite(ratio := num / den)):
-        raise _out_of_range(y, n, name)
-    return ratio
-
-
-def _points(name: str, place: Place, s, mu, n0, n) -> tuple[np.ndarray, ...]:
+def _points(name: str, place: Place, s, mu, n0, n, on_axis: bool = False) -> tuple[tuple[np.ndarray, ...], Callable]:
     """s, mu, n0 and n flattened by numerics._stack for the evaluator
-    `name`, after the checks ArchParams and _check_type_index make on each
-    point."""
-    (s, mu, n0, n), _ = _stack(name, real=("mu",), s=s, mu=mu, n0=n0, n=n)
+    `name`, and the function that puts its result back; each point checked
+    as ArchParams and _check_type_index check it, and with on_axis for
+    |Re s| <= _AXIS."""
+    domain = {"s": _ON_AXIS} if on_axis else None
+    (s, mu, n0, n), back = _stack(name, real=("mu",), domain=domain, s=s, mu=mu, n0=n0, n=n)
     if place is Place.REAL:
         bad = (n0 != 0) & (n0 != 1)
         if bad.any():
             raise ParityError(f"real-place angular weight must be 0 or 1, got {n0[bad][0]}")
     for pair in dict.fromkeys(zip(n0.tolist(), n.tolist())):
         _check_type_index(place, *pair)
-    return s.astype(complex, copy=False), mu.astype(float, copy=False), n0, n
+    return (s.astype(complex, copy=False), mu.astype(float, copy=False), n0, n), back
 
 
-def mu_arch_many(place: Place, s, mu, n0, n) -> np.ndarray:
-    """Normalized eigenvalues at many points of one place, in one pass.
-
-    s (complex), mu (float), n0 and n (ints) are arrays of one length, or
-    scalars that broadcast against them; point i is ArchParams(place, s[i],
-    mu[i], n0[i]) at weight n[i], checked as ArchParams and mu_arch check
-    it.  Every gamma factor of every point is evaluated in one gamma_factor
-    call over an array, and point i's value is head * sign * G(b+|n|/d) /
-    G(a+|n|/d), head = G(a+|n0|/d) / G(b+|n0|/d) times i**n0 at the
-    complex place, the left-to-right order of the four-gamma formula in the
-    module docstring.  A value does not depend on the other points of its
-    batch.  Raises RangeError when a value is not finite (a gamma ratio
-    leaves float range), naming the y = Im s and the n of the first such
-    point.
-    """
-    s, mu, n0, n = _points("mu_arch_many", place, s, mu, n0, n)
+def _mu_values(place: Place, s: np.ndarray, mu: np.ndarray, n0: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """mu_arch at the checked flat points of _points, as a flat array."""
     kind, d = _GAMMA[place]
     a = 1 + 2 * s + 1j * mu
     b = 1 - 2 * s - 1j * mu
@@ -187,22 +162,29 @@ def mu_arch_many(place: Place, s, mu, n0, n) -> np.ndarray:
     return vals
 
 
-def mu_arch(params: ArchParams, n: int, normalized: bool = True) -> complex:
-    """Closed-form eigenvalue on weight-n flat sections: mu_arch_many at one
+def mu_arch(place: Place, s, mu, n0, n):
+    """Closed-form eigenvalue of the normalized intertwiner on weight-n flat
+    sections, at the points (s, mu, n0, n) of one place.
+
+    s (complex), mu (real), n0 and n (ints) are taken as in the numerics
+    module docstring: point i is ArchParams(place, s[i], mu[i], n0[i]) at
+    weight n[i], checked as ArchParams and _check_type_index check it.
+    Every gamma factor of every point is evaluated in one gamma_factor
+    call over an array, and point i's value is head * sign * G(b+|n|/d) /
+    G(a+|n|/d), head = G(a+|n0|/d) / G(b+|n0|/d) times i**n0 at the
+    complex place, the left-to-right order of the four-gamma formula in the
+    module docstring.  A value does not depend on the other points of its
+    call.  Raises RangeError when a value is not finite (a gamma ratio
+    leaves float range), naming the y = Im s and the n of the first such
     point.
 
-    normalized=True gives the L-factor-normalized operator (unit modulus on
-    the axis); normalized=False removes that normalization, multiplying by
-    the inverse ratio of the local L-factors, with the RangeError of
-    mu_arch_many where that ratio or the product is not finite.
+    The normalization is by the local L-factors: the unnormalized operator
+    has eigenvalue mu_arch times L(1 - 2s, chi^-1) / L(1 + 2s, chi), where
+    L(z, chi) = G(z + i mu + |n0|/d) and chi^-1 has twist -mu.  With it the
+    value has unit modulus on the axis.
     """
-    val = complex(mu_arch_many(params.place, params.s, params.mu, params.n0, [n])[0])
-    if not normalized:
-        (lf, lf_inv), = _l_factors([params])
-        val *= _l_ratio(lf_inv, lf, params.s.imag, n, "mu_arch")
-        if not cmath.isfinite(val):
-            raise _out_of_range(params.s.imag, n)
-    return val
+    args, back = _points("mu_arch", place, s, mu, n0, n)
+    return back(_mu_values(place, *args))
 
 
 def mu_arch_product(params: ArchParams, n: int) -> complex:
@@ -213,7 +195,7 @@ def mu_arch_product(params: ArchParams, n: int) -> complex:
     """
     _check_type_index(params.place, params.n0, n)
     y = params.s.imag
-    if abs(params.s.real) > 1e-14:
+    if abs(params.s.real) > _AXIS:
         raise ValueError("product form is for s on the unitary axis")
     t = 2 * y + params.mu
     ah = complex(1, t)
@@ -230,15 +212,9 @@ def mu_arch_product(params: ArchParams, n: int) -> complex:
     return val
 
 
-def mu_arch_logderiv_many(place: Place, s, mu, n0, n) -> np.ndarray:
-    """Exact logarithmic derivatives (d/ds) log mu at s = iy, at the points
-    of mu_arch_many (same arguments, same checks; only Im s is read).
-
-    Weight n sums K = (|n| - |n0|) / 2 terms -4c / (t^2 + c^2), with
-    t = 2y + mu and c = 1 + (|n0| + 2k) / d for k = 0 .. K - 1, subtracted
-    in order of k; so a value does not depend on the other points.
-    """
-    s, mu, n0, n = _points("mu_arch_logderiv_many", place, s, mu, n0, n)
+def _logderiv_values(place: Place, s: np.ndarray, mu: np.ndarray, n0: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """mu_arch_logderiv at the checked flat points of _points, as a flat
+    real array."""
     d = _GAMMA[place][1]
     t = 2 * s.imag + mu
     counts = (np.abs(n) - np.abs(n0)) // 2
@@ -250,27 +226,39 @@ def mu_arch_logderiv_many(place: Place, s, mu, n0, n) -> np.ndarray:
     return total
 
 
-def mu_arch_logderiv(params: ArchParams, n: int) -> float:
-    """Exact logarithmic derivative (d/ds) log mu at s = iy; real and <= 0."""
-    return float(mu_arch_logderiv_many(params.place, params.s, params.mu, params.n0, [n])[0])
+def mu_arch_logderiv(place: Place, s, mu, n0, n):
+    """Exact logarithmic derivative (d/ds) log mu_arch on the unitary axis,
+    at the points of mu_arch (same arguments, same checks); real and <= 0,
+    returned as complex values by the convention of mu_arch.
+
+    Domain: s = iy with |Re s| <= 1e-14, the test of mu_arch_product; the
+    sum below holds only there, so an off-axis s raises RangeError naming
+    the first one.  Weight n sums K = (|n| - |n0|) / 2 terms -4c / (t^2 + c^2),
+    with t = 2y + mu and c = 1 + (|n0| + 2k) / d for k = 0 .. K - 1,
+    subtracted in order of k; so a value does not depend on the other points.
+    """
+    args, back = _points("mu_arch_logderiv", place, s, mu, n0, n, on_axis=True)
+    return back(_logderiv_values(place, *args).astype(complex))
 
 
-def mu_arch_derivative(place: Place, s, mu, n0, n) -> tuple[np.ndarray, np.ndarray]:
-    """(exact, finite difference) arrays of d mu / ds at the points s = iy of
-    mu_arch_many (same arguments, same checks).
+def mu_arch_derivative(place: Place, s, mu, n0, n):
+    """(exact, finite difference) values of d mu / ds at the points s = iy
+    of mu_arch_logderiv (same arguments, same checks, same domain), each
+    returned as mu_arch returns its values.
 
     The exact value is mu * logderiv; the central difference evaluates the
     gamma-ratio form at s +- 1e-5 and is the independent check.  mu at s,
-    s + 1e-5 and s - 1e-5 come from one mu_arch_many call.  Only the
-    cross-checks want the difference (verify's arch/deriv-fd cases and the
-    tests); a caller that needs just the derivative computes mu * logderiv
-    itself and evaluates the gamma ratios once instead of three times.
+    s + 1e-5 and s - 1e-5 come from one closed-form pass over the points
+    checked once.  Only the cross-checks want the difference (verify's
+    arch/deriv-fd cases and the tests); a caller that needs just the
+    derivative computes mu * logderiv itself and evaluates the gamma ratios
+    once instead of three times.
     """
-    s, mu, n0, n = _points("mu_arch_derivative", place, s, mu, n0, n)
+    (s, mu, n0, n), back = _points("mu_arch_derivative", place, s, mu, n0, n, on_axis=True)
     h = 1e-5
-    val, plus, minus = mu_arch_many(place, np.concatenate((s, s + h, s - h)), np.tile(mu, 3), np.tile(n0, 3),
-                                    np.tile(n, 3)).reshape(3, -1)
-    return val * mu_arch_logderiv_many(place, s, mu, n0, n), (plus - minus) / (2 * h)
+    val, plus, minus = _mu_values(place, np.concatenate((s, s + h, s - h)), np.tile(mu, 3), np.tile(n0, 3),
+                                  np.tile(n, 3)).reshape(3, -1)
+    return back(val * _logderiv_values(place, s, mu, n0, n)), back((plus - minus) / (2 * h))
 
 
 def mu_arch_derivative_bound(params: ArchParams, n: int) -> float:
@@ -374,7 +362,8 @@ def _section_sum(weights: tuple, params: ArchParams, method: str) -> complex:
     monomials at params' s and mu, as a gamma factor ("closed", RangeError
     out of float range) or by double-exponential quadrature ("quadrature")."""
     if method == "quadrature":
-        return _weighted_sum(weights, _quadrature_radials(params.place, _moment_zs(params, weights)))
+        zs = _moment_zs(params.place, params.s, params.mu, weights)
+        return _weighted_sum(weights, _quadrature_radials(params.place, zs))
     kind, d = _GAMMA[params.place]
     base = 1 + 2 * params.s + 1j * params.mu
     gammas = gamma_factor(kind, np.array([base + deg / d for deg, _ in weights]))
@@ -395,13 +384,12 @@ def _weighted_sum(weights: tuple, rads) -> complex:
     return total
 
 
-def _moment_zs(params: ArchParams, weights: tuple) -> list[complex]:
+def _moment_zs(place: Place, s: complex, mu: float, weights: tuple) -> list[complex]:
     """The exponents z of the radial moments behind the radial integrals of
     the "quadrature" method, one per (degree, weight) pair: 1 + 2s + i mu +
     deg at the real place, 2 + 4s + 2i mu + deg at the complex place,
     summed left to right."""
-    s, mu = params.s, params.mu
-    base = 1 + 2 * s + 1j * mu if params.place is Place.REAL else 2 + 4 * s + 2j * mu
+    base = 1 + 2 * s + 1j * mu if place is Place.REAL else 2 + 4 * s + 2j * mu
     return [base + deg for deg, _ in weights]
 
 
@@ -466,11 +454,6 @@ _KAPPAS = (
 _REAL_KAPPAS = tuple(cmath.exp(1j * t) for t in (0.3, 1.1, 2.5, 4.0))
 
 
-def _swapped(params: ArchParams) -> ArchParams:
-    # data of the target representation: s, twist, and weight all flip sign
-    return ArchParams(params.place, -params.s, -params.mu, -params.n0 if params.place is Place.COMPLEX else params.n0)
-
-
 @lru_cache(maxsize=None)
 def _plan(place: Place, n0: int, n: int, k: int) -> tuple:
     """The part of mu_arch_oracle that does not depend on s or mu.
@@ -510,79 +493,76 @@ def _plan(place: Place, n0: int, n: int, k: int) -> tuple:
     return tuple(rows)
 
 
-def mu_arch_oracle(
-    params: ArchParams,
-    n: int,
-    k: int = 0,
-    tol: float = 1e-8,
-) -> complex:
-    """Eigenvalue recovered from the transform pipeline, independent of mu_arch.
+def _l_ratios(place: Place, points: list[tuple]) -> list[complex]:
+    """L(1 + 2s, chi) / L(1 - 2s, chi^-1) at each (s, mu, n0, n) of points,
+    the local L-factors G(z + i mu + |n0| / d) of the character and of its
+    inverse (twist -mu), all from one gamma_factor call; each ratio in
+    Python complex arithmetic.  RangeError (_out_of_range) at the first
+    point whose L-factor of chi^-1 is 0 or not finite, or whose ratio is
+    not finite."""
+    kind, d = _GAMMA[place]
+    zs = []
+    for s, mu, n0, _ in points:
+        h = abs(n0) / d
+        zs += (1 + 2 * s + 1j * mu + h, 1 - 2 * s + 1j * -mu + h)
+    values = gamma_factor(kind, np.array(zs, complex)).tolist()
+    ratios = []
+    for (s, _, _, n), num, den in zip(points, values[0::2], values[1::2]):
+        if den == 0 or not (cmath.isfinite(den) and cmath.isfinite(ratio := num / den)):
+            raise _out_of_range(s.imag, n, "mu_arch_oracle")
+        ratios.append(ratio)
+    return ratios
 
-    Builds the Schwartz section for weight (n0, n), optionally raised k times,
-    applies the exact twisted transform, evaluates both Tate integrals by
-    quadrature at several sample points, normalizes by the local L-factors,
-    and checks that the resulting ratio does not depend on the sample point.
-    The one-point case of mu_arch_oracle_many.
+
+def mu_arch_oracle(place: Place, s, mu, n0, n, k: int = 0, tol: float = 1e-8):
+    """Eigenvalue recovered from the transform pipeline, independent of
+    mu_arch, at the points of mu_arch (same arguments, same checks, values
+    returned the same way); each value is bit for bit its one-point call's.
+
+    At each point: builds the Schwartz section for weight (n0, n),
+    optionally raised k times, applies the exact twisted transform,
+    evaluates both Tate integrals by quadrature at several sample points,
+    normalizes by the local L-factors, and checks that the resulting ratio
+    does not depend on the sample point.
 
     Work is split by what it depends on.  Once per shape (place, n0, n, k),
     in the cached _plan: the exact section and its transform are built, and
     the harmonic values at the sample points and each section's per-degree
-    weights there are kept.  Once per call: the L-factor ratio, the radial
-    moments at s and mu (one array call of radial_gaussian_moment, which
-    computes the ones missing from its cache in one stack), the sums of
-    weights times moments, and the consistency check across sample points.
+    weights there are kept.  Once per call: the L-factor ratios of every
+    point (one gamma_factor call), the radial moments of every point's
+    sample rows at its s and mu (one array call of radial_gaussian_moment,
+    which computes the ones missing from its cache in one stacked
+    quadrature), the sums of weights times moments, and each point's
+    consistency check across sample points.  Every point is checked
+    (weight, raise count, L-factor ratio) before any moment is computed.
 
-    Raises ValueError where a radial moment diverges: the degree-d moment
-    needs Re s > -(d + 2)/4 at the complex place and Re s > -(d + 1)/2 at
-    the real place for the section, and the same with -s for its transform.
-    Raises InconsistentRatio when two sample points disagree by more than
-    tol.
+    Raises ValueError for k != 0 at the real place, RangeError where an
+    L-factor ratio is not finite, and RangeError where a radial moment
+    diverges: the degree-d moment needs Re s > -(d + 2)/4 at the complex
+    place and Re s > -(d + 1)/2 at the real place for the section, and the
+    same with -s for its transform.  Raises InconsistentRatio when two
+    sample points disagree by more than tol.
     """
-    return complex(mu_arch_oracle_many([params], [n], k, tol)[0])
+    (s, mu, n0, n), back = _points("mu_arch_oracle", place, s, mu, n0, n)
+    if place is Place.REAL and k != 0:
+        raise ValueError("raised sections only exist at the complex place")
+    points = list(zip(s.tolist(), mu.tolist(), n0.tolist(), n.tolist()))
+    l_ratios = _l_ratios(place, points)
+    plans = [_plan(place, n0_i, n_i, k) for _, _, n0_i, n_i in points]
 
-
-def mu_arch_oracle_many(
-    params: Sequence[ArchParams],
-    ns: Sequence[int],
-    k: int = 0,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """mu_arch_oracle at each (params[i], ns[i]), as a complex array.
-
-    The local L-factors of every point come from one gamma_factor call per
-    place, and the radial moments of every point's sample rows from one
-    array call of radial_gaussian_moment per place, so one stacked
-    quadrature computes every moment the cache lacks; each value is bit for
-    bit its one-point value.  Every point is checked (weight and raise
-    count, then its L-factor ratio: RangeError where it is not finite)
-    before any moment is computed, and the errors are those of
-    mu_arch_oracle, for the first failing point.
-    """
-    for pa, n in zip(params, ns, strict=True):
-        _check_type_index(pa.place, pa.n0, n)
-        if pa.place is Place.REAL and k != 0:
-            raise ValueError("raised sections only exist at the complex place")
-    # the denominator's L-factor belongs to the inverse character: twist -mu
-    points = [
-        (pa, _swapped(pa), _l_ratio(lf, lf_inv, pa.s.imag, n, "mu_arch_oracle"), _plan(pa.place, pa.n0, n, k))
-        for pa, n, (lf, lf_inv) in zip(params, ns, _l_factors(params))
-    ]
-
-    # the moments of each place in one call, taken back in the order they
-    # were listed: point by point, row by row, the denominator's degrees
-    # before the numerator's
-    zs: dict[Place, list[complex]] = {}
-    for pa, sw, _, plan in points:
-        z = zs.setdefault(pa.place, [])
+    # every moment in one call, taken back in the order it was listed: point
+    # by point, row by row, the section's degrees before the transform's,
+    # which lives on the target representation (s and the twist flip sign)
+    zs: list[complex] = []
+    for (s_i, mu_i, _, _), plan in zip(points, plans):
         for _, den_w, num_w in plan:
-            z += _moment_zs(pa, den_w)
-            z += _moment_zs(sw, num_w)
-    rads = {place: iter(_quadrature_radials(place, z)) for place, z in zs.items()}
+            zs += _moment_zs(place, s_i, mu_i, den_w)
+            zs += _moment_zs(place, -s_i, -mu_i, num_w)
+    taken = iter(_quadrature_radials(place, zs))
 
     out = []
-    for pa, sw, l_ratio, plan in points:
+    for l_ratio, plan in zip(l_ratios, plans):
         ratios: list[complex] = []
-        taken = rads[pa.place]
         for harmonics, den_w, num_w in plan:
             d_val = _weighted_sum(den_w, taken)
             n_val = _weighted_sum(num_w, taken)
@@ -592,4 +572,4 @@ def mu_arch_oracle_many(
             else:
                 ratios.append(l_ratio * n_val / d_val)
         out.append(_consistent_ratio(ratios, tol, "point"))
-    return np.array(out, complex)
+    return back(np.array(out, complex))

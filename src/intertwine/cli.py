@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arch import Place, mu_arch_logderiv_many, mu_arch_many
+from .arch import Place, mu_arch, mu_arch_logderiv
 from .errors import ParityError, RangeError
 from .padic import (
     AddChar,
@@ -125,8 +125,8 @@ def _mu_rows_arch(args, place: Place):
     ns = _parse_range(args.n, integer=True)
     ys = _parse_range(args.y)
     s, n = 1j * np.repeat(ys, len(ns)), np.tile(ns, len(ys))
-    vals = mu_arch_many(place, s, args.mu, args.n0, n)
-    dvals = vals * mu_arch_logderiv_many(place, s, args.mu, args.n0, n)
+    vals = mu_arch(place, s, args.mu, args.n0, n)
+    dvals = vals * mu_arch_logderiv(place, s, args.mu, args.n0, n)
     vals, dvals = vals.reshape(len(ys), len(ns)).tolist(), dvals.reshape(len(ys), len(ns)).tolist()
     return [
         _mu_row({"place": place.value, "n0": args.n0, "n": n, "y": y}, vals[j][i], dvals[j][i])

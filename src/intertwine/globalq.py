@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch import Place, mu_arch_many
+from .arch import Place, mu_arch
 from .errors import PoleError, RangeError
 from .numerics import GammaKind, _stack, gamma_factor, limit_at_zero, trapezoid
 from .padic import mu_finite, unramified_params, val_p
@@ -254,9 +254,10 @@ def mu_global(points: Sequence[GlobalSpectralPoint], ktypes: Sequence[GlobalKTyp
     """Global eigenvalue at each point with its K-type: the completed-zeta
     ratio times the nontrivial local factors.
 
-    The ratios of all points take one mu_global_factor call and the
-    real-place factors one mu_arch_many call; each value then takes its
-    finite-place factors in the order of its K-type.
+    The ratios of all points take one mu_global_factor call, and the
+    real-place factors of the points with a nonzero real weight one
+    mu_arch call on arrays of their s = iy, mu and weights (n0 = 0); each
+    value then takes its finite-place factors in the order of its K-type.
     """
     if len(points) != len(ktypes):
         raise ValueError(f"need one K-type per point, got {len(points)} points and {len(ktypes)} K-types")
@@ -264,8 +265,8 @@ def mu_global(points: Sequence[GlobalSpectralPoint], ktypes: Sequence[GlobalKTyp
     vals = mu_global_factor(ys)
     real = [i for i, kt in enumerate(ktypes) if kt.real_weight != 0]
     if real:
-        vals[real] *= mu_arch_many(Place.REAL, 1j * ys[real], [points[i].mu for i in real], 0,
-                                   [ktypes[i].real_weight for i in real])
+        vals[real] *= mu_arch(Place.REAL, 1j * ys[real], [points[i].mu for i in real], 0,
+                              [ktypes[i].real_weight for i in real])
     for i, (pt, kt) in enumerate(zip(points, ktypes)):
         s = 1j * pt.y
         for p, n in kt.finite_weights:

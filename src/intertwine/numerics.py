@@ -10,20 +10,21 @@ and on adaptive trapezoid quadrature after a double-exponential change of
 variables.  The normalizations are not assumed: the test suite pins them by
 matching the radial integrals they are meant to equal.
 
-Every evaluator here and in globalq takes its arguments through _stack
-and _unstack: each a scalar, ndarray, list or tuple, broadcast together and
-evaluated as one flat array, each element bit for bit its scalar call.  Any
-ndarray (0-d included), list or tuple gives a complex array of the
-broadcast shape; all scalars give a Python complex, and RangeError names
-them where that value is not finite.  A non-finite argument raises
-RangeError (a ValueError) naming the evaluator, the argument and its
-index, and a complex one where a real is required TypeError, before
-anything is evaluated; arch.mu_arch_many and its kin flatten their points
-the same way and return flat arrays.
+Every evaluator here, in globalq and in arch takes its arguments through
+_stack and _unstack: each a scalar, ndarray, list or tuple, broadcast
+together and evaluated as one flat array, each element bit for bit its
+scalar call.  Any ndarray (0-d included), list or tuple gives a complex
+array of the broadcast shape; all scalars give a Python complex, and
+RangeError names them where that value is not finite.  A non-finite
+argument raises RangeError (a ValueError) naming the evaluator, the
+argument and its index, and a complex one where a real is required
+TypeError, before anything is evaluated.  An argument outside the
+evaluator's domain (y > 0 for bessel_k, say) raises RangeError the same
+way, naming the domain, the value and its index.
 
 complex_gamma and gamma_factor have one vectorized Lanczos body each, and
 a scalar is a one-point array (about 55 us a call), so the closed forms
-built on them (arch.mu_arch_many, the oracle's L-factors,
+built on them (arch.mu_arch, the oracle's L-factors,
 globalq.completed_zeta) pass each batch of points in one call.
 
 The quadratures are stacked too: _trapezoid_doubling runs the one-row
@@ -391,24 +392,35 @@ def _masked_exp(expo: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return out.reshape(rest.shape)
 
 
-def _stack(name: str, real: tuple = (), **args) -> tuple[list[np.ndarray], Callable]:
+def _stack(name: str, real: tuple = (), domain: dict | None = None, **args) -> tuple[list[np.ndarray], Callable]:
     """The arguments of an evaluator as flat arrays of their common
     broadcast shape, and the function (_unstack) that turns the flat
     result back as the module docstring says.  Raises TypeError for a
-    complex array of an argument named in `real`, and RangeError naming the
-    first non-finite entry, before anything is evaluated."""
-    arrays = [np.asarray(v) for v in args.values()]
-    for key, a in zip(args, arrays):
+    complex array of an argument named in `real`, RangeError naming the
+    first non-finite entry, and then, for each argument named in `domain`
+    (a map to the pair (need, ok) of a domain text and an elementwise test),
+    RangeError "`name` requires `need`" naming the first entry that fails
+    ok; all before anything is evaluated."""
+    arrays = {key: np.asarray(v) for key, v in args.items()}
+    for key, a in arrays.items():
         if key in real and np.iscomplexobj(a):
             raise TypeError(f"{name} requires real {key}, got {a.dtype}")
-        if not np.isfinite(a).all():
-            bad = int(np.flatnonzero(~np.isfinite(a))[0])
-            at = f" at index {tuple(int(i) for i in np.unravel_index(bad, a.shape))}" if a.ndim else ""
-            raise RangeError(f"{name} requires finite {key}, got {a.flat[bad].item()!r}{at}")
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    flat = [(a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in arrays]
+        _require(name, f"finite {key}", a, np.isfinite(a))
+    for key, (need, ok) in (domain or {}).items():
+        _require(name, need, arrays[key], ok(arrays[key]))
+    shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
+    flat = [(a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in arrays.values()]
     scalar = not shape and not any(isinstance(v, np.ndarray) for v in args.values())
     return flat, partial(_unstack, name, args if scalar else None, shape)
+
+
+def _require(name: str, need: str, a: np.ndarray, ok: np.ndarray):
+    """RangeError "`name` requires `need`, got <value> at index <i>" for
+    the first entry of a where ok is False (no index for a 0-d a)."""
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        at = f" at index {tuple(int(i) for i in np.unravel_index(bad, a.shape))}" if a.ndim else ""
+        raise RangeError(f"{name} requires {need}, got {a.flat[bad].item()!r}{at}")
 
 
 def _unstack(name: str, scalars: dict | None, shape: tuple, values: np.ndarray):
@@ -421,6 +433,10 @@ def _unstack(name: str, scalars: dict | None, shape: tuple, values: np.ndarray):
         at = ", ".join(f"{key} = {x}" for key, x in scalars.items())
         raise RangeError(f"{name}({', '.join(scalars)}) leaves float range at {at}")
     return v
+
+
+# the domain of bessel_k's and bessel_k_alt's y, as _stack takes it
+_POSITIVE = ("y > 0", lambda y: y > 0)
 
 
 def bessel_k(nu, y):
@@ -438,9 +454,7 @@ def bessel_k(nu, y):
     absolute below (3 000 log-spaced y): QUAD_ABS_TOL, not the rule, limits
     the relative accuracy of small values.
     """
-    (nu, y), back = _stack("bessel_k", nu=nu, y=y)
-    if not (y > 0).all():
-        raise ValueError("bessel_k requires y > 0")
+    (nu, y), back = _stack("bessel_k", domain={"y": _POSITIVE}, nu=nu, y=y)
     scale = np.array([-2.0 * v for v in y.tolist()])[:, None]
     order = np.array([complex(v) for v in nu.tolist()])[:, None]
 
@@ -454,9 +468,7 @@ def bessel_k(nu, y):
 def bessel_k_alt(nu, y):
     """Second integral representation: int_0^inf exp(-y(t^2 + t^-2)) t^(2 nu) dt/t,
     on the arguments and domain of bessel_k."""
-    (nu, y), back = _stack("bessel_k_alt", nu=nu, y=y)
-    if not (y > 0).all():
-        raise ValueError("bessel_k_alt requires y > 0")
+    (nu, y), back = _stack("bessel_k_alt", domain={"y": _POSITIVE}, nu=nu, y=y)
     scale = np.array([-2.0 * v for v in y.tolist()])[:, None]
     order = np.array([2.0 * complex(v) for v in nu.tolist()])[:, None]
 
@@ -473,9 +485,7 @@ def kernel_ka(kind: GammaKind, a, w):
     integrals (see kernel_ka_quad) reduce to these by t = r^2 resp. t = r.
     a in [1, 2) and finite complex w are taken as in bessel_k.
     """
-    (a, w), back = _stack("kernel_ka", a=a, w=w)
-    if not ((1.0 <= a) & (a < 2.0)).all():
-        raise ValueError("a must lie in [1, 2)")
+    (a, w), back = _stack("kernel_ka", domain={"a": ("a in [1, 2)", lambda a: (1.0 <= a) & (a < 2.0))}, a=a, w=w)
     if kind is GammaKind.COMPLEX:
         return back(4.0 * bessel_k(w, a))
     if kind is GammaKind.REAL:
@@ -490,11 +500,9 @@ def kernel_ka_quad(kind: GammaKind, a, w):
     REAL:    2 int_0^inf exp(-a (r^2 + r^-2)) r^w     dr/r
 
     Finite a > 0, where the integral converges, and finite w, taken as in
-    bessel_k; a <= 0 raises ValueError before any node is evaluated.
+    bessel_k; a <= 0 raises RangeError before any node is evaluated.
     """
-    (a, w), back = _stack("kernel_ka_quad", a=a, w=w)
-    if not (a > 0).all():
-        raise ValueError("kernel_ka_quad requires a > 0")
+    (a, w), back = _stack("kernel_ka_quad", domain={"a": ("a > 0", lambda a: a > 0)}, a=a, w=w)
     scale = np.array([-v for v in a.tolist()])[:, None]
     power = np.array([(2.0 * complex(v) if kind is GammaKind.COMPLEX else complex(v)) - 1.0 for v in w.tolist()])[:, None]
     front = 4.0 if kind is GammaKind.COMPLEX else 2.0
@@ -528,13 +536,11 @@ def radial_gaussian_moment(kind: GammaKind, z):
     stacked quadrature.
     """
     cache = _MOMENTS[kind]
-    (z,), back = _stack("radial_gaussian_moment", z=z)
+    (z,), back = _stack("radial_gaussian_moment", domain={"z": ("Re z > 0", lambda z: z.real > 0)}, z=z)
     zs = z.tolist()
     missing = [v for v in dict.fromkeys(zs) if v not in cache]
     if missing:
         missing = [complex(v) for v in missing]
-        if any(v.real <= 0 for v in missing):
-            raise ValueError("radial moment requires Re z > 0")
         if kind is GammaKind.COMPLEX:
             front, coef = 4.0, 2.0 * math.pi
         else:

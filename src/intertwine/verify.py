@@ -28,10 +28,10 @@ from .arch import (
     ArchParams,
     Place,
     mu_arch_derivative,
+    mu_arch,
     mu_arch_derivative_bound,
     mu_arch_logderiv,
-    mu_arch_many,
-    mu_arch_oracle_many,
+    mu_arch_oracle,
     mu_arch_product,
 )
 from .exact import PiLaurent, VarPoly
@@ -346,8 +346,8 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
         mu = rng.uniform(-2, 2)
         draws.append((y, mu, _complex_weight(rng, 3, 4), _real_weight(rng, 4)))
     ys, mus, complex_weights, real_weights = zip(*draws)
-    mcs = mu_arch_many(Place.COMPLEX, 1j * np.array(ys), mus, *zip(*complex_weights))
-    mrs = mu_arch_many(Place.REAL, 1j * np.array(ys), mus, *zip(*real_weights))
+    mcs = mu_arch(Place.COMPLEX, 1j * np.array(ys), mus, *zip(*complex_weights))
+    mrs = mu_arch(Place.REAL, 1j * np.array(ys), mus, *zip(*real_weights))
     for i, (y, mu, (n0, n), (n0r, nr)) in enumerate(draws):
         mc = complex(mcs[i])
         cases.append(scalar_case(f"arch/unitary-complex/{i}", {"y": y, "n0": n0, "n": n}, abs(mc), 1.0, 1e-12))
@@ -368,8 +368,8 @@ def suite_arch(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     }
     for place, (mu, grid) in grids.items():
         n0s, ns, _, ss = zip(*grid)
-        closed = mu_arch_many(place, ss, mu, n0s, ns)
-        oracle = mu_arch_oracle_many([ArchParams(place, s, mu, n0) for n0, _, _, s in grid], ns).tolist()
+        closed = mu_arch(place, ss, mu, n0s, ns)
+        oracle = mu_arch_oracle(place, ss, mu, n0s, ns).tolist()
         for (n0, n, j, s), value, quad in zip(grid, closed, oracle):
             cases.append(
                 scalar_case(f"arch/oracle-{place.value}/{n0}/{n}/{j}", {"n0": n0, "n": n, "s": s}, value, quad, tol)
@@ -599,10 +599,9 @@ def suite_global(seed: int = 0, sizes: Sizes = DEFAULT_SIZES) -> Report:
     # truncated-norm identity: off-axis extrapolation against the axis form
     # (mu on the axis and at the off-axis samples in one call per point)
     for (y, c) in sizes.ms_points:
-        pa = ArchParams(Place.COMPLEX, 1j * y, 0.0, 0)
         ss = [complex(sig, y) for sig in _AXIS_SIGMAS]
-        m_iy, *ms = mu_arch_many(Place.COMPLEX, [1j * y] + ss, 0.0, 0, 4).tolist()
-        m_prime = m_iy * mu_arch_logderiv(pa, 4)
+        m_iy, *ms = mu_arch(Place.COMPLEX, [1j * y] + ss, 0.0, 0, 4).tolist()
+        m_prime = m_iy * mu_arch_logderiv(Place.COMPLEX, 1j * y, 0.0, 0, 4)
         target = gl.maass_selberg_onaxis(y, c, m_iy, m_prime)
         vals = [gl.maass_selberg(s, c, 1.0, abs(m), m.conjugate()) for s, m in zip(ss, ms)]
         cases.append(scalar_case(f"global/ms-limit/y={y}", {"c": c}, limit_at_zero(_AXIS_SIGMAS, vals), target, tol))

@@ -187,7 +187,7 @@ def test_mu_table_arch_derivative_is_exact_half(capsys, place, extra):
     rows = _mu_rows(capsys, place, extra)
     assert len(rows) == (5 if place == "complex" else 10) * 5
     for r in rows:
-        (exact,), _ = mu_arch_derivative(Place(place), 1j * r["y"], 0.3, r["n0"], r["n"])
+        exact, _ = mu_arch_derivative(Place(place), 1j * r["y"], 0.3, r["n0"], r["n"])
         assert complex(r["mu_prime_re"], r["mu_prime_im"]) == exact
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intertwine.arch import ArchParams, Place, mu_arch
+from intertwine.arch import Place, mu_arch
 from intertwine.errors import PoleError, RangeError
 from intertwine.globalq import (
     GlobalKType,
@@ -228,7 +228,7 @@ def test_mu_global_product():
     assert abs(mu_global([pt], [GlobalKType()])[0] - mu_global_factor(1.0)) < 1e-14
     # real-place weight only
     kt = GlobalKType(real_weight=2)
-    expected = mu_global_factor(1.0) * mu_arch(ArchParams(Place.REAL, 1j, 0.0, 0), 2)
+    expected = mu_global_factor(1.0) * mu_arch(Place.REAL, 1j, 0.0, 0, 2)
     assert abs(mu_global([pt], [kt])[0] - expected) < 1e-12
     # mixed data stays unitary
     rng = random.Random(3)
@@ -261,7 +261,7 @@ def test_laplace_values():
 def test_maass_selberg_positive_and_scaling():
     # a unitary scalar model off the axis gives a positive value
     s = complex(0.1, 0.6)
-    m = mu_arch(ArchParams(Place.COMPLEX, s, 0.0, 0), 4)
+    m = mu_arch(Place.COMPLEX, s, 0.0, 0, 4)
     val = maass_selberg(s, 2.0, 1.0, abs(m), m.conjugate())
     assert val > 0
     # doubling the height adds 2 log 2 in the axis limit with flat phase

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intertwine.numerics as numerics
+from intertwine.arch import Place, mu_arch, mu_arch_logderiv, mu_arch_oracle
 from intertwine.errors import PoleError, RangeError, ToleranceNotMet
 from intertwine.globalq import completed_zeta, mu_global_factor, riemann_zeta
 from intertwine.verify import _AXIS_SIGMAS
@@ -484,6 +485,12 @@ def test_a_non_decaying_row_fails_its_stack():
         (lambda: kernel_ka_quad(GammaKind.REAL, np.array([1.0, math.inf]), 1.0), r"kernel_ka_quad requires finite a, got inf at index \(1,\)"),
         (lambda: kernel_ka_quad(GammaKind.COMPLEX, 0.0, 1.0), "kernel_ka_quad requires a > 0"),
         (lambda: radial_gaussian_moment(GammaKind.REAL, complex(2.0, math.nan)), "radial_gaussian_moment requires finite z"),
+        # outside the domain: the evaluator, the domain, the value and its index
+        (lambda: bessel_k(0.5, [1.0, -1.0]), r"^bessel_k requires y > 0, got -1.0 at index \(1,\)$"),
+        (lambda: bessel_k_alt([0.5, 1.0], 0.0), r"^bessel_k_alt requires y > 0, got 0.0$"),
+        (lambda: kernel_ka(GammaKind.REAL, [[1.5], [2.0]], 0.3), r"^kernel_ka requires a in \[1, 2\), got 2.0 at index \(1, 0\)$"),
+        (lambda: radial_gaussian_moment(GammaKind.COMPLEX, [1.0, -0.5 + 1j]),
+         r"^radial_gaussian_moment requires Re z > 0, got \(-0.5\+1j\) at index \(1,\)$"),
     ),
 )
 def test_non_finite_arguments_raise_before_any_node(monkeypatch, call, message):
@@ -491,7 +498,7 @@ def test_non_finite_arguments_raise_before_any_node(monkeypatch, call, message):
         pytest.fail("a node was evaluated")
 
     monkeypatch.setattr(numerics, "_trapezoid_doubling", never)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(RangeError, match=message):
         call()
 
 
@@ -513,6 +520,11 @@ CONVENTION = {
     ),
     "radial_gaussian_moment": (
         "radial_gaussian_moment", "z", lambda z: radial_gaussian_moment(GammaKind.REAL, z), [0.5, 1 + 1j, 2.5, 4 - 2j]
+    ),
+    "mu_arch": ("mu_arch", "s", lambda s: mu_arch(Place.COMPLEX, s, 0.3, 1, 3), [0.5j, 0.2 + 1j, -1.5j, 0.3]),
+    "mu_arch_logderiv": ("mu_arch_logderiv", "s", lambda s: mu_arch_logderiv(Place.REAL, s, -0.4, 1, -5), [0.5j, 1j, -1.5j, 0j]),
+    "mu_arch_oracle": (
+        "mu_arch_oracle", "s", lambda s: mu_arch_oracle(Place.REAL, s, -0.2, 0, 2), [0.3, 0.25 - 0.1j, 0.2 + 0.1j, 0.35]
     ),
 }
 

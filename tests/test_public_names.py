@@ -70,3 +70,13 @@ def test_every_private_helper_is_reached_from_the_library():
     # a helper left behind when its last caller moved elsewhere
     dead = sorted(name for name in unreached_names() if _private(name))
     assert not dead, f"private helpers no library code reaches: {dead}"
+
+
+def test_no_evaluator_has_a_many_twin():
+    # one evaluator per quantity takes scalars and arrays alike (numerics'
+    # _stack / _unstack); an f_many beside f is a second entry point to it
+    twins = []
+    for path in sorted(SRC.glob("*.py")):
+        defined = {node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+        twins += [f"{path.stem}.{name}" for name in sorted(defined) if name.endswith("_many") and name[:-5] in defined]
+    assert not twins, f"array twins of an evaluator: {twins}"

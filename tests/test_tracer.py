@@ -23,10 +23,10 @@ import tracer as tracing
 t = tracing.Tracer()
 tracing.install(t)
 tracing.self_check()
-from intertwine.arch import ArchParams, Place, mu_arch
+from intertwine.arch import Place, mu_arch
 from intertwine.padic import classical_vector, unramified_params
 from intertwine.schwartz import fourier_hat_h, section_su2
-mu_arch(ArchParams(Place.COMPLEX, 0.5j), 2)
+mu_arch(Place.COMPLEX, 0.5j, 0.0, 0, 2)
 fourier_hat_h(section_su2(0, 2))
 classical_vector(unramified_params(5, 0.5j), 1).evaluate(1, 1)
 print(json.dumps(t.summary()["calls"]))
