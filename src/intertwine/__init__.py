@@ -4,9 +4,9 @@ Layers, bottom up: gamma factors and double-exponential quadrature
 (numerics); the exact one-dimensional Gaussian span (classical); spherical
 harmonics on the compact groups (harmonics); polynomial-Gaussian Schwartz
 classes with exact twisted transforms (schwartz); archimedean sections and
-eigenvalues (arch); the exact theory at odd primes (padic); the global layer
-over the rationals (globalq); verification suites and reports (verify,
-reports); and the command line (cli).
+eigenvalues (arch); the exact theory at every prime, 2 included (padic); the
+global layer over the rationals (globalq); verification suites and reports
+(verify, reports); and the command line (cli).
 """
 
 from .arch import ArchParams, Place, mu_arch, mu_arch_oracle
@@ -18,6 +18,7 @@ from .errors import (
     RangeError,
     ToleranceNotMet,
 )
+from .globalq import riemann_zeta
 from .numerics import GammaKind, bessel_k, gamma_factor, kernel_ka, quad_halfline
 from .padic import AddChar, FiniteParams, MultChar, gauss_sum, g_normalized, mu_finite, mu_finite_oracle
 from .verify import run_suite
@@ -39,6 +40,7 @@ __all__ = [
     "g_normalized",
     "mu_finite",
     "mu_finite_oracle",
+    "riemann_zeta",
     "run_suite",
     "ConductorError",
     "InconsistentRatio",

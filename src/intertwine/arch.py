@@ -196,7 +196,7 @@ def mu_arch_product(params: ArchParams, n: int) -> complex:
     _check_type_index(params.place, params.n0, n)
     y = params.s.imag
     if abs(params.s.real) > _AXIS:
-        raise ValueError("product form is for s on the unitary axis")
+        raise RangeError(f"mu_arch_product requires {_ON_AXIS[0]}, got {params.s!r}")
     t = 2 * y + params.mu
     ah = complex(1, t)
     bh = complex(1, -t)
@@ -419,7 +419,7 @@ def tate_section_complex(
     integral.
     """
     if params.place is not Place.COMPLEX:
-        raise ValueError("complex-place section with real-place parameters")
+        raise ValueError(f"tate_section_complex requires the complex place, got {params.place.value!r}")
     _check_method(method)
     return _section_sum(_complex_degree_weights(phi, params.n0, kappa, method), params, method)
 
@@ -438,7 +438,7 @@ def tate_section_real(
     each degree's radial integral.
     """
     if params.place is not Place.REAL:
-        raise ValueError("real-place section with complex-place parameters")
+        raise ValueError(f"tate_section_real requires the real place, got {params.place.value!r}")
     _check_method(method)
     return _section_sum(_real_degree_weights(phi, params.n0, kappa), params, method)
 

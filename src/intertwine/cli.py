@@ -3,6 +3,7 @@
     intertwine verify --suite all --seed 7 [--json report.json]
     intertwine mu --place complex --n0 0 --n 0:6 --y 0:2:0.5 [--format csv]
     intertwine gauss --p 5 --m-max 2 [--psi-c 1]
+    intertwine gauss --p 2 --allow-p2 --m-max 4
 
 verify exits 0 when every case passes, 1 otherwise, 2 on bad arguments;
 every subcommand exits 2 when it cannot write its --json or --out file.
@@ -10,7 +11,9 @@ Each case's tolerance is fixed in the verify module and has no override;
 verify --tolerances lists the tolerance each suite applies to the cases
 that state none of their own.  Reports are deterministic for a fixed seed
 (timing is only included with --timing, since it would break byte-for-byte
-reproducibility).
+reproducibility).  gauss makes one padic.gauss_sums call per conductor at
+every prime; p = 2 needs --allow-p2, and labels its rows chi4 and
+eps=...,a=... in place of a=... and a chi(-1) column.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .padic import (
     check_gauss_domain,
     check_gauss_work,
     gauss_sums,
-    gauss_sums_p2,
     is_odd_prime,
     mu_finite,
     mu_finite_logderiv,
@@ -163,16 +165,6 @@ def cmd_mu(args) -> int:
     return 0
 
 
-def _gauss_rows_p2(m_max: int) -> list[dict]:
-    """Rows of padic.gauss_sums_p2 for 2 <= m <= m_max, labelled by (eps, a)."""
-    rows = []
-    for m in range(2, m_max + 1):
-        for (eps, a), g in gauss_sums_p2(m).items():
-            label = "chi4" if m == 2 else f"eps={eps},a={a}"
-            rows.append({"p": 2, "m": m, "char": label, "g_re": g.real, "g_im": g.imag, "g_abs": abs(g)})
-    return rows
-
-
 def cmd_gauss(args) -> int:
     p = args.p
     if p == 2 and not args.allow_p2:
@@ -184,24 +176,18 @@ def cmd_gauss(args) -> int:
     # so both are checked before any row
     check_gauss_domain(p, args.m_max)
     check_gauss_work(p, args.m_max)
-    if p == 2:
-        rows = _gauss_rows_p2(args.m_max)
-    else:
-        psi = AddChar(p, args.psi_c)
-        rows = []
-        for m in range(1, args.m_max + 1):
-            for chi, g in gauss_sums(p, m, psi).items():
-                rows.append(
-                    {
-                        "p": p,
-                        "m": m,
-                        "char": f"a={chi.a}",
-                        "chi_m1": chi.at_minus_one(),
-                        "g_re": g.real,
-                        "g_im": g.imag,
-                        "g_abs": abs(g),
-                    }
-                )
+    psi = AddChar(p, args.psi_c)
+    rows = []
+    for m in range(1, args.m_max + 1):
+        for chi, g in gauss_sums(p, m, psi).items():
+            row = {"p": p, "m": m}
+            if p == 2:
+                # chi(-1) = (-1)^eps is in the label
+                row["char"] = "chi4" if m == 2 else f"eps={chi.eps},a={chi.a}"
+            else:
+                row.update(char=f"a={chi.a}", chi_m1=chi.at_minus_one())
+            row.update(g_re=g.real, g_im=g.imag, g_abs=abs(g))
+            rows.append(row)
     _emit_table(rows, args.format, args.out)
     return 0
 

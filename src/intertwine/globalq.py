@@ -146,9 +146,9 @@ def completed_zeta(z):
     """Lambda(z) = Gamma_R(z) zeta(z) on |Re z| <= 200, |Im z| <= 450.
 
     z is taken as in the numerics module docstring, an array in one
-    gamma_factor and one riemann_zeta call.  Poles at 0 and 1.  Re z < -1/4
-    goes through Lambda(z) = Lambda(1 - z), which keeps the trivial-zero
-    cancellation away from 0 * inf.  The bounds
+    gamma_factor call and one pass of riemann_zeta's Euler-Maclaurin body.
+    Poles at 0 and 1.  Re z < -1/4 goes through Lambda(z) = Lambda(1 - z),
+    which keeps the trivial-zero cancellation away from 0 * inf.  The bounds
     are where Gamma_R leaves float range: on Re z < 1 the reflection inside
     complex_gamma overflows from |Im z| = 452.5 (on Re z >= 1 the value
     underflows from |Im z| of about 900), and Gamma_R overflows from Re z of
@@ -166,7 +166,8 @@ def completed_zeta(z):
     if pole.any():
         raise PoleError(f"completed zeta pole at z = {zs[pole][0]}")
     zs = np.where(zs.real < -0.25, 1 - zs, zs)
-    return back(gamma_factor(GammaKind.REAL, zs) * riemann_zeta(zs))
+    # reflected, every point is inside riemann_zeta's domain and off its pole
+    return back(gamma_factor(GammaKind.REAL, zs) * _zeta_euler_maclaurin(zs))
 
 
 def residue_constant() -> float:

@@ -1,16 +1,17 @@
-"""Exact local theory at an odd prime: characters, Gauss sums (and those
-mod 2^m), atoms, classical vectors, and the finite-place intertwining
-eigenvalues.
+"""Exact local theory at every prime: characters, Gauss sums, atoms,
+classical vectors, and the finite-place intertwining eigenvalues.
 
 Everything here is a finite exact computation.  Unit-group characters are
-stored primitively (the recorded exponent lives at the conductor modulus) on
-a single generator that works at every level; values are roots of unity
+stored primitively (the recorded exponents live at the conductor modulus) on
+one walk of the units that works at every level, (-1)^sign g^k for a fixed
+generator g: the sign half is empty at odd p, where g generates the cyclic
+group, and at p = 2 the units are {+-1} x <5>.  Values are roots of unity
 evaluated from exact rational angles.  Every Gauss-type sum (the Gauss sum,
 the unit integral behind its support window, the shells of the brute-force
-transform) is one unit integral that walks the units as powers of that
-generator and hands integer angle numerators over a common denominator to a
-single kernel, _root_sums (root_of_unity_sum is its public entry on a
-numerator array, which the tests call).  The numerators are built as int64
+transform) is one unit integral that walks the units that way and hands
+integer angle numerators over a common denominator to a single kernel,
+_root_sums (root_of_unity_sum is its public entry on a numerator array,
+which the tests call).  The numerators are built as int64
 arrays and the kernel takes cos and sin in numpy blocks, sums each component
 exactly in integer limbs and rounds it once (the value math.fsum gives), so
 a sum adds no rounding of its own.  Each term still carries the rounding of
@@ -21,14 +22,13 @@ rows at once: a (rows, n) array gives one exactly rounded sum per row, the
 same bits as a call on that row alone.  _root_sums alone sizes its
 pieces, and asks its caller to build each one.  _unit_sums writes the unit
 sum's numerators once, one row per character of one conductor; gauss_sums
-sums every primitive character of a conductor that way, and gauss_sums_p2
-does the same mod 2^m (units +-5^k).  They walk the powers of a generator
-one piece at a time, each piece g^c0 times one cached head table of at most
-_SUM_BLOCK powers (_unit_power_piece), so a deep shell holds one piece of
-powers, never phi(p^depth) of them; only _dlog_table, which inverts the
-powers, builds a whole unit group.  The int64 products bound the domain:
-a unit integral whose denominator times p^depth reaches 2^63 raises
-RangeError, and both Gauss tables check it first.
+sums every primitive character of a conductor that way, at every prime.
+The walk takes the powers of g one piece at a time, each piece g^c0 times
+one cached head table of at most _SUM_BLOCK powers (_unit_power_piece), so
+a deep shell holds one piece of powers, never phi(p^depth) of them; only
+_dlog_table, which inverts the walk, builds a whole unit group.  The int64
+products bound the domain: a unit integral whose denominator times p^depth
+reaches 2^63 raises RangeError, and gauss_sums checks it first.
 Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
 (chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
 for the trivial character r is 1 (0 when b = 0), since its sum has the same
@@ -85,13 +85,14 @@ def is_odd_prime(p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def unit_generator(p: int) -> int:
-    """Generator of the cyclic unit group mod p^m, valid for every m >= 1.
-
-    A primitive root r mod p also generates mod p^2 unless r^(p-1) = 1 there,
-    in which case r + p does; either choice then works for all higher m.
-    """
+    """The generator g of the unit walk mod p^m (_unit_group), valid for
+    every m >= 1: 5 at p = 2; at odd p a primitive root r mod p, which also
+    generates mod p^2 unless r^(p-1) = 1 there, in which case r + p does;
+    either choice then works for all higher m."""
+    if p == 2:
+        return 5
     if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be a prime, got {p}")
     phi = p - 1
 
     def is_primitive(r: int) -> bool:
@@ -106,6 +107,34 @@ def unit_generator(p: int) -> int:
     if pow(r, p - 1, p * p) == 1:
         r += p
     return r
+
+
+@lru_cache(maxsize=None)
+def _unit_group(p: int, d: int) -> tuple[int, int, int, int]:
+    """(signs, order, lift, below) of the units mod p^d, d >= 0: they are
+    (-1)^sign g^k, sign < signs and k < order, g = unit_generator(p),
+    phi(p^d) = signs order of them (1 at d = 0).  The sign half is empty
+    (signs = 1) at odd p, where -1 is a power of g, and at p^d <= 2; at
+    p = 2 from d = 2 on, signs = 2 and order = 2^(d - 2).
+
+    A character (eps, a) mod p^d factors through p^(d - 1), and so is
+    imprimitive, when a % lift == 0 and eps < below: lift is the ratio of
+    the orders of g at d and d - 1, and below the signs at d - 1 (0 at
+    d = 0, where nothing lies below).  Raises ValueError unless p is prime.
+    """
+    if p != 2 and not is_odd_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+
+    def units(e: int) -> tuple[int, int]:
+        if p == 2:
+            return (2, 2 ** (e - 2)) if e >= 2 else (1, 1)
+        return 1, (p - 1) * p ** (e - 1) if e else 1
+
+    signs, order = units(d)
+    if d == 0:
+        return signs, order, 1, 0
+    below, below_order = units(d - 1)
+    return signs, order, order // below_order, below
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -124,11 +153,16 @@ def _prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _dlog_table(p: int, m: int) -> list[int]:
-    """k with g^k = u mod p^m at index u, for the units u mod p^m: the
-    inverse permutation of _unit_powers (entries at multiples of p unused)."""
-    powers = _unit_powers(unit_generator(p), p**m, (p - 1) * p ** (m - 1))
-    table = np.zeros(p**m, dtype=np.int64)
-    table[powers] = np.arange(powers.size)
+    """The walk index j of each unit u mod p^m, at index u (entries at
+    multiples of p unused): u = (-1)^sign g^k with (sign, k) =
+    divmod(j, order), order from _unit_group(p, m), the inverse permutation
+    of the walk of _unit_sums."""
+    (signs, order), mod = _unit_group(p, m)[:2], p**m
+    walk = _unit_powers(unit_generator(p), mod, order)
+    if signs == 2:
+        walk = np.concatenate((walk, mod - walk))
+    table = np.zeros(mod, dtype=np.int64)
+    table[walk] = np.arange(walk.size)
     return table.tolist()
 
 
@@ -318,60 +352,53 @@ def _same_prime(*primes: int) -> None:
 class MultChar:
     """Character of the unit group, stored primitively at its conductor.
 
-    cond = 0 is the trivial character.  For cond >= 1 the exponent a defines
-    chi(g^k) = exp(2 pi i a k / phi(p^cond)) on the fixed generator g.
+    cond = 0 is the trivial character.  For cond >= 1 the units mod p^cond
+    are (-1)^sign g^k on the fixed generator g = unit_generator(p), with
+    sign < signs and k < order from _unit_group(p, cond), and the character
+    is chi((-1)^sign g^k) = e(eps sign / 2 + a k / order).  At odd p -1 is
+    a power of g, so sign and eps are 0; at p = 2 (g = 5) the conductor is
+    2^2, with the one character chi4 (eps = 1, a = 0), or 2^m, m >= 3, with
+    a odd, and no character has conductor 2.
     """
 
     p: int
     cond: int
     a: int = 0
+    eps: int = 0
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.cond < 0:
             raise ValueError("conductor exponent must be >= 0")
-        if self.cond == 0:
-            if self.a != 0:
-                raise ValueError("trivial character must have exponent 0")
-        else:
-            phi = (self.p - 1) * self.p ** (self.cond - 1)
-            if not (0 < self.a < phi):
-                raise ValueError("exponent must be reduced and nonzero")
-            if self.cond >= 2 and self.a % self.p == 0:
-                raise ValueError(f"exponent {self.a} is imprimitive at conductor {self.cond}")
+        signs, order, lift, below = _unit_group(self.p, self.cond)
+        if not (0 <= self.a < order and 0 <= self.eps < signs):
+            raise ValueError(f"exponents eps = {self.eps}, a = {self.a} are not reduced at conductor {self.cond}")
+        if self.a % lift == 0 and self.eps < below:
+            raise ValueError(f"exponents eps = {self.eps}, a = {self.a} are imprimitive at conductor {self.cond}")
+
+    def __hash__(self):
+        # eps = 0, as at every odd p, hashes as the triple (p, cond, a)
+        return hash((self.p, self.cond, self.a, self.eps) if self.eps else (self.p, self.cond, self.a))
 
     @classmethod
     def trivial(cls, p: int) -> "MultChar":
         return cls(p, 0, 0)
 
     @classmethod
-    def from_exponent(cls, p: int, m: int, a: int) -> "MultChar":
-        """Character mod p^m with given exponent, reduced to its conductor."""
-        if m == 0:
-            return cls.trivial(p)
-        phi = (p - 1) * p ** (m - 1)
-        a %= phi
-        if a == 0:
-            return cls.trivial(p)
-        drop = 0
-        while drop < m - 1 and a % p == 0:
-            a //= p
-            drop += 1
-        return cls(p, m - drop, a)
+    def from_exponent(cls, p: int, m: int, a: int, eps: int = 0) -> "MultChar":
+        """Character mod p^m with given exponents, reduced to its conductor."""
+        signs, order, lift, below = _unit_group(p, m)
+        a, eps = a % order, eps % signs
+        while a % lift == 0 and eps < below:
+            a, m = a // lift, m - 1
+            lift, below = _unit_group(p, m)[2:]
+        return cls(p, m, a, eps)
 
     @classmethod
     def all_primitive(cls, p: int, m: int) -> list["MultChar"]:
-        """All characters of conductor exactly m."""
-        if m == 0:
-            return [cls.trivial(p)]
-        phi = (p - 1) * p ** (m - 1)
-        out = []
-        for a in range(1, phi):
-            if m >= 2 and a % p == 0:
-                continue
-            out.append(cls(p, m, a))
-        return out
+        """All characters of conductor exactly m, eps major (none for
+        p^m = 2)."""
+        signs, order, lift, below = _unit_group(p, m)
+        return [cls(p, m, a, eps) for eps in range(signs) for a in range(order) if a % lift or eps >= below]
 
     @property
     def conductor_value(self) -> int:
@@ -385,8 +412,7 @@ class MultChar:
         """Exact angle t with chi(u) = exp(2 pi i t)."""
         if self.cond == 0:
             return Fraction(0)
-        phi = (self.p - 1) * self.p ** (self.cond - 1)
-        return Fraction(self.a * self._log(*self._unit_parts(u)), phi)
+        return Fraction(*self._angle(*self._unit_parts(u)))
 
     def value(self, u) -> complex:
         """chi(u) for an int unit u, or of the unit part of a Fraction u."""
@@ -406,45 +432,46 @@ class MultChar:
             raise ValueError(f"{u} is not a unit mod {self.conductor_value}")
         return int(u), 1
 
-    def _log(self, num: int, den: int) -> int:
-        """k with g^k = num / den mod p^cond, for num and den prime to p."""
-        mod = self.conductor_value
-        return _dlog_table(self.p, self.cond)[num * pow(den, -1, mod) % mod]
+    def _angle(self, num: int, den: int) -> tuple[int, int]:
+        """(t, n) with chi(num / den) = e(t / n), chi ramified, for num and
+        den prime to p: with (sign, k) = divmod(j, order) for the walk index
+        j of num / den mod p^cond (_dlog_table), eps sign / 2 + a k / order
+        over n = 2 order."""
+        mod, order = self.conductor_value, _unit_group(self.p, self.cond)[1]
+        sign, k = divmod(_dlog_table(self.p, self.cond)[num * pow(den, -1, mod) % mod], order)
+        return self.eps * sign * order + 2 * self.a * k, 2 * order
 
     def _unit_value(self, num: int, den: int) -> complex:
         """chi(num / den) for num and den prime to p, chi ramified.
 
-        The angle a k / phi(p^cond) mod 1 becomes a float by int true
-        division, which is correctly rounded, so this is e_of of the exact
-        angle to the bit, without building a Fraction.
+        The angle t / n mod 1 becomes a float by int true division, which
+        is correctly rounded, so this is e_of of the exact angle to the bit,
+        without building a Fraction.
         """
-        phi = (self.p - 1) * self.p ** (self.cond - 1)
-        return cmath.exp(2j * math.pi * ((self.a * self._log(num, den) % phi) / phi))
+        t, n = self._angle(num, den)
+        return cmath.exp(2j * math.pi * ((t % n) / n))
 
     def at_minus_one(self) -> float:
-        """chi(-1) = (-1)^a; -1 is the half-order point of the cyclic group."""
-        if self.cond == 0:
-            return 1.0
-        return -1.0 if self.a % 2 else 1.0
+        """chi(-1): (-1)^eps at p = 2, where -1 is the sign, and (-1)^a at
+        odd p, where it is the half-order power of g."""
+        return -1.0 if (self.eps if self.p == 2 else self.a) % 2 else 1.0
 
     def inverse(self) -> "MultChar":
         if self.cond == 0:
             return self
-        phi = (self.p - 1) * self.p ** (self.cond - 1)
-        return MultChar(self.p, self.cond, (-self.a) % phi)
+        return MultChar(self.p, self.cond, (-self.a) % _unit_group(self.p, self.cond)[1], self.eps)
 
     def __mul__(self, other: "MultChar") -> "MultChar":
         _same_prime(self.p, other.p)
-        m = max(self.cond, other.cond)
-        if m == 0:
-            return MultChar.trivial(self.p)
-
-        def lift(chi: "MultChar") -> int:
-            if chi.cond == 0:
-                return 0
-            return chi.a * chi.p ** (m - chi.cond)
-
-        return MultChar.from_exponent(self.p, m, lift(self) + lift(other))
+        if other.cond == 0:
+            return self
+        if self.cond == 0:
+            return other
+        p, m = self.p, max(self.cond, other.cond)
+        order = _unit_group(p, m)[1]
+        # each exponent lifted to p^m
+        a = self.a * (order // _unit_group(p, self.cond)[1]) + other.a * (order // _unit_group(p, other.cond)[1])
+        return MultChar.from_exponent(p, m, a, self.eps + other.eps)
 
 
 @dataclass(frozen=True)
@@ -616,12 +643,14 @@ def _unit_frame(p: int, cond: int, b: int, r: int) -> tuple[int, int, int, int]:
     over the units y mod p^depth, depth = max(cond, b, 1), for characters of
     conductor p^cond.
 
-    The units are walked as powers y = g^j of the fixed generator, so a
-    character of exponent a has chi(y) = e(a j / phi(p^cond)) and needs no
-    discrete log; both angles are integers over the common denominator
-    den = (p - 1) p^max(cond - 1, b).  The term at j has the numerator
-    j (a chi_unit mod den) - psi_step y (_unit_sums).  Raises RangeError
-    when den p^depth reaches 2^63, beyond the int64 numerators.
+    The units are walked as y = (-1)^sign g^k, (sign, k) = divmod(j, order)
+    for the walk index j (unit_generator, _unit_group), so a character of
+    exponents (eps, a) has chi(y) = e(eps sign / 2 + a k / order(cond)) and
+    needs no discrete log; both angles are integers over the common
+    denominator den = (p - 1) p^max(cond - 1, b).  The term at j has the
+    numerator k (a chi_unit mod den) + sign eps den / 2 - psi_step y
+    (_unit_sums).  Raises RangeError when den p^depth reaches 2^63, beyond
+    the int64 numerators.
     """
     depth = max(cond, b, 1)
     top = max(cond - 1, b)
@@ -631,32 +660,43 @@ def _unit_frame(p: int, cond: int, b: int, r: int) -> tuple[int, int, int, int]:
             f"unit integral at p = {p}, depth {depth} is beyond the int64 kernel "
             "(angle denominator times p^depth >= 2^63)"
         )
-    return depth, den, p ** (top - cond + 1), r * (p - 1) * p ** (top - b) % den
+    return depth, den, den // _unit_group(p, cond)[1], r * (p - 1) * p ** (top - b) % den
 
 
-def _unit_sums(p: int, cond: int, exponents, b: int, r: int) -> list[complex]:
+def _unit_sums(p: int, cond: int, chars, b: int, r: int) -> list[complex]:
     """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
-    depth = max(cond, b, 1), for the character of conductor p^cond of each
-    exponent, one kernel row each (_unit_frame).  The numerators are built
-    one piece at a time, so a deep shell never holds all of them; each lies
-    in (-den p^depth, den p^depth), so none leaves int64."""
+    depth = max(cond, b, 1), for each character chi of conductor p^cond in
+    chars, one kernel row each (_unit_frame).  The numerators are built one
+    piece at a time, so a deep shell never holds all of them.  None leaves
+    int64: each lies in (-den p^depth, den p^depth) at odd p, and at p = 2,
+    where den p^depth <= 2^62, within 1.25 den p^depth + den / 2 of 0."""
     depth, den, chi_unit, psi_step = _unit_frame(p, cond, b, r)
-    steps = np.array(exponents, dtype=np.int64) * chi_unit % den
-    g, mod, order = unit_generator(p), p**depth, (p - 1) * p ** (depth - 1)
+    steps = np.array([chi.a for chi in chars], dtype=np.int64) * chi_unit % den
+    flips = np.array([chi.eps for chi in chars], dtype=np.int64) * (den // 2)
+    (signs, order), g, mod = _unit_group(p, depth)[:2], unit_generator(p), p**depth
 
     def block(rows: slice, cols: slice) -> np.ndarray:
-        j = np.arange(cols.start, cols.stop, dtype=np.int64)
-        k = np.multiply.outer(steps[rows], j)
-        k -= psi_step * _unit_power_piece(g, mod, order, j)
-        return k
+        # one part per sign half the piece meets: a piece lies in one half,
+        # or is the whole walk (at p = 2 order and _SUM_BLOCK are powers of
+        # 2), so each part's k are as _unit_power_piece asks
+        parts = []
+        for sign in range(cols.start // order, (cols.stop - 1) // order + 1):
+            k = np.arange(max(cols.start, sign * order), min(cols.stop, (sign + 1) * order), dtype=np.int64)
+            k -= sign * order
+            nums = np.multiply.outer(steps[rows], k)
+            nums -= (1 - 2 * sign) * psi_step * _unit_power_piece(g, mod, order, k)
+            if sign:  # chi(-y) = chi(y) e(eps / 2)
+                nums += flips[rows, None]
+            parts.append(nums)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    return _root_sums((steps.size, order), block, den)
+    return _root_sums((steps.size, signs * order), block, den)
 
 
 @lru_cache(maxsize=None)
 def _unit_sum(chi: MultChar, b: int, r: int) -> complex:
     """_unit_sums of the one character chi."""
-    return _unit_sums(chi.p, chi.cond, [chi.a], b, r)[0]
+    return _unit_sums(chi.p, chi.cond, [chi], b, r)[0]
 
 
 @lru_cache(maxsize=None)
@@ -683,26 +723,22 @@ def check_gauss_domain(p: int, m: int) -> None:
     _unit_frame(p, m, m, 1)
 
 
-# The most root-of-unity terms one Gauss-sum table may sum.  The kernel
-# sums about 1.2e7 terms a second (2-vCPU Xeon VM, Python 3.11), so a table
-# at the budget takes about a minute and a half; p = 2 up to m = 16, p = 7
-# up to m = 5 and p = 101 up to m = 2 fit.
+# The most root-of-unity terms one Gauss-sum table may sum, at any prime
+# (check_gauss_work).  The kernel sums about 1.2e7 terms a second (2-vCPU
+# Xeon VM, Python 3.11), so a table at the budget takes about a minute and
+# a half; p = 2 up to m = 16, p = 7 up to m = 5 and p = 101 up to m = 2 fit.
 GAUSS_TABLE_MAX_TERMS = 10**9
 
 
 def check_gauss_work(p: int, m_max: int) -> None:
     """Raise RangeError when the Gauss sums of every primitive character of
     conductor p^m, m <= m_max, sum more than GAUSS_TABLE_MAX_TERMS root-of-
-    unity terms: (#characters) (p - 1) p^(m - 1) per conductor, with p - 2
-    characters at m = 1 and (p - 1)^2 p^(m - 2) above at odd p, and one at
-    m = 2 and 2^(m - 2) above at p = 2 (gauss_sums_p2)."""
-    terms = 0
-    for m in range(1, m_max + 1):
-        if p == 2:
-            chars = 0 if m == 1 else 1 if m == 2 else 2 ** (m - 2)
-        else:
-            chars = p - 2 if m == 1 else (p - 1) ** 2 * p ** (m - 2)
-        terms += chars * (p - 1) * p ** (m - 1)
+    unity terms: phi(p^m) terms for each of the phi(p^m) - phi(p^(m - 1))
+    primitive characters of a conductor, at every prime (p - 2 at m = 1 and
+    (p - 1)^2 p^(m - 2) above at odd p; none at m = 1, one at m = 2 and
+    2^(m - 2) above at p = 2)."""
+    phi = [1] + [(p - 1) * p ** (m - 1) for m in range(1, m_max + 1)]
+    terms = sum((phi[m] - phi[m - 1]) * phi[m] for m in range(1, m_max + 1))
     if terms > GAUSS_TABLE_MAX_TERMS:
         raise RangeError(
             f"Gauss sums at p = {p} up to m = {m_max} take {terms:.3g} root-of-unity terms, "
@@ -713,7 +749,7 @@ def check_gauss_work(p: int, m_max: int) -> None:
 def gauss_sums(p: int, m: int, psi: AddChar) -> dict[MultChar, complex]:
     """g_normalized(chi, psi) for every primitive character chi of conductor
     p^m, keyed in the order of MultChar.all_primitive, each equal to it bit
-    for bit.
+    for bit (none at p^m = 2).
 
     One _unit_sums call sums every character's row, and each row is scaled
     as gauss_sum and g_normalized scale it.  The domain is checked before
@@ -724,46 +760,11 @@ def gauss_sums(p: int, m: int, psi: AddChar) -> dict[MultChar, complex]:
         raise ConductorError("Gauss sum needs a ramified character")
     check_gauss_domain(p, m)
     chars = MultChar.all_primitive(p, m)
-    raw = _unit_sums(p, m, [chi.a for chi in chars], m, 1)
+    raw = _unit_sums(p, m, chars, m, 1)
     # the grouping of _unit_integral, then of g_normalized
     scale = p ** (-m) * psi.conductor_value ** (-0.5)
     norm = math.sqrt(p**m * psi.conductor_value)
     return {chi: scale * g * norm for chi, g in zip(chars, raw)}
-
-
-def gauss_sums_p2(m: int) -> dict[tuple[int, int], complex]:
-    """Normalized Gauss sums of the primitive characters mod 2^m, keyed
-    (eps, a), for 2 <= m <= 31 (check_gauss_domain(2, m); RangeError
-    before any row outside it).
-
-    The units mod 2^m are +-5^k with 5 of order 2^(m-2).  A character sends
-    -1 to (-1)^eps and 5 to e(a / 2^(m-2)); it is primitive for odd a at
-    m >= 3, and m = 2 has the single character chi4 (eps = 1, a = 0).  Its
-    angles and those of psi(-u) = e(-u / 2^m) are integers over 2^m, summed
-    one row per character and divided by 2^(m/2).
-    """
-    if m < 2:
-        raise RangeError(f"Gauss sums mod 2^m need m >= 2, got {m}")
-    check_gauss_domain(2, m)
-    mod, order = 2**m, 2 ** (m - 2)
-    chars = [(1, 0)] if m == 2 else [(eps, a) for eps in (0, 1) for a in range(1, order, 2)]
-    half_eps = np.array([mod // 2 * eps for eps, _ in chars], dtype=np.int64)
-    steps = np.array([4 * a for _, a in chars], dtype=np.int64)
-
-    def block(rows: slice, cols: slice) -> np.ndarray:
-        # column sign * order + k is the unit u = (-1)^sign 5^k: it
-        # contributes e((4 a k - u) / 2^m), and e(eps / 2) when sign = 1.
-        # A piece holds both sign halves when 2 order fits in one (its k
-        # then start at 0), or else lies in one half, whose order columns
-        # are whole pieces; either way its k are as _unit_power_piece asks.
-        sign, k = np.divmod(np.arange(cols.start, cols.stop, dtype=np.int64), order)
-        nums = np.multiply.outer(steps[rows], k)
-        nums += np.multiply.outer(half_eps[rows], sign)
-        nums -= (1 - 2 * sign) * _unit_power_piece(5, mod, order, k)
-        return nums
-
-    raw = _root_sums((len(chars), 2 * order), block, mod)
-    return {char: g / math.sqrt(mod) for char, g in zip(chars, raw)}
 
 
 def unit_additive_integral(chi: MultChar, psi: AddChar, n: int) -> complex:
@@ -904,7 +905,7 @@ def _atom_inner(a: Atom, b: Atom, p: int, psi: AddChar) -> float:
 
 @dataclass(frozen=True)
 class FiniteParams:
-    """Spectral point at an odd prime: induction parameter s, twist exponent
+    """Spectral point at a prime: induction parameter s, twist exponent
     mu, the two unit characters, and the additive character."""
 
     p: int

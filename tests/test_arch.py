@@ -611,6 +611,22 @@ def test_log_derivative_raises_off_the_axis():
         mu_arch_product(ArchParams(Place.REAL, complex(2e-14, 0.5)), 2)
 
 
+def test_product_form_names_itself_and_the_point_off_the_axis():
+    on_axis = r"s on the unitary axis \(\|Re s\| <= 1e-14\)"
+    with pytest.raises(RangeError, match=rf"^mu_arch_product requires {on_axis}, got \(0.2\+1j\)$"):
+        mu_arch_product(ArchParams(Place.COMPLEX, 0.2 + 1j), 4)
+
+
+def test_complex_section_names_itself_and_the_place_it_got():
+    with pytest.raises(ValueError, match=r"^tate_section_complex requires the complex place, got 'real'$"):
+        tate_section_complex(section_su2(0, 0), ArchParams(Place.REAL, 0.2), hopf_point(0.6, 0.4, 1.2))
+
+
+def test_real_section_names_itself_and_the_place_it_got():
+    with pytest.raises(ValueError, match=r"^tate_section_real requires the real place, got 'complex'$"):
+        tate_section_real(section_so2(0), ArchParams(Place.COMPLEX, 0.2), 1 + 0j)
+
+
 def _hex(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 

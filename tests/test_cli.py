@@ -306,7 +306,9 @@ def test_gauss_p2_matches_product_formula(capsys):
 
 
 def test_gauss_p2_numerators_match_loop(capsys):
-    # the numpy numerators are the integers the per-term loop builds, so every row is bit-identical
+    # the numpy numerators are the integers the per-term loop builds, so every row is bit-identical;
+    # each sum is scaled as gauss_sums scales it at every prime, by p^-m C(psi)^(-1/2) and then by
+    # (p^m C(psi))^(1/2), which is g_normalized's grouping
     rows = _gauss_p2_rows(capsys, 8)
     for r in rows:
         m = r["m"]
@@ -315,7 +317,7 @@ def test_gauss_p2_numerators_match_loop(capsys):
         powers = [pow(5, k, mod) for k in range(2 ** (m - 2))]
         nums = [4 * a * k - x for k, x in enumerate(powers)]
         nums += [mod // 2 * eps + 4 * a * k + x for k, x in enumerate(powers)]
-        g = intertwine.padic.root_of_unity_sum(nums, mod) / math.sqrt(mod)
+        g = intertwine.padic.root_of_unity_sum(nums, mod) * 2.0**-m * math.sqrt(mod)
         assert complex(r["g_re"], r["g_im"]) == g
 
 
@@ -378,7 +380,7 @@ def test_kernel_splits_a_long_row_into_blocks(monkeypatch):
     assert sizes == [block, block, 5]
     sizes.clear()
     # the units mod 7^6 of a deep trivial shell
-    intertwine.padic._unit_sums(7, 0, [0], 6, 1)
+    intertwine.padic._unit_sums(7, 0, [MultChar.trivial(7)], 6, 1)
     n = 6 * 7**5
     assert sizes == [block] * (n // block) + [n % block]
 
@@ -399,7 +401,7 @@ def test_gauss_p2_beyond_kernel_exits_two_before_any_row(monkeypatch, capsys):
     def never(*args):
         pytest.fail("a p = 2 row was computed before the domain check")
 
-    monkeypatch.setattr(intertwine.cli, "gauss_sums_p2", never)
+    monkeypatch.setattr(intertwine.cli, "gauss_sums", never)
     assert main(["gauss", "--p", "2", "--allow-p2", "--m-max", "32"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
@@ -412,7 +414,6 @@ def test_gauss_beyond_the_work_budget_exits_two_before_any_row(monkeypatch, caps
     def never(*args):
         pytest.fail("a row was computed before the work check")
 
-    monkeypatch.setattr(intertwine.cli, "gauss_sums_p2", never)
     monkeypatch.setattr(intertwine.cli, "gauss_sums", never)
     for argv in (["--p", "2", "--allow-p2", "--m-max", "20"], ["--p", "7", "--m-max", "6"]):
         assert main(["gauss", *argv]) == 2

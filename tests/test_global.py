@@ -28,6 +28,7 @@ from intertwine.globalq import (
     sobolev_term_decay_slope,
     sobolev_weight_sum,
 )
+from intertwine.padic import mu_finite, unramified_params
 
 
 def test_zeta_reference_values():
@@ -239,6 +240,19 @@ def test_mu_global_product():
         )
         val = mu_global([GlobalSpectralPoint(rng.uniform(0.1, 5.0))], [kt])[0]
         assert abs(abs(val) - 1.0) < 1e-8
+
+
+def test_mu_global_takes_a_ktype_at_two():
+    # Q has a place at 2; its unramified factor enters like any other
+    for y in (0.3, 1.7):
+        for n in (1, 2, 3):
+            kt = GlobalKType(real_weight=2, finite_weights=((2, n), (3, 1)))
+            val = mu_global([GlobalSpectralPoint(y, 0.2)], [kt])[0]
+            assert abs(abs(val) - 1.0) < 1e-12
+            expected = mu_global_factor(y) * mu_arch(Place.REAL, 1j * y, 0.2, 0, 2)
+            for p, m in kt.finite_weights:
+                expected *= mu_finite(unramified_params(p, 1j * y, 0.2), m)
+            assert val == expected
 
 
 def test_ktype_validation():

@@ -34,7 +34,6 @@ from intertwine.padic import (
     g_normalized,
     gauss_sum,
     gauss_sums,
-    gauss_sums_p2,
     iota_normalization,
     level_membership,
     mu_finite,
@@ -117,6 +116,52 @@ def test_char_group_operations():
     prm = params_for(5, "both-trivial-twist")
     assert prm.twist_char.is_trivial()
     assert not params_for(5, "both").twist_char.is_trivial()
+
+
+def test_odd_prime_characters_keep_their_key():
+    # the caches key on characters: eps defaults to 0 and leaves equality
+    # and hash of an odd-p character as they were
+    assert MultChar(5, 2, 3) == MultChar(5, 2, 3, 0) and hash(MultChar(5, 2, 3)) == hash((5, 2, 3))
+    with pytest.raises(ValueError):
+        MultChar(5, 1, 1, 1)
+
+
+# the characters mod 2^m, m <= 5: chi4 at 2^2, eps in {0, 1} and odd a above
+CHARS_AT_TWO = [chi for m in range(6) for chi in MultChar.all_primitive(2, m)]
+
+
+def test_chars_at_two():
+    assert MultChar.all_primitive(2, 1) == []
+    assert MultChar.all_primitive(2, 2) == [MultChar(2, 2, 0, 1)]
+    for m in range(3, 9):
+        got = [(chi.eps, chi.a) for chi in MultChar.all_primitive(2, m)]
+        assert got == [(eps, a) for eps in (0, 1) for a in range(1, 2 ** (m - 2), 2)]
+    for bad in ((2, 1, 0, 0), (2, 1, 0, 1), (2, 2, 0, 0), (2, 2, 1, 1), (2, 3, 0, 1), (2, 4, 2, 0), (2, 3, 1, 2)):
+        with pytest.raises(ValueError):
+            MultChar(*bad)
+    chi4 = MultChar(2, 2, 0, 1)
+    for u, sign in ((1, 1), (3, -1), (5, 1), (7, -1), (-1, -1)):
+        assert abs(chi4.value(u) - sign) < 1e-15
+    # reduction to the conductor: 5 -> e(2 / 4) is 5 -> e(1 / 2) mod 8
+    assert MultChar.from_exponent(2, 4, 2, 1) == MultChar(2, 3, 1, 1)
+    assert MultChar.from_exponent(2, 5, 0, 1) == chi4
+    assert MultChar.from_exponent(2, 5, 8, 2).is_trivial()
+
+
+def test_char_group_at_two():
+    # every unit mod 2^7 against every character mod 2^m, m <= 5: values are
+    # the exact angles, multiplicative in the unit and in the character
+    units = range(1, 2**7, 2)
+    for chi in CHARS_AT_TWO:
+        assert chi.at_minus_one() == chi.value(-1).real
+        assert (chi * chi.inverse()).is_trivial()
+        for u in units:
+            assert chi.value(u) == e_of(chi.angle(u)) == chi.value(Fraction(u * 8))
+            assert abs(chi.value(u * 3) - chi.value(u) * chi.value(3)) < 1e-14
+        for other in CHARS_AT_TWO:
+            prod = chi * other
+            for u in (3, 5, 7, 45, 127):
+                assert abs(prod.value(u) - chi.value(u) * other.value(u)) < 1e-14
 
 
 @st.composite
@@ -368,13 +413,13 @@ def test_unit_integral_matches_direct_formula_bit_for_bit():
 def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
     # pieces of 4 columns: every later piece of powers is g^c0 times the
     # head table, at odd p and for the +-5^k walk mod 2^m, which full-size
-    # pieces reach only past 2^15 units (gauss_sums_p2 from m = 18)
+    # pieces reach only past 2^15 units (gauss_sums(2, m) from m = 18)
     def sums():
         return (
-            padic._unit_sums(7, 1, [1, 4], 3, 5),
-            padic._unit_sums(5, 2, [1, 2, 7], 2, 1),
-            list(gauss_sums_p2(7).values()),
-            list(gauss_sums_p2(3).values()),
+            padic._unit_sums(7, 1, [MultChar(7, 1, 1), MultChar(7, 1, 4)], 3, 5),
+            padic._unit_sums(5, 2, [MultChar(5, 2, a) for a in (1, 2, 7)], 2, 1),
+            list(gauss_sums(2, 7, AddChar(2, 0)).values()),
+            list(gauss_sums(2, 3, AddChar(2, 0)).values()),
         )
 
     full = sums()
@@ -397,7 +442,7 @@ def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
     raw.cache_clear()
     tracemalloc.start()
     try:
-        (total,) = padic._unit_sums(3, 0, [0], 13, 1)
+        (total,) = padic._unit_sums(3, 0, [MultChar.trivial(3)], 13, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,13 +679,48 @@ def test_dlog_table_inverts_the_powers():
                     assert 0 <= table[u] < phi and pow(g, table[u], mod) == u, (p, m, u)
 
 
+def test_dlog_table_inverts_the_signed_walk_at_two():
+    # the units mod 2^m are (-1)^sign 5^k, (sign, k) = divmod(j, 2^(m - 2))
+    assert unit_generator(2) == 5
+    for m in range(1, 13):
+        mod, order = 2**m, max(2 ** (m - 2), 1)
+        table = _dlog_table(2, m)
+        assert sorted(table[u] for u in range(1, mod, 2)) == list(range(2 ** (m - 1)))
+        for u in range(1, mod, 2):
+            sign, k = divmod(table[u], order)
+            assert (-1) ** sign * pow(5, k, mod) % mod == u, (m, u)
+
+
+def test_gauss_sums_at_two_have_unit_modulus_and_conjugate():
+    # every primitive character mod 2^m, m <= 12: |g| = 1 and
+    # g(chi^-1) = chi(-1) conj g(chi), through MultChar.inverse and
+    # at_minus_one; each row is g_normalized bit for bit, one scaling at
+    # every prime
+    for psi_c in (0, 1):
+        psi = AddChar(2, psi_c)
+        for m in range(2, 13):
+            table = gauss_sums(2, m, psi)
+            assert len(table) == (1 if m == 2 else 2 ** (m - 2))
+            for chi, g in table.items():
+                assert abs(abs(g) - 1) < 1e-12
+                assert abs(table[chi.inverse()] - chi.at_minus_one() * g.conjugate()) < 1e-12
+            for chi in list(table)[:: max(1, len(table) // 7)]:
+                assert _bits(table[chi]) == _bits(g_normalized(chi, psi))
+
+
 def test_gauss_sums_p2_domain():
-    # 4^m < 2^63 is m <= 31; below 2 there is no primitive character
-    for m in (-1, 0, 1, 32, 40):
+    # m <= 0 is no conductor, as at odd p; 4^m < 2^63 is m <= 31, and mod 2
+    # there is no primitive character
+    psi = AddChar(2, 0)
+    for m in (-1, 0):
+        with pytest.raises(ConductorError):
+            gauss_sums(2, m, psi)
+    for m in (32, 40):
         with pytest.raises(RangeError):
-            gauss_sums_p2(m)
-    assert list(gauss_sums_p2(2)) == [(1, 0)]
-    assert list(gauss_sums_p2(4)) == [(0, 1), (0, 3), (1, 1), (1, 3)]
+            gauss_sums(2, m, psi)
+    assert gauss_sums(2, 1, psi) == {}
+    assert list(gauss_sums(2, 2, psi)) == [MultChar(2, 2, 0, 1)]
+    assert [(chi.eps, chi.a) for chi in gauss_sums(2, 4, psi)] == [(0, 1), (0, 3), (1, 1), (1, 3)]
 
 
 def test_unit_integral_beyond_int64_raises_at_once():
@@ -693,6 +773,23 @@ def test_fourier_pointwise_all_primes():
                     x = Fraction(u) * Fraction(p) ** v
                     assert abs(fourier_bruteforce(f, psi, x) - fa.evaluate(x)) < 1e-14
             assert abs(fourier_bruteforce(f, psi, Fraction(0)) - fa.evaluate(Fraction(0))) < 1e-13
+
+
+def test_fourier_pointwise_at_two():
+    # the padic suite's two test functions, with a character of conductor 2^3
+    one = MultChar.trivial(2)
+    for chi in MultChar.all_primitive(2, 3):
+        f = SimpleFunction(2, [(1.5 - 0.5j, CharAtom(chi, 1)), (2.0, TailAtom(-1)), (1j, CharAtom(one, 0))])
+        g = SimpleFunction(2, [(2.0 - 1j, CharAtom(chi, -2)), (0.5, TailAtom(1)), (1.0, CharAtom(one, 0))])
+        for psi_c in (0, 1):
+            psi = AddChar(2, psi_c)
+            for h in (f, g):
+                ha = fourier_atom(h, psi)
+                for v in range(-6, 7):
+                    for u in (1, 3, 5, 7):
+                        x = Fraction(u) * Fraction(2) ** v
+                        assert abs(fourier_bruteforce(h, psi, x) - ha.evaluate(x)) < 1e-14
+                assert abs(fourier_bruteforce(h, psi, Fraction(0)) - ha.evaluate(Fraction(0))) < 1e-13
 
 
 def test_atom_values_at_negative_valuation():
@@ -1181,3 +1278,36 @@ def test_displayed_unramified_vector_forms():
     assert abs(v2.terms[(TailAtom(2), TailAtom(1))] + c2) < 1e-12
     assert abs(v2.terms[(TailAtom(1), TailAtom(0))] + c2 / 3) < 1e-12
     assert abs(v2.terms[(TailAtom(1), TailAtom(1))] - c2 / 3) < 1e-12
+
+
+# the pairs (xi, omega xi^-1) at p = 2 of every ramification shape whose
+# characters have conductor 2^2 or 2^3
+def _shapes_at_two() -> list[tuple[MultChar, MultChar]]:
+    tr, chi4 = MultChar.trivial(2), MultChar(2, 2, 0, 1)
+    c3, c3b = MultChar.all_primitive(2, 3)
+    return [(tr, tr), (chi4, tr), (c3b, tr), (tr, chi4), (tr, c3), (chi4, chi4), (c3, c3), (chi4, c3), (c3, c3b)]
+
+
+def test_vectors_at_two_are_orthonormal_at_their_level():
+    for xi, oxi in _shapes_at_two():
+        prm = FiniteParams(2, 0.2, 0.0, xi, oxi, AddChar(2, 0))
+        c = prm.conductor
+        vecs = [classical_vector(prm, n) for n in range(c, c + 3)]
+        for i, vi in enumerate(vecs):
+            assert level_membership(vi, prm, c + i)
+            assert c + i == 0 or not level_membership(vi, prm, c + i - 1)
+            for j, vj in enumerate(vecs):
+                assert abs(vi.inner(vj, prm.psi) - (i == j)) < 1e-12
+
+
+def test_mu_finite_at_two_matches_the_oracle():
+    for y in (0.3, -1.1):
+        for n in range(4):
+            prm = unramified_params(2, 1j * y)
+            assert abs(mu_finite(prm, n) - mu_finite_oracle(prm, n)) < 1e-12
+    for xi, oxi in _shapes_at_two():
+        for psi_c in (0, 1):
+            for s, mu in ((0.7j, 0.4), (0.25, 0.3)):
+                prm = FiniteParams(2, s, mu, xi, oxi, AddChar(2, psi_c))
+                for n in range(prm.conductor, prm.conductor + 3):
+                    assert abs(mu_finite(prm, n) - mu_finite_oracle(prm, n)) < 1e-12, (xi, oxi, psi_c, s, n)
