@@ -137,12 +137,23 @@ def _mu_rows_arch(args, place: Place):
     ]
 
 
+def _finite_char(p: int, cond: int) -> MultChar:
+    """The character of conductor p^cond a finite mu table uses: the
+    exponent a = 1, except chi4 (eps = 1, a = 0), the only one at 2^2."""
+    if not cond:
+        return MultChar.trivial(p)
+    if p == 2 and cond == 1:
+        raise ValueError("no primitive character of conductor 2 exists at p = 2")
+    if p == 2 and cond == 2:
+        return MultChar(2, 2, 0, 1)
+    return MultChar(p, cond, 1)
+
+
 def _mu_rows_finite(args):
     p = args.p
     if p is None:
         raise ValueError("--p is required at a finite place")
-    xi = MultChar(p, args.cond_xi, 1) if args.cond_xi else MultChar.trivial(p)
-    oxi = MultChar(p, args.cond_oxi, 1) if args.cond_oxi else MultChar.trivial(p)
+    xi, oxi = _finite_char(p, args.cond_xi), _finite_char(p, args.cond_oxi)
     psi = AddChar(p, args.psi_c)
     rows = []
     for n in _parse_range(args.n, integer=True):

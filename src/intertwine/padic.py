@@ -11,16 +11,19 @@ the unit integral behind its support window, the shells of the brute-force
 transform) is one unit integral that walks the units that way and hands
 integer angle numerators over a common denominator to a single kernel,
 _root_sums (root_of_unity_sum is its public entry on a numerator array,
-which the tests call).  The numerators are built as int64
-arrays and the kernel takes cos and sin in numpy blocks, sums each component
-exactly in integer limbs and rounds it once (the value math.fsum gives), so
-a sum adds no rounding of its own.  Each term still carries the rounding of
-its cos and sin, so the error floor grows with the number of terms: the
-trivial unit sum mod 3^13 (1 062 882 terms, exactly 0) reads -4.1e-11, and
-mod 7^6 (100 842 terms) -3.9e-12.  The kernel sums many
-rows at once: a (rows, n) array gives one exactly rounded sum per row, the
-same bits as a call on that row alone.  _root_sums alone sizes its
-pieces, and asks its caller to build each one.  _unit_sums writes the unit
+which the tests call).  The numerators are built as int64 arrays and the
+kernel takes cos and sin in numpy blocks, sums each component exactly in
+integer limbs and rounds it once (the value math.fsum gives), so a sum adds
+no rounding of its own.  When the denominator is at most both the call's
+term count and _SUM_BLOCK, it takes the cos and sin of each residue once,
+into a table of at most one piece (512 KB), and gathers every term from it,
+to the floats the direct path computes; the Gauss tables go that way.  Each
+term still carries the rounding of its cos and sin, so the error floor grows
+with the number of terms: the trivial unit sum mod 3^13 (1 062 882 terms,
+exactly 0) reads -4.1e-11, and mod 7^6 (100 842 terms) -3.9e-12.  The
+kernel sums many rows at once: a (rows, n) array gives one exactly rounded
+sum per row, the same bits as a call on that row alone.  _root_sums alone
+sizes its pieces, and asks its caller to build each one.  _unit_sums writes the unit
 sum's numerators once, one row per character of one conductor; gauss_sums
 sums every primitive character of a conductor that way, at every prime.
 The walk takes the powers of g one piece at a time, each piece g^c0 times
@@ -50,7 +53,9 @@ Measures are self-dual: additive vol(o) = C(psi)^(-1/2) and multiplicative
 vol(o^x) = C(psi)^(-1/2); both normalizations are asserted by tests.
 
 Radial (Tate) integrals of atom functions reduce to finite sums plus a
-closed geometric tail, never a numerical truncation.
+closed geometric tail, never a numerical truncation.  The oracle takes them
+at many sample rows in one call per section, which keeps the terms that
+survive the unit character once and memoizes the character values.
 """
 
 from __future__ import annotations
@@ -183,7 +188,9 @@ def root_of_unity_sum(numerators, den: int) -> complex | list[complex]:
     math.fsum gives and does not depend on the order of the terms.
 
     A 2-D (rows, n) array gives a list with one sum per row, each equal to
-    the sum of that row alone to the bit.
+    the sum of that row alone to the bit.  When den is at most both rows n
+    and _SUM_BLOCK, the cos and sin of each residue are taken once and every
+    term is read from that table, to the same bits (_root_sums).
     """
     try:
         k = np.asarray(numerators, dtype=np.int64)
@@ -200,10 +207,27 @@ def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
     """root_of_unity_sum of each row of a (rows, n) numerator array, built
     one int64 piece at a time by block(row_slice, col_slice).  The one place
     that sizes pieces: a pass takes as many whole rows as fit in _SUM_BLOCK
-    numerators, and a longer row goes alone, _SUM_BLOCK columns a piece."""
+    numerators, and a longer row goes alone, _SUM_BLOCK columns a piece.
+
+    When den is at most both rows n and _SUM_BLOCK, the cos and sin of each
+    residue r / den are taken once, into a 2 x den table no larger than one
+    piece (512 KB), and every term is gathered from it; otherwise each term
+    takes its own cos and sin.  Both paths form the angle as (k mod den) / den
+    times 2 pi, so every term, and every sum, keeps its bits."""
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
     rows, n = shape
+
+    def angles(r: np.ndarray) -> np.ndarray:
+        # 2 pi r / den for residues r, the one formula of both paths
+        theta = r / den
+        theta *= 2 * math.pi
+        return theta
+
+    table = None
+    if den <= min(rows * n, _SUM_BLOCK):
+        theta = angles(np.arange(den, dtype=np.int64))
+        table = np.array([np.cos(theta), np.sin(theta)])
     group = max(1, _SUM_BLOCK // max(n, 1))
     out = []
     for start in range(0, rows, group):
@@ -211,11 +235,16 @@ def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
         count = part.stop - start
         sums = _ExactSum(2 * count)
         for col in range(0, n, _SUM_BLOCK):
-            theta = np.remainder(block(part, slice(col, min(col + _SUM_BLOCK, n))), den) / den
-            theta *= 2 * math.pi
-            terms = np.empty((2 * count, theta.shape[1]))
-            np.cos(theta, out=terms[:count])
-            np.sin(theta, out=terms[count:])
+            cols = slice(col, min(col + _SUM_BLOCK, n))
+            if table is None:
+                theta = angles(np.remainder(block(part, cols), den))
+                terms = np.empty((2 * count, theta.shape[1]))
+                np.cos(theta, out=terms[:count])
+                np.sin(theta, out=terms[count:])
+            else:
+                # the cos of each row's terms above their sin
+                terms = np.take(table, np.remainder(block(part, cols), den), axis=1, mode="clip")
+                terms = terms.reshape(2 * count, -1)
             sums.add(terms)
         values = sums.values()
         out += [complex(re, im) for re, im in zip(values[:count], values[count:])]
@@ -724,9 +753,11 @@ def check_gauss_domain(p: int, m: int) -> None:
 
 
 # The most root-of-unity terms one Gauss-sum table may sum, at any prime
-# (check_gauss_work).  The kernel sums about 1.2e7 terms a second (2-vCPU
-# Xeon VM, Python 3.11), so a table at the budget takes about a minute and
-# a half; p = 2 up to m = 16, p = 7 up to m = 5 and p = 101 up to m = 2 fit.
+# (check_gauss_work).  The kernel sums about 1.4e7 terms a second on its
+# direct path (p = 2, m = 16) and 2.6e7 on its residue-table path (p = 2,
+# m = 15; 2-vCPU Xeon VM, Python 3.11), so a table at the budget takes at
+# most about a minute and a quarter; p = 2 up to m = 16, p = 7 up to m = 5
+# and p = 101 up to m = 2 fit.
 GAUSS_TABLE_MAX_TERMS = 10**9
 
 
@@ -1189,72 +1220,87 @@ def tate_integral_padic(
     multiplicative measure gives the unit group volume C(psi)^(-1/2).  Shell
     sums collapse by character orthogonality: each pure tensor contributes a
     pinned shell, a finite shell range, or a closed geometric tail, so the
-    value is exact (no truncation).
+    value is exact (no truncation).  The one-row case of _tate_integrals.
     """
     p = phi.p
-    sx, sy = _p_split(row[0], p), _p_split(row[1], p)
-    vx, vy = sx[0], sy[0]
+    return _tate_integrals(phi, eta, mu, z, [(_p_split(row[0], p), _p_split(row[1], p))], psi)[0]
+
+
+def _tate_integrals(
+    phi: TensorSimpleFunction, eta: MultChar, mu: float, z: complex, splits, psi: AddChar
+) -> list[complex]:
+    """tate_integral_padic at each row (x0, y0), given as the pair of
+    _p_splits of its coordinates: each value is the one its row gets alone,
+    to the bit, and the first row that raises raises as it would alone.
+
+    The row-independent work is done once: the plan is the terms of phi, in
+    dict order, whose unit characters times eta are trivial (every other
+    term vanishes by orthogonality at every row), and character values are
+    memoized per (chi, unit part) within the call.
+    """
     unit_vol = psi.conductor_value ** (-0.5)
-    lq = math.log(p)
+    lq = math.log(phi.p)
 
     def k_factor(k: int) -> complex:
         return cmath.exp(-k * (z + 1j * mu) * lq)
 
-    total = 0j
-    tail_terms: list[tuple[complex, int]] = []
+    plan = []
+    memos: dict[MultChar, dict[tuple[int, int], complex]] = {}
     for (a, b), coeff in phi.terms.items():
-        # pin or bound the shell index from each slot
-        pinned: int | None = None
-        lower: int | None = None
-        ok = True
-        for atom, v0 in ((a, vx), (b, vy)):
-            if isinstance(atom, CharAtom):
-                if v0 is None:
-                    ok = False
-                    break
-                k = atom.n - v0
-                if pinned is not None and pinned != k:
-                    ok = False
-                    break
-                pinned = k
-            else:
-                if v0 is not None:
-                    kmin = atom.n - v0
-                    lower = kmin if lower is None else max(lower, kmin)
-        if not ok:
-            continue
-        # combined unit character: chi_a chi_b eta must be trivial to survive
         prod = eta
-        phase = 1.0 + 0j
-        if isinstance(a, CharAtom):
-            prod = prod * a.chi
-            phase *= a.chi._unit_value(sx[1], sx[2])
-        if isinstance(b, CharAtom):
-            prod = prod * b.chi
-            phase *= b.chi._unit_value(sy[1], sy[2])
-        if not prod.is_trivial():
-            continue
-        if pinned is not None:
-            if lower is not None and pinned < lower:
-                continue
-            total += coeff * phase * unit_vol * k_factor(pinned)
-        else:
-            if lower is None:
-                raise ValueError("unbounded support: not a section integrand")
-            tail_terms.append((coeff * phase * unit_vol, lower))
-    if tail_terms:
-        # sum of geometric tails sum_j c_j x^(L_j) / (1 - x); divergences at
-        # x = 1 cancel exactly when the tails difference to a bounded set
-        ratio = cmath.exp(-(z + 1j * mu) * lq)
-        if abs(1 - ratio) > 1e-10:
-            for c0, lower in tail_terms:
-                total += c0 * k_factor(lower) / (1 - ratio)
-        else:
-            head = sum(c0 for c0, _ in tail_terms)
-            if abs(head) > 1e-12 * max(abs(c0) for c0, _ in tail_terms):
-                raise PoleError("geometric tail pole at this exponent")
-            total += -sum(c0 * lower for c0, lower in tail_terms)
-    return total
+        slots = []
+        for atom in (a, b):
+            if isinstance(atom, CharAtom):
+                prod = prod * atom.chi
+                slots.append((atom.n, atom.chi, memos.setdefault(atom.chi, {})))
+            else:
+                slots.append((atom.n, None, None))
+        if prod.is_trivial():
+            plan.append((coeff, slots))
+
+    out = []
+    for row in splits:
+        total = 0j
+        tail_terms: list[tuple[complex, int]] = []
+        for coeff, slots in plan:
+            # pin or bound the shell index from each slot
+            pinned: int | None = None
+            lower: int | None = None
+            phase = 1.0 + 0j
+            for (n, chi, memo), (v0, num, den) in zip(slots, row):
+                if chi is None:
+                    if v0 is not None:
+                        lower = n - v0 if lower is None else max(lower, n - v0)
+                    continue
+                if v0 is None or pinned not in (None, n - v0):
+                    break
+                pinned = n - v0
+                value = memo.get((num, den))
+                if value is None:
+                    value = memo[num, den] = chi._unit_value(num, den)
+                phase *= value
+            else:
+                if pinned is not None:
+                    if lower is None or pinned >= lower:
+                        total += coeff * phase * unit_vol * k_factor(pinned)
+                elif lower is None:
+                    raise ValueError("unbounded support: not a section integrand")
+                else:
+                    tail_terms.append((coeff * phase * unit_vol, lower))
+        if tail_terms:
+            # sum of geometric tails sum_j c_j x^(L_j) / (1 - x); divergences
+            # at x = 1 cancel exactly when the tails difference to a bounded set
+            ratio = cmath.exp(-(z + 1j * mu) * lq)
+            if abs(1 - ratio) > 1e-10:
+                for c0, lower in tail_terms:
+                    total += c0 * k_factor(lower) / (1 - ratio)
+            else:
+                head = sum(c0 for c0, _ in tail_terms)
+                if abs(head) > 1e-12 * max(abs(c0) for c0, _ in tail_terms):
+                    raise PoleError("geometric tail pole at this exponent")
+                total += -sum(c0 * lower for c0, lower in tail_terms)
+        out.append(total)
+    return out
 
 
 def mu_finite_oracle(params: FiniteParams, n: int, tol: float = 1e-10) -> complex:
@@ -1263,7 +1309,8 @@ def mu_finite_oracle(params: FiniteParams, n: int, tol: float = 1e-10) -> comple
     Builds the level-n vector, applies the exact twisted plane transform,
     evaluates the image and the target-side Tate integrals at sample bottom
     rows of the compact group, normalizes by the local L-factors, and checks
-    sample-point independence.
+    sample-point independence.  One batched Tate call takes every row's
+    denominator, and a second the numerators of the rows it keeps.
     """
     p = params.p
     phi = classical_vector(params, n)
@@ -1283,20 +1330,14 @@ def mu_finite_oracle(params: FiniteParams, n: int, tol: float = 1e-10) -> comple
     # of the ratio
     g = unit_generator(p)
     units = [1, g, (g * g) % p**3, p**3 - 1]
-    rows = []
-    for j in range(0, n + 3):
-        for u in units:
-            rows.append((Fraction(u * p**j), Fraction(1)))
-    for j in range(1, n + 3):
-        for u in units:
-            rows.append((Fraction(u), Fraction(p**j)))
-    ratios = []
-    for row in rows:
-        denom = tate_integral_padic(phi_swap, tau_inv, -params.mu, z_img, row, params.psi)
-        if abs(denom) < 1e-12:
-            continue
-        numer = tate_integral_padic(phi_hat, tau_inv, -params.mu, z_img, row, params.psi)
-        ratios.append(l_ratio * numer / denom)
+    rows = [(u * p**j, 1) for j in range(0, n + 3) for u in units]
+    rows += [(u, p**j) for j in range(1, n + 3) for u in units]
+    splits = [(_p_split(x, p), _p_split(y, p)) for x, y in rows]
+    denoms = _tate_integrals(phi_swap, tau_inv, -params.mu, z_img, splits, params.psi)
+    # a NaN denominator passes the guard, as it always has
+    kept = [i for i, denom in enumerate(denoms) if not abs(denom) < 1e-12]
+    numers = _tate_integrals(phi_hat, tau_inv, -params.mu, z_img, [splits[i] for i in kept], params.psi)
+    ratios = [l_ratio * numer / denoms[i] for i, numer in zip(kept, numers)]
     return _consistent_ratio(ratios, tol, "row")
 
 

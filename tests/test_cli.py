@@ -234,6 +234,26 @@ def test_mu_table_evaluates_each_finite_row_once(capsys, monkeypatch):
     assert len(calls) == len(rows) == 4 * 5
 
 
+def test_mu_table_finite_at_two_matches_the_oracle(capsys):
+    # conductor 2^2 is chi4 (eps = 1, a = 0), 2^3 the exponent a = 1
+    tr, chi4 = MultChar.trivial(2), MultChar(2, 2, 0, 1)
+    for cond_xi, cond_oxi, xi, oxi in ((2, 0, chi4, tr), (0, 2, tr, chi4), (2, 3, chi4, MultChar(2, 3, 1))):
+        extra = ["--p", "2", "--cond-xi", str(cond_xi), "--cond-oxi", str(cond_oxi), "--n", f"{cond_xi + cond_oxi}:6"]
+        rows = _mu_rows(capsys, "finite", extra)
+        assert len(rows) == (7 - cond_xi - cond_oxi) * 5
+        for r in rows:
+            prm = FiniteParams(2, 1j * r["y"], 0.3, xi, oxi, AddChar(2, 0))
+            assert abs(complex(r["mu_re"], r["mu_im"]) - intertwine.padic.mu_finite_oracle(prm, r["n"])) < 1e-12
+
+
+@pytest.mark.parametrize("cond", ["--cond-xi", "--cond-oxi"])
+def test_mu_table_finite_at_two_has_no_conductor_two(capsys, cond):
+    assert main(["mu", "--place", "finite", "--p", "2", cond, "1", "--n", "3:4", "--y", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no primitive character of conductor 2 exists at p = 2\n"
+    assert captured.out == ""
+
+
 def test_mu_parity_violation_exit_two(capsys):
     assert main(["mu", "--place", "real", "--n0", "0", "--n", "1:1", "--y", "0"]) == 2
 

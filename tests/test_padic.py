@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertwine import padic
-from intertwine.errors import ConductorError, InconsistentRatio, RangeError
+from intertwine.errors import ConductorError, InconsistentRatio, PoleError, RangeError
 from intertwine.padic import (
     _SUM_BLOCK,
     _ExactSum,
@@ -482,6 +482,13 @@ def test_root_of_unity_sum_matches_termwise_reference():
         assert abs(root_of_unity_sum(nums, den) - ref) < 1e-15
 
 
+def _fsum_of_numpy_terms(row, den: int) -> complex:
+    """math.fsum of numpy's cos and sin of one row's angles, formed as the
+    kernel forms them."""
+    theta = np.remainder(np.asarray(row, dtype=np.int64), den) / den * (2 * math.pi)
+    return complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
+
+
 def test_root_of_unity_sum_is_fsum_of_numpy_terms():
     cases = ROOT_SUM_CASES + [
         # longer than one block, at the p = 7 deep-shell denominator
@@ -490,9 +497,7 @@ def test_root_of_unity_sum_is_fsum_of_numpy_terms():
         (np.arange(3 * _SUM_BLOCK), 4 * 7**5),
     ]
     for nums, den in cases:
-        theta = np.remainder(np.asarray(nums, dtype=np.int64), den) / den * (2 * math.pi)
-        ref = complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
-        assert root_of_unity_sum(nums, den) == ref
+        assert root_of_unity_sum(nums, den) == _fsum_of_numpy_terms(nums, den)
 
 
 def _exact_sum(values) -> float:
@@ -596,9 +601,40 @@ def test_root_of_unity_sum_rows_edge_shapes():
         root_of_unity_sum(np.zeros((2, 2, 2), dtype=np.int64), 12)
 
 
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "rows, n, den",
+    [
+        (3, 5, 1),
+        (4, 6, 24),  # den = rows n: the table
+        (4, 6, 25),  # den = rows n + 1: the direct path
+        (2, _SUM_BLOCK // 2 + 3, _SUM_BLOCK),  # the table at its largest
+        (2, _SUM_BLOCK // 2 + 3, _SUM_BLOCK + 1),  # the direct path, although den < rows n
+        (1, 2 * _SUM_BLOCK + 5, 12),  # a row longer than one piece, through the table
+    ],
+)
+def test_root_of_unity_sum_table_path_is_fsum_of_numpy_terms(monkeypatch, rows, n, den):
+    # the residue table is taken exactly when den <= min(rows n, _SUM_BLOCK),
+    # and each row is then math.fsum of numpy's own cos and sin of its terms
+    gathers = []
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *args, **kwargs: gathers.append(args[1].shape) or take(*args, **kwargs))
+    rng = np.random.default_rng(rows * n + den)
+    nums = rng.integers(I64.min, I64.max, size=(rows, n), endpoint=True)
+    # negative numerators and both ends of int64
+    nums[0, :4] = [I64.min, I64.max, -1, -den]
+    for sample in (nums, nums % (3 * den) - den):
+        gathers.clear()
+        sums = root_of_unity_sum(sample, den)
+        assert bool(gathers) == (den <= min(rows * n, _SUM_BLOCK))
+        assert [_bits(got) for got in sums] == [_bits(_fsum_of_numpy_terms(row, den)) for row in sample]
+
+
 @pytest.mark.parametrize(
     "p, m_max",
-    [(3, 3), (5, 3), (7, 3), (11, 2), (101, 1)],
+    [(3, 3), (5, 3), (7, 3), (11, 2), (101, 1), (2, 10), (17, 2)],
 )
 def test_gauss_sums_match_g_normalized_bit_for_bit(p, m_max):
     for psi_c in (0, 1, 2):
@@ -607,7 +643,7 @@ def test_gauss_sums_match_g_normalized_bit_for_bit(p, m_max):
             table = gauss_sums(p, m, psi)
             assert list(table) == MultChar.all_primitive(p, m)
             for chi, g in table.items():
-                assert _bits(g) == _bits(g_normalized(chi, psi)), (p, m, psi_c, chi.a)
+                assert _bits(g) == _bits(g_normalized(chi, psi)), (p, m, psi_c, chi)
 
 
 def test_gauss_sums_domain_is_checked_before_enumerating(monkeypatch):
@@ -827,6 +863,79 @@ def test_tate_integral_row_at_negative_valuation():
         rhs = factor * tate_integral_padic(phi, chi.inverse(), mu, z, (Fraction(u), Fraction(7**k)), psi)
         assert abs(lhs - rhs) < 1e-15
         assert abs(lhs - factor * chi.value(u) * psi.conductor_value ** (-0.5)) < 1e-15
+
+
+def _shape_params(p: int, shape: str, s=0.25, mu=0.3, psi_c=0) -> FiniteParams:
+    """params_for, with the characters of conductor 2^2 and 2^3 at p = 2,
+    where no character has conductor 2."""
+    if p != 2:
+        return params_for(p, shape, s, mu, psi_c)
+    tr, chi4 = MultChar.trivial(2), MultChar(2, 2, 0, 1)
+    c3, c3b = MultChar.all_primitive(2, 3)[:2]
+    shapes = {"both": (chi4, c3), "both-trivial-twist": (c3, c3), "first": (chi4, tr), "second": (tr, c3), "none": (tr, tr)}
+    return FiniteParams(2, s, mu, *shapes[shape], AddChar(2, psi_c))
+
+
+def _tate_rows(p: int) -> list[tuple]:
+    """Int and Fraction rows: units at several valuations, negative
+    valuations and zero coordinates."""
+    g = unit_generator(p)
+    ints = [(g * p**j, 1) for j in range(3)] + [(p**3 - 1, p), (1, g * p**2), (0, 1), (1, 0), (0, g * p)]
+    fracs = [(Fraction(x), Fraction(y)) for x, y in ints]
+    fracs += [(Fraction(g, p**2), Fraction(1)), (Fraction(1), Fraction(p + 2, p)), (Fraction(0), Fraction(1, p**3))]
+    return ints + fracs
+
+
+def _check_batched_tate(phi, eta, mu, z, rows, psi) -> None:
+    """_tate_integrals over rows is tate_integral_padic row by row, bit for
+    bit, and raises as the first row that raises."""
+    expected, error = [], None
+    for row in rows:
+        try:
+            expected.append(tate_integral_padic(phi, eta, mu, z, row, psi))
+        except ValueError as exc:  # PoleError included
+            error = exc
+            break
+    splits = [(padic._p_split(x, phi.p), padic._p_split(y, phi.p)) for x, y in rows]
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            padic._tate_integrals(phi, eta, mu, z, splits, psi)
+        assert type(info.value) is type(error) and str(info.value) == str(error)
+    got = padic._tate_integrals(phi, eta, mu, z, splits[: len(expected)], psi)
+    assert [_bits(v) for v in got] == [_bits(v) for v in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batched_tate_integral_is_the_one_row_call_bit_for_bit(p):
+    rows = _tate_rows(p)
+    for shape in ALL_SHAPES:
+        for psi_c in (0, 1):
+            prm = _shape_params(p, shape, s=0.25 + 0.1j, mu=0.3, psi_c=psi_c)
+            tau = prm.twist_char
+            for n in range(prm.conductor, prm.conductor + 2):
+                phi = classical_vector(prm, n)
+                sections = (phi, phi.fourier_hat(prm.psi), classical_vector(padic._swap_chars(prm), n))
+                for section in sections:
+                    for eta in (tau.inverse(), tau, prm.xi, MultChar.trivial(p)):
+                        # the oracle's exponent, and z + i mu = 0, where the tails meet x = 1
+                        for mu, z in ((-prm.mu, 1 - 2 * prm.s), (0.0, 0.0)):
+                            _check_batched_tate(section, eta, mu, z, rows, prm.psi)
+
+
+def test_batched_tate_integral_raises_from_the_first_row_that_raises():
+    # one tail term: every row with a nonzero coordinate meets the pole at
+    # z = mu = 0, and the row (0, 0) has unbounded support
+    p, psi = 5, AddChar(5, 1)
+    chi = MultChar(5, 1, 1)
+    phi = TensorSimpleFunction(p, [(1.0, TailAtom(0), TailAtom(0)), (0.5, CharAtom(chi, 1), TailAtom(-1))])
+    for rows in ([(0, 0), (1, 0)], [(1, 0), (0, 0)], [(3, 25), (0, 0)], [(Fraction(2, 5), 1), (0, 0), (1, 1)]):
+        for z, mu in ((0.0, 0.0), (0.3, 0.1)):
+            for eta in (MultChar.trivial(p), chi.inverse()):
+                _check_batched_tate(phi, eta, mu, z, rows, psi)
+    with pytest.raises(PoleError):
+        padic._tate_integrals(phi, MultChar.trivial(p), 0.0, 0.0, [((0, 1, 1), (None, 0, 1))], psi)
+    with pytest.raises(ValueError, match="unbounded support"):
+        padic._tate_integrals(phi, MultChar.trivial(p), 0.3, 0.0, [((None, 0, 1), (None, 0, 1))], psi)
 
 
 P_ATOMS = st.one_of(
@@ -1199,6 +1308,66 @@ def test_mu_oracle_all_shapes():
                 prm = params_for(p, shape, s=0.25 + 0.1j, mu=0.3, psi_c=psi_c)
                 for n in range(prm.conductor, prm.conductor + 4):
                     assert abs(mu_finite(prm, n) - mu_finite_oracle(prm, n)) < 1e-10
+
+
+def _oracle_one_row_loop(params: FiniteParams, n: int, tol: float = 1e-10) -> complex:
+    """mu_finite_oracle as one tate_integral_padic call per Fraction row and
+    section, a numerator only where the denominator passes the guard."""
+    p = params.p
+    phi = classical_vector(params, n)
+    phi_swap = classical_vector(padic._swap_chars(params), n)
+    phi_hat = phi.fourier_hat(params.psi)
+    tau = params.twist_char
+    l_ratio = padic._series_ratio(p, 2 * params.s + 1j * params.mu) if tau.is_trivial() else 1.0 + 0j
+    tau_inv, z_img = tau.inverse(), 1 - 2 * params.s
+    g = unit_generator(p)
+    units = [1, g, (g * g) % p**3, p**3 - 1]
+    rows = [(Fraction(u * p**j), Fraction(1)) for j in range(0, n + 3) for u in units]
+    rows += [(Fraction(u), Fraction(p**j)) for j in range(1, n + 3) for u in units]
+    ratios = []
+    for row in rows:
+        denom = tate_integral_padic(phi_swap, tau_inv, -params.mu, z_img, row, params.psi)
+        if abs(denom) < 1e-12:
+            continue
+        numer = tate_integral_padic(phi_hat, tau_inv, -params.mu, z_img, row, params.psi)
+        ratios.append(l_ratio * numer / denom)
+    return padic._consistent_ratio(ratios, tol, "row")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mu_oracle_is_the_one_row_loop_bit_for_bit(p):
+    for shape in ALL_SHAPES:
+        for psi_c in (0, 1):
+            for s, mu in ((0.25 + 0.1j, 0.3), (0.7j, -0.4)):
+                prm = _shape_params(p, shape, s=s, mu=mu, psi_c=psi_c)
+                for n in range(prm.conductor, prm.conductor + 3):
+                    assert _bits(mu_finite_oracle(prm, n)) == _bits(_oracle_one_row_loop(prm, n)), (shape, psi_c, s, n)
+
+
+def test_mu_oracle_takes_numerators_only_where_the_denominator_passes(monkeypatch):
+    calls = []
+    batched = padic._tate_integrals
+
+    def spy(phi, eta, mu, z, splits, psi):
+        values = batched(phi, eta, mu, z, splits, psi)
+        calls.append((list(splits), values))
+        return values
+
+    monkeypatch.setattr(padic, "_tate_integrals", spy)
+    skipped = 0
+    for p in (2, 5):
+        for shape in ALL_SHAPES:
+            prm = _shape_params(p, shape, psi_c=1)
+            for n in range(prm.conductor, prm.conductor + 3):
+                calls.clear()
+                mu_finite_oracle(prm, n)
+                # the denominators at every row, then the numerators of the kept rows
+                assert len(calls) == 2
+                (rows, denoms), (numer_rows, _) = calls
+                assert len(rows) == 4 * (2 * n + 5)
+                assert numer_rows == [row for row, d in zip(rows, denoms) if abs(d) >= 1e-12]
+                skipped += len(rows) - len(numer_rows)
+    assert skipped > 0
 
 
 def test_mu_oracle_inconsistent_ratio_guard():
