@@ -13,16 +13,16 @@ integer angle numerators over a common denominator to a single kernel,
 _root_sums (root_of_unity_sum is its public entry on a numerator array,
 which the tests call).  The numerators are built as int64 arrays and the
 kernel takes cos and sin in numpy blocks, sums each component exactly in
-integer limbs and rounds it once (the value math.fsum gives), so a sum adds
-no rounding of its own.  When the denominator is at most both the call's
-term count and _SUM_BLOCK, it takes the cos and sin of each residue once,
-into a table of at most one piece (512 KB), and gathers every term from it,
-to the floats the direct path computes; the Gauss tables go that way.  Each
-term still carries the rounding of its cos and sin, so the error floor grows
-with the number of terms: the trivial unit sum mod 3^13 (1 062 882 terms,
-exactly 0) reads -4.1e-11, and mod 7^6 (100 842 terms) -3.9e-12.  The
-kernel sums many rows at once: a (rows, n) array gives one exactly rounded
-sum per row, the same bits as a call on that row alone.  _root_sums alone
+integer-valued float limbs and rounds it once (the value math.fsum gives),
+so a sum adds no rounding of its own.  When the denominator is at most
+both the call's term count and _SUM_BLOCK, it takes the cos and sin of each
+residue once, into a table of at most one piece (512 KB), and gathers every
+term from it, to the floats the direct path computes; the Gauss tables go
+that way.  Each term still carries the rounding of its cos and sin, so the
+error floor grows with the number of terms: the trivial unit sum mod 3^13
+(1 062 882 terms, exactly 0) reads -4.1e-11, and mod 7^6 (100 842 terms)
+-3.9e-12.  The kernel sums many rows at once: a (rows, n) array gives one
+exactly rounded sum per row, the same bits as a call on that row alone.  _root_sums alone
 sizes its pieces, and asks its caller to build each one.  _unit_sums writes the unit
 sum's numerators once, one row per character of one conductor; gauss_sums
 sums every primitive character of a conductor that way, at every prime.
@@ -213,22 +213,27 @@ def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
     residue r / den are taken once, into a 2 x den table no larger than one
     piece (512 KB), and every term is gathered from it; otherwise each term
     takes its own cos and sin.  Both paths form the angle as (k mod den) / den
-    times 2 pi, so every term, and every sum, keeps its bits."""
+    times 2 pi, so every term, and every sum, keeps its bits.  One workspace
+    (residues, angles, terms, limbs) serves every piece of the call: each
+    piece takes the contiguous head of each buffer."""
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
     rows, n = shape
 
-    def angles(r: np.ndarray) -> np.ndarray:
+    def angles(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         # 2 pi r / den for residues r, the one formula of both paths
-        theta = r / den
-        theta *= 2 * math.pi
-        return theta
+        np.divide(r, den, out=out)
+        out *= 2 * math.pi
+        return out
 
     table = None
     if den <= min(rows * n, _SUM_BLOCK):
-        theta = angles(np.arange(den, dtype=np.int64))
+        theta = angles(np.arange(den, dtype=np.int64), np.empty(den))
         table = np.array([np.cos(theta), np.sin(theta)])
     group = max(1, _SUM_BLOCK // max(n, 1))
+    size = min(rows, group) * min(n, _SUM_BLOCK)
+    residues, terms, limbs = np.empty(size, dtype=np.int64), np.empty(2 * size), np.empty(2 * size)
+    theta = np.empty(size) if table is None else None
     out = []
     for start in range(0, rows, group):
         part = slice(start, min(start + group, rows))
@@ -236,61 +241,62 @@ def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
         sums = _ExactSum(2 * count)
         for col in range(0, n, _SUM_BLOCK):
             cols = slice(col, min(col + _SUM_BLOCK, n))
+            piece = count * (cols.stop - col)
+            r = np.remainder(block(part, cols), den, out=residues[:piece].reshape(count, -1))
             if table is None:
-                theta = angles(np.remainder(block(part, cols), den))
-                terms = np.empty((2 * count, theta.shape[1]))
-                np.cos(theta, out=terms[:count])
-                np.sin(theta, out=terms[count:])
+                th = angles(r, theta[:piece].reshape(count, -1))
+                x = terms[: 2 * piece].reshape(2 * count, -1)
+                np.cos(th, out=x[:count])
+                np.sin(th, out=x[count:])
             else:
                 # the cos of each row's terms above their sin
-                terms = np.take(table, np.remainder(block(part, cols), den), axis=1, mode="clip")
-                terms = terms.reshape(2 * count, -1)
-            sums.add(terms)
+                x = np.take(table, r, axis=1, mode="clip", out=terms[: 2 * piece].reshape(2, count, -1))
+                x = x.reshape(2 * count, -1)
+            sums.add(x, limbs[: 2 * piece].reshape(x.shape))
         values = sums.values()
         out += [complex(re, im) for re, im in zip(values[:count], values[count:])]
     return out
 
 
 # A float x with |x| <= 1 is a fixed-point number whose last bit is at most
-# 2^-1074.  _ExactSum cuts it into integer limbs of _LIMB_BITS bits, so that
-# a piece of _SUM_BLOCK limbs, each of modulus at most 2^40, sums exactly in
-# int64 (to at most 2^15 * 2^40 = 2^55), and _LIMBS limbs reach below 2^-1074.
+# 2^-1074.  _ExactSum cuts it into integer limbs of _LIMB_BITS bits, held as
+# floats, so that a piece of _SUM_BLOCK limbs, each of modulus at most 2^37,
+# sums exactly in float64 in any order (every partial sum is an integer of
+# modulus at most 2^15 * 2^37 = 2^52), and _LIMBS limbs reach below 2^-1074.
 _SUM_BLOCK = 1 << 15
-_LIMB_BITS = 40
+_LIMB_BITS = 37
 _LIMB_SCALE = float(1 << _LIMB_BITS)
 _LIMBS = -(-1074 // _LIMB_BITS)
 
 
 class _ExactSum:
     """Exact running sums of rows of finite floats with |x| <= 1, each kept
-    as the integer total / 2^(_LIMB_BITS * _LIMBS).  values() rounds each
-    once with int true division, which is correctly rounded and half-even,
-    so a row's value is the one math.fsum returns for the same floats (+0.0
-    for a zero total)."""
+    as the integer total / 2^(_LIMB_BITS * _LIMBS), 2^-1110.  values() rounds
+    each once with int true division, which is correctly rounded and
+    half-even, so a row's value is the one math.fsum returns for the same
+    floats (+0.0 for a zero total)."""
 
     __slots__ = ("totals",)
 
     def __init__(self, rows: int):
         self.totals = [0] * rows
 
-    def add(self, x: np.ndarray) -> None:
+    def add(self, x: np.ndarray, limb: np.ndarray) -> None:
         """Add row i of the float array x, shape (rows, n) with n at most
-        _SUM_BLOCK, to total i; overwrites x.  All rows go through each numpy
-        call together, which keeps the cost of a short sum down."""
+        _SUM_BLOCK, to total i; overwrites x, and limb, a float scratch
+        array of x's shape.  All rows go through each numpy call together,
+        which keeps the cost of a short sum down."""
         if x.shape[1] > _SUM_BLOCK:
             raise ValueError(f"a piece holds at most {_SUM_BLOCK} columns, got {x.shape[1]}")
-        limb = np.empty_like(x)
-        limb_int = np.empty(x.shape, dtype=np.int64)
         sums, limbs = [0] * len(self.totals), 0
-        # scaling by 2^40 and splitting off the nearest integer are both
+        # scaling by 2^37 and splitting off the nearest integer are both
         # exact, so the residual stays at modulus <= 1/2 and reaches zero
         # after at most _LIMBS limbs
-        while np.count_nonzero(x):
+        while x.any():
             x *= _LIMB_SCALE
             np.rint(x, out=limb)
             x -= limb
-            np.copyto(limb_int, limb, casting="unsafe")
-            row_sums = np.add.reduce(limb_int, axis=1).tolist()
+            row_sums = np.add.reduce(limb, axis=1).astype(np.int64).tolist()
             sums = [(total << _LIMB_BITS) + row for total, row in zip(sums, row_sums)]
             limbs += 1
         shift = _LIMB_BITS * (_LIMBS - limbs)
@@ -325,20 +331,18 @@ def _unit_powers(g: int, mod: int, order: int) -> np.ndarray:
     return out
 
 
-def _unit_power_piece(g: int, mod: int, order: int, j: np.ndarray) -> np.ndarray:
-    """g^j mod mod for the int64 exponents j of one kernel piece, each in
-    [j[0], j[0] + h), h = min(order, _SUM_BLOCK), g of order `order`.
+def _unit_power_piece(g: int, mod: int, order: int, start: int, size: int) -> np.ndarray:
+    """g^j mod mod for the exponents j = start .. start + size - 1 of one
+    kernel piece, size at most h = min(order, _SUM_BLOCK), g of order `order`.
 
-    They are g^j[0] times the head table _unit_powers(g, mod, h), taken in
+    They are g^start times the head table _unit_powers(g, mod, h), taken in
     uint64: both factors are below mod, and mod^2 < 2^64 (_unit_powers
     checks it, and _unit_frame's den mod < 2^63 implies it), so every
-    product and residue is exact.  A deep shell thus holds one piece of
-    powers at a time, never phi(p^depth) of them."""
-    head = _unit_powers(g, mod, min(order, _SUM_BLOCK))
-    start = int(j[0])
-    if start == 0:
-        return head[j]
-    piece = head[j - start].view(np.uint64) * np.uint64(pow(g, start, mod))
+    product and residue is exact.  The piece is a new array, which the
+    caller may overwrite.  A deep shell thus holds one piece of powers at a
+    time, never phi(p^depth) of them."""
+    head = _unit_powers(g, mod, min(order, _SUM_BLOCK))[:size]
+    piece = head.view(np.uint64) * np.uint64(pow(g, start, mod))
     piece %= np.uint64(mod)
     return piece.view(np.int64)
 
@@ -704,19 +708,24 @@ def _unit_sums(p: int, cond: int, chars, b: int, r: int) -> list[complex]:
     flips = np.array([chi.eps for chi in chars], dtype=np.int64) * (den // 2)
     (signs, order), g, mod = _unit_group(p, depth)[:2], unit_generator(p), p**depth
 
+    stepped = steps.any()  # every step is 0 for the trivial character
+
     def block(rows: slice, cols: slice) -> np.ndarray:
         # one part per sign half the piece meets: a piece lies in one half,
         # or is the whole walk (at p = 2 order and _SUM_BLOCK are powers of
-        # 2), so each part's k are as _unit_power_piece asks
+        # 2), so each part's exponents are as _unit_power_piece asks
         parts = []
         for sign in range(cols.start // order, (cols.stop - 1) // order + 1):
-            k = np.arange(max(cols.start, sign * order), min(cols.stop, (sign + 1) * order), dtype=np.int64)
-            k -= sign * order
-            nums = np.multiply.outer(steps[rows], k)
-            nums -= (1 - 2 * sign) * psi_step * _unit_power_piece(g, mod, order, k)
+            lo, hi = max(cols.start, sign * order) - sign * order, min(cols.stop - sign * order, order)
+            nums = _unit_power_piece(g, mod, order, lo, hi - lo)
+            nums *= (2 * sign - 1) * psi_step
+            if stepped:  # chi(g^k) = e(step k / den)
+                k = np.multiply.outer(steps[rows], np.arange(lo, hi, dtype=np.int64))
+                k += nums
+                nums = k
             if sign:  # chi(-y) = chi(y) e(eps / 2)
-                nums += flips[rows, None]
-            parts.append(nums)
+                nums = nums + flips[rows, None]
+            parts.append(np.broadcast_to(nums, (rows.stop - rows.start, hi - lo)))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     return _root_sums((steps.size, signs * order), block, den)
@@ -753,11 +762,11 @@ def check_gauss_domain(p: int, m: int) -> None:
 
 
 # The most root-of-unity terms one Gauss-sum table may sum, at any prime
-# (check_gauss_work).  The kernel sums about 1.4e7 terms a second on its
-# direct path (p = 2, m = 16) and 2.6e7 on its residue-table path (p = 2,
+# (check_gauss_work).  The kernel sums about 1.9e7 terms a second on its
+# direct path (p = 2, m = 16) and 6.5e7 on its residue-table path (p = 2,
 # m = 15; 2-vCPU Xeon VM, Python 3.11), so a table at the budget takes at
-# most about a minute and a quarter; p = 2 up to m = 16, p = 7 up to m = 5
-# and p = 101 up to m = 2 fit.
+# most about a minute; p = 2 up to m = 16, p = 7 up to m = 5 and p = 101
+# up to m = 2 fit.
 GAUSS_TABLE_MAX_TERMS = 10**9
 
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from intertwine import padic
 from intertwine.errors import ConductorError, InconsistentRatio, PoleError, RangeError
 from intertwine.padic import (
+    _LIMB_BITS,
+    _LIMBS,
     _SUM_BLOCK,
     _ExactSum,
     _dlog_table,
@@ -410,6 +412,18 @@ def test_unit_integral_matches_direct_formula_bit_for_bit():
             assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
 
 
+@pytest.mark.parametrize("p, b", [(7, 7), (2, 10)])
+def test_trivial_unit_sum_is_the_sum_over_enumerated_units(p, b):
+    # every step of the trivial character is 0, so its numerators are
+    # -psi_step y alone: 22 pieces at p = 7, the last one shorter, and both
+    # sign halves of the +-5^k walk at p = 2
+    depth, den, _, psi_step = padic._unit_frame(p, 0, b, 1)
+    units = np.arange(p**depth, dtype=np.int64)
+    units = units[units % p != 0]
+    (total,) = padic._unit_sums(p, 0, [MultChar.trivial(p)], b, 1)
+    assert _bits(total) == _bits(_fsum_of_numpy_terms(-psi_step * units, den))
+
+
 def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
     # pieces of 4 columns: every later piece of powers is g^c0 times the
     # head table, at odd p and for the +-5^k walk mod 2^m, which full-size
@@ -506,7 +520,8 @@ def _exact_sum(values) -> float:
     row = np.array([values], dtype=np.float64)
     sums = _ExactSum(1)
     for col in range(0, row.shape[1], _SUM_BLOCK):
-        sums.add(row[:, col : col + _SUM_BLOCK])
+        piece = row[:, col : col + _SUM_BLOCK]
+        sums.add(piece, np.empty_like(piece))
     return sums.values()[0]
 
 
@@ -541,13 +556,23 @@ def test_exact_sum_is_fsum_bit_for_bit(xs, rest):
         [2.2250738585072014e-308, -1.5e-323, 1e-320],  # subnormal total
         [0.5, 2**-1074, -0.5],
         [2**-1022, 2**-1074],
-        # pieces of one limb and of all 27, in both orders: every total sits
-        # at the fixed scale 2^-1080, so no piece needs realigning
+        # pieces of one limb and of all 30, in both orders: every total sits
+        # at the fixed scale 2^-1110, so no piece needs realigning
         [0.5] * _SUM_BLOCK + [5e-324, 2**-1022, 1e-300],
         [1e-300, 2**-1022, 5e-324] + [0.5] * _SUM_BLOCK,
+        # full pieces whose first limbs are all 2^37, so a limb row sums to
+        # 2^52, the edge of the float limb sums
+        [1.0] * _SUM_BLOCK,
+        [-1.0] * _SUM_BLOCK,
+        [1 - 2**-53] * _SUM_BLOCK,
+        [1.0] * _SUM_BLOCK + [-1.0] * _SUM_BLOCK + [1 - 2**-53] * _SUM_BLOCK,
     ],
 )
 def test_exact_sum_edge_cases(values):
+    # a piece of limbs of modulus <= 2^_LIMB_BITS sums exactly in float64,
+    # and the limbs reach the last bit of a subnormal
+    assert _SUM_BLOCK << _LIMB_BITS <= 2**53
+    assert _LIMB_BITS * _LIMBS >= 1074
     assert _exact_sum(values).hex() == math.fsum(values).hex()
 
 
@@ -564,8 +589,9 @@ def test_exact_sum_across_blocks(pattern, n):
 
 def test_exact_sum_rejects_a_piece_wider_than_one_block():
     sums = _ExactSum(2)
+    piece = np.zeros((2, _SUM_BLOCK + 1))
     with pytest.raises(ValueError):
-        sums.add(np.zeros((2, _SUM_BLOCK + 1)))
+        sums.add(piece, np.empty_like(piece))
 
 
 def test_root_of_unity_sum_empty_and_domain():
@@ -688,7 +714,7 @@ def test_unit_power_pieces_are_the_powers():
     for g, mod, order in ((unit_generator(3), 3**13, 2 * 3**12), (unit_generator(7), 7**6, 6 * 7**5), (5, 2**20, 2**18)):
         for c0 in range(0, order, _SUM_BLOCK):
             j = np.arange(c0, min(c0 + _SUM_BLOCK, order), dtype=np.int64)
-            piece = padic._unit_power_piece(g, mod, order, j)
+            piece = padic._unit_power_piece(g, mod, order, c0, j.size)
             assert piece.dtype == np.int64 and piece.shape == j.shape
             sample = np.r_[0 : j.size : 101, j.size - 1]
             assert piece[sample].tolist() == [pow(g, int(e), mod) for e in j[sample]], (g, mod, c0)
