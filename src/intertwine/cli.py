@@ -13,7 +13,9 @@ that state none of their own.  Reports are deterministic for a fixed seed
 (timing is only included with --timing, since it would break byte-for-byte
 reproducibility).  gauss makes one padic.gauss_sums call per conductor at
 every prime; p = 2 needs --allow-p2, and labels its rows chi4 and
-eps=...,a=... in place of a=... and a chi(-1) column.
+eps=...,a=... in place of a=... and a chi(-1) column.  A mu table has at
+most padic.MU_TABLE_MAX_ROWS (5e5) rows: the --n by --y grid is counted
+before any point is built, and a larger one exits 2.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .arch import Place, mu_arch, mu_arch_logderiv
 from .errors import ParityError, RangeError
 from .padic import (
+    MU_TABLE_MAX_ROWS,
     AddChar,
     FiniteParams,
     MultChar,
@@ -45,30 +48,46 @@ from .reports import compact_json, json_list, merged_json
 from .verify import SUITE_NAMES, SUITE_TOLERANCES, run_suite
 
 
+def _range_bounds(text: str):
+    """(start, stop, step, count) of start:stop[:step], or None for a comma
+    list or a single number; every number must be finite and the step
+    positive.  The count comes from the range arithmetic alone."""
+    for bit in text.replace(",", ":").split(":"):
+        if not math.isfinite(float(bit)):
+            raise ValueError(f"expected a finite number, got {bit!r}")
+    bits = text.split(":")
+    if "," in text or len(bits) == 1:
+        return None
+    start, stop = float(bits[0]), float(bits[1])
+    step = float(bits[2]) if len(bits) > 2 else 1.0
+    if step <= 0:
+        raise ValueError("step must be positive")
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"range {text!r} has too many points to count")
+    return start, stop, step, max(0, math.floor(span + 1e-9) + 1)
+
+
+def _range_size(text: str) -> int:
+    """The number of points of _parse_range(text), with none of them built."""
+    bounds = _range_bounds(text)
+    return text.count(",") + 1 if bounds is None else bounds[3]
+
+
 def _parse_range(text: str, integer: bool = False):
     """start:stop[:step] (inclusive stop) or a comma list of finite numbers.
 
     Point k of a range is start + k * step, so no rounding accumulates along
     the grid; a last point within rounding of stop is stop itself.
     """
-    for bit in text.replace(",", ":").split(":"):
-        if not math.isfinite(float(bit)):
-            raise ValueError(f"expected a finite number, got {bit!r}")
-    if "," in text:
+    bounds = _range_bounds(text)
+    if bounds is None:
         vals = [float(v) for v in text.split(",")]
     else:
-        bits = text.split(":")
-        if len(bits) == 1:
-            vals = [float(bits[0])]
-        else:
-            start, stop = float(bits[0]), float(bits[1])
-            step = float(bits[2]) if len(bits) > 2 else 1.0
-            if step <= 0:
-                raise ValueError("step must be positive")
-            count = math.floor((stop - start) / step + 1e-9) + 1
-            vals = [start + k * step for k in range(count)]
-            if vals and abs(vals[-1] - stop) <= 1e-9 * step:
-                vals[-1] = stop
+        start, stop, step, count = bounds
+        vals = [start + k * step for k in range(count)]
+        if vals and abs(vals[-1] - stop) <= 1e-9 * step:
+            vals[-1] = stop
     if integer:
         out = []
         for v in vals:
@@ -106,35 +125,33 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _mu_row(row: dict, val: complex, dval: complex) -> dict:
-    """Add the columns of mu and its derivative mu' to a new row that holds
-    its leading columns, and return it.  The row is filled in place: a
-    merged copy per row made the tables workload about 2 % slower."""
-    row["mu_re"] = val.real
-    row["mu_im"] = val.imag
-    row["mu_abs"] = abs(val)
-    row["mu_prime_re"] = dval.real
-    row["mu_prime_im"] = dval.imag
-    row["mu_prime_abs"] = abs(dval)
-    return row
+def _mu_columns(lead: dict, ns: list[int], ys: list[float], vals: np.ndarray, dvals: np.ndarray) -> dict[str, list]:
+    """The columns of a mu table, rows in n-major order: the constant
+    columns lead, then n, y, and mu and its derivative mu' from flat complex
+    arrays in row order."""
+    rows = len(ns) * len(ys)
+    cols = {name: [value] * rows for name, value in lead.items()}
+    cols["n"] = [n for n in ns for _ in ys]
+    cols["y"] = ys * len(ns)
+    for name, v in (("mu", vals), ("mu_prime", dvals)):
+        cols[f"{name}_re"] = v.real.tolist()
+        cols[f"{name}_im"] = v.imag.tolist()
+        # Python's complex abs, which np.abs does not match to the bit
+        cols[f"{name}_abs"] = list(map(abs, v.tolist()))
+    return cols
 
 
-def _mu_rows_arch(args, place: Place):
+def _mu_columns_arch(args, place: Place):
     # the whole table in one closed-form call and one log-derivative call, a
     # column of weights per y point (so that a RangeError names the first y
-    # whose column fails); mu' = mu * (log mu)' as in mu_arch_derivative, and
-    # rows stay in n-major order
+    # whose column fails); mu' = mu * (log mu)' as in mu_arch_derivative
     ns = _parse_range(args.n, integer=True)
     ys = _parse_range(args.y)
     s, n = 1j * np.repeat(ys, len(ns)), np.tile(ns, len(ys))
     vals = mu_arch(place, s, args.mu, args.n0, n)
     dvals = vals * mu_arch_logderiv(place, s, args.mu, args.n0, n)
-    vals, dvals = vals.reshape(len(ys), len(ns)).tolist(), dvals.reshape(len(ys), len(ns)).tolist()
-    return [
-        _mu_row({"place": place.value, "n0": args.n0, "n": n, "y": y}, vals[j][i], dvals[j][i])
-        for i, n in enumerate(ns)
-        for j, y in enumerate(ys)
-    ]
+    vals, dvals = (v.reshape(len(ys), len(ns)).T.ravel() for v in (vals, dvals))
+    return _mu_columns({"place": place.value, "n0": args.n0}, ns, ys, vals, dvals)
 
 
 def _finite_char(p: int, cond: int) -> MultChar:
@@ -149,30 +166,34 @@ def _finite_char(p: int, cond: int) -> MultChar:
     return MultChar(p, cond, 1)
 
 
-def _mu_rows_finite(args):
+def _mu_columns_finite(args):
     p = args.p
     if p is None:
         raise ValueError("--p is required at a finite place")
     xi, oxi = _finite_char(p, args.cond_xi), _finite_char(p, args.cond_oxi)
     psi = AddChar(p, args.psi_c)
-    rows = []
-    for n in _parse_range(args.n, integer=True):
-        for y in _parse_range(args.y):
+    ns, ys = _parse_range(args.n, integer=True), _parse_range(args.y)
+    vals, dvals = [], []
+    for n in ns:
+        for y in ys:
             params = FiniteParams(p, 1j * y, args.mu, xi, oxi, psi)
-            row = {"place": f"p={p}", "n": n, "y": y}
             val = mu_finite(params, n)
-            rows.append(_mu_row(row, val, val * mu_finite_logderiv(params, n)))
-    return rows
+            vals.append(val)
+            dvals.append(val * mu_finite_logderiv(params, n))
+    return _mu_columns({"place": f"p={p}"}, ns, ys, np.array(vals, complex), np.array(dvals, complex))
 
 
 def cmd_mu(args) -> int:
-    if args.place == "complex":
-        rows = _mu_rows_arch(args, Place.COMPLEX)
-    elif args.place == "real":
-        rows = _mu_rows_arch(args, Place.REAL)
+    # the grid's size bounds the work, so it is checked before any list of
+    # points is built
+    rows = _range_size(args.n) * _range_size(args.y)
+    if rows > MU_TABLE_MAX_ROWS:
+        raise RangeError(f"a mu table of {rows:.3g} rows is beyond the budget of {MU_TABLE_MAX_ROWS:.0e}")
+    if args.place == "finite":
+        cols = _mu_columns_finite(args)
     else:
-        rows = _mu_rows_finite(args)
-    _emit_table(rows, args.format, args.out)
+        cols = _mu_columns_arch(args, Place(args.place))
+    _emit_table(cols, args.format, args.out)
     return 0
 
 
@@ -188,33 +209,51 @@ def cmd_gauss(args) -> int:
     check_gauss_domain(p, args.m_max)
     check_gauss_work(p, args.m_max)
     psi = AddChar(p, args.psi_c)
-    rows = []
+    ms, labels, signs, gs = [], [], [], []
     for m in range(1, args.m_max + 1):
-        for chi, g in gauss_sums(p, m, psi).items():
-            row = {"p": p, "m": m}
-            if p == 2:
-                # chi(-1) = (-1)^eps is in the label
-                row["char"] = "chi4" if m == 2 else f"eps={chi.eps},a={chi.a}"
-            else:
-                row.update(char=f"a={chi.a}", chi_m1=chi.at_minus_one())
-            row.update(g_re=g.real, g_im=g.imag, g_abs=abs(g))
-            rows.append(row)
-    _emit_table(rows, args.format, args.out)
+        sums = gauss_sums(p, m, psi)
+        ms += [m] * len(sums)
+        gs += sums.values()
+        if p == 2:
+            # chi(-1) = (-1)^eps is in the label
+            labels += ["chi4" if m == 2 else f"eps={chi.eps},a={chi.a}" for chi in sums]
+        else:
+            labels += [f"a={chi.a}" for chi in sums]
+            signs += [chi.at_minus_one() for chi in sums]
+    cols = {"p": [p] * len(gs), "m": ms, "char": labels}
+    if p != 2:
+        cols["chi_m1"] = signs
+    cols.update(g_re=[g.real for g in gs], g_im=[g.imag for g in gs], g_abs=list(map(abs, gs)))
+    _emit_table(cols, args.format, args.out)
     return 0
 
 
-def _emit_table(rows, fmt: str, out_path: str | None):
-    if not rows:
+def _json_column(values: list) -> list[str]:
+    """The JSON text of each value, from one encoder call on the whole list;
+    a value whose text holds ", " (a string, say) spoils the split, and then
+    the column is encoded value by value."""
+    texts = compact_json(values)[1:-1].split(", ")
+    return texts if len(texts) == len(values) else [compact_json(v) for v in values]
+
+
+def _emit_table(cols: dict[str, list], fmt: str, out_path: str | None):
+    """Write a table given as columns of equal length, in column order for
+    CSV and as one compact sorted-key JSON object per row for JSON (each
+    line is json.dumps(row, sort_keys=True), from one encoder call per
+    column)."""
+    names = list(cols)
+    if not names or not cols[names[0]]:
         print("(no rows)")
         return
     if fmt == "json":
-        text = json_list([compact_json(r) for r in rows]) + "\n"
+        keys = sorted(names)
+        template = "{" + ", ".join(compact_json(k) + ": %s" for k in keys) + "}"
+        text = json_list([template % vals for vals in zip(*(_json_column(cols[k]) for k in keys))]) + "\n"
     else:
-        cols = list(rows[0].keys())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows([_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows)
+        writer.writerow(names)
+        writer.writerows(zip(*([_fmt(v) if isinstance(v, float) else v for v in cols[c]] for c in names)))
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:

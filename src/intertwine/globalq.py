@@ -324,6 +324,11 @@ def maass_selberg(
     return val
 
 
+# How far |mu| may stray from 1 where maass_selberg_onaxis takes the scalar
+# model's unitarity on trust.
+AXIS_MODULUS_TOL = 1e-9
+
+
 def maass_selberg_onaxis(
     y: float,
     c: float,
@@ -339,7 +344,7 @@ def maass_selberg_onaxis(
     """
     if c <= 1:
         raise ValueError("truncation height must exceed 1")
-    if abs(abs(mu_value) - 1) > 1e-9:
+    if abs(abs(mu_value) - 1) > AXIS_MODULUS_TOL:
         raise ValueError("scalar model requires |mu| = 1 on the axis")
     val = 2 * math.log(c) - (mu_prime / mu_value).real
     if is_selfdual:

@@ -769,6 +769,14 @@ def check_gauss_domain(p: int, m: int) -> None:
 # up to m = 2 fit.
 GAUSS_TABLE_MAX_TERMS = 10**9
 
+# The most rows one `intertwine mu` table may have, at any place; the CLI
+# counts the --n by --y grid before it builds a point.  A JSON table takes
+# about 75 000-100 000 rows a second at an archimedean place and 41 000 at
+# p = 101 (levels 3-102; 2-vCPU Xeon VM, Python 3.11) and holds about
+# 1.3 KB a row at its peak, so a table at the budget takes 5-12 s and about
+# 0.7 GB.
+MU_TABLE_MAX_ROWS = 5 * 10**5
+
 
 def check_gauss_work(p: int, m_max: int) -> None:
     """Raise RangeError when the Gauss sums of every primitive character of

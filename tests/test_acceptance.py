@@ -8,12 +8,14 @@ read the captured output) to see the per-criterion lines.
 """
 
 import inspect
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
 from intertwine import verify
+from intertwine.cli import main
 from intertwine.verify import ACCEPTANCE_SIZES, CRITERIA, SUITE_NAMES, run_suite
 
 
@@ -151,6 +153,23 @@ def test_maass_selberg_cases_fail_when_the_axis_form_is_off(monkeypatch):
     expected = [c.key for r in reports for c in r.cases if c.key.startswith(ms)]
     assert "global/ms-selfdual-limit" in expected and len(expected) > 1
     assert failing == expected
+
+
+def test_maass_selberg_modulus_defect_is_a_failing_case(monkeypatch, tmp_path, capsys):
+    # the axis form refuses |mu| != 1; verify reports that as the ms-limit
+    # cases failing (exit 1, report written) and not as a usage error
+    mu_arch = verify.mu_arch
+    monkeypatch.setattr(verify, "mu_arch", lambda *args, **kw: mu_arch(*args, **kw) * (1 + 1e-6))
+    path = tmp_path / "global.json"
+    assert main(["verify", "--suite", "global", "--json", str(path)]) == 1
+    assert f"report written to {path}" in capsys.readouterr().out
+    cases = {c["key"]: c for c in json.loads(path.read_text())["cases"]}
+    assert len(cases) == len(run_suite("global").cases)
+    failing = sorted(k for k, c in cases.items() if not c["pass"])
+    assert failing == sorted(f"global/ms-limit/y={y}" for y, _ in verify.DEFAULT_SIZES.ms_points)
+    for key in failing:
+        assert cases[key]["inputs"]["check"] == "axis modulus"
+        assert cases[key]["abs_diff"] == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", (0, 1))

@@ -569,9 +569,9 @@ def test_json_table_layout(capsys, monkeypatch, tmp_path, argv):
     emitted = []
     real_emit = intertwine.cli._emit_table
 
-    def capture(rows, fmt, out_path):
-        emitted.append(rows)
-        return real_emit(rows, fmt, out_path)
+    def capture(cols, fmt, out_path):
+        emitted.append([dict(zip(cols, vals)) for vals in zip(*cols.values())])
+        return real_emit(cols, fmt, out_path)
 
     monkeypatch.setattr(intertwine.cli, "_emit_table", capture)
     assert main(argv + ["--format", "json"]) == 0
@@ -597,3 +597,72 @@ def test_json_table_layout(capsys, monkeypatch, tmp_path, argv):
     for i, k, v in floats:
         assert f'"{k}": {v!r}' in body[i]
         assert parsed[i][k] == v and math.copysign(1.0, parsed[i][k]) == math.copysign(1.0, v)
+
+
+EMIT_TABLES = (
+    # a string column whose values hold ", " and '"' takes the value-by-value
+    # fallback; the other columns go through one encoder call each
+    {
+        "label": ["eps=0,a=1", 'a "quoted", label', "a, b", ""],
+        "x": [math.nan, math.inf, -math.inf, -0.0],
+        "k": [3, -7, 0, 2**70],
+        "flag": [True, False, True, False],
+        "y": [0.1, 1e-300, 5.0, 1 / 3],
+    },
+    {"z": [1.5], "a": ["a=1"], "n": [0]},
+    {"b": [], "a": []},
+    {},
+)
+
+
+@pytest.mark.parametrize("cols", EMIT_TABLES, ids=("mixed", "one-row", "empty-columns", "no-columns"))
+def test_emit_table_writes_each_row_as_the_row_encoders_do(capsys, cols):
+    rows = [dict(zip(cols, vals)) for vals in zip(*cols.values())]
+    intertwine.cli._emit_table(cols, "json", None)
+    text = capsys.readouterr().out
+    intertwine.cli._emit_table(cols, "csv", None)
+    csv_text = capsys.readouterr().out
+    if not rows:
+        assert text == csv_text == "(no rows)\n"
+        return
+    assert text == "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(cols))
+    writer.writerows([intertwine.cli._fmt(v) if isinstance(v, float) else v for v in r.values()] for r in rows)
+    assert csv_text == buf.getvalue()
+
+
+def test_json_column_falls_back_only_when_a_value_splits():
+    assert intertwine.cli._json_column([1.0, "a,b", True]) == ["1.0", '"a,b"', "true"]
+    assert intertwine.cli._json_column(["a, b", 'c", "d']) == ['"a, b"', '"c\\", \\"d"']
+
+
+def test_mu_row_budget_is_checked_before_any_point_is_built(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a point list was built")
+
+    monkeypatch.setattr(intertwine.cli, "_parse_range", no_grid)
+    for argv in (["--place", "real", "--n", "0", "--y", "0:1e10:1"],
+                 ["--place", "complex", "--n", "0:2e6:2", "--y", "0:1:0.5"],
+                 ["--place", "finite", "--p", "5", "--n", "0:999", "--y", "0:999"]):
+        assert main(["mu", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the budget" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_mu_row_budget_admits_a_table_at_the_budget(capsys, monkeypatch):
+    monkeypatch.setattr(intertwine.cli, "MU_TABLE_MAX_ROWS", 6)
+    assert main(["mu", "--place", "complex", "--n", "0:4:2", "--y", "0,1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert main(["mu", "--place", "complex", "--n", "0:4:2", "--y", "0:1:0.5"]) == 2
+    assert capsys.readouterr().err == "error: a mu table of 9 rows is beyond the budget of 6e+00\n"
+
+
+def test_range_size_counts_the_points_of_the_range():
+    for text in ("-5:5:0.1", "0:0.3:0.1", "0:1:0.3", "0:40:2", "5:4", "2", "1,2.5,3", "0:1"):
+        assert intertwine.cli._range_size(text) == len(intertwine.cli._parse_range(text))
+    assert intertwine.cli._range_size("0:1e10:1") == 10**10 + 1
+    with pytest.raises(ValueError, match="too many points"):
+        intertwine.cli._range_size("-1e308:1e308:1e-300")
