@@ -8,8 +8,8 @@ generator g: the sign half is empty at odd p, where g generates the cyclic
 group, and at p = 2 the units are {+-1} x <5>.  Values are roots of unity
 evaluated from exact rational angles.  Every Gauss-type sum (the Gauss sum,
 the unit integral behind its support window, the shells of the brute-force
-transform) is one unit integral that walks the units that way and hands
-integer angle numerators over a common denominator to a single kernel,
+transform) is one unit integral that hands integer angle numerators over a
+common denominator to a single kernel,
 _root_sums (root_of_unity_sum is its public entry on a numerator array,
 which the tests call).  The numerators are built as int64 arrays and the
 kernel takes cos and sin in numpy blocks, sums each component exactly in
@@ -18,20 +18,27 @@ so a sum adds no rounding of its own.  When the denominator is at most
 both the call's term count and _SUM_BLOCK, it takes the cos and sin of each
 residue once, into a table of at most one piece (512 KB), and gathers every
 term from it, to the floats the direct path computes; the Gauss tables go
-that way.  Each term still carries the rounding of its cos and sin, so the
-error floor grows with the number of terms: the trivial unit sum mod 3^13
-(1 062 882 terms, exactly 0) reads -4.1e-11, and mod 7^6 (100 842 terms)
--3.9e-12.  The kernel sums many rows at once: a (rows, n) array gives one
-exactly rounded sum per row, the same bits as a call on that row alone.  _root_sums alone
-sizes its pieces, and asks its caller to build each one.  _unit_sums writes the unit
-sum's numerators once, one row per character of one conductor; gauss_sums
-sums every primitive character of a conductor that way, at every prime.
-The walk takes the powers of g one piece at a time, each piece g^c0 times
-one cached head table of at most _SUM_BLOCK powers (_unit_power_piece), so
-a deep shell holds one piece of powers, never phi(p^depth) of them; only
-_dlog_table, which inverts the walk, builds a whole unit group.  The int64
-products bound the domain: a unit integral whose denominator times p^depth
-reaches 2^63 raises RangeError, and gauss_sums checks it first.
+that way.  Each term still carries the rounding of its cos and sin (its
+cos alone in the trivial character's row, below), so the error floor grows
+with the number of terms: the trivial unit sum mod 3^13 (1 062 882 units
+in 531 441 pairs, exactly 0) reads 4.1e-11, and mod 7^6 (100 842 units,
+50 421 pairs) 4.0e-12.  The kernel sums many rows at once:
+a (rows, n) array gives one exactly rounded sum per row, the same bits as a
+call on that row alone.  _root_sums alone sizes its pieces, and asks its
+caller to build each one.  _unit_sums writes the unit sum's numerators
+once, one row per character of one conductor; gauss_sums sums every
+primitive character of a conductor that way, at every prime.  A ramified
+row walks the units as (-1)^sign g^k, taking the powers of g one piece at
+a time, each piece g^c0 times one cached head table of at most _SUM_BLOCK
+powers (_unit_power_piece), so it holds one piece of powers, never
+phi(p^depth) of them; only _dlog_table, which inverts the walk, builds a
+whole unit group.  The trivial character's row, which every tail shell
+of the brute-force transform sums, takes no powers: its terms at y and -y
+are conjugate, so it sums one unit of each pair, in natural order, at
+twice the cos of the pair's residue folded into [0, den / 2], one cos
+where the walk took two cos and two sin.  The int64 products bound the
+domain: a unit integral whose denominator times p^depth reaches 2^63
+raises RangeError, and gauss_sums checks it first.
 Gauss sums are cached on (chi, psi).  A unit integral's raw sum is cached on
 (chi, b, r), where p^c(psi) t = A / p^b in lowest terms and r = A mod p^b;
 for the trivial character r is 1 (0 when b = 0), since its sum has the same
@@ -203,11 +210,17 @@ def root_of_unity_sum(numerators, den: int) -> complex | list[complex]:
     return sums[0] if k.ndim == 1 else sums
 
 
-def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
+def _root_sums(shape: tuple[int, int], block, den: int, cos_weight: int = 0) -> list[complex]:
     """root_of_unity_sum of each row of a (rows, n) numerator array, built
     one int64 piece at a time by block(row_slice, col_slice).  The one place
     that sizes pieces: a pass takes as many whole rows as fit in _SUM_BLOCK
     numerators, and a longer row goes alone, _SUM_BLOCK columns a piece.
+
+    cos_weight w > 0 asks for the cos part only, for rows whose numerators k
+    each stand for w terms that are e(k / den) or its conjugate: each
+    residue r is folded to min(r, den - r), whose angle lies in [0, pi], and
+    a row's value is w times the exact sum of the cos of its folded angles,
+    rounded once, with imaginary part 0.0.
 
     When den is at most both rows n and _SUM_BLOCK, the cos and sin of each
     residue r / den are taken once, into a 2 x den table no larger than one
@@ -226,35 +239,43 @@ def _root_sums(shape: tuple[int, int], block, den: int) -> list[complex]:
         out *= 2 * math.pi
         return out
 
+    parts = 1 if cos_weight else 2
     table = None
     if den <= min(rows * n, _SUM_BLOCK):
         theta = angles(np.arange(den, dtype=np.int64), np.empty(den))
-        table = np.array([np.cos(theta), np.sin(theta)])
+        table = np.array([np.cos(theta), np.sin(theta)][:parts])
     group = max(1, _SUM_BLOCK // max(n, 1))
     size = min(rows, group) * min(n, _SUM_BLOCK)
-    residues, terms, limbs = np.empty(size, dtype=np.int64), np.empty(2 * size), np.empty(2 * size)
+    residues, terms, limbs = np.empty(size, dtype=np.int64), np.empty(parts * size), np.empty(parts * size)
     theta = np.empty(size) if table is None else None
+    folded = np.empty(size, dtype=np.int64) if cos_weight else None
     out = []
     for start in range(0, rows, group):
         part = slice(start, min(start + group, rows))
         count = part.stop - start
-        sums = _ExactSum(2 * count)
+        sums = _ExactSum(parts * count)
         for col in range(0, n, _SUM_BLOCK):
             cols = slice(col, min(col + _SUM_BLOCK, n))
             piece = count * (cols.stop - col)
             r = np.remainder(block(part, cols), den, out=residues[:piece].reshape(count, -1))
+            if cos_weight:
+                np.minimum(r, np.subtract(den, r, out=folded[:piece].reshape(count, -1)), out=r)
             if table is None:
                 th = angles(r, theta[:piece].reshape(count, -1))
-                x = terms[: 2 * piece].reshape(2 * count, -1)
+                x = terms[: parts * piece].reshape(parts * count, -1)
                 np.cos(th, out=x[:count])
-                np.sin(th, out=x[count:])
+                if not cos_weight:
+                    np.sin(th, out=x[count:])
             else:
                 # the cos of each row's terms above their sin
-                x = np.take(table, r, axis=1, mode="clip", out=terms[: 2 * piece].reshape(2, count, -1))
-                x = x.reshape(2 * count, -1)
-            sums.add(x, limbs[: 2 * piece].reshape(x.shape))
-        values = sums.values()
-        out += [complex(re, im) for re, im in zip(values[:count], values[count:])]
+                x = np.take(table, r, axis=1, mode="clip", out=terms[: parts * piece].reshape(parts, count, -1))
+                x = x.reshape(parts * count, -1)
+            sums.add(x, limbs[: parts * piece].reshape(x.shape))
+        if cos_weight:
+            out += [complex(re, 0.0) for re in sums.values(cos_weight)]
+        else:
+            values = sums.values()
+            out += [complex(re, im) for re, im in zip(values[:count], values[count:])]
     return out
 
 
@@ -302,8 +323,9 @@ class _ExactSum:
         shift = _LIMB_BITS * (_LIMBS - limbs)
         self.totals = [total + (row << shift) for total, row in zip(self.totals, sums)]
 
-    def values(self) -> list[float]:
-        return [total / (1 << _LIMB_BITS * _LIMBS) for total in self.totals]
+    def values(self, weight: int = 1) -> list[float]:
+        """Each total times the integer weight, rounded once."""
+        return [weight * total / (1 << _LIMB_BITS * _LIMBS) for total in self.totals]
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +680,9 @@ def _unit_integral(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     p^b, and y -> A y permutes the units mod p^b, so the angles -A y / p^b
     form the same multiset for every A.  The kernel's sum is exact and does
     not depend on the order of its terms, so every A gets the A = 1 sum to
-    the bit.  That sum is still taken term by term, not by a closed form.
+    the bit.  That sum is a Ramanujan sum, real, and is still taken term by
+    term rather than by its closed form, over one unit of each pair {y, -y}
+    at twice the cos of the pair's folded residue (_unit_sums).
     """
     p = chi.p
     shift = t * p**psi.c
@@ -700,15 +724,44 @@ def _unit_sums(p: int, cond: int, chars, b: int, r: int) -> list[complex]:
     """Sum of chi(y) e(-r y / p^b) over the units y mod p^depth,
     depth = max(cond, b, 1), for each character chi of conductor p^cond in
     chars, one kernel row each (_unit_frame).  The numerators are built one
-    piece at a time, so a deep shell never holds all of them.  None leaves
-    int64: each lies in (-den p^depth, den p^depth) at odd p, and at p = 2,
-    where den p^depth <= 2^62, within 1.25 den p^depth + den / 2 of 0."""
+    piece at a time, so a deep shell never holds all of them.
+
+    A ramified row walks the units as (-1)^sign g^k.  None of its
+    numerators leaves int64: each lies in (-den p^depth, den p^depth) at odd
+    p, and at p = 2, where den p^depth <= 2^62, within
+    1.25 den p^depth + den / 2 of 0.
+
+    The trivial character's row (cond = 0) is real: the terms of y and -y
+    are conjugate.  It takes one unit y of each pair, the units in
+    [1, p^depth / 2) in natural order, and the pair's value
+    2 cos(2 pi rho / den) at rho = min(res, den - res), res the residue of
+    -psi_step y mod den (_root_sums with cos_weight 2), so the term of -y is
+    the exact conjugate of the term of y and the row is the exactly
+    rounded sum of the cos at every unit's pair residue, with imaginary
+    part 0.0.  At p^depth = 2 the one unit is its own negative and counts
+    once.  Its numerators lie in (-den p^depth / 2, 0], no powers are taken,
+    and the row has the same terms for every unit r (_unit_integral).
+    """
     depth, den, chi_unit, psi_step = _unit_frame(p, cond, b, r)
+    if cond == 0:
+        pairs = (p - 1) * p ** (depth - 1) // 2
+
+        def units(rows: slice, cols: slice) -> np.ndarray:
+            # the unit of index j: p - 1 of them in each run of p integers
+            j = np.arange(cols.start, cols.stop, dtype=np.int64)
+            y = j // (p - 1)
+            y += j
+            y += 1
+            y *= -psi_step
+            return np.broadcast_to(y, (rows.stop - rows.start, y.size))
+
+        return _root_sums((len(chars), max(pairs, 1)), units, den, cos_weight=2 if pairs else 1)
+
     steps = np.array([chi.a for chi in chars], dtype=np.int64) * chi_unit % den
     flips = np.array([chi.eps for chi in chars], dtype=np.int64) * (den // 2)
     (signs, order), g, mod = _unit_group(p, depth)[:2], unit_generator(p), p**depth
 
-    stepped = steps.any()  # every step is 0 for the trivial character
+    stepped = steps.any()  # every step is 0 only for chi4 (p = 2, a = 0)
 
     def block(rows: slice, cols: slice) -> np.ndarray:
         # one part per sign half the piece meets: a piece lies in one half,
@@ -898,7 +951,10 @@ class TensorSimpleFunction(_AtomSum):
     ARITY = 2
 
     def evaluate(self, x: Fraction, y: Fraction) -> complex:
-        sx, sy = _p_split(x, self.p), _p_split(y, self.p)
+        return self._evaluate_split(_p_split(x, self.p), _p_split(y, self.p))
+
+    def _evaluate_split(self, sx: tuple[int | None, int, int], sy: tuple[int | None, int, int]) -> complex:
+        """evaluate at the point whose coordinates have the _p_split sx, sy."""
         total = 0j
         for (a, b), coeff in self.terms.items():
             fa = _atom_value(a, sx)
@@ -1111,16 +1167,25 @@ def level_membership(phi: TensorSimpleFunction, params: FiniteParams, level: int
     def close(a: complex, b: complex) -> bool:
         return abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
+    # the points share coordinates, so each is split once per call
+    splits: dict[int, tuple[int | None, int, int]] = {}
+
+    def value(x: int, y: int) -> complex:
+        for c in (x, y):
+            if c not in splits:
+                splits[c] = _p_split(c, p)
+        return phi._evaluate_split(splits[x], splits[y])
+
     for x, y in pts:
-        base = phi.evaluate(x, y)
+        base = value(x, y)
         for u1, u2, twist in twists:
-            if not close(phi.evaluate(u1 * x, u2 * y), twist * base):
+            if not close(value(u1 * x, u2 * y), twist * base):
                 return False
         for t in translations:
-            if not close(phi.evaluate(x, y + t * x), base):
+            if not close(value(x, y + t * x), base):
                 return False
         for t in translations:
-            if not close(phi.evaluate(x + (t * p**level) * y, y), base):
+            if not close(value(x + (t * p**level) * y, y), base):
                 return False
     return True
 

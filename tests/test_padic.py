@@ -370,9 +370,23 @@ def test_trivial_character_sum_is_the_same_for_every_unit():
                     assert _bits(_unit_sum.__wrapped__(one, b, unit)) == ref, (p, b, unit)
 
 
+def _paired_sum_over_every_unit(psi_step: int, p: int, depth: int, den: int) -> complex:
+    """The trivial character's row as the kernel defines it, from every
+    unit y mod p^depth in one array: math.fsum of cos at each unit's pair
+    residue min(res, den - res), res = -psi_step y mod den, with the angle
+    formed as the kernel forms it; imaginary part 0.0."""
+    units = np.arange(p**depth, dtype=np.int64)
+    units = units[units % p != 0]
+    res = np.remainder(-psi_step * units, den)
+    rho = np.minimum(res, den - res)
+    return complex(math.fsum(np.cos(rho / den * (2 * math.pi)).tolist()), 0.0)
+
+
 def _unit_integral_direct(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     """_unit_integral from the unreduced numerator A of p^c(psi) t = A / p^b,
-    as one full-length numerator array and no shared sums."""
+    as one full-length numerator array and no shared sums: a full table of
+    powers for a ramified character, every unit's pair residue for the
+    trivial one."""
     p = chi.p
     shift = t * p**psi.c
     v = val_p(shift, p)
@@ -382,10 +396,14 @@ def _unit_integral_direct(chi: MultChar, psi: AddChar, t: Fraction) -> complex:
     den = (p - 1) * p**top
     chi_step = chi.a * p ** (top - chi.cond + 1) % den
     psi_step = shift.numerator * (p - 1) * p ** (top - b) % den
-    k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
-    k *= chi_step
-    k -= psi_step * _unit_powers(unit_generator(p), p**depth, (p - 1) * p ** (depth - 1))
-    return p ** (-depth) * psi.conductor_value ** (-0.5) * root_of_unity_sum(k, den)
+    if chi.cond == 0:
+        total = _paired_sum_over_every_unit(psi_step, p, depth, den)
+    else:
+        k = np.arange((p - 1) * p ** (depth - 1), dtype=np.int64)
+        k *= chi_step
+        k -= psi_step * _unit_powers(unit_generator(p), p**depth, (p - 1) * p ** (depth - 1))
+        total = root_of_unity_sum(k, den)
+    return p ** (-depth) * psi.conductor_value ** (-0.5) * total
 
 
 def test_unit_integral_matches_direct_formula_bit_for_bit():
@@ -402,8 +420,9 @@ def test_unit_integral_matches_direct_formula_bit_for_bit():
                         t = Fraction(u) * Fraction(p) ** n
                         assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
     # rows past three _SUM_BLOCKs (the 100 842 units mod 7^6): every piece
-    # after the first is g^c0 times the head table, the reference reads one
-    # full table
+    # of the ramified row after the first is g^c0 times the head table, the
+    # reference reads one full table; the trivial row's 50 421 pairs take
+    # two pieces, the reference every unit
     psi = AddChar(7, 0)
     assert 6 * 7**5 > 3 * _SUM_BLOCK
     for chi in (MultChar.trivial(7), MultChar.all_primitive(7, 1)[1]):
@@ -412,16 +431,29 @@ def test_unit_integral_matches_direct_formula_bit_for_bit():
             assert _bits(_unit_integral(chi, psi, t)) == _bits(_unit_integral_direct(chi, psi, t))
 
 
+def _assert_paired_row(p: int, b: int, r: int) -> None:
+    depth, den, _, psi_step = padic._unit_frame(p, 0, b, r)
+    (total,) = padic._unit_sums(p, 0, [MultChar.trivial(p)], b, r)
+    assert _bits(total) == _bits(_paired_sum_over_every_unit(psi_step, p, depth, den)), (p, b, r)
+
+
 @pytest.mark.parametrize("p, b", [(7, 7), (2, 10)])
 def test_trivial_unit_sum_is_the_sum_over_enumerated_units(p, b):
-    # every step of the trivial character is 0, so its numerators are
-    # -psi_step y alone: 22 pieces at p = 7, the last one shorter, and both
-    # sign halves of the +-5^k walk at p = 2
-    depth, den, _, psi_step = padic._unit_frame(p, 0, b, 1)
-    units = np.arange(p**depth, dtype=np.int64)
-    units = units[units % p != 0]
-    (total,) = padic._unit_sums(p, 0, [MultChar.trivial(p)], b, 1)
-    assert _bits(total) == _bits(_fsum_of_numpy_terms(-psi_step * units, den))
+    # the row sums one unit of each pair {y, -y} at twice the cos of its
+    # pair residue, the reference every unit once: mod 7^7 the 352 947
+    # pairs take 11 pieces, the last one shorter, and mod 2^10 the pairs
+    # are the odd y below 2^9
+    for r in (1, 2, -1):
+        _assert_paired_row(p, b, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_paired_unit_sums_match_every_unit_at_every_depth(p):
+    # b = 0 and 1 are depth 1, where p = 2 leaves the one unit 1 = -1 mod 2,
+    # counted once
+    for b in range(8):
+        for r in (1, 2, -1):
+            _assert_paired_row(p, b, r)
 
 
 def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
@@ -444,7 +476,8 @@ def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
 
 def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
     # the trivial shell mod 3^13: 1 062 882 units, whose whole table of
-    # powers would take 8.5 MB; the walk asks only for the head table
+    # powers would take 8.5 MB; its pairs are the units below 3^13 / 2 in
+    # natural order, so it asks for no powers at all
     sizes = []
     raw = padic._unit_powers
 
@@ -460,11 +493,12 @@ def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes and max(sizes) <= _SUM_BLOCK
+    assert sizes == []
     # a few pieces of int64 numerators and float64 terms, not the row
     assert peak < 16 * 8 * _SUM_BLOCK
-    # the Ramanujan sum c_(3^13)(1) is 0
+    # the Ramanujan sum c_(3^13)(1) is 0, and real
     assert abs(total) < 1e-9
+    assert total.imag == 0.0
 
 
 def test_bruteforce_sums_each_trivial_shell_once(monkeypatch):
