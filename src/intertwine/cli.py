@@ -240,9 +240,10 @@ def _emit_table(cols: dict[str, list], fmt: str, out_path: str | None):
     """Write a table given as columns of equal length, in column order for
     CSV and as one compact sorted-key JSON object per row for JSON (each
     line is json.dumps(row, sort_keys=True), from one encoder call per
-    column)."""
+    column).  A table without rows prints "(no rows)", or with out_path
+    writes [] or the CSV header row there."""
     names = list(cols)
-    if not names or not cols[names[0]]:
+    if not out_path and (not names or not cols[names[0]]):
         print("(no rows)")
         return
     if fmt == "json":

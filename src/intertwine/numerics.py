@@ -159,10 +159,6 @@ def gamma_factor(kind: GammaKind, s):
 _BLOCK = 8
 _QUIET_RUN = 6
 _MAX_NODES = 200_000
-# One integrand call of a stack holds at most _STACK_CELLS values (rows x
-# nodes); the driver splits a larger group of rows, so that a stack's
-# temporaries stay near those of one row.
-_STACK_CELLS = 1 << 11
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -278,19 +274,18 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
 
     With rows None, f maps a node array of shape (n,) to its values, shape
     (n,), and the integral comes back as a complex.  With rows = K, f(x, r)
-    maps the nodes x and some rows r (a slice or an ascending int array) to
-    the values of those rows, shape (len(r), n), and the K integrals come
-    back as a complex array.  `nodes(level, first_p, first_n, stride, n_p,
-    n_n)` gives the points x, their weights dx/du and the mask of the nodes
-    kept (see _line_nodes and _exp_sinh_nodes).
+    maps the nodes x and some rows r (an ascending int array) to the values
+    of those rows, shape (len(r), n), and the K integrals come back as a
+    complex array.  `nodes(level, first_p, first_n, stride, n_p, n_n)` gives
+    the points x, their weights dx/du and the mask of the nodes kept (see
+    _line_nodes and _exp_sinh_nodes).
 
     Each step groups the still-active rows by the node set they ask for
-    next and evaluates each group in one call of f, split into row chunks
-    of at most _STACK_CELLS values.  A row is evaluated only at its own
-    nodes and summed as a 1-D array of its values would be, so it is bit
-    for bit its one-row value, whatever else is in the stack.  Raises
-    ToleranceNotMet, naming the row of a stack, when a row's sum over a
-    node set is not finite (naming the node of its first non-finite value,
+    next and evaluates each group in one call of f.  A row is evaluated
+    only at its own nodes and summed as a 1-D array of its values would be,
+    so it is bit for bit its one-row value, whatever else is in the stack.
+    Raises ToleranceNotMet, naming the row of a stack, when a row's sum over
+    a node set is not finite (naming the node of its first non-finite value,
     if any, and with weights the integrand value there), or when its
     schedule raises.
     """
@@ -313,38 +308,34 @@ def _trapezoid_doubling(f: Callable, nodes=_line_nodes, rows: int | None = None)
         for key, group in groups.items():
             x, w, keep = nodes(*key)
             n = x.shape[0]
-            step = len(group) if len(group) * n <= _STACK_CELLS else max(1, _STACK_CELLS // n)
-            for c in range(0, len(group), step):
-                rs = group[c:c + step]
-                # a run of consecutive rows is passed as a slice
-                v = f(x, slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else np.array(rs))
-                if v.shape != (len(rs), n):
-                    raise ValueError(f"integrand returned shape {v.shape} for {len(rs)} rows of {n} nodes")
-                # weighted or summed, finite values may leave float range;
-                # the check below reports it, with no RuntimeWarning.  A
-                # C-contiguous block sums each row as a 1-D array.
-                raw = v
-                with np.errstate(over="ignore"):
-                    v = np.ascontiguousarray(v if w is None else v * w)
-                    sums = np.add.reduce(v, axis=1).tolist()
-                full = v
-                if keep is not None:
-                    full = np.zeros((len(rs), keep.size), v.dtype)
-                    full[:, keep] = v
-                for i, (r, part) in enumerate(zip(rs, sums)):
-                    if not cmath.isfinite(part):
-                        bad = np.flatnonzero(~np.isfinite(v[i]))
-                        what = f"value {complex(v[i, bad[0]])}" if bad.size else f"sum {part}"
-                        at = f" at node x = {float(x[bad[0]])!r}" if bad.size else ""
-                        note = f" (integrand value {complex(raw[i, bad[0]])})" if bad.size and w is not None else ""
-                        kind = "integrand" if w is None else "weighted"
-                        raise ToleranceNotMet(f"{kind} {what}{in_row.format(r)}{at} is not finite{note}")
-                    try:
-                        keys[r] = schedules[r].send((full[i], part))
-                    except StopIteration as done:
-                        out[r] = done.value
-                    except ToleranceNotMet as exc:
-                        raise ToleranceNotMet(f"{exc}{in_row.format(r)}") from None
+            v = f(x, np.array(group))
+            if v.shape != (len(group), n):
+                raise ValueError(f"integrand returned shape {v.shape} for {len(group)} rows of {n} nodes")
+            # weighted or summed, finite values may leave float range; the
+            # check below reports it, with no RuntimeWarning.  A C-contiguous
+            # block sums each row as a 1-D array.
+            raw = v
+            with np.errstate(over="ignore"):
+                v = np.ascontiguousarray(v if w is None else v * w)
+                sums = np.add.reduce(v, axis=1).tolist()
+            full = v
+            if keep is not None:
+                full = np.zeros((len(group), keep.size), v.dtype)
+                full[:, keep] = v
+            for i, (r, part) in enumerate(zip(group, sums)):
+                if not cmath.isfinite(part):
+                    bad = np.flatnonzero(~np.isfinite(v[i]))
+                    what = f"value {complex(v[i, bad[0]])}" if bad.size else f"sum {part}"
+                    at = f" at node x = {float(x[bad[0]])!r}" if bad.size else ""
+                    note = f" (integrand value {complex(raw[i, bad[0]])})" if bad.size and w is not None else ""
+                    kind = "integrand" if w is None else "weighted"
+                    raise ToleranceNotMet(f"{kind} {what}{in_row.format(r)}{at} is not finite{note}")
+                try:
+                    keys[r] = schedules[r].send((full[i], part))
+                except StopIteration as done:
+                    out[r] = done.value
+                except ToleranceNotMet as exc:
+                    raise ToleranceNotMet(f"{exc}{in_row.format(r)}") from None
         active = [r for r in active if out[r] is None]
     return np.array(out, complex) if stacked else out[0]
 

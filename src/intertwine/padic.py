@@ -226,51 +226,39 @@ def _root_sums(shape: tuple[int, int], block, den: int, cos_weight: int = 0) -> 
     residue r / den are taken once, into a 2 x den table no larger than one
     piece (512 KB), and every term is gathered from it; otherwise each term
     takes its own cos and sin.  Both paths form the angle as (k mod den) / den
-    times 2 pi, so every term, and every sum, keeps its bits.  One workspace
-    (residues, angles, terms, limbs) serves every piece of the call: each
-    piece takes the contiguous head of each buffer."""
+    times 2 pi, so every term, and every sum, keeps its bits."""
     if not 0 < den < 2**53:
         raise RangeError(f"root-of-unity denominator {den} is outside (0, 2^53)")
     rows, n = shape
 
-    def angles(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def angles(r: np.ndarray) -> np.ndarray:
         # 2 pi r / den for residues r, the one formula of both paths
-        np.divide(r, den, out=out)
-        out *= 2 * math.pi
-        return out
+        theta = r / den
+        theta *= 2 * math.pi
+        return theta
 
     parts = 1 if cos_weight else 2
     table = None
     if den <= min(rows * n, _SUM_BLOCK):
-        theta = angles(np.arange(den, dtype=np.int64), np.empty(den))
+        theta = angles(np.arange(den, dtype=np.int64))
         table = np.array([np.cos(theta), np.sin(theta)][:parts])
     group = max(1, _SUM_BLOCK // max(n, 1))
-    size = min(rows, group) * min(n, _SUM_BLOCK)
-    residues, terms, limbs = np.empty(size, dtype=np.int64), np.empty(parts * size), np.empty(parts * size)
-    theta = np.empty(size) if table is None else None
-    folded = np.empty(size, dtype=np.int64) if cos_weight else None
     out = []
     for start in range(0, rows, group):
         part = slice(start, min(start + group, rows))
         count = part.stop - start
         sums = _ExactSum(parts * count)
         for col in range(0, n, _SUM_BLOCK):
-            cols = slice(col, min(col + _SUM_BLOCK, n))
-            piece = count * (cols.stop - col)
-            r = np.remainder(block(part, cols), den, out=residues[:piece].reshape(count, -1))
+            r = np.remainder(block(part, slice(col, min(col + _SUM_BLOCK, n))), den)
             if cos_weight:
-                np.minimum(r, np.subtract(den, r, out=folded[:piece].reshape(count, -1)), out=r)
+                r = np.minimum(r, den - r)
             if table is None:
-                th = angles(r, theta[:piece].reshape(count, -1))
-                x = terms[: parts * piece].reshape(parts * count, -1)
-                np.cos(th, out=x[:count])
-                if not cos_weight:
-                    np.sin(th, out=x[count:])
+                theta = angles(r)
+                x = np.cos(theta) if cos_weight else np.concatenate((np.cos(theta), np.sin(theta)))
             else:
                 # the cos of each row's terms above their sin
-                x = np.take(table, r, axis=1, mode="clip", out=terms[: parts * piece].reshape(parts, count, -1))
-                x = x.reshape(parts * count, -1)
-            sums.add(x, limbs[: parts * piece].reshape(x.shape))
+                x = np.take(table, r, axis=1, mode="clip").reshape(parts * count, -1)
+            sums.add(x)
         if cos_weight:
             out += [complex(re, 0.0) for re in sums.values(cos_weight)]
         else:
@@ -302,13 +290,13 @@ class _ExactSum:
     def __init__(self, rows: int):
         self.totals = [0] * rows
 
-    def add(self, x: np.ndarray, limb: np.ndarray) -> None:
+    def add(self, x: np.ndarray) -> None:
         """Add row i of the float array x, shape (rows, n) with n at most
-        _SUM_BLOCK, to total i; overwrites x, and limb, a float scratch
-        array of x's shape.  All rows go through each numpy call together,
-        which keeps the cost of a short sum down."""
+        _SUM_BLOCK, to total i; overwrites x.  All rows go through each numpy
+        call together, which keeps the cost of a short sum down."""
         if x.shape[1] > _SUM_BLOCK:
             raise ValueError(f"a piece holds at most {_SUM_BLOCK} columns, got {x.shape[1]}")
+        limb = np.empty_like(x)
         sums, limbs = [0] * len(self.totals), 0
         # scaling by 2^37 and splitting off the nearest integer are both
         # exact, so the residual stays at modulus <= 1/2 and reaches zero
@@ -761,8 +749,6 @@ def _unit_sums(p: int, cond: int, chars, b: int, r: int) -> list[complex]:
     flips = np.array([chi.eps for chi in chars], dtype=np.int64) * (den // 2)
     (signs, order), g, mod = _unit_group(p, depth)[:2], unit_generator(p), p**depth
 
-    stepped = steps.any()  # every step is 0 only for chi4 (p = 2, a = 0)
-
     def block(rows: slice, cols: slice) -> np.ndarray:
         # one part per sign half the piece meets: a piece lies in one half,
         # or is the whole walk (at p = 2 order and _SUM_BLOCK are powers of
@@ -770,15 +756,12 @@ def _unit_sums(p: int, cond: int, chars, b: int, r: int) -> list[complex]:
         parts = []
         for sign in range(cols.start // order, (cols.stop - 1) // order + 1):
             lo, hi = max(cols.start, sign * order) - sign * order, min(cols.stop - sign * order, order)
-            nums = _unit_power_piece(g, mod, order, lo, hi - lo)
-            nums *= (2 * sign - 1) * psi_step
-            if stepped:  # chi(g^k) = e(step k / den)
-                k = np.multiply.outer(steps[rows], np.arange(lo, hi, dtype=np.int64))
-                k += nums
-                nums = k
-            if sign:  # chi(-y) = chi(y) e(eps / 2)
-                nums = nums + flips[rows, None]
-            parts.append(np.broadcast_to(nums, (rows.stop - rows.start, hi - lo)))
+            # chi(g^k) = e(step k / den), and chi(-y) = chi(y) e(eps / 2)
+            nums = np.multiply.outer(steps[rows], np.arange(lo, hi, dtype=np.int64))
+            nums += (2 * sign - 1) * psi_step * _unit_power_piece(g, mod, order, lo, hi - lo)
+            if sign:
+                nums += flips[rows, None]
+            parts.append(nums)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     return _root_sums((steps.size, signs * order), block, den)
@@ -1044,15 +1027,14 @@ def unramified_params(p: int, s: complex, mu: float = 0.0, psi_c: int = 0) -> Fi
 # classical vectors
 
 
-def classical_vector(params: FiniteParams, n: int, normalized: bool = True) -> TensorSimpleFunction:
+def classical_vector(params: FiniteParams, n: int) -> TensorSimpleFunction:
     """Level-n vector of the plane model, one of four ramification shapes.
 
-    With normalized=True (default) every vector has exact unit norm for the
-    plane inner product, which the orthonormal-basis property requires; the
-    two one-sided-ramified shapes at n > c need an extra (1 + 1/q)^(1/2)
-    relative to the otherwise displayed constants, and that correction is
-    what the norm oracle pins down.  normalized=False returns the
-    uncorrected variant.
+    Every vector has exact unit norm for the plane inner product, which the
+    orthonormal-basis property requires; the two one-sided-ramified shapes
+    at n > c need an extra (1 + 1/q)^(1/2) relative to the otherwise
+    displayed constants, and that correction is what the norm oracle pins
+    down.
     """
     c = params.conductor
     if n < c:
@@ -1064,7 +1046,6 @@ def classical_vector(params: FiniteParams, n: int, normalized: bool = True) -> T
     oxi = params.omega_xi_inv
     r1, r2 = params.xi.cond > 0, oxi.cond > 0
     one = MultChar.trivial(p)
-    fix = math.sqrt(1 + 1 / p) if normalized else 1.0
 
     if r1 and r2:
         const = cpsi_half * math.sqrt(oxi.conductor_value) / (1 - 1 / p)
@@ -1077,7 +1058,8 @@ def classical_vector(params: FiniteParams, n: int, normalized: bool = True) -> T
         if m == 0:
             const = cpsi_half / math.sqrt(1 - 1 / p)
             return TensorSimpleFunction(p, [(const, CharAtom(xi_inv, 0), TailAtom(0))])
-        const = p ** (m / 2) * cpsi_half / ((1 - 1 / p) * math.sqrt(1 + 1 / p)) * fix
+        # the displayed constant times the (1 + 1/q)^(1/2) correction
+        const = p ** (m / 2) * cpsi_half / ((1 - 1 / p) * math.sqrt(1 + 1 / p)) * math.sqrt(1 + 1 / p)
         return TensorSimpleFunction(p, [(const, CharAtom(xi_inv, m), CharAtom(one, 0))])
     if r2 and not r1:
         if m == 0:
@@ -1088,7 +1070,7 @@ def classical_vector(params: FiniteParams, n: int, normalized: bool = True) -> T
             * cpsi_half
             * math.sqrt(oxi.conductor_value)
             / ((1 - 1 / p) * math.sqrt(1 + 1 / p))
-            * fix
+            * math.sqrt(1 + 1 / p)
         )
         return TensorSimpleFunction(
             p,

@@ -616,15 +616,25 @@ EMIT_TABLES = (
 
 
 @pytest.mark.parametrize("cols", EMIT_TABLES, ids=("mixed", "one-row", "empty-columns", "no-columns"))
-def test_emit_table_writes_each_row_as_the_row_encoders_do(capsys, cols):
+def test_emit_table_writes_each_row_as_the_row_encoders_do(capsys, tmp_path, cols):
     rows = [dict(zip(cols, vals)) for vals in zip(*cols.values())]
     intertwine.cli._emit_table(cols, "json", None)
     text = capsys.readouterr().out
     intertwine.cli._emit_table(cols, "csv", None)
     csv_text = capsys.readouterr().out
+    # with an out path, a table without rows still replaces a stale file
+    written = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"table.{fmt}"
+        out.write_text("a stale table\n")
+        intertwine.cli._emit_table(cols, fmt, str(out))
+        assert capsys.readouterr().out == f"table written to {out}\n"
+        written[fmt] = out.read_text()
     if not rows:
         assert text == csv_text == "(no rows)\n"
+        assert written == {"json": "[]\n", "csv": ",".join(cols) + "\n"}
         return
+    assert written == {"json": text, "csv": csv_text}
     assert text == "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

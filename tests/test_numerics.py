@@ -428,7 +428,7 @@ def _recording(g):
     seen = []
 
     def recorded(x, rows):
-        seen.append((np.array(x), np.arange(rows.start, rows.stop) if isinstance(rows, slice) else np.array(rows)))
+        seen.append((np.array(x), np.array(rows)))
         return g(x, rows)
 
     return recorded, seen
@@ -440,17 +440,22 @@ def _gaussian_rows(scales):
 
 
 def test_no_row_evaluates_a_node_twice():
-    # rows of different widths in one stack, and rows that grow their window
-    # at the finer levels; each row is evaluated at exactly the node arrays
-    # of its own one-row call, set by set and in order
+    # rows of different widths in one stack, rows that grow their window at
+    # the finer levels, and a stack of 200 rows whose first node set is one
+    # call of 17 x 200 values; each row is evaluated at exactly the node
+    # arrays of its own one-row call, set by set and in order
     sin2 = lambda x, rows: np.array([1.0, 2.0, 3.0])[rows, None] * np.sin(2 * math.pi * x) ** 2 * np.exp(-x * x / 50)
+    many = np.linspace(0.2, 40.0, 200).tolist()
     for g, k, exact in (
         (_gaussian_rows([0.2, 1.0, 7.0, 40.0]), 4, [math.sqrt(math.pi / c) for c in (0.2, 1.0, 7.0, 40.0)]),
         (sin2, 3, [c * math.sqrt(50 * math.pi) / 2 for c in (1.0, 2.0, 3.0)]),
+        (_gaussian_rows(many), 200, [math.sqrt(math.pi / c) for c in many]),
     ):
         recorded, seen = _recording(g)
         values = numerics._trapezoid_doubling(recorded, rows=k)
         assert np.abs(values - exact).max() < 1e-11 * max(exact)
+        # every row starts on the same node set, in one call
+        assert seen[0][1].tolist() == list(range(k))
         for row in range(k):
             own = [x for x, rows in seen if row in rows]
             nodes = np.concatenate(own)

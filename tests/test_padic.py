@@ -477,7 +477,8 @@ def test_unit_sums_keep_their_bits_in_smaller_pieces(monkeypatch):
 def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
     # the trivial shell mod 3^13: 1 062 882 units, whose whole table of
     # powers would take 8.5 MB; its pairs are the units below 3^13 / 2 in
-    # natural order, so it asks for no powers at all
+    # natural order, so it asks for no powers at all.  Ramified rows walk
+    # the powers in 4, 4 and 16 pieces, each with arrays of its own.
     sizes = []
     raw = padic._unit_powers
 
@@ -499,6 +500,18 @@ def test_deep_unit_sum_holds_one_piece_of_powers(monkeypatch):
     # the Ramanujan sum c_(3^13)(1) is 0, and real
     assert abs(total) < 1e-9
     assert total.imag == 0.0
+    for chi in (MultChar(7, 6, 1), MultChar(3, 11, 1), MultChar(2, 20, 1, 1)):
+        raw.cache_clear()
+        tracemalloc.start()
+        try:
+            (total,) = padic._unit_sums(chi.p, chi.cond, [chi], chi.cond, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * _SUM_BLOCK, chi
+        # a primitive Gauss sum mod p^c has modulus p^(c / 2)
+        assert abs(abs(total) - chi.p ** (chi.cond / 2)) < 1e-9 * chi.p ** (chi.cond / 2), chi
+    assert max(sizes) == _SUM_BLOCK
 
 
 def test_bruteforce_sums_each_trivial_shell_once(monkeypatch):
@@ -555,7 +568,7 @@ def _exact_sum(values) -> float:
     sums = _ExactSum(1)
     for col in range(0, row.shape[1], _SUM_BLOCK):
         piece = row[:, col : col + _SUM_BLOCK]
-        sums.add(piece, np.empty_like(piece))
+        sums.add(piece)
     return sums.values()[0]
 
 
@@ -625,7 +638,7 @@ def test_exact_sum_rejects_a_piece_wider_than_one_block():
     sums = _ExactSum(2)
     piece = np.zeros((2, _SUM_BLOCK + 1))
     with pytest.raises(ValueError):
-        sums.add(piece, np.empty_like(piece))
+        sums.add(piece)
 
 
 def test_root_of_unity_sum_empty_and_domain():
@@ -1264,9 +1277,10 @@ def test_uncorrected_constants_norm_deficit():
         for shape in ("first", "second"):
             prm = params_for(p, shape)
             c = prm.conductor
-            v = classical_vector(prm, c + 1, normalized=False)
+            v = classical_vector(prm, c + 1).scale((1 + 1 / p) ** -0.5)
             assert abs(v.inner(v, prm.psi) - 1 / (1 + 1 / p)) < 1e-12
-            base = classical_vector(prm, c, normalized=False)
+            # at the conductor the displayed constants need no correction
+            base = classical_vector(prm, c)
             assert abs(base.inner(base, prm.psi) - 1.0) < 1e-12
 
 
